@@ -4,7 +4,7 @@ A coloring is conflict-free for a hypergraph when every hyperedge contains a
 vertex whose color appears exactly once in it.  This package colors
 intersection graphs of discs, pseudo-discs, intervals, axis-parallel
 rectangles, and fat convex objects with logarithmically many colors (constant
-for intervals and fat families), always re-verifying outputs by brute force.
+for intervals and fat families), certifying every output exactly.
 """
 
 from .errors import (

@@ -1,28 +1,23 @@
 """Benchmark harness recording palette sizes against their formula bounds.
 
-Every recorded row is re-verified; a verification failure aborts the run and
-serializes the failing scene for regression capture.
+Every entry point certifies its own output; a certification failure aborts the
+run and serializes the failing scene for regression capture.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import VerificationError
 from .fat import closed_cf_color_fat, grid_side, pointed_cf_color_fat
 from .framework import cf_palette_bound
 from .geom import generate_scene, save_scene
-from .hypergraph import intersection_graph, neighborhood_hypergraph, verify_cf
 from .intervals import closed_cf_color_intervals
-from .probes import DISC_MODE, ProbeSystem, cf_color_vs_probes, pointed_cf_pseudodiscs_report, probe_hypergraph
+from .probes import ProbeSystem, cf_color_vs_probes, pointed_cf_pseudodiscs_report
 from .rects import closed_cf_color_rects
 
 __all__ = ["BENCH_ALGS", "bench_colors", "rows_to_csv"]
-
-BENCH_ALGS = ("pseudodisc", "antennas", "intervals", "rects", "fat-pointed", "fat-closed")
 
 
 @dataclass(frozen=True)
@@ -35,67 +30,58 @@ class BenchRow:
     verified: bool
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CFGEOM_THREADS", "1")))
-    except ValueError:
-        return 1
+# alg -> (argument generator (n, seed, probe count, rho, k), entry point,
+#         palette bound (n, rho, k, entry point result))
+_ALGS = {
+    "pseudodisc": (
+        lambda n, s, m, rho, k: (generate_scene("discs", n, s),),
+        pointed_cf_pseudodiscs_report,
+        lambda n, rho, k, res: res[1].palette_bound,
+    ),
+    "antennas": (
+        lambda n, s, m, rho, k: (
+            ProbeSystem(generate_scene("discs", n, s), generate_scene("discs", m, s + [1], radius_range=(0.01, 0.3))),
+        ),
+        cf_color_vs_probes,
+        lambda n, rho, k, res: cf_palette_bound(n, 6),
+    ),
+    "intervals": (
+        lambda n, s, m, rho, k: (generate_scene("intervals", n, s),),
+        closed_cf_color_intervals,
+        lambda n, rho, k, res: 3,
+    ),
+    "rects": (
+        lambda n, s, m, rho, k: (generate_scene("rects", n, s),),
+        closed_cf_color_rects,
+        lambda n, rho, k, res: 3 * (math.floor(math.log2(n)) + 1) if n else 0,
+    ),
+    "fat-pointed": (
+        lambda n, s, m, rho, k: (generate_scene("fat", n, s, rho=rho, k=k), rho, k),
+        pointed_cf_color_fat,
+        lambda n, rho, k, res: 2 * grid_side(rho, k) ** 2 + 1,
+    ),
+    "fat-closed": (
+        lambda n, s, m, rho, k: (generate_scene("fat", n, s, rho=rho, k=k), rho, k),
+        closed_cf_color_fat,
+        lambda n, rho, k, res: (math.floor(math.log2(k)) + 1) * 2 * (2 * grid_side(rho, 2.0) ** 2 + 1),
+    ),
+}
+BENCH_ALGS = tuple(_ALGS)
 
 
 def _run_one(alg: str, n: int, rep: int, seed: int, probes_count: int | None, rho: float, k: float) -> BenchRow:
-    inst_seed = [seed, n, rep]
-    if alg == "intervals":
-        scene = generate_scene("intervals", n, inst_seed)
-        t0 = time.perf_counter()
-        coloring, _ = closed_cf_color_intervals(scene)
-        ms = (time.perf_counter() - t0) * 1000
-        bound = 3
-        ok = not verify_cf(neighborhood_hypergraph(intersection_graph(scene), "closed"), coloring)
-    elif alg == "rects":
-        scene = generate_scene("rects", n, inst_seed)
-        t0 = time.perf_counter()
-        coloring = closed_cf_color_rects(scene)
-        ms = (time.perf_counter() - t0) * 1000
-        bound = 3 * (math.floor(math.log2(n)) + 1) if n else 0
-        ok = not verify_cf(neighborhood_hypergraph(intersection_graph(scene), "closed"), coloring)
-    elif alg == "pseudodisc":
-        scene = generate_scene("discs", n, inst_seed)
-        t0 = time.perf_counter()
-        coloring, pipeline = pointed_cf_pseudodiscs_report(scene)
-        ms = (time.perf_counter() - t0) * 1000
-        bound = pipeline.palette_bound
-        ok = not verify_cf(neighborhood_hypergraph(intersection_graph(scene), "pointed"), coloring)
-    elif alg == "antennas":
-        scene = generate_scene("discs", n, inst_seed)
-        m = probes_count if probes_count is not None else 10 * n
-        probes = generate_scene("discs", m, [seed, n, rep, 1], radius_range=(0.01, 0.3))
-        ps = ProbeSystem(scene, probes, DISC_MODE)
-        t0 = time.perf_counter()
-        coloring = cf_color_vs_probes(ps)
-        ms = (time.perf_counter() - t0) * 1000
-        bound = cf_palette_bound(n, 6)
-        ok = not verify_cf(probe_hypergraph(ps), coloring)
-    elif alg == "fat-pointed":
-        scene = generate_scene("fat", n, inst_seed, rho=rho, k=k)
-        t0 = time.perf_counter()
-        coloring = pointed_cf_color_fat(scene, rho, k)
-        ms = (time.perf_counter() - t0) * 1000
-        bound = 2 * grid_side(rho, k) ** 2 + 1
-        ok = not verify_cf(neighborhood_hypergraph(intersection_graph(scene), "pointed"), coloring)
-    elif alg == "fat-closed":
-        scene = generate_scene("fat", n, inst_seed, rho=rho, k=k)
-        t0 = time.perf_counter()
-        coloring = closed_cf_color_fat(scene, rho, k)
-        ms = (time.perf_counter() - t0) * 1000
-        bound = (math.floor(math.log2(k)) + 1) * 2 * (2 * grid_side(rho, 2.0) ** 2 + 1)
-        ok = not verify_cf(neighborhood_hypergraph(intersection_graph(scene), "closed"), coloring)
-    else:
-        raise ValueError(f"unknown algorithm {alg!r}; pick one of {BENCH_ALGS}")
-    if not ok:
+    make, color, bound = _ALGS[alg]
+    args = make(n, [seed, n, rep], 10 * n if probes_count is None else probes_count, rho, k)
+    t0 = time.perf_counter()
+    try:
+        res = color(*args)
+    except VerificationError as exc:
         path = f"cfgeom-failing-{alg}-n{n}-rep{rep}.json"
-        save_scene(scene, path)
-        raise VerificationError(f"bench verification failed; failing scene written to {path}")
-    return BenchRow(n, rep, coloring.palette_size, bound, ms, ok)
+        save_scene(args[0].vertices if isinstance(args[0], ProbeSystem) else args[0], path)
+        raise VerificationError(f"{exc}; failing scene written to {path}") from exc
+    ms = (time.perf_counter() - t0) * 1000
+    coloring = res[0] if isinstance(res, tuple) else res
+    return BenchRow(n, rep, coloring.palette_size, bound(n, rho, k, res), ms, True)
 
 
 def bench_colors(
@@ -108,17 +94,12 @@ def bench_colors(
     rho: float = 2.0,
     k: float = 4.0,
 ) -> list[BenchRow]:
-    """One verified row per (n, rep), in canonical order."""
+    """One certified row per (n, rep), in canonical order."""
+    if alg not in _ALGS:
+        raise ValueError(f"unknown algorithm {alg!r}; pick one of {BENCH_ALGS}")
     if not n_values:
         raise ValueError("n_values must not be empty")
-    jobs = [(n, rep) for n in n_values for rep in range(reps)]
-    workers = _threads()
-    if workers == 1:
-        rows = [_run_one(alg, n, rep, seed, probes_count, rho, k) for n, rep in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda j: _run_one(alg, j[0], j[1], seed, probes_count, rho, k), jobs))
-    return sorted(rows, key=lambda r: (r.n, r.rep))
+    return [_run_one(alg, n, rep, seed, probes_count, rho, k) for n in sorted(n_values) for rep in range(reps)]
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import VerificationError
-from .framework import pointed_to_closed
+from .framework import _pointed_to_closed
 from .geom import ConvexFatObject, Disc, Scene
-from .hypergraph import Coloring, intersection_graph, neighborhood_hypergraph, verify_cf
+from .hypergraph import Coloring, Graph, certify, intersection_graph
 
 __all__ = [
     "pointed_cf_color_fat",
@@ -83,11 +82,19 @@ def pointed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     """
     if rho < 1 or k < 1:
         raise ValueError("need rho >= 1 and k >= 1")
-    n = len(objs)
-    if n == 0:
+    if len(objs) == 0:
         return Coloring(())
     certs = _certificates(objs, rho, k)
     side = grid_side(rho, k)
+    g = intersection_graph(objs)
+    out = _pointed_fat(certs, side, g)
+    return certify(g, out, "pointed", bound=2 * side * side + 1, what="grid coloring")
+
+
+def _pointed_fat(certs, side: int, g: Graph) -> Coloring:
+    """pointed_cf_color_fat on validated certificates and their contact graph,
+    without certification."""
+    n = len(certs)
     t = side * side
     cells = _cells(certs)
 
@@ -99,7 +106,6 @@ def pointed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     for cell, rep in rep_of_cell.items():
         pair[rep] = (cell_color[cell], 1)
 
-    g = intersection_graph(objs)
     for i in sorted(rep_of_cell.values()):
         ci, _ = pair[i]
         nbs = g.adjacency[i]
@@ -111,18 +117,11 @@ def pointed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
         if spare:
             pair[min(spare)] = (ci, 2)
         # with no spare neighbor left, every neighbor already carries a
-        # level-2 color; the final verification still guards this case
+        # level-2 color; the final certification still guards this case
 
     flat = tuple(2 * (i - 1) + (lvl - 1) for i, lvl in pair)
     pmap = {2 * (i - 1) + (lvl - 1): (i, lvl) for i, lvl in pair}
-    out = Coloring(flat, pmap)
-    if out.palette_size > 2 * t + 1:
-        raise VerificationError(f"grid coloring used {out.palette_size} colors, bound is {2 * t + 1}")
-    pointed = neighborhood_hypergraph(g, "pointed")
-    bad = verify_cf(pointed, out)
-    if bad:
-        raise VerificationError(f"grid coloring is not pointed-CF on neighborhoods {bad[:5]}")
-    return out
+    return Coloring(flat, pmap)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,8 @@ def closed_cf_color_fat_report(objs: Scene, rho: float, k: float) -> tuple[Color
     Objects are split into size classes [2^b, 2^(b+1)); each class has
     size-ratio below 2, is pointed-CF colored with k' = 2, converted to a
     closed coloring by splitting classes in two, and the buckets concatenate
-    with disjoint palettes.
+    with disjoint palettes.  The scene's contact graph is built once; each
+    bucket colors the subgraph it induces.
     """
     if rho < 1 or k < 1:
         raise ValueError("need rho >= 1 and k >= 1")
@@ -165,17 +165,17 @@ def closed_cf_color_fat_report(objs: Scene, rho: float, k: float) -> tuple[Color
             b += 1
         buckets.setdefault(b, []).append(i)
 
+    g = intersection_graph(objs)
+    side = grid_side(rho, 2.0)
     colors = [0] * n
     pmap: dict[int, tuple[int, int]] = {}
     reports: list[BucketReport] = []
     color_base = 0
     for b in sorted(buckets):
         members = buckets[b]
-        sub = objs.subscene(members)
-        pointed = pointed_cf_color_fat(sub, rho, 2.0)
-        dense = _densify(pointed)
-        sub_graph = intersection_graph(sub)
-        closed = pointed_to_closed(sub_graph, dense)
+        sub_graph = g.subgraph(members)
+        dense = _densify(_pointed_fat([certs[i] for i in members], side, sub_graph))
+        closed = _pointed_to_closed(sub_graph, dense)
         used = set()
         for idx, v in enumerate(members):
             i_local, lvl = closed.palette_map[closed.colors[idx]]
@@ -197,15 +197,8 @@ def closed_cf_color_fat_report(objs: Scene, rho: float, k: float) -> tuple[Color
         color_base += dense.palette_size
 
     out = Coloring(tuple(colors), pmap)
-    per_bucket = 2 * (2 * grid_side(rho, 2.0) ** 2 + 1)
-    bound = (int(math.floor(math.log2(k))) + 1) * per_bucket
-    if out.palette_size > bound:
-        raise VerificationError(f"bucketed coloring used {out.palette_size} colors, bound is {bound}")
-    closed_nh = neighborhood_hypergraph(intersection_graph(objs), "closed")
-    bad = verify_cf(closed_nh, out)
-    if bad:
-        raise VerificationError(f"bucketed coloring is not closed-CF on neighborhoods {bad[:5]}")
-    return out, reports
+    bound = (int(math.floor(math.log2(k))) + 1) * 2 * (2 * side**2 + 1)
+    return certify(g, out, "closed", bound=bound, what="bucketed coloring"), reports
 
 
 def _densify(c: Coloring) -> Coloring:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ColorerContractError, ListExhaustedError, VerificationError
-from .hypergraph import Coloring, Graph, Hypergraph, induced, neighborhood_hypergraph, verify_cf, verify_proper
+from .hypergraph import Coloring, Graph, Hypergraph, certify, induced, neighborhood_violations, verify_proper
 
 __all__ = [
     "ProperColorer",
@@ -71,8 +71,13 @@ def proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
 
     Every round the surviving vertices are proper-colored by `pc`, a largest
     class is assigned the round number as its final color, and removed.  The
-    output is re-verified before it is returned.
+    output is certified before it is returned.
     """
+    return certify(h, _proper_to_cf(h, pc), what="proper-to-CF iteration")
+
+
+def _proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
+    """proper_to_cf without the final certification."""
     final = [0] * h.n
     alive = list(range(h.n))
     rnd = 0
@@ -85,11 +90,7 @@ def proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
             final[alive[i]] = rnd
         taken = {alive[i] for i in cls}
         alive = [v for v in alive if v not in taken]
-    out = Coloring(tuple(final))
-    bad = verify_cf(h, out)
-    if bad:
-        raise VerificationError(f"iteration produced a non-CF coloring on edges {bad[:5]}")
-    return out
+    return Coloring(tuple(final))
 
 
 def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperColorer) -> Coloring:
@@ -128,14 +129,7 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
             final[holders[i]] = c
         for v in alive:
             remaining[v].discard(c)
-    out = Coloring(tuple(final))
-    for v in range(h.n):
-        if out.colors[v] not in set(lists[v]):
-            raise VerificationError(f"vertex {v} was colored outside its list")
-    bad = verify_cf(h, out)
-    if bad:
-        raise VerificationError(f"list iteration produced a non-CF coloring on edges {bad[:5]}")
-    return out
+    return certify(h, Coloring(tuple(final)), lists=lists, what="list iteration")
 
 
 def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
@@ -144,18 +138,22 @@ def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
     Within each class's induced subgraph, the two endpoints of a single-edge
     component get levels 1 and 2; in larger components the leaves get level 2
     and everyone else level 1.  The input must be pointed-CF for `g`; the
-    output is verified closed-CF.  Structured colors (i, level) are flattened
-    to 2*(i-1) + (level-1), recorded in the palette map.
+    output is certified closed-CF with at most twice the input palette.
+    Structured colors (i, level) are flattened to 2*(i-1) + (level-1),
+    recorded in the palette map.
     """
     if len(c.colors) != g.n:
         raise ValueError("coloring is not total")
     if any(col < 1 for col in c.colors):
         raise ValueError("pointed_to_closed expects positive color ids")
-    pointed = neighborhood_hypergraph(g, "pointed")
-    bad = verify_cf(pointed, c)
+    bad = neighborhood_violations(g, c, "pointed")
     if bad:
-        raise VerificationError(f"input is not pointed-CF (violations on edges {bad[:5]})")
+        raise VerificationError(f"input is not pointed-CF (violations on neighborhoods {bad[:5]})")
+    return certify(g, _pointed_to_closed(g, c), "closed", bound=2 * c.palette_size, what="conversion")
 
+
+def _pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
+    """pointed_to_closed's class split, without input check or certification."""
     level = [1] * g.n
     classes: dict[int, list[int]] = {}
     for v, col in enumerate(c.colors):
@@ -186,11 +184,4 @@ def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
 
     flat = tuple(2 * (col - 1) + (lvl - 1) for col, lvl in zip(c.colors, level))
     pmap = {2 * (col - 1) + (lvl - 1): (col, lvl) for col, lvl in zip(c.colors, level)}
-    out = Coloring(flat, pmap)
-    if out.palette_size > 2 * c.palette_size:
-        raise VerificationError("conversion exceeded twice the input palette")
-    closed = neighborhood_hypergraph(g, "closed")
-    bad = verify_cf(closed, out)
-    if bad:
-        raise VerificationError(f"conversion is not closed-CF (violations on edges {bad[:5]})")
-    return out
+    return Coloring(flat, pmap)

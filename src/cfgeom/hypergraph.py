@@ -1,18 +1,19 @@
 """Hypergraphs, intersection graphs, verifiers, and the exact small-instance oracle.
 
-Colorings are never trusted: the verifiers here are the ground truth used by
-every coloring routine in the package before it returns.
+Colorings are never trusted: `certify` is the one check every public coloring
+entry point runs on its output before returning it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleShapesError
+from .errors import IncompatibleShapesError, VerificationError
 from .geom import ConvexFatObject, Disc, Scene, intersects, shape_bbox
 
 __all__ = [
@@ -24,6 +25,8 @@ __all__ = [
     "induced",
     "verify_proper",
     "verify_cf",
+    "neighborhood_violations",
+    "certify",
     "min_cf_colors_bruteforce",
     "greedy_maximal_independent_set",
     "all_intervals_hypergraph",
@@ -42,9 +45,10 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
+        u, v = self._pairs
+        bad = np.nonzero((u < 0) | (u >= v) | (v >= self.n))[0]
+        if len(bad):
+            raise ValueError(f"bad edge ({u[bad[0]]},{v[bad[0]]}) for n={self.n}")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -53,6 +57,32 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        e = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
+        if len(e) != 2 * len(self.edges):
+            raise ValueError("graph edges must be vertex pairs")
+        return e[0::2], e[1::2]
+
+    def _neighborhoods(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
+        """(member, owner) pairs of every N(v) (pointed) or N[v] (closed), flat."""
+        if mode not in ("pointed", "closed"):
+            raise ValueError("mode must be 'pointed' or 'closed'")
+        u, v = self._pairs
+        members, owners = [v, u], [u, v]
+        if mode == "closed":
+            members.append(np.arange(self.n))
+            owners.append(np.arange(self.n))
+        return np.concatenate(members), np.concatenate(owners)
+
+    def subgraph(self, keep: Sequence[int]) -> Graph:
+        """Induced subgraph on the increasing vertex list `keep`, keep[i] renamed i."""
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[list(keep)] = np.arange(len(keep))
+        a, b = (pos[x] for x in self._pairs)
+        inside = (a >= 0) & (b >= 0)
+        return Graph(len(keep), frozenset(zip(a[inside].tolist(), b[inside].tolist())))
 
 
 def _normalize_edge(e: Iterable[int]) -> tuple[int, ...]:
@@ -134,17 +164,11 @@ def intersection_graph(scene: Scene) -> Graph:
         c = np.array([(s.center.x, s.center.y, s.radius) for s in shapes])
         d = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
         hit = d <= c[:, None, 2] + c[None, :, 2]
-        iu = np.triu_indices(n, k=1)
-        mask = hit[iu]
-        return Graph(n, frozenset(zip(iu[0][mask].tolist(), iu[1][mask].tolist())))
-    if scene.kind == "intervals":
+    elif scene.kind == "intervals":
         lo = np.array([s.lo for s in shapes])
         hi = np.array([s.hi for s in shapes])
         hit = (lo[:, None] <= hi[None, :]) & (lo[None, :] <= hi[:, None])
-        iu = np.triu_indices(n, k=1)
-        mask = hit[iu]
-        return Graph(n, frozenset(zip(iu[0][mask].tolist(), iu[1][mask].tolist())))
-    if scene.kind == "rects":
+    elif scene.kind == "rects":
         b = np.array([(s.xmin, s.xmax, s.ymin, s.ymax) for s in shapes])
         hit = (
             (b[:, None, 0] <= b[None, :, 1])
@@ -152,10 +176,7 @@ def intersection_graph(scene: Scene) -> Graph:
             & (b[:, None, 2] <= b[None, :, 3])
             & (b[None, :, 2] <= b[:, None, 3])
         )
-        iu = np.triu_indices(n, k=1)
-        mask = hit[iu]
-        return Graph(n, frozenset(zip(iu[0][mask].tolist(), iu[1][mask].tolist())))
-    if scene.kind == "fat" or (
+    elif scene.kind == "fat" or (
         scene.kind == "mixed" and all(isinstance(s, (Disc, ConvexFatObject)) for s in shapes)
     ):
         boxes = np.array([shape_bbox(s) for s in shapes])
@@ -172,7 +193,11 @@ def intersection_graph(scene: Scene) -> Graph:
             if intersects(shapes[i], shapes[j])
         }
         return Graph(n, frozenset(edges))
-    raise IncompatibleShapesError(f"no intersection graph for scene kind {scene.kind!r}")
+    else:
+        raise IncompatibleShapesError(f"no intersection graph for scene kind {scene.kind!r}")
+    iu = np.triu_indices(n, k=1)
+    mask = hit[iu]
+    return Graph(n, frozenset(zip(iu[0][mask].tolist(), iu[1][mask].tolist())))
 
 
 def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
@@ -213,45 +238,83 @@ def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
+def _color_counts(colors: np.ndarray, members: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per distinct (edge, color) pair present: its edge and its member count."""
+    values, dense = np.unique(colors[members], return_inverse=True)
+    p = max(len(values), 1)
+    uk, counts = np.unique(owners * p + dense, return_counts=True)
+    return uk // p, counts
+
+
+def _total(coloring, n: int) -> np.ndarray:
+    colors = np.asarray(_colors_of(coloring), dtype=np.int64)
+    if len(colors) != n:
+        raise ValueError("coloring is not total")
+    return colors
+
+
 def verify_proper(h: Hypergraph, coloring) -> list[int]:
     """Indices of hyperedges of size >= 2 that are monochromatic (empty list = proper)."""
-    colors = np.asarray(_colors_of(coloring), dtype=np.int64)
-    if len(colors) != h.n:
-        raise ValueError("coloring is not total")
+    colors = _total(coloring, h.n)
     members, edge_ids = h._flat
-    if len(members) == 0:
-        return []
-    mc = colors[members]
-    _, dense = np.unique(mc, return_inverse=True)
-    p = int(dense.max()) + 1
-    key = edge_ids * p + dense
-    uk = np.unique(key)
+    edge_of, _ = _color_counts(colors, members, edge_ids)
     ne = len(h.edges)
-    distinct = np.bincount(uk // p, minlength=ne)
+    distinct = np.bincount(edge_of, minlength=ne)
     sizes = np.bincount(edge_ids, minlength=ne)
-    bad = np.nonzero((sizes >= 2) & (distinct == 1))[0]
-    return bad.tolist()
+    return np.nonzero((sizes >= 2) & (distinct == 1))[0].tolist()
+
+
+def _cf_violations(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int) -> list[int]:
+    edge_of, counts = _color_counts(colors, members, owners)
+    has_unique = np.zeros(ne, dtype=bool)
+    has_unique[edge_of[counts == 1]] = True
+    nonempty = np.zeros(ne, dtype=bool)
+    nonempty[owners] = True
+    return np.nonzero(nonempty & ~has_unique)[0].tolist()
 
 
 def verify_cf(h: Hypergraph, coloring) -> list[int]:
     """Indices of nonempty hyperedges with no uniquely colored vertex (empty list = CF)."""
-    colors = np.asarray(_colors_of(coloring), dtype=np.int64)
-    if len(colors) != h.n:
-        raise ValueError("coloring is not total")
-    members, edge_ids = h._flat
-    if len(members) == 0:
-        return []
-    mc = colors[members]
-    _, dense = np.unique(mc, return_inverse=True)
-    p = int(dense.max()) + 1
-    key = edge_ids * p + dense
-    uk, counts = np.unique(key, return_counts=True)
-    ne = len(h.edges)
-    has_unique = np.zeros(ne, dtype=bool)
-    has_unique[(uk // p)[counts == 1]] = True
-    nonempty = np.zeros(ne, dtype=bool)
-    nonempty[np.unique(edge_ids)] = True
-    return np.nonzero(nonempty & ~has_unique)[0].tolist()
+    return _cf_violations(_total(coloring, h.n), *h._flat, len(h.edges))
+
+
+def neighborhood_violations(g: Graph, coloring, mode: str) -> list[int]:
+    """Vertices v whose nonempty N(v) (pointed) or N[v] (closed) has no uniquely
+    colored member; read from the graph's edge arrays, no hypergraph is built."""
+    return _cf_violations(_total(coloring, g.n), *g._neighborhoods(mode), g.n)
+
+
+def certify(
+    contacts: Graph | Hypergraph,
+    coloring: Coloring,
+    mode: str | None = None,
+    *,
+    bound: int | None = None,
+    lists: Sequence[Sequence[int]] | None = None,
+    proper: bool = False,
+    what: str = "coloring",
+) -> Coloring:
+    """Return `coloring` once it is proven valid, else raise VerificationError.
+
+    Checks totality, the palette `bound`, membership of every color in its
+    vertex's list, and conflict-freeness of every hyperedge, or of every
+    pointed or closed neighborhood (`mode`) when `contacts` is a graph; with
+    `proper`, only that no hyperedge of size >= 2 is monochromatic.
+    """
+    if len(coloring.colors) != contacts.n:
+        raise VerificationError(f"{what} colors {len(coloring.colors)} of {contacts.n} vertices")
+    if bound is not None and coloring.palette_size > bound:
+        raise VerificationError(f"{what} used {coloring.palette_size} colors, bound is {bound}")
+    outside = [v for v, (c, lst) in enumerate(zip(coloring.colors, lists or ())) if c not in lst]
+    if outside:
+        raise VerificationError(f"{what} colored vertices {outside[:5]} outside their lists")
+    if isinstance(contacts, Graph):
+        bad, where = neighborhood_violations(contacts, coloring, mode), f"the {mode} neighborhoods of vertices"
+    else:
+        bad, where = (verify_proper if proper else verify_cf)(contacts, coloring), "hyperedges"
+    if bad:
+        raise VerificationError(f"{what} is not {'proper' if proper else 'conflict-free'} on {where} {bad[:5]}")
+    return coloring
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ which together make the coloring closed conflict-free.
 from __future__ import annotations
 
 from bisect import bisect_right
+from typing import Sequence
 
-from .errors import VerificationError
 from .geom import Interval, Scene
-from .hypergraph import Coloring, intersection_graph, neighborhood_hypergraph, verify_cf
+from .hypergraph import Coloring, certify, intersection_graph
 
 __all__ = ["closed_cf_color_intervals"]
 
@@ -54,7 +54,13 @@ def closed_cf_color_intervals(intervals: Scene) -> tuple[Coloring, list[int]]:
         raise ValueError("empty interval family")
     if intervals.kind != "intervals":
         raise ValueError("scene must contain intervals only")
-    ivs = list(intervals.shapes)
+    colors, chain = _interval_chain(intervals.shapes)
+    out = certify(intersection_graph(intervals), Coloring(tuple(colors)), "closed", bound=3, what="interval coloring")
+    return out, chain
+
+
+def _interval_chain(ivs: Sequence[Interval]) -> tuple[list[int], list[int]]:
+    """Uncertified colors and chain of closed_cf_color_intervals on a nonempty family."""
     n = len(ivs)
     union = _merged_union(ivs)
 
@@ -81,51 +87,4 @@ def closed_cf_color_intervals(intervals: Scene) -> tuple[Coloring, list[int]]:
     colors = [3] * n
     for pos, i in enumerate(chain):
         colors[i] = 1 + (pos % 2)
-    out = Coloring(tuple(colors))
-    _check_chain_invariants(ivs, chain, colors, union)
-    closed = neighborhood_hypergraph(intersection_graph(intervals), "closed")
-    bad = verify_cf(closed, out)
-    if bad:
-        raise VerificationError(f"interval coloring is not closed-CF on neighborhoods {bad[:5]}")
-    return out, chain
-
-
-def _check_chain_invariants(ivs, chain, colors, union) -> None:
-    """Structural facts the correctness argument rests on; checked every run."""
-    k = len(chain)
-    rights = [ivs[i].hi for i in chain]
-    if any(b <= a for a, b in zip(rights, rights[1:])):
-        raise VerificationError("chain right endpoints are not strictly increasing")
-    for a in range(k):
-        for b in range(a + 2, k):
-            ia, ib = ivs[chain[a]], ivs[chain[b]]
-            if ia.lo <= ib.hi and ib.lo <= ia.hi:
-                raise VerificationError(f"chain members {a} and {b} intersect but are 2+ apart")
-    for i, iv in enumerate(ivs):
-        for a in range(k - 2):
-            sa, sm, sb = (ivs[chain[a + d]] for d in range(3))
-            hits_a = iv.lo <= sa.hi and sa.lo <= iv.hi
-            hits_b = iv.lo <= sb.hi and sb.lo <= iv.hi
-            hits_m = iv.lo <= sm.hi and sm.lo <= iv.hi
-            if hits_a and hits_b and not hits_m:
-                raise VerificationError(f"interval {i} meets chain links {a} and {a + 2} but not {a + 1}")
-    for i, iv in enumerate(ivs):
-        if colors[i] != 3:
-            continue
-        ones = sum(
-            1
-            for pos, j in enumerate(chain)
-            if pos % 2 == 0 and iv.lo <= ivs[j].hi and ivs[j].lo <= iv.hi
-        )
-        twos = sum(
-            1
-            for pos, j in enumerate(chain)
-            if pos % 2 == 1 and iv.lo <= ivs[j].hi and ivs[j].lo <= iv.hi
-        )
-        if ones >= 2 and twos >= 2:
-            raise VerificationError(f"color-3 interval {i} sees two of each chain color")
-    # the chain covers the union: every endpoint of the family lies in a link
-    for iv in ivs:
-        for p in (iv.lo, iv.hi):
-            if not any(ivs[j].lo <= p <= ivs[j].hi for j in chain):
-                raise VerificationError(f"chain does not cover family point {p}")
+    return colors, chain

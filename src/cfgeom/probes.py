@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IncompatibleShapesError, PlanarityError, VerificationError
-from .framework import ProperColorer, cf_palette_bound, proper_to_cf
+from .errors import IncompatibleShapesError, PlanarityError
+from .framework import ProperColorer, _proper_to_cf, cf_palette_bound
 from .geom import (
     ConvexFatObject,
     Disc,
@@ -37,12 +37,10 @@ from .hypergraph import (
     Coloring,
     Graph,
     Hypergraph,
+    certify,
     greedy_maximal_independent_set,
     induced,
     intersection_graph,
-    neighborhood_hypergraph,
-    verify_cf,
-    verify_proper,
 )
 
 __all__ = [
@@ -145,9 +143,18 @@ def probe_hypergraph(ps: ProbeSystem) -> Hypergraph:
     """One hyperedge per probe: the vertices intersecting it.  Empty edges are
     kept (with their provenance label) and ignored by the verifiers."""
     ps.validate()
-    hits = _pairwise_hits(ps.vertices, ps.probes)
-    labels = tuple(f"probe:{j}" for j in range(len(hits)))
-    return Hypergraph(len(ps.vertices), tuple(hits), labels)
+    return _hits_hypergraph(len(ps.vertices), _pairwise_hits(ps.vertices, ps.probes))
+
+
+def _hits_hypergraph(n: int, hits: Sequence[tuple[int, ...]]) -> Hypergraph:
+    return Hypergraph(n, tuple(hits), tuple(f"probe:{j}" for j in range(len(hits))))
+
+
+def _graph_probe_hypergraph(g: Graph, vertices: list[int], probes: list[int]) -> Hypergraph:
+    """Probe hypergraph of two disjoint subfamilies of the scene `g` was built
+    from, in the subfamilies' local indices, with hits read off the graph."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    return _hits_hypergraph(len(vertices), [tuple(pos[u] for u in g.adjacency[p] if u in pos) for p in probes])
 
 
 def auxiliary_graph(ps: ProbeSystem, active: Sequence[int]) -> Graph:
@@ -176,9 +183,8 @@ class _ProbeEngine:
     graph as a witness-counted simple graph.
     """
 
-    def __init__(self, vertices: Scene, probes: Scene):
-        self.n = len(vertices)
-        hits = _pairwise_hits(vertices, probes)
+    def __init__(self, n: int, hits: Sequence[tuple[int, ...]]):
+        self.n = n
         self.hits: list[tuple[int, ...]] = sorted({h for h in hits if h})
         self.hitters: list[list[int]] = [[] for _ in range(self.n)]
         flat_v = []
@@ -297,15 +303,11 @@ def peel_and_color(ps: ProbeSystem) -> tuple[Coloring, PeelOrder]:
     been applied beforehand (the pipelines do this).
     """
     ps.validate()
-    engine = _ProbeEngine(ps.vertices, ps.probes)
-    cmap, order = engine.peel(range(len(ps.vertices)))
-    coloring = Coloring(tuple(cmap[v] for v in range(len(ps.vertices))))
-    if coloring.colors and max(coloring.colors) > PEEL_COLORS:
-        raise VerificationError("peel used more than 6 colors")
-    h = probe_hypergraph(ps)
-    bad = verify_proper(h, coloring)
-    if bad:
-        raise VerificationError(f"peel coloring is improper on probe edges {bad[:5]}")
+    n = len(ps.vertices)
+    hits = _pairwise_hits(ps.vertices, ps.probes)
+    cmap, order = _ProbeEngine(n, hits).peel(range(n))
+    coloring = Coloring(tuple(cmap[v] for v in range(n)))
+    certify(_hits_hypergraph(n, hits), coloring, bound=PEEL_COLORS, proper=True, what="peel coloring")
     return coloring, order
 
 
@@ -321,7 +323,7 @@ def _peel_colorer(engine: _ProbeEngine) -> ProperColorer:
 def peel_proper_colorer(vertices: Scene, probes: Scene) -> ProperColorer:
     """Hereditary 6-color proper colorer for the probe hypergraph of the given
     system, backed by one shared peel engine; pairs with proper_to_cf_list."""
-    return _peel_colorer(_ProbeEngine(vertices, probes))
+    return _peel_colorer(_ProbeEngine(len(vertices), _pairwise_hits(vertices, probes)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,48 +550,30 @@ def cf_color_vs_probes_report(ps: ProbeSystem) -> tuple[Coloring, dict]:
     to be pairwise disjoint); pruned vertices receive one extra reserved color.
     """
     ps.validate()
-    n = len(ps.vertices)
-    h = probe_hypergraph(ps)
-    report: dict = {"pruned": [], "peel_orders": []}
-    if n == 0:
-        return Coloring(()), report
-    prune = False
-    if ps.mode == PSEUDODISC_MODE and len(intersection_graph(ps.vertices).edges) > 0:
-        prune = True
-        if len(intersection_graph(ps.probes).edges) > 0:
-            raise ValueError(
-                "pseudo-disc probes must be pairwise disjoint when the vertices overlap each other"
-            )
-    if not prune:
-        engine = _ProbeEngine(ps.vertices, ps.probes)
-        out = proper_to_cf(h, _peel_colorer(engine))
-        report["peel_orders"] = engine.peel_log
-        bound = cf_palette_bound(n, PEEL_COLORS)
-    else:
-        kept, pruned = prune_depth_one(ps.vertices)
-        report["pruned"] = pruned
-        colors = [0] * n
-        if kept:
-            engine = _ProbeEngine(ps.vertices, ps.probes)
-            sub = induced(h, kept)
-            sub_coloring = proper_to_cf(sub, _peel_colorer(engine))
-            report["peel_orders"] = engine.peel_log
-            for v, c in zip(kept, sub_coloring.colors):
-                colors[v] = c
-            reserved = max(sub_coloring.colors) + 1
-        else:
-            reserved = 1
-        for v in pruned:
-            colors[v] = reserved
-        out = Coloring(tuple(colors))
-        bound = cf_palette_bound(n, PEEL_COLORS) + 1
-    bad = verify_cf(h, out)
-    if bad:
-        raise VerificationError(f"probe coloring is not CF on probe edges {bad[:5]}")
-    if out.palette_size > bound:
-        raise VerificationError(f"probe coloring used {out.palette_size} colors, bound is {bound}")
-    report["palette_bound"] = bound
-    return out, report
+    prune = ps.mode == PSEUDODISC_MODE and len(intersection_graph(ps.vertices).edges) > 0
+    if prune and len(intersection_graph(ps.probes).edges) > 0:
+        raise ValueError("pseudo-disc probes must be pairwise disjoint when the vertices overlap each other")
+    h = _hits_hypergraph(len(ps.vertices), _pairwise_hits(ps.vertices, ps.probes))
+    out, report = _cf_vs_hits(ps.vertices, h, prune)
+    return certify(h, out, bound=report["palette_bound"], what="probe coloring"), report
+
+
+def _cf_vs_hits(vertices: Scene, h: Hypergraph, prune: bool) -> tuple[Coloring, dict]:
+    """cf_color_vs_probes_report given the probe hypergraph `h` and whether to
+    prune first, without certification."""
+    n = len(vertices)
+    kept, pruned = prune_depth_one(vertices) if prune else (list(range(n)), [])
+    engine = _ProbeEngine(n, h.edges)
+    colors = [0] * n
+    if kept:
+        sub_coloring = _proper_to_cf(induced(h, kept) if pruned else h, _peel_colorer(engine))
+        for v, c in zip(kept, sub_coloring.colors):
+            colors[v] = c
+    reserved = max(colors, default=0) + 1
+    for v in pruned:
+        colors[v] = reserved
+    bound = cf_palette_bound(n, PEEL_COLORS) + (1 if prune else 0)  # pruned vertices share one color
+    return Coloring(tuple(colors)), {"pruned": pruned, "peel_orders": engine.peel_log, "palette_bound": bound}
 
 
 @dataclass
@@ -614,7 +598,8 @@ def pointed_cf_pseudodiscs_report(scene: Scene) -> tuple[Coloring, PipelineRepor
     rest as probes, the rest is colored conflict-free against B as probes (with
     pruning in pseudo-disc mode), and the two palettes are kept disjoint.  Each
     vertex with a neighbor then finds a uniquely colored one in the opposite
-    side's palette.
+    side's palette.  Both halves read their probe hits off one intersection
+    graph of the scene.
     """
     n = len(scene)
     if n == 0:
@@ -629,35 +614,26 @@ def pointed_cf_pseudodiscs_report(scene: Scene) -> tuple[Coloring, PipelineRepor
         raise ValueError("scene is not a pseudo-disc family")
     g = intersection_graph(scene)
     b = greedy_maximal_independent_set(g)
-    rest = sorted(set(range(n)) - set(b))
-    col_b, rep_b = cf_color_vs_probes_report(
-        ProbeSystem(scene.subscene(b), scene.subscene(rest), mode)
-    )
-    offset = max(col_b.colors) if col_b.colors else 0
+    in_b = set(b)
+    rest = [v for v in range(n) if v not in in_b]
+    col_b, rep_b = _cf_vs_hits(scene.subscene(b), _graph_probe_hypergraph(g, b, rest), False)
+    offset = max(col_b.colors)
     colors = [0] * n
     for v, c in zip(b, col_b.colors):
         colors[v] = c
-    rep_rest: dict = {"peel_orders": [], "pruned": []}
-    if rest:
-        col_rest, rep_rest = cf_color_vs_probes_report(
-            ProbeSystem(scene.subscene(rest), scene.subscene(b), mode)
-        )
-        for v, c in zip(rest, col_rest.colors):
-            colors[v] = offset + c
-    out = Coloring(tuple(colors))
+    # B is independent, so the probes of this half are pairwise disjoint
+    prune = mode == PSEUDODISC_MODE and any(u not in in_b and v not in in_b for u, v in g.edges)
+    col_rest, rep_rest = _cf_vs_hits(scene.subscene(rest), _graph_probe_hypergraph(g, rest, b), prune)
+    for v, c in zip(rest, col_rest.colors):
+        colors[v] = offset + c
     bound = cf_palette_bound(len(b), PEEL_COLORS) + cf_palette_bound(len(rest), PEEL_COLORS) + 1
-    if out.palette_size > bound:
-        raise VerificationError(f"pipeline used {out.palette_size} colors, bound is {bound}")
-    pointed = neighborhood_hypergraph(g, "pointed")
-    bad = verify_cf(pointed, out)
-    if bad:
-        raise VerificationError(f"pipeline output is not pointed-CF on neighborhoods {bad[:5]}")
+    out = certify(g, Coloring(tuple(colors)), "pointed", bound=bound, what="pipeline output")
     report = PipelineReport(
         independent_set=list(b),
         rest=rest,
-        peel_orders_b=rep_b.get("peel_orders", []),
-        peel_orders_rest=rep_rest.get("peel_orders", []),
-        pruned=[rest[i] for i in rep_rest.get("pruned", [])],
+        peel_orders_b=rep_b["peel_orders"],
+        peel_orders_rest=rep_rest["peel_orders"],
+        pruned=[rest[i] for i in rep_rest["pruned"]],
         palette_bound=bound,
     )
     return out, report

@@ -13,8 +13,8 @@ import math
 
 from .errors import VerificationError
 from .geom import Interval, Scene
-from .hypergraph import Coloring, intersection_graph, neighborhood_hypergraph, verify_cf
-from .intervals import closed_cf_color_intervals
+from .hypergraph import Coloring, certify, intersection_graph
+from .intervals import _interval_chain
 
 __all__ = ["closed_cf_color_rects"]
 
@@ -47,10 +47,8 @@ def color_rects_traced(rects: Scene) -> tuple[Coloring, list[tuple[int, int]]]:
         left = [i for i in indices if rects[i].xmax < line]
         right = [i for i in indices if rects[i].xmin > line]
         if stabbed:
-            ys = Scene(tuple(Interval(rects[i].ymin, rects[i].ymax) for i in stabbed), "intervals")
-            _assert_stabbed_isomorphic(rects, stabbed, ys)
-            sub, _chain = closed_cf_color_intervals(ys)
-            for i, c in zip(stabbed, sub.colors):
+            y_colors, _chain = _interval_chain([Interval(rects[i].ymin, rects[i].ymax) for i in stabbed])
+            for i, c in zip(stabbed, y_colors):
                 colors[i] = 3 * depth + c
                 trace[i] = (depth, node)
         recurse(left, depth + 1)
@@ -61,24 +59,5 @@ def color_rects_traced(rects: Scene) -> tuple[Coloring, list[tuple[int, int]]]:
     depth_used = max(d for d, _ in trace)
     if depth_used > math.floor(math.log2(n)):
         raise VerificationError("recursion went deeper than floor(log2 n) + 1 levels")
-    closed = neighborhood_hypergraph(intersection_graph(rects), "closed")
-    bad = verify_cf(closed, out)
-    if bad:
-        raise VerificationError(f"rectangle coloring is not closed-CF on neighborhoods {bad[:5]}")
-    return out, trace
-
-
-def _assert_stabbed_isomorphic(rects: Scene, stabbed: list[int], ys: Scene) -> None:
-    """The stabbed family's intersection graph must equal that of its y-ranges."""
-    import numpy as np
-
-    b = np.array([(rects[i].xmin, rects[i].xmax, rects[i].ymin, rects[i].ymax) for i in stabbed])
-    rect_hit = (
-        (b[:, None, 0] <= b[None, :, 1])
-        & (b[None, :, 0] <= b[:, None, 1])
-        & (b[:, None, 2] <= b[None, :, 3])
-        & (b[None, :, 2] <= b[:, None, 3])
-    )
-    int_hit = (b[:, None, 2] <= b[None, :, 3]) & (b[None, :, 2] <= b[:, None, 3])
-    if not np.array_equal(rect_hit, int_hit):
-        raise VerificationError("stabbed family is not isomorphic to its y-interval family")
+    bound = 3 * (math.floor(math.log2(n)) + 1)
+    return certify(intersection_graph(rects), out, "closed", bound=bound, what="rectangle coloring"), trace

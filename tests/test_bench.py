@@ -1,5 +1,7 @@
 import pytest
 
+import cfgeom.intervals
+from cfgeom import VerificationError, load_scene
 from cfgeom.bench import BENCH_ALGS, bench_colors, rows_to_csv
 
 
@@ -18,14 +20,18 @@ def test_rows_canonical_order_and_determinism():
     assert [(r.n, r.rep, r.palette_size, r.bound) for r in a] == [
         (r.n, r.rep, r.palette_size, r.bound) for r in b
     ]
+    assert rows_to_csv(a).startswith("n,rep,palette_size,bound,runtime_ms,verified\n")
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("CFGEOM_THREADS", "3")
-    rows = bench_colors("rects", [8, 16], 2, 1)
-    assert [(r.n, r.rep) for r in rows] == [(8, 0), (8, 1), (16, 0), (16, 1)]
-    csv = rows_to_csv(rows)
-    assert csv.startswith("n,rep,palette_size,bound,runtime_ms,verified\n")
+def test_failing_scene_written(monkeypatch, tmp_path):
+    # a broken interval core makes the entry point's certification fail; the
+    # bench must save the scene it failed on and re-raise
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cfgeom.intervals, "_interval_chain", lambda ivs: ([1] * len(ivs), [0]))
+    with pytest.raises(VerificationError, match="failing scene written"):
+        bench_colors("intervals", [30], 1, 0)
+    saved = load_scene(tmp_path / "cfgeom-failing-intervals-n30-rep0.json")
+    assert len(saved) == 30 and saved.kind == "intervals"
 
 
 def test_unknown_algorithm():

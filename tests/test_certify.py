@@ -1,0 +1,93 @@
+"""Verification runs once, at the public boundary.
+
+Each public coloring entry point certifies its output exactly once; nested
+work runs on unverified cores that share the caller's contacts.
+"""
+import sys
+
+import pytest
+
+import cfgeom as cf
+import cfgeom.geom
+import cfgeom.hypergraph
+import cfgeom.probes
+
+
+def _spy(monkeypatch, module, name):
+    """Count calls of module.name through every cfgeom module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "cfgeom" or modname.startswith("cfgeom.")) and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def _probe_system():
+    vertices = cf.generate_scene("discs", 30, [1, 0])
+    probes = cf.generate_scene("discs", 120, [1, 1], radius_range=(0.01, 0.3), margin=0)
+    return cf.ProbeSystem(vertices, probes)
+
+
+def _iteration_args(with_lists=False):
+    ps = _probe_system()
+    h = cf.probe_hypergraph(ps)
+    pc = cf.peel_proper_colorer(ps.vertices, ps.probes)
+    if not with_lists:
+        return h, pc
+    need = cf.cf_palette_bound(h.n, 6)
+    return h, [[(v + j) % (2 * need) + 1 for j in range(need)] for v in range(h.n)], pc
+
+
+def _pointed_discs():
+    scene = cf.generate_scene("discs", 40, [2, 0])
+    return cf.intersection_graph(scene), cf.pointed_cf_pseudodiscs(scene)
+
+
+PENTAGONS = dict(rho=1.5, k=3.0, homothets_of=cf.pentagon_template(), base_size=0.05)
+
+# name -> (setup returning the arguments, entry point)
+ENTRY_POINTS = {
+    "intervals": (lambda: (cf.generate_scene("intervals", 60, 3),), cf.closed_cf_color_intervals),
+    "rects": (lambda: (cf.generate_scene("rects", 64, 4),), cf.closed_cf_color_rects),
+    "fat-pointed": (lambda: (cf.generate_scene("fat", 40, 5, rho=2.0, k=4.0), 2.0, 4.0), cf.pointed_cf_color_fat),
+    "fat-closed": (lambda: (cf.generate_scene("fat", 40, 5, rho=2.0, k=4.0), 2.0, 4.0), cf.closed_cf_color_fat),
+    "proper-to-cf": (_iteration_args, cf.proper_to_cf),
+    "list": (lambda: _iteration_args(with_lists=True), cf.proper_to_cf_list),
+    "pointed-to-closed": (_pointed_discs, cf.pointed_to_closed),
+    "peel": (lambda: (_probe_system(),), cf.peel_and_color),
+    "probes": (lambda: (_probe_system(),), cf.cf_color_vs_probes),
+    "pipeline-discs": (lambda: (cf.generate_scene("discs", 80, 6),), cf.pointed_cf_pseudodiscs),
+    "pipeline-pentagons": (lambda: (cf.generate_scene("fat", 40, [4, 0], **PENTAGONS),), cf.pointed_cf_pseudodiscs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_public_entry_point_certifies_once(monkeypatch, name):
+    setup, entry = ENTRY_POINTS[name]
+    args = setup()
+    certified = _spy(monkeypatch, cfgeom.hypergraph, "certify")
+    graphs = _spy(monkeypatch, cfgeom.hypergraph, "intersection_graph")
+    hits = _spy(monkeypatch, cfgeom.probes, "_pairwise_hits")
+    validations = _spy(monkeypatch, cfgeom.geom, "validate_pseudodisc_family")
+    entry(*args)
+    assert len(certified) == 1
+    if name in ("rects", "fat-closed", "pipeline-discs", "pipeline-pentagons"):
+        assert len(graphs) == 1
+    if name == "probes":
+        assert len(hits) == 1
+    if name.startswith("pipeline"):
+        assert hits == []
+    if name == "pipeline-pentagons":
+        assert len(validations) == 1
+
+
+def test_pentagon_pipeline_prunes():
+    # the one-validation count above covers the pruning half
+    _, report = cf.probes.pointed_cf_pseudodiscs_report(cf.generate_scene("fat", 40, [4, 0], **PENTAGONS))
+    assert report.pruned

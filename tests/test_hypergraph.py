@@ -21,6 +21,8 @@ from cfgeom import (
     verify_cf,
     verify_proper,
 )
+from cfgeom.errors import VerificationError
+from cfgeom.hypergraph import certify, neighborhood_violations
 
 
 def test_intersection_graph_empty():
@@ -206,6 +208,43 @@ def test_verifiers_match_reference_implementation(data):
     colors = data.draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
     assert verify_cf(h, colors) == _verify_cf_reference(h, colors)
     assert verify_proper(h, colors) == _verify_proper_reference(h, colors)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_graph_certification_matches_neighborhood_hypergraph(data):
+    n = data.draw(st.integers(1, 9))
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    g = Graph(n, frozenset((u, v) for u, v in pairs if u < v))
+    colors = data.draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
+    for mode in ("pointed", "closed"):
+        h = neighborhood_hypergraph(g, mode)
+        owners = [int(label[2:-1]) for label in h.edge_labels]
+        expected = [owners[i] for i in _verify_cf_reference(h, colors)]
+        assert neighborhood_violations(g, colors, mode) == expected
+        if expected:
+            with pytest.raises(VerificationError):
+                certify(g, Coloring(tuple(colors)), mode)
+        else:
+            assert certify(g, Coloring(tuple(colors)), mode).colors == tuple(colors)
+    keep = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    pos = {v: i for i, v in enumerate(keep)}
+    assert g.subgraph(keep).edges == {(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos}
+
+
+def test_certify_bound_lists_and_properness():
+    h = Hypergraph(3, ((0, 1), (1, 2)))
+    ok = Coloring((1, 2, 1))
+    assert certify(h, ok, bound=2, lists=[[1], [2, 3], [1]]) is ok
+    assert certify(h, ok, proper=True) is ok
+    with pytest.raises(VerificationError, match="bound is 1"):
+        certify(h, ok, bound=1)
+    with pytest.raises(VerificationError, match="outside their lists"):
+        certify(h, ok, lists=[[1], [3], [1]])
+    with pytest.raises(VerificationError):
+        certify(h, Coloring((1, 1, 2)), proper=True)
+    with pytest.raises(VerificationError):
+        certify(h, Coloring((1, 2)))
 
 
 def _min_cf_exhaustive_no_pruning(h, max_colors):

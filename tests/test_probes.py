@@ -258,13 +258,13 @@ def test_probe_system_json_roundtrip():
 def test_engine_matches_standalone_auxiliary_graph():
     # replay each peel step and compare the engine's bookkeeping with a
     # from-scratch recomputation of the exactly-two graph
-    from cfgeom.probes import _ProbeEngine
+    from cfgeom.probes import _pairwise_hits, _ProbeEngine
 
     for seed in range(6):
         vertices = generate_scene("discs", 30, [201, seed], radius_range=(0.05, 0.3))
         probes = generate_scene("discs", 45, [202, seed], radius_range=(0.02, 0.35))
         ps = ProbeSystem(vertices, probes)
-        engine = _ProbeEngine(vertices, probes)
+        engine = _ProbeEngine(30, _pairwise_hits(vertices, probes))
         _, order = engine.peel(range(30))
         active = set(range(30))
         for v, deg, (nv, ne) in zip(order.order, order.degrees, order.aux_sizes):

@@ -47,6 +47,13 @@ def test_depth_bound_and_same_depth_separation():
         col, trace = color_rects_traced(scene)
         depths = [d for d, _ in trace]
         assert max(depths) <= math.floor(math.log2(n))
+        # rectangles stabbed by one node's line meet exactly when their
+        # y-ranges meet, so the node may color them as intervals
+        for node in set(trace):
+            stabbed = [scene[i] for i in range(n) if trace[i] == node]
+            for a in stabbed:
+                for b in stabbed:
+                    assert intersects(a, b) == (a.ymin <= b.ymax and b.ymin <= a.ymax)
         # same-depth colors from different nodes never intersect
         for i in range(n):
             for j in range(i + 1, n):
