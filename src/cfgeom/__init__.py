@@ -11,6 +11,7 @@ from .errors import (
     CFGeomError,
     ColorerContractError,
     DegenerateGeometryError,
+    GenerationError,
     IncompatibleShapesError,
     ListExhaustedError,
     PlanarityError,

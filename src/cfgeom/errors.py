@@ -13,6 +13,10 @@ class DegenerateGeometryError(CFGeomError):
     """Boundaries are not in general position; the caller must perturb."""
 
 
+class GenerationError(CFGeomError):
+    """A generator could not produce an instance honoring its parameters."""
+
+
 class PlanarityError(CFGeomError):
     """No low-degree vertex exists during a peel; the input family is invalid."""
 

@@ -106,9 +106,10 @@ def _pointed_fat(certs, side: int, g: Graph) -> Coloring:
     for cell, rep in rep_of_cell.items():
         pair[rep] = (cell_color[cell], 1)
 
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
     for i in sorted(rep_of_cell.values()):
         ci, _ = pair[i]
-        nbs = g.adjacency[i]
+        nbs = idx[ptr[i] : ptr[i + 1]]
         if not nbs:
             continue
         if any(pair[u][0] <= t and pair[u][1] == 1 for u in nbs):

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ColorerContractError, ListExhaustedError, VerificationError
 from .hypergraph import Coloring, Graph, Hypergraph, certify, induced, neighborhood_violations, verify_proper
 
@@ -153,34 +155,22 @@ def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
 
 
 def _pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
-    """pointed_to_closed's class split, without input check or certification."""
-    level = [1] * g.n
-    classes: dict[int, list[int]] = {}
-    for v, col in enumerate(c.colors):
-        classes.setdefault(col, []).append(v)
-    for members in classes.values():
-        inside = set(members)
-        deg = {v: sum(1 for u in g.adjacency[v] if u in inside) for v in members}
-        seen: set[int] = set()
-        for v in members:
-            if v in seen:
-                continue
-            comp = [v]
-            seen.add(v)
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in g.adjacency[u]:
-                    if w in inside and w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            if len(comp) == 2 and deg[comp[0]] == 1:
-                level[max(comp)] = 2
-            else:
-                for u in comp:
-                    if deg[u] == 1:
-                        level[u] = 2
+    """pointed_to_closed's class split, without input check or certification.
+
+    A leaf of its class's induced subgraph (one same-colored neighbour) gets
+    level 2, except the smaller endpoint of a single-edge component; every
+    other vertex keeps level 1.
+    """
+    colors = np.asarray(c.colors, dtype=np.int64)
+    owner, member = g.arcs()
+    same = colors[owner] == colors[member]
+    owner, member = owner[same], member[same]
+    deg = np.bincount(owner, minlength=g.n)
+    leaf = deg == 1
+    partner = np.zeros(g.n, dtype=np.int64)
+    partner[owner[leaf[owner]]] = member[leaf[owner]]
+    vertex = np.arange(g.n)
+    level = np.where(leaf & ((deg[partner] != 1) | (vertex > partner)), 2, 1).tolist()
 
     flat = tuple(2 * (col - 1) + (lvl - 1) for col, lvl in zip(c.colors, level))
     pmap = {2 * (col - 1) + (lvl - 1): (col, lvl) for col, lvl in zip(c.colors, level)}

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, IncompatibleShapesError
+from .errors import DegenerateGeometryError, GenerationError, IncompatibleShapesError
 
 __all__ = [
     "Point",
@@ -25,6 +25,7 @@ __all__ = [
     "Shape",
     "Scene",
     "intersects",
+    "contact_pairs",
     "boundary_crossings",
     "validate_pseudodisc_family",
     "generate_scene",
@@ -348,6 +349,114 @@ def intersects(a: Shape, b: Shape) -> bool:
     raise IncompatibleShapesError(f"no intersection predicate for {type(a).__name__} vs {type(b).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# contact pairs
+# ---------------------------------------------------------------------------
+
+_SAT_CELLS = 1 << 18  # projection values per separating-axis batch
+
+
+def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every intersecting pair, sorted by i then j: the
+    pairs i < j of scene `a`, or, given `b`, each shape i of `a` with each shape
+    j of `b`.
+
+    Candidates are the pairs whose bounding boxes overlap, found by a sweep
+    over boxes sorted by xmin.  For intervals and rectangles that box test is
+    exact; disc pairs and polygon pairs are decided by one batched exact
+    predicate each, and families mixing discs with polygons by `intersects`.
+    """
+    sa = a.shapes
+    sb = sa if b is None else b.shapes
+    types = {type(s) for s in sa + sb}
+    if len(types) > 1 and not types <= {Disc, ConvexFatObject}:
+        names = ", ".join(sorted(t.__name__ for t in types))
+        raise IncompatibleShapesError(f"no intersection predicate between {names}")
+    box_a = _sweep_boxes(sa)
+    i, j = _box_overlaps(box_a, box_a if b is None else _sweep_boxes(sb), b is None)
+    if types == {Disc}:
+        ca, cb = _disc_rows(sa), _disc_rows(sb)
+        hit = np.hypot(ca[i, 0] - cb[j, 0], ca[i, 1] - cb[j, 1]) <= ca[i, 2] + cb[j, 2]
+    elif types == {ConvexFatObject} and len(i):
+        hit = _polygons_meet(_padded_vertices(sa), _padded_vertices(sb), i, j)
+    elif len(types) > 1:
+        hit = np.array([intersects(sa[p], sb[q]) for p, q in zip(i.tolist(), j.tolist())], dtype=bool)
+    else:
+        hit = np.ones(len(i), dtype=bool)
+    key = np.sort(i[hit] * len(sb) + j[hit])
+    return key // len(sb), key % len(sb)
+
+
+def _sweep_boxes(shapes: Sequence[Shape]) -> np.ndarray:
+    """(xmin, xmax, ymin, ymax) rows; a disc's box is widened by a relative
+    1e-12, so rounding in center +- radius never drops a pair the exact disc
+    predicate accepts."""
+    boxes = np.array([shape_bbox(s) for s in shapes], dtype=float).reshape(-1, 4)
+    pad = [1e-12 * (abs(s.center.x) + abs(s.center.y) + s.radius) if isinstance(s, Disc) else 0.0 for s in shapes]
+    return boxes + np.outer(pad, [-1.0, 1.0, -1.0, 1.0])
+
+
+def _box_overlaps(box_a: np.ndarray, box_b: np.ndarray, same: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs whose closed boxes overlap: i < j within `box_a` when `same`, else
+    every (i, j) with i in `box_a` and j in `box_b`."""
+    oa = np.argsort(box_a[:, 0], kind="stable")
+    xa = box_a[oa, 0]
+    if same:
+        p, q = _spans(np.arange(1, len(oa) + 1), np.searchsorted(xa, box_a[oa, 1], "right"))
+        i, j = np.minimum(oa[p], oa[q]), np.maximum(oa[p], oa[q])
+    else:
+        ob = np.argsort(box_b[:, 0], kind="stable")
+        xb = box_b[ob, 0]
+        # b starting inside a's x-range, then a starting strictly inside b's
+        i1, q = _spans(np.searchsorted(xb, box_a[:, 0], "left"), np.searchsorted(xb, box_a[:, 1], "right"))
+        j2, p = _spans(np.searchsorted(xa, box_b[:, 0], "right"), np.searchsorted(xa, box_b[:, 1], "right"))
+        i, j = np.concatenate([i1, oa[p]]), np.concatenate([ob[q], j2])
+    y = (box_a[i, 2] <= box_b[j, 3]) & (box_b[j, 2] <= box_a[i, 3])
+    return i[y], j[y]
+
+
+def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, k) for every k in range(start[row], stop[row])."""
+    counts = np.maximum(stop - start, 0)
+    rows = np.repeat(np.arange(len(start)), counts)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - start, counts)
+
+
+def _disc_rows(discs: Sequence[Disc]) -> np.ndarray:
+    return np.array([(s.center.x, s.center.y, s.radius) for s in discs], dtype=float).reshape(-1, 3)
+
+
+def _padded_vertices(polygons: Sequence[ConvexFatObject]) -> np.ndarray:
+    """(n, m, 2) vertex arrays, each polygon padded to the largest vertex count
+    m by repeating its last vertex; the zero-length edges this adds have a zero
+    normal and cross nothing."""
+    xy = [s.xy() for s in polygons]
+    counts = np.array([len(v) for v in xy])
+    first = np.cumsum(counts) - counts
+    return np.concatenate(xy)[first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
+
+
+def _polygons_meet(pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Separating-axis test of each pair (pa[i], pb[j]) of padded ccw convex
+    polygons, in blocks of pairs; the arithmetic is that of
+    `convex_polygons_intersect`, so touching polygons meet."""
+    step = max(1, _SAT_CELLS // (pa.shape[1] * pb.shape[1]))
+    out = np.empty(len(i), dtype=bool)
+    for s in range(0, len(i), step):
+        p, q = pa[i[s : s + step]], pb[j[s : s + step]]
+        out[s : s + step] = ~(_separated_on_edges_of(p, p, q) | _separated_on_edges_of(q, p, q))
+    return out
+
+
+def _separated_on_edges_of(poly: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per pair, whether an edge normal of `poly` separates `p` from `q`."""
+    e = np.roll(poly, -1, axis=1) - poly
+    nx, ny = -e[..., 1, None], e[..., 0, None]  # (pairs, axes, 1)
+    proj_p = p[:, None, :, 0] * nx + p[:, None, :, 1] * ny  # (pairs, axes, vertices)
+    proj_q = q[:, None, :, 0] * nx + q[:, None, :, 1] * ny
+    return ((proj_p.max(axis=2) < proj_q.min(axis=2)) | (proj_q.max(axis=2) < proj_p.min(axis=2))).any(axis=1)
+
+
 def _segments_crossings(axy: np.ndarray, bxy: np.ndarray) -> int:
     count = 0
     na, nb = len(axy), len(bxy)
@@ -420,79 +529,30 @@ def validate_pseudodisc_family(scene: Scene) -> bool:
 
 
 def _polygon_family_crossings_ok(scene: Scene) -> bool:
+    """Crossing counts of every pair of polygons whose boxes overlap, batched;
+    a pair with a zero orientation (a vertex on the line of an edge) takes the
+    careful scalar count, which raises only when a boundary point actually
+    lies on the other boundary."""
     shapes = scene.shapes
-    n = len(shapes)
-    boxes = np.array([shape_bbox(s) for s in shapes])
-    by_count: dict[int, list[int]] = {}
-    for i, s in enumerate(shapes):
-        by_count.setdefault(len(s.vertices), []).append(i)
-    # same-vertex-count groups can be cross-counted with one vectorized pass
-    for m, idxs in by_count.items():
-        pts = np.stack([shapes[i].xy() for i in idxs])  # (g, m, 2)
-        if not _crossings_batch_ok(pts, boxes[idxs]):
-            return False
-    counts = sorted(by_count)
-    for ci in range(len(counts)):
-        for cj in range(ci + 1, len(counts)):
-            for i in by_count[counts[ci]]:
-                for j in by_count[counts[cj]]:
-                    if _bbox_overlap(boxes[i], boxes[j]) and _segments_crossings(shapes[i].xy(), shapes[j].xy()) > 2:
-                        return False
-    return True
-
-
-def _bbox_overlap(a, b) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
-
-
-def _crossings_batch_ok(pts: np.ndarray, boxes: np.ndarray) -> bool:
-    g, m, _ = pts.shape
-    if g <= 1:
-        return True
-    ii, jj = np.triu_indices(g, k=1)
-    overlap = (
-        (boxes[ii, 0] <= boxes[jj, 1])
-        & (boxes[jj, 0] <= boxes[ii, 1])
-        & (boxes[ii, 2] <= boxes[jj, 3])
-        & (boxes[jj, 2] <= boxes[ii, 3])
-    )
-    ii, jj = ii[overlap], jj[overlap]
-    if len(ii) == 0:
-        return True
-    a0 = pts[ii]  # (p, m, 2)
-    a1 = np.roll(pts[ii], -1, axis=1)
-    b0 = pts[jj]
-    b1 = np.roll(pts[jj], -1, axis=1)
+    boxes = _sweep_boxes(shapes)
+    ii, jj = _box_overlaps(boxes, boxes, True)
+    pts = _padded_vertices(shapes)
+    m = pts.shape[1]
+    padding = (np.arange(m) >= np.array([len(s.vertices) for s in shapes])[:, None] - 1) & (np.arange(m) < m - 1)
+    a0, b0 = pts[ii][:, :, None, :], pts[jj][:, None, :, :]  # edge starts, (pairs, m, 1, 2) and (pairs, 1, m, 2)
+    a1, b1 = np.roll(a0, -1, axis=1), np.roll(b0, -1, axis=2)
 
     def orient(u0, u1, w):
-        # u0,u1: (p, m, 1, 2); w: (p, 1, m, 2)
-        return (u1[..., 0] - u0[..., 0]) * (w[..., 1] - u0[..., 1]) - (u1[..., 1] - u0[..., 1]) * (
-            w[..., 0] - u0[..., 0]
-        )
+        ex, ey = u1[..., 0] - u0[..., 0], u1[..., 1] - u0[..., 1]
+        return ex * (w[..., 1] - u0[..., 1]) - ey * (w[..., 0] - u0[..., 0])
 
-    q0 = b0[:, None, :, :]
-    q1 = b1[:, None, :, :]
-    p0 = a0[:, :, None, :]
-    p1 = a1[:, :, None, :]
-    d1 = orient(q0, q1, p0)
-    d2 = orient(q0, q1, p1)
-    d3 = orient(p0, p1, q0)
-    d4 = orient(p0, p1, q1)
-    has_zero = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-    if has_zero.any():
-        # collinear cases need the careful scalar path (which raises only when
-        # a boundary point actually lies on the other segment)
-        suspect = has_zero.any(axis=(1, 2))
-        for a, b in zip(ii[suspect], jj[suspect]):
-            if _segments_crossings(pts[a], pts[b]) > 2:
-                return False
-        ii, jj = ii[~suspect], jj[~suspect]
-        d1, d2, d3, d4 = d1[~suspect], d2[~suspect], d3[~suspect], d4[~suspect]
-        if len(ii) == 0:
-            return True
-    crossing = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-    per_pair = crossing.sum(axis=(1, 2))
-    return bool((per_pair <= 2).all())
+    d1, d2, d3, d4 = orient(b0, b1, a0), orient(b0, b1, a1), orient(a0, a1, b0), orient(a0, a1, b1)
+    zero = ((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)) & ~padding[ii][:, :, None] & ~padding[jj][:, None, :]
+    suspect = zero.any(axis=(1, 2))
+    if any(_segments_crossings(shapes[a].xy(), shapes[b].xy()) > 2 for a, b in zip(ii[suspect], jj[suspect])):
+        return False
+    crossing = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))  # never on a zero-length padding edge
+    return bool((crossing[~suspect].sum(axis=(1, 2)) <= 2).all())
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +675,7 @@ def generate_scene(
                 shapes.append(cand)
                 break
         else:
-            raise RuntimeError("could not place a shape while honoring the non-degeneracy margin")
+            raise GenerationError("could not place a shape while honoring the non-degeneracy margin")
     return Scene(tuple(shapes), kind)
 
 
@@ -768,7 +828,7 @@ def _random_fat_polygon(rng, anchor: Point, size: float, rho: float) -> ConvexFa
         scale = size / inner
         verts = tuple(Point(anchor.x + scale * x, anchor.y + scale * y) for x, y in xy)
         return ConvexFatObject(verts, anchor, size, outer * scale)
-    raise RuntimeError(f"could not sample a convex polygon with fatness <= {rho}")
+    raise GenerationError(f"could not sample a convex polygon with fatness <= {rho}")
 
 
 def generate_lower_bound_family(n: int, spacing: float) -> Scene:
@@ -825,13 +885,11 @@ def containment_sets_by_sampling(scene: Scene, extra_points: Sequence[Point] = (
     for (cx, cy), r in zip(centers, radii):
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             pts.append((cx + dx * (r - eps), cy + dy * (r - eps)))
-    n = len(scene)
     nudges = [(math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for px, py in _circle_intersections(centers[i], radii[i], centers[j], radii[j]):
-                for dx, dy in nudges:
-                    pts.append((px + dx * 10 * eps, py + dy * 10 * eps))
+    for i, j in zip(*(x.tolist() for x in contact_pairs(scene))):
+        for px, py in _circle_intersections(centers[i], radii[i], centers[j], radii[j]):
+            for dx, dy in nudges:
+                pts.append((px + dx * 10 * eps, py + dy * 10 * eps))
     if grid:
         xmin = float((centers[:, 0] - radii).min())
         xmax = float((centers[:, 0] + radii).max())

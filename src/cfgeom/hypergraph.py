@@ -8,13 +8,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleShapesError, VerificationError
-from .geom import ConvexFatObject, Disc, Scene, intersects, shape_bbox
+from .errors import VerificationError
+from .geom import Scene, contact_pairs
 
 __all__ = [
     "Graph",
@@ -37,52 +36,67 @@ __all__ = [
 ORACLE_MAX_VERTICES = 16
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1, stored as CSR arrays: the
+    neighbours of v are indices[indptr[v]:indptr[v + 1]], in increasing order.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    Built from edge pairs (u, v) with u < v, given as an iterable or an (m, 2)
+    integer array; repeated pairs count once.
+    """
 
-    def __post_init__(self):
-        u, v = self._pairs
-        bad = np.nonzero((u < 0) | (u >= v) | (v >= self.n))[0]
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("graph edges must be vertex pairs")
+        u, v = e[:, 0], e[:, 1]
+        bad = np.nonzero((u < 0) | (u >= v) | (v >= n))[0]
         if len(bad):
-            raise ValueError(f"bad edge ({u[bad[0]]},{v[bad[0]]}) for n={self.n}")
+            raise ValueError(f"bad edge ({u[bad[0]]},{v[bad[0]]}) for n={n}")
+        key = np.sort(np.concatenate([u * n + v, v * n + u]))
+        key = key[np.diff(key, prepend=-1) != 0]
+        self.n = n
+        self.indptr = np.searchsorted(key // n, np.arange(n + 1))
+        self.indices = key % n
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(v, u) for every neighbour u of every vertex v, in CSR order."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge (u, v) with u < v; a view built on first use."""
+        u, v = self.arcs()
+        up = u < v
+        return frozenset(zip(u[up].tolist(), v[up].tolist()))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        e = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
-        if len(e) != 2 * len(self.edges):
-            raise ValueError("graph edges must be vertex pairs")
-        return e[0::2], e[1::2]
+        """Sorted neighbours of each vertex; a view built on first use."""
+        ptr, idx = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def _neighborhoods(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
         """(member, owner) pairs of every N(v) (pointed) or N[v] (closed), flat."""
         if mode not in ("pointed", "closed"):
             raise ValueError("mode must be 'pointed' or 'closed'")
-        u, v = self._pairs
-        members, owners = [v, u], [u, v]
+        owners, members = self.arcs()
         if mode == "closed":
-            members.append(np.arange(self.n))
-            owners.append(np.arange(self.n))
-        return np.concatenate(members), np.concatenate(owners)
+            loops = np.arange(self.n)
+            owners, members = np.concatenate([owners, loops]), np.concatenate([members, loops])
+        return members, owners
 
     def subgraph(self, keep: Sequence[int]) -> Graph:
-        """Induced subgraph on the increasing vertex list `keep`, keep[i] renamed i."""
+        """Induced subgraph on the strictly increasing vertex list `keep`, keep[i] renamed i."""
+        keep = np.asarray(keep, dtype=np.int64)
+        if len(keep) and (keep[0] < 0 or keep[-1] >= self.n or (np.diff(keep) <= 0).any()):
+            raise ValueError(f"keep must be strictly increasing vertices of 0..{self.n - 1}")
         pos = np.full(self.n, -1, dtype=np.int64)
-        pos[list(keep)] = np.arange(len(keep))
-        a, b = (pos[x] for x in self._pairs)
-        inside = (a >= 0) & (b >= 0)
-        return Graph(len(keep), frozenset(zip(a[inside].tolist(), b[inside].tolist())))
+        pos[keep] = np.arange(len(keep))
+        u, v = (pos[x] for x in self.arcs())
+        inside = (u >= 0) & (u < v)
+        return Graph(len(keep), np.column_stack([u[inside], v[inside]]))
 
 
 def _normalize_edge(e: Iterable[int]) -> tuple[int, ...]:
@@ -156,48 +170,7 @@ def _colors_of(c) -> Sequence[int]:
 
 def intersection_graph(scene: Scene) -> Graph:
     """Graph with an edge for every intersecting pair of scene shapes."""
-    n = len(scene)
-    shapes = scene.shapes
-    if n == 0:
-        return Graph(0, frozenset())
-    if scene.kind == "discs":
-        c = np.array([(s.center.x, s.center.y, s.radius) for s in shapes])
-        d = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
-        hit = d <= c[:, None, 2] + c[None, :, 2]
-    elif scene.kind == "intervals":
-        lo = np.array([s.lo for s in shapes])
-        hi = np.array([s.hi for s in shapes])
-        hit = (lo[:, None] <= hi[None, :]) & (lo[None, :] <= hi[:, None])
-    elif scene.kind == "rects":
-        b = np.array([(s.xmin, s.xmax, s.ymin, s.ymax) for s in shapes])
-        hit = (
-            (b[:, None, 0] <= b[None, :, 1])
-            & (b[None, :, 0] <= b[:, None, 1])
-            & (b[:, None, 2] <= b[None, :, 3])
-            & (b[None, :, 2] <= b[:, None, 3])
-        )
-    elif scene.kind == "fat" or (
-        scene.kind == "mixed" and all(isinstance(s, (Disc, ConvexFatObject)) for s in shapes)
-    ):
-        boxes = np.array([shape_bbox(s) for s in shapes])
-        iu, ju = np.triu_indices(n, k=1)
-        mask = (
-            (boxes[iu, 0] <= boxes[ju, 1])
-            & (boxes[ju, 0] <= boxes[iu, 1])
-            & (boxes[iu, 2] <= boxes[ju, 3])
-            & (boxes[ju, 2] <= boxes[iu, 3])
-        )
-        edges = {
-            (int(i), int(j))
-            for i, j in zip(iu[mask], ju[mask])
-            if intersects(shapes[i], shapes[j])
-        }
-        return Graph(n, frozenset(edges))
-    else:
-        raise IncompatibleShapesError(f"no intersection graph for scene kind {scene.kind!r}")
-    iu = np.triu_indices(n, k=1)
-    mask = hit[iu]
-    return Graph(n, frozenset(zip(iu[0][mask].tolist(), iu[1][mask].tolist())))
+    return Graph(len(scene), np.column_stack(contact_pairs(scene)))
 
 
 def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
@@ -205,18 +178,12 @@ def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
     omitted) or N[v] for closed mode."""
     if mode not in ("pointed", "closed"):
         raise ValueError("mode must be 'pointed' or 'closed'")
-    edges = []
-    labels = []
-    for v in range(g.n):
-        nb = g.adjacency[v]
-        if mode == "pointed":
-            if nb:
-                edges.append(nb)
-                labels.append(f"N({v})")
-        else:
-            edges.append(tuple(sorted((*nb, v))))
-            labels.append(f"N[{v}]")
-    return Hypergraph(g.n, tuple(edges), tuple(labels))
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
+    rows = [idx[a:b] for a, b in zip(ptr, ptr[1:])]
+    if mode == "pointed":
+        owners = [v for v in range(g.n) if rows[v]]
+        return Hypergraph(g.n, tuple(rows[v] for v in owners), tuple(f"N({v})" for v in owners))
+    return Hypergraph(g.n, tuple(r + [v] for v, r in enumerate(rows)), tuple(f"N[{v}]" for v in range(g.n)))
 
 
 def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
@@ -379,11 +346,13 @@ def greedy_maximal_independent_set(g: Graph, order: Sequence[int] | None = None)
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    chosen: set[int] = set()
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
+    blocked = [False] * g.n  # a chosen vertex blocks its neighbours and is never blocked itself
     for v in order:
-        if all(u not in chosen for u in g.adjacency[v]):
-            chosen.add(v)
-    return sorted(chosen)
+        if not blocked[v]:
+            for u in idx[ptr[v] : ptr[v + 1]]:
+                blocked[u] = True
+    return [v for v in range(g.n) if not blocked[v]]
 
 
 def all_intervals_hypergraph(n: int) -> Hypergraph:

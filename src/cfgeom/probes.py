@@ -25,7 +25,7 @@ from .geom import (
     ConvexFatObject,
     Disc,
     Scene,
-    intersects,
+    contact_pairs,
     points_in_convex_polygon,
     scene_from_json,
     scene_to_json,
@@ -113,30 +113,9 @@ class PeelOrder:
 
 def _pairwise_hits(vertices: Scene, probes: Scene) -> list[tuple[int, ...]]:
     """Per probe, the sorted tuple of vertex indices it intersects."""
-    nv, npr = len(vertices), len(probes)
-    if nv == 0 or npr == 0:
-        return [() for _ in range(npr)]
-    if vertices.kind == "discs" and probes.kind == "discs":
-        vc = np.array([(s.center.x, s.center.y, s.radius) for s in vertices.shapes])
-        out: list[tuple[int, ...]] = []
-        chunk = max(1, int(4_000_000 // max(nv, 1)))
-        pc = np.array([(s.center.x, s.center.y, s.radius) for s in probes.shapes])
-        for start in range(0, npr, chunk):
-            block = pc[start : start + chunk]
-            d = np.hypot(block[:, None, 0] - vc[None, :, 0], block[:, None, 1] - vc[None, :, 1])
-            hit = d <= block[:, None, 2] + vc[None, :, 2]
-            for row in hit:
-                out.append(tuple(np.nonzero(row)[0].tolist()))
-        return out
-    vboxes = np.array([shape_bbox(s) for s in vertices.shapes])
-    out = []
-    for p in probes.shapes:
-        pb = shape_bbox(p)
-        cand = np.nonzero(
-            (vboxes[:, 0] <= pb[1]) & (pb[0] <= vboxes[:, 1]) & (vboxes[:, 2] <= pb[3]) & (pb[2] <= vboxes[:, 3])
-        )[0]
-        out.append(tuple(int(i) for i in cand if intersects(vertices.shapes[int(i)], p)))
-    return out
+    p, v = contact_pairs(probes, vertices)
+    ptr, v = np.searchsorted(p, np.arange(len(probes) + 1)).tolist(), v.tolist()
+    return [tuple(v[a:b]) for a, b in zip(ptr, ptr[1:])]
 
 
 def probe_hypergraph(ps: ProbeSystem) -> Hypergraph:
@@ -152,22 +131,23 @@ def _hits_hypergraph(n: int, hits: Sequence[tuple[int, ...]]) -> Hypergraph:
 
 def _graph_probe_hypergraph(g: Graph, vertices: list[int], probes: list[int]) -> Hypergraph:
     """Probe hypergraph of two disjoint subfamilies of the scene `g` was built
-    from, in the subfamilies' local indices, with hits read off the graph."""
+    from, in the subfamilies' local indices, with hits read off the graph's rows."""
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
     pos = {v: i for i, v in enumerate(vertices)}
-    return _hits_hypergraph(len(vertices), [tuple(pos[u] for u in g.adjacency[p] if u in pos) for p in probes])
+    hits = [tuple(pos[u] for u in idx[ptr[p] : ptr[p + 1]] if u in pos) for p in probes]
+    return _hits_hypergraph(len(vertices), hits)
 
 
 def auxiliary_graph(ps: ProbeSystem, active: Sequence[int]) -> Graph:
     """Graph on the active vertices joining pairs that are exactly the active
     intersection set of some probe."""
-    active_set = set(active)
-    hits = _pairwise_hits(ps.vertices, ps.probes)
-    edges = set()
-    for hit in hits:
-        members = [v for v in hit if v in active_set]
-        if len(members) == 2:
-            edges.add((members[0], members[1]))
-    return Graph(len(ps.vertices), frozenset(edges))
+    n = len(ps.vertices)
+    p, v = contact_pairs(ps.probes, ps.vertices)
+    on = np.zeros(n, dtype=bool)
+    on[list(active)] = True
+    p, v = p[on[v]], v[on[v]]
+    exactly_two = np.bincount(p, minlength=len(ps.probes))[p] == 2
+    return Graph(n, v[exactly_two].reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +324,13 @@ def prune_depth_one(shapes: Scene, resolution: int = 24) -> tuple[list[int], lis
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     n = len(shapes)
+    contacts = Graph(n, np.column_stack(contact_pairs(shapes)))
+    ptr, idx = contacts.indptr.tolist(), contacts.indices.tolist()
     surviving = set(range(n))
     removed: list[int] = []
     for i in range(n):
-        others = [j for j in surviving if j != i]
-        if _depth_one_witness(shapes, i, others, resolution) is None:
+        near = [shapes[j] for j in idx[ptr[i] : ptr[i + 1]] if j in surviving]
+        if _depth_one_witness(shapes[i], near, resolution) is None:
             surviving.discard(i)
             removed.append(i)
     kept = sorted(surviving)
@@ -376,32 +358,22 @@ def _points_in_shape(s, pts: np.ndarray) -> np.ndarray:
     raise IncompatibleShapesError("pruning supports discs and convex polygons")
 
 
-def _depth_one_witness(shapes: Scene, i: int, others: list[int], resolution: int):
-    s = shapes[i]
-    box = shape_bbox(s)
-    near = [
-        j
-        for j in others
-        if _bbox_touch(box, shape_bbox(shapes[j]))
-    ]
-    boundary = _uncovered_boundary_points(s, [shapes[j] for j in near])
+def _depth_one_witness(s, near: list, resolution: int):
+    """A point of `s` covered by none of the shapes `near` it intersects, or None."""
+    boundary = _uncovered_boundary_points(s, near)
     for stage in (boundary, _sample_points(s, resolution)):
         if not stage:
             continue
         pts = np.asarray(stage)
         alive = np.ones(len(pts), dtype=bool)
-        for j in near:
-            alive &= ~_points_in_shape(shapes[j], pts)
+        for o in near:
+            alive &= ~_points_in_shape(o, pts)
             if not alive.any():
                 break
         if alive.any():
             x, y = pts[int(np.argmax(alive))]
             return (float(x), float(y))
     return None
-
-
-def _bbox_touch(a, b) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
 def _uncovered_boundary_points(s, near: list) -> list[tuple[float, float]]:
@@ -550,8 +522,8 @@ def cf_color_vs_probes_report(ps: ProbeSystem) -> tuple[Coloring, dict]:
     to be pairwise disjoint); pruned vertices receive one extra reserved color.
     """
     ps.validate()
-    prune = ps.mode == PSEUDODISC_MODE and len(intersection_graph(ps.vertices).edges) > 0
-    if prune and len(intersection_graph(ps.probes).edges) > 0:
+    prune = ps.mode == PSEUDODISC_MODE and intersection_graph(ps.vertices).indices.size > 0
+    if prune and intersection_graph(ps.probes).indices.size > 0:
         raise ValueError("pseudo-disc probes must be pairwise disjoint when the vertices overlap each other")
     h = _hits_hypergraph(len(ps.vertices), _pairwise_hits(ps.vertices, ps.probes))
     out, report = _cf_vs_hits(ps.vertices, h, prune)
@@ -614,15 +586,17 @@ def pointed_cf_pseudodiscs_report(scene: Scene) -> tuple[Coloring, PipelineRepor
         raise ValueError("scene is not a pseudo-disc family")
     g = intersection_graph(scene)
     b = greedy_maximal_independent_set(g)
-    in_b = set(b)
-    rest = [v for v in range(n) if v not in in_b]
+    in_b = np.zeros(n, dtype=bool)
+    in_b[b] = True
+    rest = np.flatnonzero(~in_b).tolist()
     col_b, rep_b = _cf_vs_hits(scene.subscene(b), _graph_probe_hypergraph(g, b, rest), False)
     offset = max(col_b.colors)
     colors = [0] * n
     for v, c in zip(b, col_b.colors):
         colors[v] = c
     # B is independent, so the probes of this half are pairwise disjoint
-    prune = mode == PSEUDODISC_MODE and any(u not in in_b and v not in in_b for u, v in g.edges)
+    u, v = g.arcs()
+    prune = mode == PSEUDODISC_MODE and bool((~in_b[u] & ~in_b[v]).any())
     col_rest, rep_rest = _cf_vs_hits(scene.subscene(rest), _graph_probe_hypergraph(g, rest, b), prune)
     for v, c in zip(rest, col_rest.colors):
         colors[v] = offset + c

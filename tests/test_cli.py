@@ -21,6 +21,14 @@ def test_gen_color_verify_svg_roundtrip(tmp_path, capsys):
     assert b"<svg" in first and first.count(b"<circle") == 40
 
 
+def test_generator_failure_is_one_error_line(tmp_path, capsys):
+    # no convex polygon of 14-19 vertices has fatness <= 1.05 in the sampler's range
+    assert run(["gen", "--kind", "fat", "--n", "5", "--rho", "1.05", "--out", tmp_path / "x.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: could not sample a convex polygon")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_verify_rejects_bad_coloring(tmp_path):
     scene = tmp_path / "scene.json"
     coloring = tmp_path / "coloring.json"

@@ -204,3 +204,45 @@ def test_conversion_on_arbitrary_pointed_cf_colorings(data):
     assert out.palette_size <= 2 * witness.palette_size
     closed = neighborhood_hypergraph(g, "closed")
     assert verify_cf(closed, out) == []
+
+
+def _class_split_levels_reference(g, colors):
+    """Levels of the pointed-to-closed split by explicit components: in each
+    color class, a single-edge component gets levels 1 and 2 (2 on its larger
+    vertex); in larger components the leaves get level 2."""
+    level = [1] * g.n
+    for col in set(colors):
+        inside = {v for v in range(g.n) if colors[v] == col}
+        deg = {v: sum(1 for u in g.adjacency[v] if u in inside) for v in inside}
+        seen = set()
+        for v in sorted(inside):
+            if v in seen:
+                continue
+            comp, stack = [v], [v]
+            seen.add(v)
+            while stack:
+                for w in g.adjacency[stack.pop()]:
+                    if w in inside and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            if len(comp) == 2:
+                level[max(comp)] = 2
+            else:
+                for u in comp:
+                    if deg[u] == 1:
+                        level[u] = 2
+    return level
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_class_split_matches_component_reference(data):
+    from cfgeom.framework import _pointed_to_closed
+
+    n = data.draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, data.draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    colors = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    out = _pointed_to_closed(g, Coloring(tuple(colors)))
+    assert [out.palette_map[c] for c in out.colors] == list(zip(colors, _class_split_levels_reference(g, colors)))

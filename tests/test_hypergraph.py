@@ -232,6 +232,13 @@ def test_graph_certification_matches_neighborhood_hypergraph(data):
     assert g.subgraph(keep).edges == {(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos}
 
 
+@pytest.mark.parametrize("keep", [[0, 0, 2], [2, 1], [0, 5], [-1, 0]])
+def test_subgraph_rejects_keep_not_strictly_increasing_in_range(keep):
+    path = Graph(3, frozenset({(0, 1), (1, 2)}))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        path.subgraph(keep)
+
+
 def test_certify_bound_lists_and_properness():
     h = Hypergraph(3, ((0, 1), (1, 2)))
     ok = Coloring((1, 2, 1))
