@@ -8,6 +8,7 @@ vertex, which is the conflict-free witness.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -111,17 +112,11 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
             raise ValueError(f"list of vertex {v} has {len(set(lst))} colors, needs >= {need}")
     remaining = [set(lst) for lst in lists]
     final: list[int | None] = [None] * h.n
-    while True:
-        alive = [v for v in range(h.n) if final[v] is None]
-        if not alive:
-            break
+    while alive := [v for v in range(h.n) if final[v] is None]:
         for v in alive:
             if not remaining[v]:
                 raise ListExhaustedError(v)
-        popularity: dict[int, int] = {}
-        for v in alive:
-            for c in remaining[v]:
-                popularity[c] = popularity.get(c, 0) + 1
+        popularity = Counter(c for v in alive for c in remaining[v])
         c = max(popularity, key=lambda col: (popularity[col], -col))
         holders = [v for v in alive if c in remaining[v]]
         sub = induced(h, holders)

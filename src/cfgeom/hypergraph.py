@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,11 +55,8 @@ class Graph:
         bad = np.nonzero((u < 0) | (u >= v) | (v >= n))[0]
         if len(bad):
             raise ValueError(f"bad edge ({u[bad[0]]},{v[bad[0]]}) for n={n}")
-        key = np.sort(np.concatenate([u * n + v, v * n + u]))
-        key = key[np.diff(key, prepend=-1) != 0]
         self.n = n
-        self.indptr = np.searchsorted(key // n, np.arange(n + 1))
-        self.indices = key % n
+        self.indptr, self.indices = _csr(np.concatenate([u * n + v, v * n + u]), n, n)
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """(v, u) for every neighbour u of every vertex v, in CSR order."""
@@ -99,42 +97,62 @@ class Graph:
         return Graph(len(keep), np.column_stack([u[inside], v[inside]]))
 
 
-def _normalize_edge(e: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(e)))
-
-
-@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Vertex count plus a list of hyperedges (vertex-index sets).
+    """Hyperedges on vertices 0..n-1, stored as CSR arrays: the members of edge i
+    are indices[indptr[i]:indptr[i + 1]], sorted and distinct.
 
-    Duplicate edges are kept; `edge_labels` records where each edge came from
-    (which probe, which vertex neighborhood).  `vertex_labels` carries original
-    vertex identities through `induced`.
+    Built from an iterable of vertex iterables (a member repeated within an
+    edge counts once; repeated and empty edges are kept), or by `from_pairs`.
+    `edge_labels` (strings) record where each edge came from (which probe,
+    which vertex neighborhood); `vertex_labels` carry original vertex
+    identities through `induced`.
     """
 
-    n: int
-    edges: tuple[tuple[int, ...], ...]
-    edge_labels: tuple[str, ...] | None = None
-    vertex_labels: tuple[int, ...] | None = None
+    def __init__(self, n: int, edges: Iterable[Iterable[int]] = (), edge_labels=None, vertex_labels=None):
+        edges = [tuple(e) for e in edges]
+        sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+        members = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+        edge_ids = np.repeat(np.arange(len(edges)), sizes)
+        bad = np.nonzero((members < 0) | (members >= n))[0]
+        if len(bad):
+            raise ValueError(f"edge {tuple(sorted(set(edges[edge_ids[bad[0]]])))} out of range for n={n}")
+        self._fill(n, len(edges), edge_ids, members, edge_labels, vertex_labels)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(_normalize_edge(e) for e in self.edges))
-        for e in self.edges:
-            if e and (e[0] < 0 or e[-1] >= self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-        if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
+    @classmethod
+    def from_pairs(cls, n: int, m: int, edge_ids: np.ndarray, members: np.ndarray, edge_labels=None, vertex_labels=None):
+        """Edges 0..m-1, members[i] in edge edge_ids[i]; pairs in range, in any order."""
+        h = cls.__new__(cls)
+        h._fill(n, m, edge_ids, members, edge_labels, vertex_labels)
+        return h
+
+    def _fill(self, n, m, edge_ids, members, edge_labels, vertex_labels) -> None:
+        if edge_labels is not None and len(edge_labels) != m:
             raise ValueError("edge_labels length mismatch")
-        if self.vertex_labels is not None and len(self.vertex_labels) != self.n:
+        if vertex_labels is not None and len(vertex_labels) != n:
             raise ValueError("vertex_labels length mismatch")
+        self.n, self.edge_labels, self.vertex_labels = n, edge_labels, vertex_labels
+        self.indptr, self.indices = _csr(edge_ids * n + members, m, n)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted members of each edge; a view built on first use."""
+        ptr, idx = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @cached_property
     def _flat(self) -> tuple[np.ndarray, np.ndarray]:
-        members = []
-        edge_ids = []
-        for i, e in enumerate(self.edges):
-            members.extend(e)
-            edge_ids.extend([i] * len(e))
-        return np.asarray(members, dtype=np.int64), np.asarray(edge_ids, dtype=np.int64)
+        """(member, edge) of every membership, edge by edge."""
+        return self.indices, np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+
+def _csr(key: np.ndarray, nrows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the (row, col) pairs encoded as row * width + col
+    (every col below width), each row's columns sorted and distinct; sorts only
+    when the keys are not already increasing."""
+    if (key[1:] <= key[:-1]).any():
+        key = np.sort(key)
+        key = key[np.diff(key, prepend=-1) != 0]
+    return np.searchsorted(key // width, np.arange(nrows + 1)), key % width
 
 
 @dataclass(frozen=True)
@@ -175,29 +193,31 @@ def intersection_graph(scene: Scene) -> Graph:
 
 def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
     """One hyperedge per vertex: N(v) for pointed mode (empty neighborhoods
-    omitted) or N[v] for closed mode."""
-    if mode not in ("pointed", "closed"):
-        raise ValueError("mode must be 'pointed' or 'closed'")
-    ptr, idx = g.indptr.tolist(), g.indices.tolist()
-    rows = [idx[a:b] for a, b in zip(ptr, ptr[1:])]
-    if mode == "pointed":
-        owners = [v for v in range(g.n) if rows[v]]
-        return Hypergraph(g.n, tuple(rows[v] for v in owners), tuple(f"N({v})" for v in owners))
-    return Hypergraph(g.n, tuple(r + [v] for v, r in enumerate(rows)), tuple(f"N[{v}]" for v in range(g.n)))
+    omitted) or N[v] for closed mode; the rows of `g`, plus the diagonal when closed."""
+    members, owners = g._neighborhoods(mode)
+    if mode == "closed":
+        return Hypergraph.from_pairs(g.n, g.n, owners, members, tuple(f"N[{v}]" for v in range(g.n)))
+    nonempty = np.nonzero(np.diff(g.indptr))[0]
+    rows = np.searchsorted(nonempty, owners)  # N(v) is edge number (rank of v among the nonempty rows)
+    return Hypergraph.from_pairs(g.n, len(nonempty), rows, members, tuple(f"N({v})" for v in nonempty.tolist()))
 
 
 def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
-    """Sub-hypergraph on `keep`, vertices reindexed, each edge intersected with keep."""
-    keep = list(keep)
-    if sorted(set(keep)) != sorted(keep):
+    """Sub-hypergraph on the distinct vertices `keep` (any order), keep[i]
+    renamed i, each edge intersected with keep; edge labels are shared."""
+    keep = np.asarray(keep, dtype=np.int64)
+    if len(keep) and (keep.min() < 0 or keep.max() >= h.n):
+        raise ValueError(f"keep must be vertices of 0..{h.n - 1}")
+    pos = np.full(h.n, -1, dtype=np.int64)
+    pos[keep] = np.arange(len(keep))
+    if (pos[keep] != np.arange(len(keep))).any():
         raise ValueError("keep must not contain duplicates")
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = tuple(tuple(sorted(pos[v] for v in e if v in pos)) for e in h.edges)
-    if h.vertex_labels is not None:
-        labels = tuple(h.vertex_labels[v] for v in keep)
-    else:
-        labels = tuple(keep)
-    return Hypergraph(len(keep), edges, h.edge_labels, labels)
+    members, edge_ids = h._flat
+    renamed = pos[members]
+    inside = renamed >= 0
+    kept = keep.tolist()
+    labels = tuple(kept) if h.vertex_labels is None else tuple(h.vertex_labels[v] for v in kept)
+    return Hypergraph.from_pairs(len(kept), len(h.indptr) - 1, edge_ids[inside], renamed[inside], h.edge_labels, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +245,8 @@ def verify_proper(h: Hypergraph, coloring) -> list[int]:
     colors = _total(coloring, h.n)
     members, edge_ids = h._flat
     edge_of, _ = _color_counts(colors, members, edge_ids)
-    ne = len(h.edges)
-    distinct = np.bincount(edge_of, minlength=ne)
-    sizes = np.bincount(edge_ids, minlength=ne)
-    return np.nonzero((sizes >= 2) & (distinct == 1))[0].tolist()
+    distinct = np.bincount(edge_of, minlength=len(h.indptr) - 1)
+    return np.nonzero((np.diff(h.indptr) >= 2) & (distinct == 1))[0].tolist()
 
 
 def _cf_violations(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int) -> list[int]:
@@ -242,7 +260,7 @@ def _cf_violations(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, 
 
 def verify_cf(h: Hypergraph, coloring) -> list[int]:
     """Indices of nonempty hyperedges with no uniquely colored vertex (empty list = CF)."""
-    return _cf_violations(_total(coloring, h.n), *h._flat, len(h.edges))
+    return _cf_violations(_total(coloring, h.n), *h._flat, len(h.indptr) - 1)
 
 
 def neighborhood_violations(g: Graph, coloring, mode: str) -> list[int]:
@@ -357,13 +375,8 @@ def greedy_maximal_independent_set(g: Graph, order: Sequence[int] | None = None)
 
 def all_intervals_hypergraph(n: int) -> Hypergraph:
     """Hypergraph on n collinear points whose edges are all contiguous index runs."""
-    edges = []
-    labels = []
-    for i in range(n):
-        for j in range(i, n):
-            edges.append(tuple(range(i, j + 1)))
-            labels.append(f"run:{i}-{j}")
-    return Hypergraph(n, tuple(edges), tuple(labels))
+    runs = [(i, j) for i in range(n) for j in range(i, n)]
+    return Hypergraph(n, [range(i, j + 1) for i, j in runs], tuple(f"run:{i}-{j}" for i, j in runs))
 
 
 # ---------------------------------------------------------------------------

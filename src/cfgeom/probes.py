@@ -37,6 +37,7 @@ from .hypergraph import (
     Coloring,
     Graph,
     Hypergraph,
+    _csr,
     certify,
     greedy_maximal_independent_set,
     induced,
@@ -111,31 +112,34 @@ class PeelOrder:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_hits(vertices: Scene, probes: Scene) -> list[tuple[int, ...]]:
-    """Per probe, the sorted tuple of vertex indices it intersects."""
+def _pairwise_hits(vertices: Scene, probes: Scene) -> Hypergraph:
+    """Probe hypergraph of the system: edge j holds the vertices probe j intersects."""
     p, v = contact_pairs(probes, vertices)
-    ptr, v = np.searchsorted(p, np.arange(len(probes) + 1)).tolist(), v.tolist()
-    return [tuple(v[a:b]) for a, b in zip(ptr, ptr[1:])]
+    return _hits_hypergraph(len(vertices), len(probes), p, v)
 
 
 def probe_hypergraph(ps: ProbeSystem) -> Hypergraph:
     """One hyperedge per probe: the vertices intersecting it.  Empty edges are
     kept (with their provenance label) and ignored by the verifiers."""
     ps.validate()
-    return _hits_hypergraph(len(ps.vertices), _pairwise_hits(ps.vertices, ps.probes))
+    return _pairwise_hits(ps.vertices, ps.probes)
 
 
-def _hits_hypergraph(n: int, hits: Sequence[tuple[int, ...]]) -> Hypergraph:
-    return Hypergraph(n, tuple(hits), tuple(f"probe:{j}" for j in range(len(hits))))
+def _hits_hypergraph(n: int, m: int, probe: np.ndarray, vertex: np.ndarray) -> Hypergraph:
+    """Hypergraph of m probes over n vertices from its (probe, vertex) hit pairs."""
+    return Hypergraph.from_pairs(n, m, probe, vertex, tuple(f"probe:{j}" for j in range(m)))
 
 
 def _graph_probe_hypergraph(g: Graph, vertices: list[int], probes: list[int]) -> Hypergraph:
     """Probe hypergraph of two disjoint subfamilies of the scene `g` was built
-    from, in the subfamilies' local indices, with hits read off the graph's rows."""
-    ptr, idx = g.indptr.tolist(), g.indices.tolist()
-    pos = {v: i for i, v in enumerate(vertices)}
-    hits = [tuple(pos[u] for u in idx[ptr[p] : ptr[p + 1]] if u in pos) for p in probes]
-    return _hits_hypergraph(len(vertices), hits)
+    from, in the subfamilies' local indices: the probes' rows of `g`, masked to
+    the vertices' columns."""
+    local = np.full((2, g.n), -1, dtype=np.int64)  # index among the probes, among the vertices
+    local[0, probes], local[1, vertices] = np.arange(len(probes)), np.arange(len(vertices))
+    owner, member = g.arcs()
+    p, v = local[0, owner], local[1, member]
+    hit = (p >= 0) & (v >= 0)
+    return _hits_hypergraph(len(vertices), len(probes), p[hit], v[hit])
 
 
 def auxiliary_graph(ps: ProbeSystem, active: Sequence[int]) -> Graph:
@@ -158,34 +162,30 @@ def auxiliary_graph(ps: ProbeSystem, active: Sequence[int]) -> Graph:
 class _ProbeEngine:
     """Incremental exactly-two bookkeeping shared by repeated peels.
 
-    Hit sets are deduplicated once; a peel over any active subset maintains,
-    per probe, the count of active vertices it intersects, and the auxiliary
-    graph as a witness-counted simple graph.
+    Built from the CSR rows (indptr, indices) of a probe hypergraph on n
+    vertices.  Hit sets are deduplicated once; a peel over any active subset
+    maintains, per probe, the count of active vertices it intersects, and the
+    auxiliary graph as a witness-counted simple graph.
     """
 
-    def __init__(self, n: int, hits: Sequence[tuple[int, ...]]):
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = n
-        self.hits: list[tuple[int, ...]] = sorted({h for h in hits if h})
-        self.hitters: list[list[int]] = [[] for _ in range(self.n)]
-        flat_v = []
-        flat_p = []
-        for pid, h in enumerate(self.hits):
-            for v in h:
-                self.hitters[v].append(pid)
-                flat_v.append(v)
-                flat_p.append(pid)
-        self._flat_v = np.asarray(flat_v, dtype=np.int64)
-        self._flat_p = np.asarray(flat_p, dtype=np.int64)
+        ptr, idx = indptr.tolist(), indices.tolist()
+        self.hits: list[tuple[int, ...]] = sorted({tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]) if b > a})
+        self._flat_v, self._flat_p = Hypergraph(n, self.hits)._flat
+        ptr, pids = (a.tolist() for a in _csr(self._flat_v * len(self.hits) + self._flat_p, n, len(self.hits)))
+        self.hitters: list[list[int]] = [pids[a:b] for a, b in zip(ptr, ptr[1:])]  # probe ids, increasing
         self.peel_log: list[PeelOrder] = []
 
     def peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
         active_list = sorted(set(active))
         mask = np.zeros(self.n, dtype=bool)
         mask[active_list] = True
-        if len(self.hits):
-            counts = np.bincount(self._flat_p[mask[self._flat_v]], minlength=len(self.hits)).tolist()
-        else:
-            counts = []
+        on = mask[self._flat_v]
+        counts = np.bincount(self._flat_p[on], minlength=len(self.hits))
+        two = on & (counts[self._flat_p] == 2)  # the active members of probes hitting exactly two
+        first_pairs = zip(self._flat_p[two][::2].tolist(), self._flat_v[two].reshape(-1, 2).tolist())
+        counts = counts.tolist()
         active_set = set(active_list)
         pair_of: list[tuple[int, int] | None] = [None] * len(self.hits)
         witness: dict[tuple[int, int], int] = {}
@@ -217,15 +217,10 @@ class _ProbeEngine:
                     if u in active_set and len(adj[u]) <= 5:
                         heapq.heappush(heap, u)
 
-        heap: list[int] = []
-        for pid, c in enumerate(counts):
-            if c == 2:
-                a, b = (v for v in self.hits[pid] if mask[v])
-                pair_of[pid] = (a, b)
-                add_pair((a, b))
-        for v in active_list:
-            if len(adj[v]) <= 5:
-                heapq.heappush(heap, v)
+        for pid, (a, b) in first_pairs:
+            pair_of[pid] = (a, b)
+            add_pair((a, b))
+        heap = [v for v in active_list if len(adj[v]) <= 5]  # sorted, so already a heap
 
         order = PeelOrder()
         removal_neighbors: list[list[int]] = []
@@ -284,10 +279,10 @@ def peel_and_color(ps: ProbeSystem) -> tuple[Coloring, PeelOrder]:
     """
     ps.validate()
     n = len(ps.vertices)
-    hits = _pairwise_hits(ps.vertices, ps.probes)
-    cmap, order = _ProbeEngine(n, hits).peel(range(n))
+    h = _pairwise_hits(ps.vertices, ps.probes)
+    cmap, order = _ProbeEngine(n, h.indptr, h.indices).peel(range(n))
     coloring = Coloring(tuple(cmap[v] for v in range(n)))
-    certify(_hits_hypergraph(n, hits), coloring, bound=PEEL_COLORS, proper=True, what="peel coloring")
+    certify(h, coloring, bound=PEEL_COLORS, proper=True, what="peel coloring")
     return coloring, order
 
 
@@ -303,7 +298,8 @@ def _peel_colorer(engine: _ProbeEngine) -> ProperColorer:
 def peel_proper_colorer(vertices: Scene, probes: Scene) -> ProperColorer:
     """Hereditary 6-color proper colorer for the probe hypergraph of the given
     system, backed by one shared peel engine; pairs with proper_to_cf_list."""
-    return _peel_colorer(_ProbeEngine(len(vertices), _pairwise_hits(vertices, probes)))
+    h = _pairwise_hits(vertices, probes)
+    return _peel_colorer(_ProbeEngine(h.n, h.indptr, h.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +521,7 @@ def cf_color_vs_probes_report(ps: ProbeSystem) -> tuple[Coloring, dict]:
     prune = ps.mode == PSEUDODISC_MODE and intersection_graph(ps.vertices).indices.size > 0
     if prune and intersection_graph(ps.probes).indices.size > 0:
         raise ValueError("pseudo-disc probes must be pairwise disjoint when the vertices overlap each other")
-    h = _hits_hypergraph(len(ps.vertices), _pairwise_hits(ps.vertices, ps.probes))
+    h = _pairwise_hits(ps.vertices, ps.probes)
     out, report = _cf_vs_hits(ps.vertices, h, prune)
     return certify(h, out, bound=report["palette_bound"], what="probe coloring"), report
 
@@ -535,17 +531,13 @@ def _cf_vs_hits(vertices: Scene, h: Hypergraph, prune: bool) -> tuple[Coloring, 
     prune first, without certification."""
     n = len(vertices)
     kept, pruned = prune_depth_one(vertices) if prune else (list(range(n)), [])
-    engine = _ProbeEngine(n, h.edges)
-    colors = [0] * n
+    engine = _ProbeEngine(n, h.indptr, h.indices)
+    colors = np.zeros(n, dtype=np.int64)
     if kept:
-        sub_coloring = _proper_to_cf(induced(h, kept) if pruned else h, _peel_colorer(engine))
-        for v, c in zip(kept, sub_coloring.colors):
-            colors[v] = c
-    reserved = max(colors, default=0) + 1
-    for v in pruned:
-        colors[v] = reserved
-    bound = cf_palette_bound(n, PEEL_COLORS) + (1 if prune else 0)  # pruned vertices share one color
-    return Coloring(tuple(colors)), {"pruned": pruned, "peel_orders": engine.peel_log, "palette_bound": bound}
+        colors[kept] = _proper_to_cf(induced(h, kept) if pruned else h, _peel_colorer(engine)).colors
+    colors[pruned] = colors.max(initial=0) + 1  # one reserved color for the pruned vertices
+    bound = cf_palette_bound(n, PEEL_COLORS) + (1 if prune else 0)
+    return Coloring(tuple(colors.tolist())), {"pruned": pruned, "peel_orders": engine.peel_log, "palette_bound": bound}
 
 
 @dataclass
@@ -591,17 +583,15 @@ def pointed_cf_pseudodiscs_report(scene: Scene) -> tuple[Coloring, PipelineRepor
     rest = np.flatnonzero(~in_b).tolist()
     col_b, rep_b = _cf_vs_hits(scene.subscene(b), _graph_probe_hypergraph(g, b, rest), False)
     offset = max(col_b.colors)
-    colors = [0] * n
-    for v, c in zip(b, col_b.colors):
-        colors[v] = c
+    colors = np.zeros(n, dtype=np.int64)
+    colors[b] = col_b.colors
     # B is independent, so the probes of this half are pairwise disjoint
     u, v = g.arcs()
     prune = mode == PSEUDODISC_MODE and bool((~in_b[u] & ~in_b[v]).any())
     col_rest, rep_rest = _cf_vs_hits(scene.subscene(rest), _graph_probe_hypergraph(g, rest, b), prune)
-    for v, c in zip(rest, col_rest.colors):
-        colors[v] = offset + c
+    colors[rest] = offset + np.asarray(col_rest.colors, dtype=np.int64)
     bound = cf_palette_bound(len(b), PEEL_COLORS) + cf_palette_bound(len(rest), PEEL_COLORS) + 1
-    out = certify(g, Coloring(tuple(colors)), "pointed", bound=bound, what="pipeline output")
+    out = certify(g, Coloring(tuple(colors.tolist())), "pointed", bound=bound, what="pipeline output")
     report = PipelineReport(
         independent_set=list(b),
         rest=rest,

@@ -91,3 +91,26 @@ def test_pentagon_pipeline_prunes():
     # the one-validation count above covers the pruning half
     _, report = cf.probes.pointed_cf_pseudodiscs_report(cf.generate_scene("fat", 40, [4, 0], **PENTAGONS))
     assert report.pruned
+
+
+@pytest.mark.parametrize("name", ["probes", "list", "proper-to-cf", "peel", "pipeline-discs", "pipeline-pentagons"])
+def test_hot_paths_never_build_the_edge_view(monkeypatch, name):
+    setup, entry = ENTRY_POINTS[name]
+    args = setup()
+    built = []
+    view = cfgeom.hypergraph.Hypergraph.edges
+    monkeypatch.setattr(cfgeom.hypergraph.Hypergraph, "edges", property(lambda h: built.append(h) or view.func(h)))
+    entry(*args)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["proper-to-cf", "probes"])
+def test_colorer_output_checked_every_round(monkeypatch, name):
+    # each round of the largest-class iteration restricts with `induced` and
+    # checks the colorer's output with `verify_proper` exactly once
+    setup, entry = ENTRY_POINTS[name]
+    args = setup()
+    checks = _spy(monkeypatch, cfgeom.hypergraph, "verify_proper")
+    rounds = _spy(monkeypatch, cfgeom.hypergraph, "induced")
+    out = entry(*args)
+    assert len(checks) == len(rounds) == max(out.colors) > 1

@@ -129,7 +129,7 @@ def test_pairwise_hits_match_brute_force(data):
         vertices = data.draw(st.lists(shape, max_size=10))
         probes = data.draw(st.lists(shape, max_size=10))
         hits = _pairwise_hits(Scene(tuple(vertices)), Scene(tuple(probes)))
-        assert hits == [tuple(i for i, v in enumerate(vertices) if intersects(v, p)) for p in probes]
+        assert hits.edges == tuple(tuple(i for i, v in enumerate(vertices) if intersects(v, p)) for p in probes)
 
 
 @given(st.lists(polygons(), min_size=1, max_size=8), st.lists(polygons(), min_size=1, max_size=8))

@@ -275,3 +275,98 @@ def test_oracle_matches_unpruned_enumeration(data):
     assert (fast is None) == (slow is None)
     if fast is not None:
         assert fast[0] == slow
+
+
+# ---------------------------------------------------------------------------
+# CSR hypergraphs against the tuple-of-tuples representation they replaced
+# ---------------------------------------------------------------------------
+
+
+def _tuple_edges(edges):
+    """What the tuple `Hypergraph` stored: each edge as its sorted distinct members."""
+    return tuple(tuple(sorted(set(e))) for e in edges)
+
+
+def _induced_reference(n, edges, vertex_labels, keep):
+    """The tuple-rebuilding `induced` that the CSR mask replaced, on plain
+    tuples: (n, edges, vertex labels) of the sub-hypergraph."""
+    keep = list(keep)
+    if sorted(set(keep)) != sorted(keep):
+        raise ValueError("keep must not contain duplicates")
+    pos = {v: i for i, v in enumerate(keep)}
+    sub = tuple(tuple(sorted(pos[v] for v in e if v in pos)) for e in edges)
+    labels = tuple(keep) if vertex_labels is None else tuple(vertex_labels[v] for v in keep)
+    return len(keep), sub, labels
+
+
+@st.composite
+def raw_hypergraphs(draw):
+    """(n, edges) with empty edges, repeated edges and repeated members."""
+    n = draw(st.integers(0, 9))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=7) if n else st.just([]), max_size=8))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return n, [tuple(e) for e in edges + repeats]
+
+
+@given(raw_hypergraphs())
+@settings(max_examples=120, deadline=None)
+def test_csr_hypergraph_matches_tuple_normalization(case):
+    n, edges = case
+    labels = tuple(f"e{i}" for i in range(len(edges)))
+    h = Hypergraph(n, edges, labels)
+    expected = _tuple_edges(edges)
+    assert h.edges == expected
+    assert h.indptr.tolist() == [0] + [sum(len(e) for e in expected[: i + 1]) for i in range(len(expected))]
+    assert h.indices.tolist() == [v for e in expected for v in e]
+    assert h.edge_labels is labels and h.vertex_labels is None
+
+
+def test_hypergraph_accepts_any_iterables_and_rejects_out_of_range():
+    h = Hypergraph(4, [{3, 1}, [2, 0, 2], iter((1,)), range(2), ()])
+    assert h.edges == ((1, 3), (0, 2), (1,), (0, 1), ())
+    for bad in (((0, 4),), ((-1, 2),)):
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(4, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        Hypergraph(0, ((0,),))
+    with pytest.raises(ValueError, match="edge_labels"):
+        Hypergraph(2, ((0, 1),), ("a", "b"))
+
+
+@given(raw_hypergraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_induced_mask_matches_tuple_reference(case, data):
+    n, edges = case
+    h = Hypergraph(n, edges, tuple(f"e{i}" for i in range(len(edges))))
+    keep = data.draw(st.permutations(range(n)).flatmap(lambda p: st.integers(0, n).map(lambda k: p[:k])))
+    sub = induced(h, keep)
+    assert (sub.n, sub.edges, sub.vertex_labels) == _induced_reference(n, h.edges, None, keep)
+    assert sub.edge_labels is h.edge_labels
+    # labels pass through a second restriction, in any order
+    again = data.draw(st.permutations(range(sub.n)).flatmap(lambda p: st.integers(0, sub.n).map(lambda k: p[:k])))
+    twice = induced(sub, again)
+    assert (twice.n, twice.edges, twice.vertex_labels) == _induced_reference(sub.n, sub.edges, sub.vertex_labels, again)
+
+
+@pytest.mark.parametrize("keep", [[5], [-1], [0, 3], [1, 1], [2, 0, 2]])
+def test_induced_rejects_missing_and_repeated_vertices(keep):
+    h = Hypergraph(3, ((0, 1, 2),))
+    with pytest.raises(ValueError, match="vertices of 0..2|duplicates"):
+        induced(h, keep)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_neighborhood_hypergraph_matches_adjacency_rows(data):
+    n = data.draw(st.integers(0, 9))
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)))) if n else set()
+    g = Graph(n, [(u, v) for u, v in pairs if u < v < n])
+    rows = g.adjacency
+    pointed = neighborhood_hypergraph(g, "pointed")
+    owners = [v for v in range(n) if rows[v]]
+    assert pointed.edges == tuple(rows[v] for v in owners)
+    assert pointed.edge_labels == tuple(f"N({v})" for v in owners)
+    closed = neighborhood_hypergraph(g, "closed")
+    assert closed.edges == tuple(tuple(sorted(rows[v] + (v,))) for v in range(n))
+    assert closed.edge_labels == tuple(f"N[{v}]" for v in range(n))
+    assert pointed.n == closed.n == n and pointed.vertex_labels is None

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgeom import (
     Disc,
+    Hypergraph,
     Point,
     ProbeSystem,
     Scene,
@@ -22,10 +25,10 @@ from cfgeom import (
     verify_cf,
     verify_proper,
 )
-from cfgeom.errors import IncompatibleShapesError
-from cfgeom.geom import contiguous_run_witnesses
+from cfgeom.errors import IncompatibleShapesError, PlanarityError
+from cfgeom.geom import contiguous_run_witnesses, intersects
 from cfgeom.hypergraph import all_intervals_hypergraph, min_cf_colors_bruteforce
-from cfgeom.probes import pointed_cf_pseudodiscs_report
+from cfgeom.probes import _graph_probe_hypergraph, _ProbeEngine, pointed_cf_pseudodiscs_report
 
 
 def discs(*spec):
@@ -264,7 +267,8 @@ def test_engine_matches_standalone_auxiliary_graph():
         vertices = generate_scene("discs", 30, [201, seed], radius_range=(0.05, 0.3))
         probes = generate_scene("discs", 45, [202, seed], radius_range=(0.02, 0.35))
         ps = ProbeSystem(vertices, probes)
-        engine = _ProbeEngine(30, _pairwise_hits(vertices, probes))
+        h = _pairwise_hits(vertices, probes)
+        engine = _ProbeEngine(30, h.indptr, h.indices)
         _, order = engine.peel(range(30))
         active = set(range(30))
         for v, deg, (nv, ne) in zip(order.order, order.degrees, order.aux_sizes):
@@ -283,7 +287,7 @@ def test_planarity_violation_raises(monkeypatch):
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
 
     def fake_hits(vertices, probes):
-        return [p for p in pairs]
+        return Hypergraph(7, pairs)
 
     monkeypatch.setattr(probes_mod, "_pairwise_hits", fake_hits)
     vertices = generate_scene("discs", 7, 1)
@@ -303,3 +307,95 @@ def test_prune_polygon_coverage():
     kept, removed = prune_depth_one(scene)
     assert removed == [2]
     assert kept == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# CSR probe hypergraphs and engine against the tuple hit lists they replaced
+# ---------------------------------------------------------------------------
+
+small_discs = st.builds(
+    lambda x, y, r: Disc(Point(x / 2, y / 2), r / 2), st.integers(0, 12), st.integers(0, 12), st.integers(0, 4)
+)
+
+
+@given(st.lists(small_discs, max_size=10), st.lists(small_discs, max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_probe_hypergraph_matches_tuple_hits(vertices, probes):
+    h = probe_hypergraph(ProbeSystem(Scene(tuple(vertices), "discs"), Scene(tuple(probes), "discs")))
+    assert h.n == len(vertices)
+    assert h.edges == tuple(tuple(i for i, v in enumerate(vertices) if intersects(v, p)) for p in probes)
+    assert h.edge_labels == tuple(f"probe:{j}" for j in range(len(probes)))
+
+
+@given(st.lists(small_discs, min_size=1, max_size=14), st.data())
+@settings(max_examples=80, deadline=None)
+def test_graph_probe_hypergraph_matches_tuple_reference(shapes, data):
+    scene = Scene(tuple(shapes), "discs")
+    g = intersection_graph(scene)
+    order = data.draw(st.permutations(range(len(shapes))))
+    cut = data.draw(st.integers(0, len(shapes)))
+    vertices, probes = list(order[:cut]), list(order[cut:])
+    h = _graph_probe_hypergraph(g, vertices, probes)
+    # the row scan this function did before it read CSR arrays
+    pos = {v: i for i, v in enumerate(vertices)}
+    hits = tuple(tuple(sorted(pos[u] for u in g.adjacency[p] if u in pos)) for p in probes)
+    assert (h.n, h.edges, h.vertex_labels) == (len(vertices), hits, None)
+    assert h.edge_labels == tuple(f"probe:{j}" for j in range(len(probes)))
+    direct = probe_hypergraph(ProbeSystem(scene.subscene(vertices), scene.subscene(probes)))
+    assert direct.edges == hits
+
+
+def _tuple_engine(n, hits):
+    """_ProbeEngine as its constructor built it from hit tuples, kept as the reference."""
+    engine = _ProbeEngine.__new__(_ProbeEngine)
+    engine.n = n
+    engine.hits = sorted({h for h in hits if h})
+    engine.hitters = [[] for _ in range(n)]
+    flat_v, flat_p = [], []
+    for pid, h in enumerate(engine.hits):
+        for v in h:
+            engine.hitters[v].append(pid)
+            flat_v.append(v)
+            flat_p.append(pid)
+    engine._flat_v = np.asarray(flat_v, dtype=np.int64)
+    engine._flat_p = np.asarray(flat_p, dtype=np.int64)
+    engine.peel_log = []
+    return engine
+
+
+def _peel_outcome(engine, active):
+    try:
+        colors, order = engine.peel(active)
+    except PlanarityError:
+        return "planarity"
+    return colors, order.order, order.degrees, order.aux_sizes
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_engine_from_csr_matches_engine_from_tuples(data):
+    n = data.draw(st.integers(1, 9))
+    rows = data.draw(st.lists(st.sets(st.integers(0, n - 1), max_size=5), max_size=14))
+    # repeated hit sets, and prefixes of hit sets, exercise the deduplication and the order
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    rows += [set(sorted(r)[: len(r) // 2]) for r in rows[:3]]
+    order = data.draw(st.permutations(range(len(rows))))
+    h = Hypergraph(n, [rows[i] for i in order])
+    csr, reference = _ProbeEngine(n, h.indptr, h.indices), _tuple_engine(n, h.edges)
+    assert csr.hits == reference.hits
+    assert csr.hitters == reference.hitters
+    assert csr._flat_v.tolist() == reference._flat_v.tolist()
+    assert csr._flat_p.tolist() == reference._flat_p.tolist()
+    for active in (range(n), sorted(data.draw(st.sets(st.integers(0, n - 1))))):
+        assert _peel_outcome(csr, active) == _peel_outcome(reference, active)
+
+
+def test_engine_from_csr_keeps_peel_orders_on_disc_systems():
+    for seed in range(4):
+        vertices = generate_scene("discs", 40, [203, seed], radius_range=(0.05, 0.3))
+        probes = generate_scene("discs", 400, [204, seed], radius_range=(0.01, 0.3), margin=0)
+        h = probe_hypergraph(ProbeSystem(vertices, probes))
+        csr, reference = _ProbeEngine(40, h.indptr, h.indices), _tuple_engine(40, h.edges)
+        assert csr.hits == reference.hits
+        for active in (range(40), range(0, 40, 3)):
+            assert _peel_outcome(csr, active) == _peel_outcome(reference, active)
