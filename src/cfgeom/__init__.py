@@ -10,6 +10,7 @@ for intervals and fat families), certifying every output exactly.
 from .errors import (
     CFGeomError,
     ColorerContractError,
+    ColoringSizeError,
     DegenerateGeometryError,
     GenerationError,
     IncompatibleShapesError,

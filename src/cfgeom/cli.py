@@ -7,7 +7,7 @@ import json
 import sys
 
 from .bench import BENCH_ALGS, bench_colors, rows_to_csv
-from .errors import CFGeomError
+from .errors import CFGeomError, ColoringSizeError
 from .fat import closed_cf_color_fat, pointed_cf_color_fat
 from .geom import (
     ConvexFatObject,
@@ -93,9 +93,15 @@ def _cmd_color(args) -> int:
     return 0
 
 
+def _load_colored_scene(args):
+    scene, coloring = load_scene(args.infile), load_coloring(args.coloring)
+    if len(coloring) != len(scene):
+        raise ColoringSizeError(f"the coloring has {len(coloring)} colors for a scene of {len(scene)} shapes")
+    return scene, coloring
+
+
 def _cmd_verify(args) -> int:
-    scene = load_scene(args.infile)
-    coloring = load_coloring(args.coloring)
+    scene, coloring = _load_colored_scene(args)
     if args.mode in ("pointed", "closed"):
         h = neighborhood_hypergraph(intersection_graph(scene), args.mode)
     else:
@@ -140,8 +146,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_svg(args) -> int:
-    scene = load_scene(args.infile)
-    coloring = load_coloring(args.coloring)
+    scene, coloring = _load_colored_scene(args)
     render_svg(scene, coloring, args.out)
     print(f"wrote {args.out}")
     return 0

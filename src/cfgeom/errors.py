@@ -37,5 +37,9 @@ class ListExhaustedError(CFGeomError):
         self.vertex = vertex
 
 
+class ColoringSizeError(CFGeomError):
+    """A coloring does not give one color to each shape of its scene."""
+
+
 class VerificationError(CFGeomError):
     """A coloring that must be valid by construction failed its check."""

@@ -232,12 +232,20 @@ def point_in_convex_polygon(xy: np.ndarray, px: float, py: float, tol: float = 0
 
 def points_in_convex_polygon(xy: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Vectorized closed membership: boolean mask over the rows of `pts`."""
-    a = xy
-    b = np.roll(xy, -1, axis=0)
-    ex = (b[:, 0] - a[:, 0])[None, :]
-    ey = (b[:, 1] - a[:, 1])[None, :]
-    cross = ex * (pts[:, 1:2] - a[None, :, 1]) - ey * (pts[:, 0:1] - a[None, :, 0])
-    return (cross >= 0).all(axis=1)
+    return _in_any_polygon(pts, xy[None])
+
+
+def _in_any_polygon(pts: np.ndarray, polys: np.ndarray) -> np.ndarray:
+    """Mask over the rows of `pts`: inside (closed) any of the ccw convex
+    polygons `polys`, given as a (k, m, 2) padded vertex array."""
+    e = np.concatenate((polys[:, 1:], polys[:, :1]), axis=1) - polys
+    step = max(1, 4096 // max(1, polys.shape[0] * polys.shape[1]))  # points per block: small temporaries
+    out = np.empty(len(pts), dtype=bool)
+    for s in range(0, len(pts), step):
+        p = pts[s : s + step, None, None]
+        cross = e[..., 0] * (p[..., 1] - polys[..., 1]) - e[..., 1] * (p[..., 0] - polys[..., 0])
+        out[s : s + step] = (cross >= 0).all(axis=2).any(axis=1)
+    return out
 
 
 def _project(xy: np.ndarray, nx: float, ny: float) -> tuple[float, float]:
@@ -288,28 +296,23 @@ def disc_polygon_intersect(center: Point, radius: float, xy: np.ndarray) -> bool
 def segment_clip_convex(p0: tuple, p1: tuple, xy: np.ndarray) -> tuple[float, float] | None:
     """Parameter range [t0, t1] of the segment p0 + t*(p1-p0) inside a ccw convex
     polygon, or None when the segment misses it."""
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    t0, t1 = 0.0, 1.0
-    n = len(xy)
-    for i in range(n):
-        ax, ay = xy[i]
-        bx, by = xy[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        # inside is where cross(edge, point - a) >= 0
-        num = ex * (p0[1] - ay) - ey * (p0[0] - ax)
-        den = ex * dy - ey * dx
-        if den == 0:
-            if num < 0:
-                return None
-            continue
-        t = -num / den
-        if den > 0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-        if t0 > t1:
-            return None
-    return (t0, t1)
+    t0, t1 = _clip_segments(np.array([p0], dtype=float), np.array([p1], dtype=float), xy[None])
+    return None if t0[0, 0] > t1[0, 0] else (float(t0[0, 0]), float(t1[0, 0]))
+
+
+def _clip_segments(p0: np.ndarray, p1: np.ndarray, polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter ranges (t0, t1), each of shape (segments, polygons), of every
+    segment p0[s] + t*(p1[s] - p0[s]) inside every ccw convex polygon of the
+    (k, m, 2) padded vertex array `polys`; t0 > t1 where a segment misses."""
+    d = p1 - p0
+    e = np.concatenate((polys[:, 1:], polys[:, :1]), axis=1) - polys
+    # inside is where cross(edge, point - a) >= 0; a padding edge has num = den = 0
+    num = e[..., 0] * (p0[:, None, None, 1] - polys[..., 1]) - e[..., 1] * (p0[:, None, None, 0] - polys[..., 0])
+    den = e[..., 0] * d[:, None, None, 1] - e[..., 1] * d[:, None, None, 0]
+    t = -num / np.where(den == 0, 1.0, den)
+    t0 = np.where(den > 0, t, 0.0).max(axis=2)
+    t1 = np.where(den < 0, t, 1.0).min(axis=2)
+    return np.where(((den == 0) & (num < 0)).any(axis=2), np.inf, t0), t1
 
 
 def shape_bbox(s: Shape) -> tuple[float, float, float, float]:

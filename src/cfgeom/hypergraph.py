@@ -225,12 +225,19 @@ def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _color_counts(colors: np.ndarray, members: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per distinct (edge, color) pair present: its edge and its member count."""
-    values, dense = np.unique(colors[members], return_inverse=True)
+def _color_counts(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int) -> tuple[np.ndarray, ...]:
+    """Per distinct (edge, color) pair present, in increasing order: its edge and its member count;
+    counted in an edge x color table when it has at most |members| + ne cells, else by one sort."""
+    values, dense = np.unique(colors, return_inverse=True)
     p = max(len(values), 1)
-    uk, counts = np.unique(owners * p + dense, return_counts=True)
-    return uk // p, counts
+    key = owners * p + dense[members]
+    if ne * p <= len(key) + ne:
+        counts = np.bincount(key, minlength=ne * p)
+        key = np.flatnonzero(counts)
+        return key // p, counts[key]
+    key.sort()
+    first = np.flatnonzero(np.r_[len(key) > 0, key[1:] != key[:-1]])  # where each run of equal keys starts
+    return key[first] // p, np.diff(first, append=len(key))
 
 
 def _total(coloring, n: int) -> np.ndarray:
@@ -243,14 +250,13 @@ def _total(coloring, n: int) -> np.ndarray:
 def verify_proper(h: Hypergraph, coloring) -> list[int]:
     """Indices of hyperedges of size >= 2 that are monochromatic (empty list = proper)."""
     colors = _total(coloring, h.n)
-    members, edge_ids = h._flat
-    edge_of, _ = _color_counts(colors, members, edge_ids)
+    edge_of, _ = _color_counts(colors, *h._flat, len(h.indptr) - 1)
     distinct = np.bincount(edge_of, minlength=len(h.indptr) - 1)
     return np.nonzero((np.diff(h.indptr) >= 2) & (distinct == 1))[0].tolist()
 
 
 def _cf_violations(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int) -> list[int]:
-    edge_of, counts = _color_counts(colors, members, owners)
+    edge_of, counts = _color_counts(colors, members, owners, ne)
     has_unique = np.zeros(ne, dtype=bool)
     has_unique[edge_of[counts == 1]] = True
     nonempty = np.zeros(ne, dtype=bool)

@@ -25,11 +25,14 @@ from .geom import (
     ConvexFatObject,
     Disc,
     Scene,
+    _clip_segments,
+    _disc_rows,
+    _in_any_polygon,
+    _padded_vertices,
     contact_pairs,
     points_in_convex_polygon,
     scene_from_json,
     scene_to_json,
-    segment_clip_convex,
     shape_bbox,
     validate_pseudodisc_family,
 )
@@ -311,107 +314,113 @@ def prune_depth_one(shapes: Scene, resolution: int = 24) -> tuple[list[int], lis
     """Split a family into (kept, removed) so every kept shape owns a point of
     depth 1 among the survivors.
 
-    Shapes are scanned in index order; a shape is dropped only when no witness
-    point of depth 1 is found, searching exact uncovered boundary pieces first
-    and then an interior grid of `resolution` x `resolution` samples.  The
+    Shapes are scanned in index order; a shape is dropped only when no point of
+    it escapes the surviving shapes that meet it, tested against all of them at
+    once: exact uncovered boundary pieces first, an interior grid of
+    `resolution` x `resolution` samples only when they yield none.  The
     removed shapes are covered by the kept ones at the sampling resolution;
     that audit is logged if it ever fails.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     n = len(shapes)
+    fam = _Family(shapes.shapes)
     contacts = Graph(n, np.column_stack(contact_pairs(shapes)))
-    ptr, idx = contacts.indptr.tolist(), contacts.indices.tolist()
-    surviving = set(range(n))
+    alive = np.ones(n, dtype=bool)
     removed: list[int] = []
+
+    def near(i: int) -> np.ndarray:
+        row = contacts.indices[contacts.indptr[i] : contacts.indptr[i + 1]]
+        return row[alive[row]]
+
     for i in range(n):
-        near = [shapes[j] for j in idx[ptr[i] : ptr[i + 1]] if j in surviving]
-        if _depth_one_witness(shapes[i], near, resolution) is None:
-            surviving.discard(i)
+        if _depth_one_witness(fam, i, near(i), resolution) is None:
+            alive[i] = False
             removed.append(i)
-    kept = sorted(surviving)
     for r in removed:
-        pts = np.asarray(_sample_points(shapes[r], resolution))
-        covered = np.zeros(len(pts), dtype=bool)
-        for j in kept:
-            covered |= _points_in_shape(shapes[j], pts)
-            if covered.all():
-                break
-        if not covered.all():
+        # a sample point of r can lie only in the kept shapes that meet r
+        if not fam.covered(_sample_points(shapes[r], resolution), near(r)).all():
             logger.warning(
                 "pruned shape %d has a sample point not covered by the kept family; "
                 "consider a finer resolution",
                 r,
             )
-    return kept, removed
+    return np.flatnonzero(alive).tolist(), removed
 
 
-def _points_in_shape(s, pts: np.ndarray) -> np.ndarray:
-    if isinstance(s, Disc):
-        return (pts[:, 0] - s.center.x) ** 2 + (pts[:, 1] - s.center.y) ** 2 <= s.radius * s.radius
-    if isinstance(s, ConvexFatObject):
-        return points_in_convex_polygon(s.xy(), pts)
-    raise IncompatibleShapesError("pruning supports discs and convex polygons")
+class _Family:
+    """A pruning family as arrays built once: (x, y, r) rows of its discs and
+    padded vertex arrays of its polygons; `row` maps a shape id to its row."""
+
+    def __init__(self, shapes: Sequence):
+        if not {type(s) for s in shapes} <= {Disc, ConvexFatObject}:
+            raise IncompatibleShapesError("pruning supports discs and convex polygons")
+        self.shapes = shapes
+        self.disc = np.array([isinstance(s, Disc) for s in shapes], dtype=bool)
+        self.row = np.where(self.disc, np.cumsum(self.disc), np.cumsum(~self.disc)) - 1
+        self.circles = _disc_rows([s for s in shapes if isinstance(s, Disc)])
+        polys = [s for s in shapes if not isinstance(s, Disc)]
+        self.polys = _padded_vertices(polys) if polys else np.zeros((0, 1, 2))
+
+    def covered(self, pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Mask over the rows of `pts`: inside (closed) any of the shapes `ids`."""
+        d = self.disc[ids]
+        out = _in_any_polygon(pts, self.polys[self.row[ids[~d]]])
+        if d.any():
+            c = self.circles[self.row[ids[d]]]
+            dx, dy = pts[:, None, 0] - c[:, 0], pts[:, None, 1] - c[:, 1]
+            out |= (dx**2 + dy**2 <= c[:, 2] * c[:, 2]).any(axis=1)
+        return out
 
 
-def _depth_one_witness(s, near: list, resolution: int):
-    """A point of `s` covered by none of the shapes `near` it intersects, or None."""
-    boundary = _uncovered_boundary_points(s, near)
-    for stage in (boundary, _sample_points(s, resolution)):
-        if not stage:
-            continue
-        pts = np.asarray(stage)
-        alive = np.ones(len(pts), dtype=bool)
-        for o in near:
-            alive &= ~_points_in_shape(o, pts)
-            if not alive.any():
-                break
+def _depth_one_witness(fam: _Family, i: int, near: np.ndarray, resolution: int):
+    """A point of shape i covered by none of the shapes `near`, or None; the
+    sampled stage is built only when the exact boundary stage finds none."""
+    for stage in (lambda: _uncovered_boundary_points(fam, i, near), lambda: _sample_points(fam.shapes[i], resolution)):
+        pts = stage()
+        alive = ~fam.covered(pts, near)
         if alive.any():
-            x, y = pts[int(np.argmax(alive))]
-            return (float(x), float(y))
+            return tuple(pts[int(np.argmax(alive))].tolist())
     return None
 
 
-def _uncovered_boundary_points(s, near: list) -> list[tuple[float, float]]:
-    """Exact midpoints of the parts of the boundary of `s` covered by no
-    neighbor; empty when the whole boundary is covered (or `s` is swallowed)."""
+def _uncovered_boundary_points(fam: _Family, i: int, near: np.ndarray) -> np.ndarray:
+    """Exact midpoints of the parts of the boundary of shape i covered by none
+    of the shapes `near`; empty when the whole boundary is covered (or shape i
+    is swallowed, or a neighbour is of the other kind)."""
+    s = fam.shapes[i]
+    none = np.empty((0, 2))
     if isinstance(s, Disc):
         cx, cy, r = s.center.x, s.center.y, s.radius
         if r == 0:
-            return [(cx, cy)]
+            return np.array([(cx, cy)])
         arcs: list[tuple[float, float]] = []
-        for o in near:
+        for o in (fam.shapes[j] for j in near.tolist()):
             if not isinstance(o, Disc):
-                return []
+                return none
             d = math.hypot(o.center.x - cx, o.center.y - cy)
             if d + r <= o.radius:
-                return []  # s lies inside o entirely; no boundary escapes
+                return none  # s lies inside o entirely; no boundary escapes
             if d >= r + o.radius or d + o.radius <= r or o.radius == 0:
                 continue
             cosa = (d * d + r * r - o.radius * o.radius) / (2 * d * r)
             alpha = math.acos(min(1.0, max(-1.0, cosa)))
             theta = math.atan2(o.center.y - cy, o.center.x - cx)
             arcs.append((theta - alpha, theta + alpha))
-        free = _complement_circular(arcs)
-        return [(cx + r * math.cos(0.5 * (a + b)), cy + r * math.sin(0.5 * (a + b))) for a, b in free]
-    if isinstance(s, ConvexFatObject):
-        xy = s.xy()
-        out: list[tuple[float, float]] = []
-        m = len(xy)
-        for e in range(m):
-            p0, p1 = xy[e], xy[(e + 1) % m]
-            covered: list[tuple[float, float]] = []
-            for o in near:
-                if not isinstance(o, ConvexFatObject):
-                    return []
-                clip = segment_clip_convex(tuple(p0), tuple(p1), o.xy())
-                if clip is not None and clip[1] > clip[0]:
-                    covered.append(clip)
-            for a, b in _complement_unit(covered):
-                t = 0.5 * (a + b)
-                out.append((p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])))
-        return out
-    raise IncompatibleShapesError("pruning supports discs and convex polygons")
+        mid = [0.5 * (a + b) for a, b in _complement_circular(arcs)]
+        return np.array([(cx + r * math.cos(t), cy + r * math.sin(t)) for t in mid]).reshape(-1, 2)
+    if fam.disc[near].any():
+        return none
+    # s keeps its real edges: a padding edge of its own would add its last vertex as a candidate
+    xy = s.xy()
+    ends = np.concatenate((xy[1:], xy[:1]))
+    t0, t1 = _clip_segments(xy, ends, fam.polys[fam.row[near]])
+    edge, t = [], []
+    for e, (a0, a1) in enumerate(zip(t0.tolist(), t1.tolist())):
+        for a, b in _complement_unit([c for c in zip(a0, a1) if c[1] > c[0]]):
+            edge.append(e)
+            t.append(0.5 * (a + b))
+    return xy[edge] + np.array(t).reshape(-1, 1) * (ends - xy)[edge]
 
 
 def _complement_circular(arcs: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -465,38 +474,29 @@ def _complement_unit(covered: list[tuple[float, float]]) -> list[tuple[float, fl
     return [f for f in free if f[1] - f[0] > 1e-12]
 
 
-def _sample_points(s, resolution: int) -> list[tuple[float, float]]:
-    """Interior grid plus an inward-offset boundary ring."""
-    pts: list[tuple[float, float]] = []
+def _sample_points(s, resolution: int) -> np.ndarray:
+    """Inward-offset boundary ring plus interior grid, as rows (x, y)."""
     if isinstance(s, Disc):
         cx, cy, r = s.center.x, s.center.y, s.radius
         if r == 0:
-            return [(cx, cy)]
+            return np.array([(cx, cy)])
         shrink = r * (1.0 - 1.0 / (2 * resolution))
-        for t in np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False):
-            pts.append((cx + shrink * math.cos(t), cy + shrink * math.sin(t)))
+        turns = np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False).tolist()
+        ring = np.array([(cx + shrink * math.cos(t), cy + shrink * math.sin(t)) for t in turns])
         gx, gy = np.meshgrid(np.linspace(cx - r, cx + r, resolution), np.linspace(cy - r, cy + r, resolution))
         grid = np.column_stack([gx.ravel(), gy.ravel()])
         inside = (grid[:, 0] - cx) ** 2 + (grid[:, 1] - cy) ** 2 <= r * r
-        pts.extend(map(tuple, grid[inside]))
-        return pts
-    if isinstance(s, ConvexFatObject):
-        xy = s.xy()
-        ax, ay = s.anchor.x, s.anchor.y
-        shrink = 1.0 - 1.0 / (2 * resolution)
-        m = len(xy)
-        for e in range(m):
-            p0, p1 = xy[e], xy[(e + 1) % m]
-            for t in np.linspace(0.0, 1.0, resolution // 2 + 2):
-                bx = p0[0] + t * (p1[0] - p0[0])
-                by = p0[1] + t * (p1[1] - p0[1])
-                pts.append((ax + shrink * (bx - ax), ay + shrink * (by - ay)))
-        xmin, xmax, ymin, ymax = shape_bbox(s)
-        gx, gy = np.meshgrid(np.linspace(xmin, xmax, resolution), np.linspace(ymin, ymax, resolution))
-        grid = np.column_stack([gx.ravel(), gy.ravel()])
-        pts.extend(map(tuple, grid[points_in_convex_polygon(xy, grid)]))
-        return pts
-    raise IncompatibleShapesError("pruning supports discs and convex polygons")
+        return np.concatenate([ring, grid[inside]])
+    xy = s.xy()
+    anchor = np.array([s.anchor.x, s.anchor.y])
+    shrink = 1.0 - 1.0 / (2 * resolution)
+    t = np.linspace(0.0, 1.0, resolution // 2 + 2)[:, None]
+    boundary = xy[:, None] + t * (np.concatenate((xy[1:], xy[:1])) - xy)[:, None]  # (edges, t, 2)
+    ring = (anchor + shrink * (boundary - anchor)).reshape(-1, 2)
+    xmin, xmax, ymin, ymax = shape_bbox(s)
+    gx, gy = np.meshgrid(np.linspace(xmin, xmax, resolution), np.linspace(ymin, ymax, resolution))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    return np.concatenate([ring, grid[points_in_convex_polygon(xy, grid)]])
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,22 @@ def test_generator_failure_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_coloring_of_the_wrong_length_is_one_error_line(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    coloring = tmp_path / "coloring.json"
+    assert run(["gen", "--kind", "discs", "--n", "5", "--seed", "1", "--out", scene]) == 0
+    coloring.write_text(json.dumps({"colors": [1, 2, 3]}))
+    capsys.readouterr()
+    for argv in (
+        ["verify", "--mode", "pointed", "--in", scene, "--coloring", coloring],
+        ["svg", "--in", scene, "--coloring", coloring, "--out", tmp_path / "out.svg"],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the coloring has 3 colors for a scene of 5 shapes"]
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_verify_rejects_bad_coloring(tmp_path):
     scene = tmp_path / "scene.json"
     coloring = tmp_path / "coloring.json"

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfgeom import (
@@ -22,7 +23,16 @@ from cfgeom import (
     validate_pseudodisc_family,
 )
 from cfgeom.errors import DegenerateGeometryError, IncompatibleShapesError
-from cfgeom.geom import containment_sets_by_sampling, contiguous_run_witnesses
+from cfgeom.geom import (
+    _clip_segments,
+    _convex_hull_ccw,
+    _in_any_polygon,
+    _padded_vertices,
+    containment_sets_by_sampling,
+    contiguous_run_witnesses,
+    points_in_convex_polygon,
+    segment_clip_convex,
+)
 from cfgeom.hypergraph import all_intervals_hypergraph
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -239,3 +249,101 @@ def test_fat_certificate_validation():
         ConvexFatObject((Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)), Point(0, 0), 0.5, 0.9)
     with pytest.raises(ValueError):
         ConvexFatObject((Point(1, 0), Point(1, 1), Point(0, 1), Point(0.9, 0.9)), Point(0.5, 0.5), 0.1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# batched clip and coverage kernels against the scalar loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _clip_reference(p0, p1, xy):
+    """segment_clip_convex as a loop over the polygon's edges, kept as the reference."""
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    t0, t1 = 0.0, 1.0
+    n = len(xy)
+    for i in range(n):
+        ax, ay = xy[i]
+        bx, by = xy[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        num = ex * (p0[1] - ay) - ey * (p0[0] - ax)
+        den = ex * dy - ey * dx
+        if den == 0:
+            if num < 0:
+                return None
+            continue
+        t = -num / den
+        if den > 0:
+            t0 = max(t0, t)
+        else:
+            t1 = min(t1, t)
+        if t0 > t1:
+            return None
+    return (t0, t1)
+
+
+def _inside_reference(xy, pts):
+    """points_in_convex_polygon as one polygon's cross products, kept as the reference."""
+    b = np.roll(xy, -1, axis=0)
+    ex, ey = (b[:, 0] - xy[:, 0])[None, :], (b[:, 1] - xy[:, 1])[None, :]
+    return ((ex * (pts[:, 1:2] - xy[None, :, 1]) - ey * (pts[:, 0:1] - xy[None, :, 0])) >= 0).all(axis=1)
+
+
+grid_point = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda p: (p[0] / 2, p[1] / 2))
+
+
+@st.composite
+def grid_polygons(draw):
+    """Ccw convex polygons on a half-integer grid, so that segments touch their
+    vertices and run along their edges exactly; some carry a repeated vertex (a
+    zero-length edge of their own) or an extra vertex in the middle of an edge."""
+    hull = _convex_hull_ccw(np.array(draw(st.lists(grid_point, min_size=3, max_size=8, unique=True))))
+    assume(len(hull) >= 3)
+    verts = hull.tolist()
+    k = draw(st.integers(0, len(verts) - 1))
+    extra = draw(st.sampled_from(["none", "repeat", "midpoint"]))
+    if extra == "repeat":
+        verts.insert(k, verts[k])
+    elif extra == "midpoint":
+        a, b = verts[k], verts[(k + 1) % len(verts)]
+        verts.insert(k + 1, [(a[0] + b[0]) / 2, (a[1] + b[1]) / 2])
+    return np.array(verts)
+
+
+class _Vertices:
+    def __init__(self, xy):
+        self._xy = xy
+
+    def xy(self):
+        return self._xy
+
+
+@given(
+    st.lists(st.tuples(grid_point, grid_point), min_size=1, max_size=6),
+    st.lists(grid_polygons(), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_clip_matches_scalar_loop(segments, polys):
+    # polygons of mixed vertex counts are padded to one count, as in pruning
+    p0 = np.array([s[0] for s in segments])
+    p1 = np.array([s[1] for s in segments])
+    t0, t1 = _clip_segments(p0, p1, _padded_vertices([_Vertices(xy) for xy in polys]))
+    for s, (a, b) in enumerate(segments):
+        for k, xy in enumerate(polys):
+            expected = _clip_reference(a, b, xy)
+            assert segment_clip_convex(a, b, xy) == expected
+            assert (t0[s, k] > t1[s, k]) if expected is None else (t0[s, k], t1[s, k]) == expected
+
+
+@given(st.lists(grid_point, max_size=30), st.lists(grid_polygons(), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_batched_coverage_matches_per_polygon_test(points, polys):
+    # an eighth-step grid over the polygons' range makes the kernel work in several blocks of points
+    fine = np.stack(np.meshgrid(np.arange(49) / 8, np.arange(49) / 8), axis=-1).reshape(-1, 2)
+    pts = np.concatenate([np.array(points, dtype=float).reshape(-1, 2), fine])
+    expected = np.zeros(len(pts), dtype=bool)
+    for xy in polys:
+        inside = _inside_reference(xy, pts)
+        assert points_in_convex_polygon(xy, pts).tolist() == inside.tolist()
+        expected |= inside
+    padded = _padded_vertices([_Vertices(xy) for xy in polys]) if polys else np.zeros((0, 3, 2))
+    assert _in_any_polygon(pts, padded).tolist() == expected.tolist()

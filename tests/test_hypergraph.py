@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from cfgeom import (
     all_intervals_hypergraph,
     coloring_from_json,
     coloring_to_json,
+    generate_scene,
     greedy_maximal_independent_set,
     induced,
     intersection_graph,
@@ -22,7 +27,7 @@ from cfgeom import (
     verify_proper,
 )
 from cfgeom.errors import VerificationError
-from cfgeom.hypergraph import certify, neighborhood_violations
+from cfgeom.hypergraph import _color_counts, certify, neighborhood_violations
 
 
 def test_intersection_graph_empty():
@@ -370,3 +375,69 @@ def test_neighborhood_hypergraph_matches_adjacency_rows(data):
     assert closed.edges == tuple(tuple(sorted(rows[v] + (v,))) for v in range(n))
     assert closed.edge_labels == tuple(f"N[{v}]" for v in range(n))
     assert pointed.n == closed.n == n and pointed.vertex_labels is None
+
+
+# ---------------------------------------------------------------------------
+# the counting color census against the np.unique census it replaced
+# ---------------------------------------------------------------------------
+
+
+def _color_counts_reference(colors, members, owners):
+    """The census as two np.unique passes over the memberships, kept as the reference."""
+    values, dense = np.unique(colors[members], return_inverse=True)
+    p = max(len(values), 1)
+    keys, counts = np.unique(owners * p + dense, return_counts=True)
+    return keys // p, counts
+
+
+palettes = st.sampled_from(["small", "negative", "huge", "distinct"])
+
+
+def _draw_colors(data, n):
+    kind = data.draw(palettes)
+    if kind == "distinct":  # p = n: the table would be n x n, so sparse inputs take the sort
+        return list(data.draw(st.permutations(range(n))))
+    values = {
+        "small": st.integers(1, 3),
+        "negative": st.integers(-3, 2),
+        "huge": st.sampled_from([-(10**18), 0, 10**18]),
+    }
+    return data.draw(st.lists(values[kind], min_size=n, max_size=n))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_color_census_matches_unique_reference(data):
+    n = data.draw(st.integers(0, 12))
+    edges = data.draw(st.lists(st.sets(st.integers(0, n - 1)) if n else st.just(set()), max_size=10))
+    h = Hypergraph(n, edges)
+    colors = _draw_colors(data, n)
+    members, owners = h._flat
+    got = _color_counts(np.asarray(colors, dtype=np.int64), members, owners, len(edges))
+    expected = _color_counts_reference(np.asarray(colors, dtype=np.int64), members, owners)
+    assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+    assert verify_cf(h, colors) == _verify_cf_reference(h, colors)
+    assert verify_proper(h, colors) == _verify_proper_reference(h, colors)
+    g = Graph(n, {(u, v) for e in edges for u in e for v in e if u < v})
+    for mode in ("pointed", "closed"):  # closed appends the diagonal, so its owners are unsorted
+        nh = neighborhood_hypergraph(g, mode)
+        owner_of = [int(label[2:-1]) for label in nh.edge_labels]
+        assert neighborhood_violations(g, colors, mode) == [owner_of[i] for i in _verify_cf_reference(nh, colors)]
+
+
+def test_census_of_a_distinct_palette_builds_no_table():
+    # 3000 discs spread for mean degree about 10, every disc its own color: an
+    # edge x color table would hold 9e6 counts (72 MB)
+    n, lo, hi = 3000, 0.05, 0.2
+    span = math.sqrt(n * math.pi * (4 * ((lo + hi) / 2) ** 2 + 2 * (hi - lo) ** 2 / 12) / 10.0)
+    g = intersection_graph(generate_scene("discs", n, 5, span=span, margin=0))
+    h = neighborhood_hypergraph(g, "closed")
+    colors = Coloring(tuple(range(n)))
+    tracemalloc.start()
+    try:
+        assert neighborhood_violations(g, colors, "closed") == []
+        assert verify_cf(h, colors) == [] and verify_proper(h, colors) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -1,11 +1,16 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgeom import (
+    ConvexFatObject,
     Disc,
     Hypergraph,
+    Interval,
     Point,
     ProbeSystem,
     Scene,
@@ -26,9 +31,25 @@ from cfgeom import (
     verify_proper,
 )
 from cfgeom.errors import IncompatibleShapesError, PlanarityError
-from cfgeom.geom import contiguous_run_witnesses, intersects
+from cfgeom import probes as probes_module
+from cfgeom.geom import (
+    contiguous_run_witnesses,
+    intersects,
+    points_in_convex_polygon,
+    segment_clip_convex,
+    shape_bbox,
+)
 from cfgeom.hypergraph import all_intervals_hypergraph, min_cf_colors_bruteforce
-from cfgeom.probes import _graph_probe_hypergraph, _ProbeEngine, pointed_cf_pseudodiscs_report
+from cfgeom.probes import (
+    _complement_circular,
+    _complement_unit,
+    _Family,
+    _graph_probe_hypergraph,
+    _ProbeEngine,
+    _sample_points,
+    _uncovered_boundary_points,
+    pointed_cf_pseudodiscs_report,
+)
 
 
 def discs(*spec):
@@ -399,3 +420,196 @@ def test_engine_from_csr_keeps_peel_orders_on_disc_systems():
         assert csr.hits == reference.hits
         for active in (range(40), range(0, 40, 3)):
             assert _peel_outcome(csr, active) == _peel_outcome(reference, active)
+
+
+# ---------------------------------------------------------------------------
+# depth-one pruning on array kernels against the per-shape loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_prune(shapes, resolution=24):
+    """prune_depth_one as a loop over neighbour shapes, with its sampled stage
+    built for every shape and its audit against every kept shape; kept as the
+    reference.  Returns (kept, removed, shapes whose boundary stage failed)."""
+    n = len(shapes)
+    g = intersection_graph(shapes)
+    surviving, removed, boundary_failed = set(range(n)), [], 0
+    for i in range(n):
+        near = [shapes[j] for j in g.adjacency[i] if j in surviving]
+        stages = (_ref_boundary(shapes[i], near), _ref_samples(shapes[i], resolution))
+        alive = [_ref_alive(np.asarray(stage), near) if stage else np.zeros(0, dtype=bool) for stage in stages]
+        boundary_failed += not alive[0].any()
+        if not (alive[0].any() or alive[1].any()):
+            surviving.discard(i)
+            removed.append(i)
+    kept = sorted(surviving)
+    warned = 0
+    for r in removed:
+        pts = np.asarray(_ref_samples(shapes[r], resolution))
+        covered = np.zeros(len(pts), dtype=bool)
+        for j in kept:
+            covered |= _ref_in_shape(shapes[j], pts)
+        warned += not covered.all()
+    return kept, removed, boundary_failed, warned
+
+
+def _ref_in_shape(s, pts):
+    if isinstance(s, Disc):
+        return (pts[:, 0] - s.center.x) ** 2 + (pts[:, 1] - s.center.y) ** 2 <= s.radius * s.radius
+    return points_in_convex_polygon(s.xy(), pts)
+
+
+def _ref_alive(pts, near):
+    alive = np.ones(len(pts), dtype=bool)
+    for o in near:
+        alive &= ~_ref_in_shape(o, pts)
+    return alive
+
+
+def _ref_boundary(s, near):
+    if isinstance(s, Disc):
+        cx, cy, r = s.center.x, s.center.y, s.radius
+        if r == 0:
+            return [(cx, cy)]
+        arcs = []
+        for o in near:
+            if not isinstance(o, Disc):
+                return []
+            d = math.hypot(o.center.x - cx, o.center.y - cy)
+            if d + r <= o.radius:
+                return []
+            if d >= r + o.radius or d + o.radius <= r or o.radius == 0:
+                continue
+            cosa = (d * d + r * r - o.radius * o.radius) / (2 * d * r)
+            alpha = math.acos(min(1.0, max(-1.0, cosa)))
+            theta = math.atan2(o.center.y - cy, o.center.x - cx)
+            arcs.append((theta - alpha, theta + alpha))
+        free = _complement_circular(arcs)
+        return [(cx + r * math.cos(0.5 * (a + b)), cy + r * math.sin(0.5 * (a + b))) for a, b in free]
+    xy = s.xy()
+    out = []
+    m = len(xy)
+    for e in range(m):
+        p0, p1 = xy[e], xy[(e + 1) % m]
+        covered = []
+        for o in near:
+            if not isinstance(o, ConvexFatObject):
+                return []
+            clip = segment_clip_convex(tuple(p0), tuple(p1), o.xy())
+            if clip is not None and clip[1] > clip[0]:
+                covered.append(clip)
+        for a, b in _complement_unit(covered):
+            t = 0.5 * (a + b)
+            out.append((p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])))
+    return out
+
+
+def _ref_samples(s, resolution):
+    pts = []
+    if isinstance(s, Disc):
+        cx, cy, r = s.center.x, s.center.y, s.radius
+        if r == 0:
+            return [(cx, cy)]
+        shrink = r * (1.0 - 1.0 / (2 * resolution))
+        for t in np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False):
+            pts.append((cx + shrink * math.cos(t), cy + shrink * math.sin(t)))
+        gx, gy = np.meshgrid(np.linspace(cx - r, cx + r, resolution), np.linspace(cy - r, cy + r, resolution))
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
+        inside = (grid[:, 0] - cx) ** 2 + (grid[:, 1] - cy) ** 2 <= r * r
+        return pts + list(map(tuple, grid[inside]))
+    xy = s.xy()
+    ax, ay = s.anchor.x, s.anchor.y
+    shrink = 1.0 - 1.0 / (2 * resolution)
+    m = len(xy)
+    for e in range(m):
+        p0, p1 = xy[e], xy[(e + 1) % m]
+        for t in np.linspace(0.0, 1.0, resolution // 2 + 2):
+            bx = p0[0] + t * (p1[0] - p0[0])
+            by = p0[1] + t * (p1[1] - p0[1])
+            pts.append((ax + shrink * (bx - ax), ay + shrink * (by - ay)))
+    xmin, xmax, ymin, ymax = shape_bbox(s)
+    gx, gy = np.meshgrid(np.linspace(xmin, xmax, resolution), np.linspace(ymin, ymax, resolution))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    return pts + list(map(tuple, grid[points_in_convex_polygon(xy, grid)]))
+
+
+def _pentagons(n, seed, base_size):
+    return generate_scene("fat", n, seed, rho=1.5, k=3.0, homothets_of=pentagon_template(), base_size=base_size)
+
+
+PRUNE_FAMILIES = {
+    # pentagon homothets as in the acceptance suite; each of the first two fails one audit
+    "pentagons-a": lambda: _pentagons(34, [8, 25], 0.06),
+    "pentagons-b": lambda: _pentagons(57, [4, 37], 0.05),
+    "pentagons-c": lambda: _pentagons(40, [31, 2], 0.05),
+    "rho2-polygons": lambda: generate_scene("fat", 24, [77, 3], rho=2.0, k=4.0, base_size=0.05, margin=0),
+    "discs": lambda: generate_scene("discs", 65, [78, 9], span=0.6, margin=0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PRUNE_FAMILIES))
+def test_prune_matches_reference_and_samples_only_when_needed(family, monkeypatch, caplog):
+    scene = PRUNE_FAMILIES[family]()
+    kept, removed, boundary_failed, warned = _reference_prune(scene)
+    builds = []
+    real = probes_module._sample_points
+    monkeypatch.setattr(probes_module, "_sample_points", lambda s, res: builds.append(s) or real(s, res))
+    with caplog.at_level(logging.WARNING, logger="cfgeom"):
+        assert prune_depth_one(scene) == (kept, removed)
+    assert len(builds) == boundary_failed + len(removed)
+    assert boundary_failed < len(scene)
+    assert sum("pruned shape" in r.getMessage() for r in caplog.records) == warned
+    assert removed and (warned or family in ("pentagons-c", "rho2-polygons"))
+
+
+@pytest.mark.parametrize("family", ["pentagons-a", "rho2-polygons", "discs"])
+def test_boundary_and_sample_points_match_reference(family):
+    scene = PRUNE_FAMILIES[family]()
+    g = intersection_graph(scene)
+    fam = _Family(scene.shapes)
+    for i, s in enumerate(scene.shapes):
+        near = np.array(g.adjacency[i], dtype=np.int64)
+        expected = _ref_boundary(s, [scene[j] for j in near.tolist()])
+        assert _uncovered_boundary_points(fam, i, near).tolist() == [list(p) for p in expected]
+        assert _sample_points(s, 24).tolist() == [list(p) for p in _ref_samples(s, 24)]
+
+
+@st.composite
+def mixed_shapes(draw):
+    x, y = draw(st.integers(0, 8)) / 2, draw(st.integers(0, 8)) / 2
+    size = draw(st.integers(1, 4)) / 2
+    m = draw(st.integers(0, 9))
+    if m < 3:
+        return Disc(Point(x, y), size if m else 0.0)
+    turn = draw(st.sampled_from([0.0, math.pi / 4, 0.3]))
+    angles = [turn + 2 * math.pi * k / m for k in range(m)]
+    verts = tuple(Point(x + size * math.cos(a), y + size * math.sin(a)) for a in angles)
+    return ConvexFatObject(verts, Point(x, y), 0.999 * size * math.cos(math.pi / m), 1.001 * size)
+
+
+@given(st.lists(mixed_shapes(), min_size=1, max_size=8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_family_coverage_matches_per_shape_tests(shapes, data):
+    # discs, zero-radius discs and polygons of 3..9 vertices, padded to a common count
+    family = _Family(tuple(shapes))
+    ids = np.array(sorted(data.draw(st.sets(st.integers(0, len(shapes) - 1)))), dtype=np.int64)
+    halves = data.draw(st.lists(st.tuples(st.integers(-2, 10), st.integers(-2, 10)), max_size=30))
+    pts = np.array(halves, dtype=float).reshape(-1, 2) / 2
+    expected = np.zeros(len(pts), dtype=bool)
+    for j in ids.tolist():
+        expected |= _ref_in_shape(shapes[j], pts)
+    assert family.covered(pts, ids).tolist() == expected.tolist()
+
+
+@given(st.lists(mixed_shapes(), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_prune_matches_reference_on_small_mixed_families(shapes):
+    scene = Scene(tuple(shapes))
+    kept, removed, _, _ = _reference_prune(scene, resolution=6)
+    assert prune_depth_one(scene, resolution=6) == (kept, removed)
+
+
+def test_prune_rejects_unsupported_shapes():
+    with pytest.raises(IncompatibleShapesError):
+        prune_depth_one(Scene((Interval(0, 1), Interval(2, 3))))
+    assert prune_depth_one(Scene((), "intervals")) == ([], [])
