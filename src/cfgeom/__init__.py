@@ -14,6 +14,7 @@ from .errors import (
     DegenerateGeometryError,
     GenerationError,
     IncompatibleShapesError,
+    InvalidInputError,
     ListExhaustedError,
     PlanarityError,
     VerificationError,

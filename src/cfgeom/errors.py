@@ -5,6 +5,10 @@ class CFGeomError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidInputError(CFGeomError, ValueError):
+    """An input is malformed or of the wrong kind for the algorithm it was given to."""
+
+
 class IncompatibleShapesError(CFGeomError):
     """A predicate was asked about a shape pairing it does not support."""
 

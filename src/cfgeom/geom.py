@@ -230,12 +230,6 @@ def point_in_convex_polygon(xy: np.ndarray, px: float, py: float, tol: float = 0
     return True
 
 
-def points_in_convex_polygon(xy: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized closed membership: boolean mask over the rows of `pts`."""
-    e = np.roll(xy, -1, axis=0) - xy
-    return (e[:, 0] * (pts[:, None, 1] - xy[:, 1]) - e[:, 1] * (pts[:, None, 0] - xy[:, 0]) >= 0).all(axis=1)
-
-
 def _project(xy: np.ndarray, nx: float, ny: float) -> tuple[float, float]:
     vals = xy[:, 0] * nx + xy[:, 1] * ny
     return float(vals.min()), float(vals.max())
@@ -301,17 +295,6 @@ def _clip_segments(p0: np.ndarray, p1: np.ndarray, polys: np.ndarray) -> tuple[n
     t0 = np.where(den > 0, t, 0.0).max(axis=2)
     t1 = np.where(den < 0, t, 1.0).min(axis=2)
     return np.where(((den == 0) & (num < 0)).any(axis=2), np.inf, t0), t1
-
-
-def shape_bbox(s: Shape) -> tuple[float, float, float, float]:
-    if isinstance(s, Disc):
-        return (s.center.x - s.radius, s.center.x + s.radius, s.center.y - s.radius, s.center.y + s.radius)
-    if isinstance(s, AARect):
-        return (s.xmin, s.xmax, s.ymin, s.ymax)
-    if isinstance(s, Interval):
-        return (s.lo, s.hi, 0.0, 0.0)
-    xy = s.xy()
-    return (float(xy[:, 0].min()), float(xy[:, 0].max()), float(xy[:, 1].min()), float(xy[:, 1].max()))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +364,22 @@ def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndar
 def _sweep_boxes(shapes: Sequence[Shape]) -> np.ndarray:
     """(xmin, xmax, ymin, ymax) rows; a disc's box is widened by a relative
     1e-12, so rounding in center +- radius never drops a pair the exact disc
-    predicate accepts."""
-    boxes = np.array([shape_bbox(s) for s in shapes], dtype=float).reshape(-1, 4)
-    pad = [1e-12 * (abs(s.center.x) + abs(s.center.y) + s.radius) if isinstance(s, Disc) else 0.0 for s in shapes]
+    predicate accepts.  An interval's box is (lo, hi, 0, 0)."""
+    boxes, pad = np.zeros((len(shapes), 4)), np.zeros(len(shapes))
+    for t in {type(s) for s in shapes}:
+        at = [k for k, s in enumerate(shapes) if type(s) is t]
+        part = [shapes[k] for k in at]
+        if t is Disc:
+            x, y, r = _disc_rows(part).T
+            boxes[at] = np.column_stack((x - r, x + r, y - r, y + r))
+            pad[at] = 1e-12 * (np.abs(x) + np.abs(y) + r)
+        elif t is ConvexFatObject:
+            v = _padded_vertices(part)
+            boxes[at] = np.column_stack((v[..., 0].min(1), v[..., 0].max(1), v[..., 1].min(1), v[..., 1].max(1)))
+        elif t is AARect:
+            boxes[at] = [(s.xmin, s.xmax, s.ymin, s.ymax) for s in part]
+        else:
+            boxes[at, :2] = [(s.lo, s.hi) for s in part]
     return boxes + np.outer(pad, [-1.0, 1.0, -1.0, 1.0])
 
 

@@ -8,37 +8,15 @@ which together make the coloring closed conflict-free.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Sequence
+import math
 
-from .geom import Interval, Scene
+import numpy as np
+
+from .errors import InvalidInputError
+from .geom import Scene
 from .hypergraph import Coloring, certify, intersection_graph
 
 __all__ = ["closed_cf_color_intervals"]
-
-
-def _merged_union(ivs: list[Interval]) -> list[tuple[float, float]]:
-    parts = sorted((iv.lo, iv.hi) for iv in ivs)
-    out: list[list[float]] = []
-    for lo, hi in parts:
-        if out and lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
-
-
-def _open_gap_empty(union: list[tuple[float, float]], a: float, b: float) -> bool:
-    """Whether the open interval (a, b) avoids the union entirely."""
-    if b <= a:
-        return True
-    starts = [lo for lo, _ in union]
-    idx = bisect_right(starts, a) - 1
-    if idx >= 0 and union[idx][1] > a:
-        return False
-    if idx + 1 < len(union) and union[idx + 1][0] < b:
-        return False
-    return True
 
 
 def closed_cf_color_intervals(intervals: Scene) -> tuple[Coloring, list[int]]:
@@ -51,38 +29,44 @@ def closed_cf_color_intervals(intervals: Scene) -> tuple[Coloring, list[int]]:
     across a hole of the union.  Ties go to the smaller index.
     """
     if len(intervals) == 0:
-        raise ValueError("empty interval family")
+        raise InvalidInputError("empty interval family")
     if intervals.kind != "intervals":
-        raise ValueError("scene must contain intervals only")
-    colors, chain = _interval_chain(intervals.shapes)
+        raise InvalidInputError("scene must contain intervals only")
+    ends = np.array([(s.lo, s.hi) for s in intervals.shapes], dtype=float)
+    colors, chain = _interval_chain(ends)
     out = certify(intersection_graph(intervals), Coloring(tuple(colors)), "closed", bound=3, what="interval coloring")
     return out, chain
 
 
-def _interval_chain(ivs: Sequence[Interval]) -> tuple[list[int], list[int]]:
-    """Uncertified colors and chain of closed_cf_color_intervals on a nonempty family."""
-    n = len(ivs)
-    union = _merged_union(ivs)
+def _interval_chain(ends: np.ndarray) -> tuple[list[int], list[int]]:
+    """Uncertified colors and chain of closed_cf_color_intervals on the
+    nonempty (n, 2) array of (lo, hi) rows.
 
-    min_lo = min(iv.lo for iv in ivs)
-    s1 = max(
-        (i for i in range(n) if ivs[i].lo == min_lo),
-        key=lambda i: (ivs[i].hi, -i),
-    )
-    chain = [s1]
+    One sweep over the sorted starts: best[k] is the interval of largest
+    (hi, -index) among the k + 1 leftmost starts.  The next link is the best
+    interval starting at or before the current right end r when that one
+    reaches past r; otherwise nothing overlapping reaches past r, and the link
+    is the best interval starting at or before the next start after r, which
+    lies across a hole of the union.  The first link takes r = -inf.
+    """
+    lo, hi = ends[:, 0], ends[:, 1]
+    n = len(lo)
+    by_lo = np.argsort(lo, kind="stable")
+    starts = lo[by_lo]
+    by_rank = np.lexsort((-np.arange(n), hi))
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_rank] = np.arange(n)
+    best = by_rank[np.maximum.accumulate(rank[by_lo])].tolist()
+    chain: list[int] = []
+    r = -math.inf
     while True:
-        r_cur = ivs[chain[-1]].hi
-        best = None
-        for i in range(n):
-            iv = ivs[i]
-            if iv.hi <= r_cur:
-                continue
-            if iv.lo <= r_cur or _open_gap_empty(union, r_cur, iv.lo):
-                if best is None or iv.hi > ivs[best].hi:
-                    best = i
-        if best is None:
-            break
-        chain.append(best)
+        k = int(np.searchsorted(starts, r, "right"))
+        if k == 0 or hi[best[k - 1]] <= r:
+            if k == n:
+                break
+            k = int(np.searchsorted(starts, starts[k], "right"))
+        chain.append(best[k - 1])
+        r = hi[chain[-1]]
 
     colors = [3] * n
     for pos, i in enumerate(chain):

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import VerificationError
-from .geom import Interval, Scene
+import numpy as np
+
+from .errors import InvalidInputError, VerificationError
+from .geom import Scene
 from .hypergraph import Coloring, certify, intersection_graph
 from .intervals import _interval_chain
 
@@ -26,38 +28,38 @@ def closed_cf_color_rects(rects: Scene) -> Coloring:
 
 
 def color_rects_traced(rects: Scene) -> tuple[Coloring, list[tuple[int, int]]]:
-    """As closed_cf_color_rects, also returning (depth, node id) per rectangle."""
+    """As closed_cf_color_rects, also returning (depth, node id) per rectangle;
+    node ids number the recursion nodes in preorder, left before right."""
     n = len(rects)
     if n == 0:
-        raise ValueError("empty rectangle family")
+        raise InvalidInputError("empty rectangle family")
     if rects.kind != "rects":
-        raise ValueError("scene must contain rectangles only")
-    colors = [0] * n
-    trace: list[tuple[int, int]] = [(-1, -1)] * n
+        raise InvalidInputError("scene must contain rectangles only")
+    box = np.array([(r.xmin, r.xmax, r.ymin, r.ymax) for r in rects.shapes], dtype=float)
+    center = (box[:, 0] + box[:, 1]) / 2
+    colors = np.zeros(n, dtype=int)
+    depths = np.full(n, -1)
+    nodes = np.full(n, -1)
     node_counter = [0]
 
-    def recurse(indices: list[int], depth: int) -> None:
-        if not indices:
+    def recurse(idx: np.ndarray, depth: int) -> None:
+        if not len(idx):
             return
         node = node_counter[0]
         node_counter[0] += 1
-        centers = sorted(((rects[i].xmin + rects[i].xmax) / 2, i) for i in indices)
-        line = centers[len(indices) // 2][0]
-        stabbed = [i for i in indices if rects[i].xmin <= line <= rects[i].xmax]
-        left = [i for i in indices if rects[i].xmax < line]
-        right = [i for i in indices if rects[i].xmin > line]
-        if stabbed:
-            y_colors, _chain = _interval_chain([Interval(rects[i].ymin, rects[i].ymax) for i in stabbed])
-            for i, c in zip(stabbed, y_colors):
-                colors[i] = 3 * depth + c
-                trace[i] = (depth, node)
-        recurse(left, depth + 1)
-        recurse(right, depth + 1)
+        line = np.partition(center[idx], len(idx) // 2)[len(idx) // 2]
+        left, right = box[idx, 1] < line, box[idx, 0] > line
+        stabbed = idx[~(left | right)]
+        y_colors, _chain = _interval_chain(box[stabbed, 2:])
+        colors[stabbed] = 3 * depth + np.array(y_colors)
+        depths[stabbed], nodes[stabbed] = depth, node
+        recurse(idx[left], depth + 1)
+        recurse(idx[right], depth + 1)
 
-    recurse(list(range(n)), 0)
-    out = Coloring(tuple(colors))
-    depth_used = max(d for d, _ in trace)
-    if depth_used > math.floor(math.log2(n)):
+    recurse(np.arange(n), 0)
+    if depths.max() > math.floor(math.log2(n)):
         raise VerificationError("recursion went deeper than floor(log2 n) + 1 levels")
     bound = 3 * (math.floor(math.log2(n)) + 1)
-    return certify(intersection_graph(rects), out, "closed", bound=bound, what="rectangle coloring"), trace
+    out = Coloring(tuple(colors.tolist()))
+    out = certify(intersection_graph(rects), out, "closed", bound=bound, what="rectangle coloring")
+    return out, list(zip(depths.tolist(), nodes.tolist()))

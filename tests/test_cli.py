@@ -66,6 +66,24 @@ def test_intervals_and_rects_cli(tmp_path):
         assert run(["verify", "--mode", "closed", "--in", scene, "--coloring", coloring]) == 0
 
 
+def test_intervals_and_rects_reject_wrong_kind_and_empty_family(tmp_path, capsys):
+    discs = tmp_path / "discs.json"
+    assert run(["gen", "--kind", "discs", "--n", "6", "--seed", "1", "--out", discs]) == 0
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"kind": "intervals", "shapes": []}))
+    expected = {
+        ("intervals", discs): "error: scene must contain intervals only",
+        ("rects", discs): "error: scene must contain rectangles only",
+        ("intervals", empty): "error: empty interval family",
+        ("rects", empty): "error: empty rectangle family",
+    }
+    capsys.readouterr()
+    for (alg, scene), line in expected.items():
+        assert run(["color", "--alg", alg, "--in", scene, "--out", tmp_path / "col.json"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [line]
+    assert not (tmp_path / "col.json").exists()
+
+
 def test_fat_cli(tmp_path):
     scene = tmp_path / "fat.json"
     coloring = tmp_path / "fat-col.json"

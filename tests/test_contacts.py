@@ -31,6 +31,7 @@ from cfgeom.geom import (
     _polygons_meet,
     _random_fat_polygon,
     _segments_crossings,
+    _sweep_boxes,
     convex_polygons_intersect,
 )
 from cfgeom.probes import _pairwise_hits
@@ -109,17 +110,61 @@ def test_intersection_graph_matches_brute_force(data):
         assert g.edges == _brute_edges(shapes), kind
 
 
-def test_tied_xmin_and_touching_contacts():
-    # every shape of a family starts at x = 0; chains touch at single points
+def _tied_and_touching_families():
+    """Families where every shape starts at x = 0, or chains touch at single points."""
     tied_intervals = [Interval(0.0, k / 2) for k in range(5)]
     tied_rects = [AARect(0.0, 1.0, 1.5 * k, 1.5 * k + 1.5) for k in range(4)]
     tied_discs = [Disc(Point(1.0, 3.0 * k), 1.0) for k in range(4)] + [Disc(Point(0.5, 1.5), 0.5)]
     touching = [Disc(Point(2.0 * k, 0.0), 1.0) for k in range(4)] + [Disc(Point(3.0, 4.0), 4.0), Disc(Point(9.0, 0), 0)]
     squares = [_square(x, y, 1) for x in range(3) for y in range(3)]
     points = [Disc(Point(0, 0), 0), Disc(Point(0, 0), 0)]
-    for shapes in (tied_intervals, tied_rects, tied_discs, touching, squares, points):
+    return [tied_intervals, tied_rects, tied_discs, touching, squares, points]
+
+
+def test_tied_xmin_and_touching_contacts():
+    families = _tied_and_touching_families()
+    for shapes in families:
         assert intersection_graph(Scene(tuple(shapes))).edges == _brute_edges(shapes)
-    assert (0, 1) in intersection_graph(Scene(tuple(touching))).edges
+    assert (0, 1) in intersection_graph(Scene(tuple(families[3]))).edges
+
+
+def _box_reference(s):
+    """A shape's sweep box, one shape at a time, kept as the reference."""
+    if isinstance(s, Disc):
+        return (s.center.x - s.radius, s.center.x + s.radius, s.center.y - s.radius, s.center.y + s.radius)
+    if isinstance(s, AARect):
+        return (s.xmin, s.xmax, s.ymin, s.ymax)
+    if isinstance(s, Interval):
+        return (s.lo, s.hi, 0.0, 0.0)
+    xy = s.xy()
+    return (float(xy[:, 0].min()), float(xy[:, 0].max()), float(xy[:, 1].min()), float(xy[:, 1].max()))
+
+
+def _boxes_reference(shapes):
+    boxes = np.array([_box_reference(s) for s in shapes], dtype=float).reshape(-1, 4)
+    pad = [1e-12 * (abs(s.center.x) + abs(s.center.y) + s.radius) if isinstance(s, Disc) else 0.0 for s in shapes]
+    return boxes + np.outer(pad, [-1.0, 1.0, -1.0, 1.0])
+
+
+def test_sweep_boxes_match_per_shape_reference():
+    signed_zeros = [Interval(-0.0, -0.0), AARect(-0.0, -0.0, -2.0, -0.0), Disc(Point(-0.0, -1.5), 0.0)]
+    families = _tied_and_touching_families() + [
+        signed_zeros[:1],
+        signed_zeros[1:2],
+        signed_zeros[2:] + [_square(-0.0, -0.0, 1), _regular(-1.25, 0.5, 0.75, 7, 0.3)],
+        list(generate_scene("discs", 200, 1).shapes),
+        list(generate_scene("fat", 40, 2, rho=2.0, k=4.0).shapes),
+    ]
+    for shapes in families:
+        assert _sweep_boxes(shapes).tobytes() == _boxes_reference(shapes).tobytes()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_sweep_boxes_match_per_shape_reference_on_drawn_families(data):
+    for kind, shape in FAMILIES.items():
+        shapes = data.draw(st.lists(shape, max_size=14), label=kind)
+        assert _sweep_boxes(shapes).tobytes() == _boxes_reference(shapes).tobytes(), kind
 
 
 @given(st.data())

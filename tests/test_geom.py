@@ -29,8 +29,6 @@ from cfgeom.geom import (
     _padded_vertices,
     containment_sets_by_sampling,
     contiguous_run_witnesses,
-    point_in_convex_polygon,
-    points_in_convex_polygon,
     segment_clip_convex,
 )
 from cfgeom.hypergraph import all_intervals_hypergraph
@@ -252,7 +250,7 @@ def test_fat_certificate_validation():
 
 
 # ---------------------------------------------------------------------------
-# batched clip and coverage kernels against the scalar loops they replaced
+# the batched clip kernel against the scalar loop it replaced
 # ---------------------------------------------------------------------------
 
 
@@ -325,14 +323,3 @@ def test_batched_clip_matches_scalar_loop(segments, polys):
             expected = _clip_reference(a, b, xy)
             assert segment_clip_convex(a, b, xy) == expected
             assert (t0[s, k] > t1[s, k]) if expected is None else (t0[s, k], t1[s, k]) == expected
-
-
-@given(st.lists(grid_point, max_size=30), st.lists(grid_polygons(), max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_batched_coverage_matches_per_polygon_test(points, polys):
-    # points_in_convex_polygon against the scalar test, point by point
-    fine = np.stack(np.meshgrid(np.arange(25) / 4, np.arange(25) / 4), axis=-1).reshape(-1, 2)
-    pts = np.concatenate([np.array(points, dtype=float).reshape(-1, 2), fine])
-    for xy in polys:
-        expected = [point_in_convex_polygon(xy, px, py) for px, py in pts.tolist()]
-        assert points_in_convex_polygon(xy, pts).tolist() == expected

@@ -1,10 +1,15 @@
+import time
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from axis_reference import reference_chain
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgeom import (
     AARect,
     Interval,
+    InvalidInputError,
     Scene,
     closed_cf_color_intervals,
     generate_scene,
@@ -18,6 +23,10 @@ from cfgeom.rects import color_rects_traced
 
 def scene_of(*pairs):
     return Scene(tuple(Interval(a, b) for a, b in pairs))
+
+
+def ends_of(ivs):
+    return np.array([(iv.lo, iv.hi) for iv in ivs], dtype=float)
 
 
 def _meet(a, b):
@@ -65,6 +74,13 @@ def test_empty_family_rejected():
         closed_cf_color_intervals(Scene((), "intervals"))
     with pytest.raises(ValueError):
         closed_cf_color_intervals(Scene((Interval(0, 1), AARect(0, 1, 0, 1))))
+
+
+def test_invalid_families_raise_invalid_input():
+    with pytest.raises(InvalidInputError, match="empty interval family"):
+        closed_cf_color_intervals(Scene((), "intervals"))
+    with pytest.raises(InvalidInputError, match="intervals only"):
+        closed_cf_color_intervals(Scene((AARect(0, 1, 0, 1),)))
 
 
 def test_disconnected_union_bridged():
@@ -121,6 +137,58 @@ def test_rect_node_chains_keep_invariants(data):
         nodes.setdefault((depth, node), []).append(i)
     for (depth, _), stabbed in nodes.items():
         ys = [Interval(scene[i].ymin, scene[i].ymax) for i in stabbed]
-        colors, chain = _interval_chain(ys)
+        colors, chain = _interval_chain(ends_of(ys))
         check_chain_invariants(ys, chain, colors)
         assert [col.colors[i] for i in stabbed] == [3 * depth + c for c in colors]
+
+
+# the prefix-maximum sweep against the per-link scan it replaced
+# ---------------------------------------------------------------------------
+
+half = st.integers(0, 16).map(lambda k: k / 2)
+
+
+@st.composite
+def half_grid_families(draw):
+    """Intervals on a half-integer grid: tied starts and ends, closed endpoints
+    that touch, zero-length intervals, and exact repeats are all common."""
+    pairs = draw(st.lists(st.tuples(half, st.integers(0, 6).map(lambda k: k / 2)), min_size=1, max_size=14))
+    ivs = [Interval(lo, lo + length) for lo, length in pairs]
+    repeats = draw(st.lists(st.integers(0, len(ivs) - 1), max_size=3))
+    return ivs + [ivs[k] for k in repeats]
+
+
+@given(half_grid_families())
+@example([Interval(0, 0)])
+@example([Interval(-1.5, 2)])
+@settings(max_examples=400, deadline=None)
+def test_chain_matches_reference_scan(ivs):
+    col, chain = closed_cf_color_intervals(Scene(tuple(ivs)))
+    assert (list(col.colors), chain) == reference_chain(ivs)
+
+
+def _spread(lo, hi, count):
+    return [lo + round((hi - lo) * i / (count - 1)) for i in range(count)]
+
+
+def test_chain_matches_reference_on_generated_families():
+    # the families of acceptance criterion 1, then the interval families of
+    # the benchmark's `axis` workload at seeds 1-3
+    families = [generate_scene("intervals", (i * 37) % 200 + 1, [1, i], margin=0) for i in range(1000)]
+    families += [
+        generate_scene("intervals", n, [seed, 41, i], margin=0)
+        for seed in (1, 2, 3)
+        for i, n in enumerate(_spread(1, 800, 30))
+    ]
+    for scene in families:
+        assert _interval_chain(ends_of(scene.shapes)) == reference_chain(scene.shapes)
+
+
+def test_long_sparse_chain_is_fast():
+    # 2366 links over 5000 sparse intervals, where a rescan of the family per link is cubic
+    scene = generate_scene("intervals", 5000, 7, span=500, margin=0)
+    t0 = time.perf_counter()
+    col, chain = closed_cf_color_intervals(scene)
+    elapsed = time.perf_counter() - t0
+    assert len(chain) == 2366 and col.palette_size == 3
+    assert elapsed < 5.0, elapsed

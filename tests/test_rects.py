@@ -1,9 +1,14 @@
 import math
 
 import pytest
+from axis_reference import reference_rects
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgeom import (
     AARect,
+    Interval,
+    InvalidInputError,
     Scene,
     closed_cf_color_rects,
     generate_scene,
@@ -67,3 +72,40 @@ def test_stacked_rects_all_stabbed():
     scene = Scene(tuple(AARect(0, 1, i * 0.5, i * 0.5 + 0.8) for i in range(10)))
     col = closed_cf_color_rects(scene)
     assert col.palette_size <= 3
+
+
+def test_invalid_families_raise_invalid_input():
+    with pytest.raises(InvalidInputError, match="empty rectangle family"):
+        closed_cf_color_rects(Scene((), "rects"))
+    with pytest.raises(InvalidInputError, match="rectangles only"):
+        closed_cf_color_rects(Scene((Interval(0, 1),)))
+
+
+# the recursion on coordinate arrays against the recursion over index lists
+# ---------------------------------------------------------------------------
+
+half = st.integers(0, 16).map(lambda k: k / 2)
+side = st.integers(0, 6).map(lambda k: k / 2)
+
+
+@given(st.lists(st.tuples(half, side, half, side), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_recursion_matches_reference_on_half_grids(boxes):
+    # tied centers, lines through rectangle edges, and zero-width rectangles
+    scene = Scene(tuple(AARect(x, x + w, y, y + h) for x, w, y, h in boxes))
+    col, trace = color_rects_traced(scene)
+    assert (list(col.colors), trace) == reference_rects(scene)
+
+
+def test_recursion_matches_reference_on_generated_families():
+    # the families of acceptance criterion 2, then the rectangle families of
+    # the benchmark's `axis` workload at seeds 1-3
+    families = [generate_scene("rects", (16, 64, 256, 1024)[i % 4], [2, i], margin=0) for i in range(200)]
+    families += [
+        generate_scene("rects", (16, 64, 256, 1024, 2048)[i % 5], [seed, 42, i], margin=0)
+        for seed in (1, 2, 3)
+        for i in range(15)
+    ]
+    for scene in families:
+        col, trace = color_rects_traced(scene)
+        assert (list(col.colors), trace) == reference_rects(scene)
