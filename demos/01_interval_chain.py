@@ -9,15 +9,15 @@ import cfgeom as cf
 
 # a small hand-made family first: the chain is easy to follow
 scene = cf.Scene((cf.Interval(0, 2), cf.Interval(1, 4), cf.Interval(3, 6), cf.Interval(0.5, 1.2)))
-coloring, chain = cf.closed_cf_color_intervals(scene)
+coloring = cf.closed_cf_color_intervals(scene)
 print("intervals:", [(s.lo, s.hi) for s in scene.shapes])
-print("chain    :", chain)
+print("chain    :", coloring.trace.vertices["chain"])
 print("colors   :", coloring.colors)
 
 # a bigger random family: still never more than 3 colors, always verified
 scene = cf.generate_scene("intervals", 120, seed=42)
-coloring, chain = cf.closed_cf_color_intervals(scene)
-print(f"random n=120: palette {coloring.palette_size}, chain of {len(chain)} links")
+coloring = cf.closed_cf_color_intervals(scene)
+print(f"random n=120: palette {coloring.palette_size}, chain of {len(coloring.trace.vertices['chain'])} links")
 
 # the verifier is independent of the construction; run it once more here
 h = cf.neighborhood_hypergraph(cf.intersection_graph(scene), "closed")

@@ -4,24 +4,26 @@
 The pipeline picks a maximal independent set B, colors B conflict-free
 against the remaining shapes acting as probes, colors the rest against B
 with a disjoint palette (pruning overlapping pseudo-discs to depth-one
-owners first), and verifies the result exactly.
+owners first), and verifies the result exactly.  The coloring's trace
+says what the pipeline did: its vertex sets, its peels and the palette
+bound it was certified against.
 """
 import cfgeom as cf
-from cfgeom.probes import pointed_cf_pseudodiscs_report
 
 scene = cf.generate_scene("discs", 150, seed=5)
-coloring, report = pointed_cf_pseudodiscs_report(scene)
-print(f"discs: n=150, |B|={len(report.independent_set)}, palette {coloring.palette_size}"
-      f" (bound {report.palette_bound})")
-peels = report.peel_orders_b + report.peel_orders_rest
+coloring = cf.pointed_cf_pseudodiscs(scene)
+trace = coloring.trace
+print(f"discs: n=150, |B|={len(trace.vertices['independent_set'])}, palette {coloring.palette_size}"
+      f" (bound {trace.palette_bound})")
+peels = trace.peels["b"] + trace.peels["rest"]
 print(f"peels run: {len(peels)}, max recorded degree:",
       max(max(o.degrees, default=0) for o in peels))
 
 # convex-polygon pseudo-discs: homothets of a fixed pentagon
 pent = cf.pentagon_template()
 scene = cf.generate_scene("fat", 120, seed=9, rho=1.5, k=3.0, homothets_of=pent, base_size=0.05)
-coloring, report = pointed_cf_pseudodiscs_report(scene)
-print(f"pentagons: n=120, pruned {len(report.pruned)} shapes, palette {coloring.palette_size}")
+coloring = cf.pointed_cf_pseudodiscs(scene)
+print(f"pentagons: n=120, pruned {len(coloring.trace.vertices['pruned'])} shapes, palette {coloring.palette_size}")
 
 # the conversion to a closed coloring at most doubles the palette
 g = cf.intersection_graph(scene)

@@ -8,16 +8,21 @@ size buckets with fresh palettes turn the pointed guarantee into a
 closed one for any size-ratio k.
 """
 import cfgeom as cf
-from cfgeom.fat import bucket_report_csv, closed_cf_color_fat_report, grid_side
+from cfgeom.fat import grid_side
 
 scene = cf.generate_scene("fat", 120, seed=4, rho=2.0, k=4.0)
 pointed = cf.pointed_cf_color_fat(scene, rho=2.0, k=4.0)
 t = grid_side(2.0, 4.0) ** 2
 print(f"pointed: palette {pointed.palette_size} <= {2 * t + 1} (grid side {grid_side(2.0, 4.0)})")
 
-closed, buckets = closed_cf_color_fat_report(scene, rho=2.0, k=4.0)
-print(f"closed: palette {closed.palette_size} across {len(buckets)} size buckets")
-print(bucket_report_csv(buckets))
+closed = cf.closed_cf_color_fat(scene, rho=2.0, k=4.0)
+buckets = {}
+for b, c in zip(closed.trace.vertices["bucket"], closed.colors):
+    buckets.setdefault(b, []).append(c)
+print(f"closed: palette {closed.palette_size} <= {closed.trace.palette_bound} across {len(buckets)} size buckets")
+print("bucket,count,color_lo,color_hi")
+for b, colors in sorted(buckets.items()):
+    print(f"{b},{len(colors)},{min(colors)},{max(colors)}")
 
 # discs are exactly the 1-fat objects, so they go through the same machinery
 discs = cf.generate_scene("discs", 80, seed=8, radius_range=(0.05, 0.05))

@@ -44,6 +44,7 @@ from .hypergraph import (
     Coloring,
     Graph,
     Hypergraph,
+    Trace,
     all_intervals_hypergraph,
     coloring_from_json,
     coloring_to_json,

@@ -1,20 +1,19 @@
-"""Benchmark harness recording palette sizes against their formula bounds.
+"""Benchmark harness recording palette sizes against the bounds their entry
+points certified, read from each coloring's trace.
 
 Every entry point certifies its own output; a certification failure aborts the
 run and serializes the failing scene for regression capture.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 from .errors import VerificationError
-from .fat import closed_cf_color_fat, grid_side, pointed_cf_color_fat
-from .framework import cf_palette_bound
+from .fat import closed_cf_color_fat, pointed_cf_color_fat
 from .geom import generate_scene, save_scene
 from .intervals import closed_cf_color_intervals
-from .probes import ProbeSystem, cf_color_vs_probes, pointed_cf_pseudodiscs_report
+from .probes import ProbeSystem, cf_color_vs_probes, pointed_cf_pseudodiscs
 from .rects import closed_cf_color_rects
 
 __all__ = ["BENCH_ALGS", "bench_colors", "rows_to_csv"]
@@ -30,58 +29,35 @@ class BenchRow:
     verified: bool
 
 
-# alg -> (argument generator (n, seed, probe count, rho, k), entry point,
-#         palette bound (n, rho, k, entry point result))
+# alg -> (argument generator (n, seed, probe count, rho, k), entry point)
 _ALGS = {
-    "pseudodisc": (
-        lambda n, s, m, rho, k: (generate_scene("discs", n, s),),
-        pointed_cf_pseudodiscs_report,
-        lambda n, rho, k, res: res[1].palette_bound,
-    ),
+    "pseudodisc": (lambda n, s, m, rho, k: (generate_scene("discs", n, s),), pointed_cf_pseudodiscs),
     "antennas": (
         lambda n, s, m, rho, k: (
             ProbeSystem(generate_scene("discs", n, s), generate_scene("discs", m, s + [1], radius_range=(0.01, 0.3))),
         ),
         cf_color_vs_probes,
-        lambda n, rho, k, res: cf_palette_bound(n, 6),
     ),
-    "intervals": (
-        lambda n, s, m, rho, k: (generate_scene("intervals", n, s),),
-        closed_cf_color_intervals,
-        lambda n, rho, k, res: 3,
-    ),
-    "rects": (
-        lambda n, s, m, rho, k: (generate_scene("rects", n, s),),
-        closed_cf_color_rects,
-        lambda n, rho, k, res: 3 * (math.floor(math.log2(n)) + 1) if n else 0,
-    ),
-    "fat-pointed": (
-        lambda n, s, m, rho, k: (generate_scene("fat", n, s, rho=rho, k=k), rho, k),
-        pointed_cf_color_fat,
-        lambda n, rho, k, res: 2 * grid_side(rho, k) ** 2 + 1,
-    ),
-    "fat-closed": (
-        lambda n, s, m, rho, k: (generate_scene("fat", n, s, rho=rho, k=k), rho, k),
-        closed_cf_color_fat,
-        lambda n, rho, k, res: (math.floor(math.log2(k)) + 1) * 2 * (2 * grid_side(rho, 2.0) ** 2 + 1),
-    ),
+    "intervals": (lambda n, s, m, rho, k: (generate_scene("intervals", n, s),), closed_cf_color_intervals),
+    "rects": (lambda n, s, m, rho, k: (generate_scene("rects", n, s),), closed_cf_color_rects),
+    "fat-pointed": (lambda n, s, m, rho, k: (generate_scene("fat", n, s, rho=rho, k=k), rho, k), pointed_cf_color_fat),
+    "fat-closed": (lambda n, s, m, rho, k: (generate_scene("fat", n, s, rho=rho, k=k), rho, k), closed_cf_color_fat),
 }
 BENCH_ALGS = tuple(_ALGS)
 
 
 def _run_one(alg: str, n: int, rep: int, seed: int, probes_count: int | None, rho: float, k: float) -> BenchRow:
-    make, color, bound = _ALGS[alg]
+    make, color = _ALGS[alg]
     args = make(n, [seed, n, rep], 10 * n if probes_count is None else probes_count, rho, k)
     t0 = time.perf_counter()
     try:
-        res = color(*args)
+        coloring = color(*args)
     except VerificationError as exc:
         path = f"cfgeom-failing-{alg}-n{n}-rep{rep}.json"
         save_scene(args[0].vertices if isinstance(args[0], ProbeSystem) else args[0], path)
         raise VerificationError(f"{exc}; failing scene written to {path}") from exc
     ms = (time.perf_counter() - t0) * 1000
-    coloring = res[0] if isinstance(res, tuple) else res
-    return BenchRow(n, rep, coloring.palette_size, bound(n, rho, k, res), ms, True)
+    return BenchRow(n, rep, coloring.palette_size, coloring.trace.palette_bound, ms, True)
 
 
 def bench_colors(

@@ -72,7 +72,7 @@ def _mode_for(scene: Scene, probes: Scene) -> str:
 def _cmd_color(args) -> int:
     scene = load_scene(args.infile)
     if args.alg == "intervals":
-        coloring, _ = closed_cf_color_intervals(scene)
+        coloring = closed_cf_color_intervals(scene)
     elif args.alg == "rects":
         coloring = closed_cf_color_rects(scene)
     elif args.alg == "pseudodisc":

@@ -11,18 +11,16 @@ every pointed neighborhood.  Disc scenes are accepted directly: a disc is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
+from .errors import InvalidInputError
 from .framework import _pointed_to_closed
 from .geom import ConvexFatObject, Disc, Scene
-from .hypergraph import Coloring, Graph, certify, intersection_graph
+from .hypergraph import Coloring, Graph, Trace, certify, intersection_graph
 
 __all__ = [
     "pointed_cf_color_fat",
     "closed_cf_color_fat",
-    "closed_cf_color_fat_report",
-    "BucketReport",
-    "bucket_report_csv",
     "grid_side",
 ]
 
@@ -32,22 +30,22 @@ _CERT_TOL = 1 + 1e-9
 def _certificates(objs: Scene, rho: float, k: float) -> list[tuple[float, float, float, float]]:
     """(ax, ay, r_inner, r_outer) per object, validated against rho and k."""
     if objs.kind not in ("fat", "discs"):
-        raise ValueError("fat coloring accepts convex fat objects or discs")
+        raise InvalidInputError("fat coloring accepts convex fat objects or discs")
     out = []
     for i, s in enumerate(objs.shapes):
         if isinstance(s, Disc):
             if s.radius <= 0:
-                raise ValueError(f"disc {i} has zero radius; fat objects need positive size")
+                raise InvalidInputError(f"disc {i} has zero radius; fat objects need positive size")
             out.append((s.center.x, s.center.y, s.radius, s.radius))
         else:
             assert isinstance(s, ConvexFatObject)
             out.append((s.anchor.x, s.anchor.y, s.r_inner, s.r_outer))
     for i, (_, _, ri, ro) in enumerate(out):
         if ro / ri > rho * _CERT_TOL:
-            raise ValueError(f"object {i} has fatness {ro / ri:.4f} above the declared {rho}")
+            raise InvalidInputError(f"object {i} has fatness {ro / ri:.4f} above the declared {rho}")
     sizes = [ri for _, _, ri, _ in out]
     if max(sizes) / min(sizes) > k * _CERT_TOL:
-        raise ValueError(f"family size-ratio {max(sizes) / min(sizes):.4f} exceeds the declared {k}")
+        raise InvalidInputError(f"family size-ratio {max(sizes) / min(sizes):.4f} exceeds the declared {k}")
     return out
 
 
@@ -81,14 +79,15 @@ def pointed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     Colors (i, level) are flattened to 2*(i-1) + (level-1).
     """
     if rho < 1 or k < 1:
-        raise ValueError("need rho >= 1 and k >= 1")
-    if len(objs) == 0:
-        return Coloring(())
-    certs = _certificates(objs, rho, k)
+        raise InvalidInputError("need rho >= 1 and k >= 1")
     side = grid_side(rho, k)
+    bound = 2 * side * side + 1
+    if len(objs) == 0:
+        return Coloring((), trace=Trace(bound))
+    certs = _certificates(objs, rho, k)
     g = intersection_graph(objs)
-    out = _pointed_fat(certs, side, g)
-    return certify(g, out, "pointed", bound=2 * side * side + 1, what="grid coloring")
+    out = replace(_pointed_fat(certs, side, g), trace=Trace(bound))
+    return certify(g, out, "pointed", bound=bound, what="grid coloring")
 
 
 def _pointed_fat(certs, side: int, g: Graph) -> Coloring:
@@ -125,37 +124,26 @@ def _pointed_fat(certs, side: int, g: Graph) -> Coloring:
     return Coloring(flat, pmap)
 
 
-@dataclass(frozen=True)
-class BucketReport:
-    bucket: int
-    size_lo: float
-    size_hi: float
-    color_lo: int
-    color_hi: int
-    count: int
-
-
 def closed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
-    coloring, _ = closed_cf_color_fat_report(objs, rho, k)
-    return coloring
-
-
-def closed_cf_color_fat_report(objs: Scene, rho: float, k: float) -> tuple[Coloring, list[BucketReport]]:
     """Closed CF coloring via dyadic size buckets with disjoint fresh palettes.
 
     Objects are split into size classes [2^b, 2^(b+1)); each class has
     size-ratio below 2, is pointed-CF colored with k' = 2, converted to a
     closed coloring by splitting classes in two, and the buckets concatenate
     with disjoint palettes.  The scene's contact graph is built once; each
-    bucket colors the subgraph it induces.
+    bucket colors the subgraph it induces.  The trace labels every object
+    with its `bucket` b.
     """
     if rho < 1 or k < 1:
-        raise ValueError("need rho >= 1 and k >= 1")
+        raise InvalidInputError("need rho >= 1 and k >= 1")
+    side = grid_side(rho, 2.0)
+    bound = (int(math.floor(math.log2(k))) + 1) * 2 * (2 * side**2 + 1)
     n = len(objs)
     if n == 0:
-        return Coloring(()), []
+        return Coloring((), trace=Trace(bound, {"bucket": []}))
     certs = _certificates(objs, rho, k)
     smin = min(ri for _, _, ri, _ in certs)
+    bucket_of: list[int] = []
     buckets: dict[int, list[int]] = {}
     for i, (_, _, ri, _) in enumerate(certs):
         s = ri / smin
@@ -164,42 +152,28 @@ def closed_cf_color_fat_report(objs: Scene, rho: float, k: float) -> tuple[Color
             b -= 1
         while 2.0 ** (b + 1) <= s:
             b += 1
+        bucket_of.append(b)
         buckets.setdefault(b, []).append(i)
 
     g = intersection_graph(objs)
-    side = grid_side(rho, 2.0)
     colors = [0] * n
     pmap: dict[int, tuple[int, int]] = {}
-    reports: list[BucketReport] = []
     color_base = 0
     for b in sorted(buckets):
         members = buckets[b]
         sub_graph = g.subgraph(members)
         dense = _densify(_pointed_fat([certs[i] for i in members], side, sub_graph))
         closed = _pointed_to_closed(sub_graph, dense)
-        used = set()
         for idx, v in enumerate(members):
             i_local, lvl = closed.palette_map[closed.colors[idx]]
             i_global = color_base + i_local
             flat = 2 * (i_global - 1) + (lvl - 1)
             colors[v] = flat
             pmap[flat] = (i_global, lvl)
-            used.add(flat)
-        reports.append(
-            BucketReport(
-                bucket=b,
-                size_lo=smin * 2.0**b,
-                size_hi=smin * 2.0 ** (b + 1),
-                color_lo=min(used),
-                color_hi=max(used),
-                count=len(members),
-            )
-        )
         color_base += dense.palette_size
 
-    out = Coloring(tuple(colors), pmap)
-    bound = (int(math.floor(math.log2(k))) + 1) * 2 * (2 * side**2 + 1)
-    return certify(g, out, "closed", bound=bound, what="bucketed coloring"), reports
+    out = Coloring(tuple(colors), pmap, Trace(bound, {"bucket": bucket_of}))
+    return certify(g, out, "closed", bound=bound, what="bucketed coloring")
 
 
 def _densify(c: Coloring) -> Coloring:
@@ -207,10 +181,3 @@ def _densify(c: Coloring) -> Coloring:
     ids = sorted(set(c.colors))
     remap = {old: i + 1 for i, old in enumerate(ids)}
     return Coloring(tuple(remap[x] for x in c.colors))
-
-
-def bucket_report_csv(reports: list[BucketReport]) -> str:
-    lines = ["bucket,size_lo,size_hi,color_lo,color_hi,count"]
-    for r in reports:
-        lines.append(f"{r.bucket},{r.size_lo!r},{r.size_hi!r},{r.color_lo},{r.color_hi},{r.count}")
-    return "\n".join(lines) + "\n"

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ColorerContractError, ListExhaustedError, VerificationError
-from .hypergraph import Coloring, Graph, Hypergraph, certify, induced, neighborhood_violations, verify_proper
+from .errors import ColorerContractError, InvalidInputError, ListExhaustedError, VerificationError
+from .hypergraph import Coloring, Graph, Hypergraph, Trace, certify, induced, neighborhood_violations, verify_proper
 
 __all__ = [
     "ProperColorer",
@@ -35,13 +35,19 @@ class ProperColorer:
     k: int
     name: str = ""
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise InvalidInputError(f"a proper colorer needs at least one color, got k={self.k}")
+
     def __call__(self, h: Hypergraph) -> Coloring:
         return self.fn(h)
 
 
 def cf_palette_bound(n: int, k: int) -> int:
-    """Ceiling of 1 + log_{1+1/(k-1)} n, the palette guarantee of the iteration."""
-    if n <= 1:
+    """Ceiling of 1 + log_{1+1/(k-1)} n, the palette guarantee of the iteration.
+
+    With k = 1 no edge has two members, so one round colors everything."""
+    if n <= 1 or k == 1:
         return min(n, 1) if n >= 0 else 0
     return math.ceil(1 + math.log(n) / math.log(1 + 1 / (k - 1)))
 
@@ -76,7 +82,7 @@ def proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
     class is assigned the round number as its final color, and removed.  The
     output is certified before it is returned.
     """
-    return certify(h, _proper_to_cf(h, pc), what="proper-to-CF iteration")
+    return certify(h, replace(_proper_to_cf(h, pc), trace=Trace()), what="proper-to-CF iteration")
 
 
 def _proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
@@ -126,7 +132,7 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
             final[holders[i]] = c
         for v in alive:
             remaining[v].discard(c)
-    return certify(h, Coloring(tuple(final)), lists=lists, what="list iteration")
+    return certify(h, Coloring(tuple(final), trace=Trace()), lists=lists, what="list iteration")
 
 
 def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
@@ -146,7 +152,8 @@ def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
     bad = neighborhood_violations(g, c, "pointed")
     if bad:
         raise VerificationError(f"input is not pointed-CF (violations on neighborhoods {bad[:5]})")
-    return certify(g, _pointed_to_closed(g, c), "closed", bound=2 * c.palette_size, what="conversion")
+    bound = 2 * c.palette_size
+    return certify(g, replace(_pointed_to_closed(g, c), trace=Trace(bound)), "closed", bound=bound, what="conversion")
 
 
 def _pointed_to_closed(g: Graph, c: Coloring) -> Coloring:

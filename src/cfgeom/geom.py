@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, GenerationError, IncompatibleShapesError
+from .errors import DegenerateGeometryError, GenerationError, IncompatibleShapesError, InvalidInputError
 
 __all__ = [
     "Point",
@@ -43,7 +43,7 @@ __all__ = [
 def _require_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValueError(f"coordinate {v!r} is not finite")
+            raise InvalidInputError(f"coordinate {v!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class Disc:
     def __post_init__(self):
         _require_finite(self.radius)
         if self.radius < 0:
-            raise ValueError("disc radius must be >= 0")
+            raise InvalidInputError("disc radius must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Interval:
     def __post_init__(self):
         _require_finite(self.lo, self.hi)
         if self.lo > self.hi:
-            raise ValueError("interval requires lo <= hi")
+            raise InvalidInputError("interval requires lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class AARect:
     def __post_init__(self):
         _require_finite(self.xmin, self.xmax, self.ymin, self.ymax)
         if self.xmin > self.xmax or self.ymin > self.ymax:
-            raise ValueError("rectangle requires xmin <= xmax and ymin <= ymax")
+            raise InvalidInputError("rectangle requires xmin <= xmax and ymin <= ymax")
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,12 @@ class ConvexFatObject:
 
     def __post_init__(self):
         if len(self.vertices) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
+            raise InvalidInputError("polygon needs at least 3 vertices")
         _require_finite(self.r_inner, self.r_outer)
         if not (self.r_inner > 0):
-            raise ValueError("r_inner must be > 0")
+            raise InvalidInputError("r_inner must be > 0")
         if self.r_outer < self.r_inner:
-            raise ValueError("r_outer must be >= r_inner")
+            raise InvalidInputError("r_outer must be >= r_inner")
         xy = self.xy()
         n = len(xy)
         scale = max(1.0, float(np.abs(xy).max()))
@@ -127,14 +127,14 @@ class ConvexFatObject:
             bx, by = xy[(i + 1) % n]
             cx, cy = xy[(i + 2) % n]
             if _orient(ax, ay, bx, by, cx, cy) <= -tol:
-                raise ValueError("polygon vertices must be convex in counter-clockwise order")
+                raise InvalidInputError("polygon vertices must be convex in counter-clockwise order")
         # certificate containment, with a small relative slack
         inner = _polygon_inradius_at(xy, self.anchor.x, self.anchor.y)
         outer = _polygon_outradius_at(xy, self.anchor.x, self.anchor.y)
         if inner < self.r_inner * (1 - 1e-9) - 1e-12:
-            raise ValueError("inner certificate disc is not contained in the polygon")
+            raise InvalidInputError("inner certificate disc is not contained in the polygon")
         if outer > self.r_outer * (1 + 1e-9) + 1e-12:
-            raise ValueError("polygon is not contained in the outer certificate disc")
+            raise InvalidInputError("polygon is not contained in the outer certificate disc")
 
     def xy(self) -> np.ndarray:
         cached = self.__dict__.get("_xy")
@@ -174,7 +174,7 @@ class Scene:
         if shapes:
             inferred = _infer_kind(shapes)
             if self.kind and self.kind != inferred:
-                raise ValueError(f"scene kind {self.kind!r} does not match shapes ({inferred})")
+                raise InvalidInputError(f"scene kind {self.kind!r} does not match shapes ({inferred})")
             kind = inferred
         object.__setattr__(self, "kind", kind)
 
@@ -578,7 +578,7 @@ def _shape_from_dict(d: dict) -> Shape:
             d["r_inner"],
             d["r_outer"],
         )
-    raise ValueError(f"unknown shape type {t!r}")
+    raise InvalidInputError(f"unknown shape type {t!r}")
 
 
 def scene_to_json(scene: Scene) -> str:
@@ -586,8 +586,13 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def scene_from_json(text: str) -> Scene:
-    data = json.loads(text)
-    return Scene(tuple(_shape_from_dict(d) for d in data["shapes"]), data.get("kind", ""))
+    try:
+        data = json.loads(text)
+        return Scene(tuple(_shape_from_dict(d) for d in data["shapes"]), data.get("kind", ""))
+    except InvalidInputError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidInputError(f"malformed scene JSON ({type(exc).__name__}: {exc})") from exc
 
 
 def save_scene(scene: Scene, path) -> None:

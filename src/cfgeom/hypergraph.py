@@ -6,20 +6,21 @@ entry point runs on its output before returning it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import VerificationError
+from .errors import InvalidInputError, VerificationError
 from .geom import Scene, contact_pairs
 
 __all__ = [
     "Graph",
     "Hypergraph",
     "Coloring",
+    "Trace",
     "intersection_graph",
     "neighborhood_hypergraph",
     "induced",
@@ -156,18 +157,37 @@ def _csr(key: np.ndarray, nrows: int, width: int) -> tuple[np.ndarray, np.ndarra
 
 
 @dataclass(frozen=True)
+class Trace:
+    """What a public coloring entry point did, carried by the Coloring it returns.
+
+    `palette_bound` is the bound `certify` checked, None where it checks none.
+    `vertices` holds named vertex lists (`chain`, `independent_set`, `rest`,
+    `pruned`) and per-vertex labels (`depth` and `node` for rectangles,
+    `bucket` for closed fat coloring).  `peels` maps each peel stage (`b` and
+    `rest` in the pipeline, `rounds` against probes, `peel`) to its PeelOrders.
+    """
+
+    palette_bound: int | None = None
+    vertices: dict[str, list[int]] = field(default_factory=dict)
+    peels: dict[str, list] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class Coloring:
     """Total map vertex index -> integer color id.
 
     `palette_map` is present when colors are structured pairs (i, level)
-    flattened to integers; it maps each flat id back to its pair.
+    flattened to integers; it maps each flat id back to its pair.  `trace`
+    is filled by the entry point that made the coloring; it takes no part in
+    equality, repr or JSON.
     """
 
     colors: tuple[int, ...]
     palette_map: dict[int, tuple[int, int]] | None = None
+    trace: Trace | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        object.__setattr__(self, "colors", tuple(map(int, self.colors)))
 
     @property
     def palette_size(self) -> int:
@@ -398,13 +418,16 @@ def coloring_to_json(c: Coloring) -> str:
 
 
 def coloring_from_json(text: str) -> Coloring:
-    data = json.loads(text)
-    pm = None
-    if "palette_map" in data:
-        pm = {int(k): (v[0], v[1]) for k, v in data["palette_map"].items()}
-    c = Coloring(tuple(data["colors"]), pm)
+    try:
+        data = json.loads(text)
+        pm = None
+        if "palette_map" in data:
+            pm = {int(k): (v[0], v[1]) for k, v in data["palette_map"].items()}
+        c = Coloring(tuple(data["colors"]), pm)
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidInputError(f"malformed coloring JSON ({type(exc).__name__}: {exc})") from exc
     if "palette_size" in data and data["palette_size"] != c.palette_size:
-        raise ValueError("palette_size field disagrees with the colors array")
+        raise InvalidInputError("palette_size field disagrees with the colors array")
     return c
 
 

@@ -14,19 +14,20 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geom import Scene
-from .hypergraph import Coloring, certify, intersection_graph
+from .hypergraph import Coloring, Trace, certify, intersection_graph
 
 __all__ = ["closed_cf_color_intervals"]
 
 
-def closed_cf_color_intervals(intervals: Scene) -> tuple[Coloring, list[int]]:
+def closed_cf_color_intervals(intervals: Scene) -> Coloring:
     """Closed CF coloring of an interval scene with at most 3 colors.
 
-    Returns the coloring and the selected chain (original indices in selection
-    order).  The chain starts at the leftmost interval with the farthest right
-    endpoint; each successor has the farthest right endpoint among intervals
-    reaching past the current one, either overlapping it or starting directly
-    across a hole of the union.  Ties go to the smaller index.
+    The trace's `chain` lists the selected chain (original indices in
+    selection order).  The chain starts at the leftmost interval with the
+    farthest right endpoint; each successor has the farthest right endpoint
+    among intervals reaching past the current one, either overlapping it or
+    starting directly across a hole of the union.  Ties go to the smaller
+    index.
     """
     if len(intervals) == 0:
         raise InvalidInputError("empty interval family")
@@ -34,8 +35,8 @@ def closed_cf_color_intervals(intervals: Scene) -> tuple[Coloring, list[int]]:
         raise InvalidInputError("scene must contain intervals only")
     ends = np.array([(s.lo, s.hi) for s in intervals.shapes], dtype=float)
     colors, chain = _interval_chain(ends)
-    out = certify(intersection_graph(intervals), Coloring(tuple(colors)), "closed", bound=3, what="interval coloring")
-    return out, chain
+    out = Coloring(tuple(colors), trace=Trace(3, {"chain": chain}))
+    return certify(intersection_graph(intervals), out, "closed", bound=3, what="interval coloring")
 
 
 def _interval_chain(ends: np.ndarray) -> tuple[list[int], list[int]]:

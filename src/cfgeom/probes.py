@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IncompatibleShapesError, PlanarityError
+from .errors import IncompatibleShapesError, InvalidInputError, PlanarityError
 from .framework import ProperColorer, _proper_to_cf, cf_palette_bound
 from .geom import (
     Scene,
@@ -35,6 +34,7 @@ from .hypergraph import (
     Coloring,
     Graph,
     Hypergraph,
+    Trace,
     _csr,
     certify,
     greedy_maximal_independent_set,
@@ -52,13 +52,9 @@ __all__ = [
     "prune_depth_one",
     "cf_color_vs_probes",
     "pointed_cf_pseudodiscs",
-    "pointed_cf_pseudodiscs_report",
-    "PipelineReport",
     "probe_system_to_json",
     "probe_system_from_json",
 ]
-
-logger = logging.getLogger(__name__)
 
 DISC_MODE = "disc"
 PSEUDODISC_MODE = "pseudodisc"
@@ -73,7 +69,7 @@ class ProbeSystem:
 
     def __post_init__(self):
         if self.mode not in (DISC_MODE, PSEUDODISC_MODE):
-            raise ValueError(f"mode must be {DISC_MODE!r} or {PSEUDODISC_MODE!r}")
+            raise InvalidInputError(f"mode must be {DISC_MODE!r} or {PSEUDODISC_MODE!r}")
 
     def validate(self) -> None:
         if self.mode == DISC_MODE:
@@ -85,7 +81,7 @@ class ProbeSystem:
             if len(combined) and combined.kind not in ("discs", "fat"):
                 raise IncompatibleShapesError("pseudo-disc mode requires a homogeneous disc or polygon family")
             if not validate_pseudodisc_family(combined):
-                raise ValueError("vertices and probes do not form a pseudo-disc family")
+                raise InvalidInputError("vertices and probes do not form a pseudo-disc family")
 
 
 @dataclass
@@ -233,12 +229,9 @@ class _ProbeEngine:
                 raise PlanarityError(
                     "no vertex of auxiliary degree <= 5; the input family violates the planarity guarantee"
                 )
-            nv, ne = len(active_set), total_edges
-            if nv >= 3 and ne > 3 * nv - 6:
-                logger.warning("auxiliary graph breaks the Euler bound: %d vertices, %d edges", nv, ne)
             order.order.append(v)
             order.degrees.append(len(adj[v]))
-            order.aux_sizes.append((nv, ne))
+            order.aux_sizes.append((len(active_set), total_edges))
             removal_neighbors.append(sorted(adj[v]))
             active_set.discard(v)
             for pid in self.hitters[v]:
@@ -266,22 +259,22 @@ class _ProbeEngine:
         return colors, order
 
 
-def peel_and_color(ps: ProbeSystem) -> tuple[Coloring, PeelOrder]:
+def peel_and_color(ps: ProbeSystem) -> Coloring:
     """Proper coloring of the probe hypergraph with at most 6 colors.
 
     Repeatedly removes an active vertex of auxiliary degree <= 5 (smallest
     index first), then colors in reverse order, giving each vertex the lowest
-    color unused among its auxiliary neighbors at its removal step.  For
-    pseudo-disc vertices that overlap each other, depth-one pruning must have
-    been applied beforehand (the pipelines do this).
+    color unused among its auxiliary neighbors at its removal step; the
+    trace's `peel` stage holds that one PeelOrder.  For pseudo-disc vertices
+    that overlap each other, depth-one pruning must have been applied
+    beforehand (the pipelines do this).
     """
     ps.validate()
     n = len(ps.vertices)
     h = _pairwise_hits(ps.vertices, ps.probes)
     cmap, order = _ProbeEngine(n, h.indptr, h.indices).peel(range(n))
-    coloring = Coloring(tuple(cmap[v] for v in range(n)))
-    certify(h, coloring, bound=PEEL_COLORS, proper=True, what="peel coloring")
-    return coloring, order
+    coloring = Coloring(tuple(cmap[v] for v in range(n)), trace=Trace(PEEL_COLORS, peels={"peel": [order]}))
+    return certify(h, coloring, bound=PEEL_COLORS, proper=True, what="peel coloring")
 
 
 def _peel_colorer(engine: _ProbeEngine) -> ProperColorer:
@@ -318,6 +311,11 @@ def prune_depth_one(shapes: Scene) -> tuple[list[int], list[int]]:
     check of the pipelines requires, apart from identical copies: of those
     only the last one scanned can survive.
     """
+    return _prune_depth_one(shapes, intersection_graph(shapes))
+
+
+def _prune_depth_one(shapes: Scene, contacts: Graph) -> tuple[list[int], list[int]]:
+    """prune_depth_one given the contact graph of `shapes`."""
     n = len(shapes)
     if n == 0:
         return [], []
@@ -327,7 +325,6 @@ def prune_depth_one(shapes: Scene) -> tuple[list[int], list[int]]:
         rows, escapes = _padded_vertices(shapes.shapes), _polygon_escapes
     else:
         raise IncompatibleShapesError("pruning supports a family of discs or a family of convex polygons")
-    contacts = Graph(n, np.column_stack(contact_pairs(shapes)))
     alive = np.ones(n, dtype=bool)
     flat = rows.reshape(n, -1)
     for i in range(n):
@@ -451,69 +448,56 @@ def _complement_circular(arcs: list[tuple[float, float]]) -> list[tuple[float, f
 
 
 def cf_color_vs_probes(ps: ProbeSystem) -> Coloring:
-    coloring, _ = cf_color_vs_probes_report(ps)
-    return coloring
-
-
-def cf_color_vs_probes_report(ps: ProbeSystem) -> tuple[Coloring, dict]:
-    """CF coloring of the probe hypergraph, with peel diagnostics.
+    """CF coloring of the probe hypergraph.
 
     Runs the largest-class iteration with the degeneracy peel as the
-    hereditary proper colorer.  In pseudo-disc mode with overlapping vertices
-    the family is first pruned to depth-one owners (which requires the probes
-    to be pairwise disjoint); pruned vertices receive one extra reserved color.
+    hereditary proper colorer; the trace's `rounds` stage holds one peel per
+    round.  In pseudo-disc mode with overlapping vertices the family is first
+    pruned to depth-one owners (which requires the probes to be pairwise
+    disjoint); the `pruned` vertices receive one extra reserved color.
     """
     ps.validate()
-    prune = ps.mode == PSEUDODISC_MODE and intersection_graph(ps.vertices).indices.size > 0
-    if prune and intersection_graph(ps.probes).indices.size > 0:
-        raise ValueError("pseudo-disc probes must be pairwise disjoint when the vertices overlap each other")
+    contacts = intersection_graph(ps.vertices) if ps.mode == PSEUDODISC_MODE else None
+    if contacts is not None and contacts.indices.size and intersection_graph(ps.probes).indices.size:
+        raise InvalidInputError("pseudo-disc probes must be pairwise disjoint when the vertices overlap each other")
     h = _pairwise_hits(ps.vertices, ps.probes)
-    out, report = _cf_vs_hits(ps.vertices, h, prune)
-    return certify(h, out, bound=report["palette_bound"], what="probe coloring"), report
+    out = _cf_vs_hits(ps.vertices, h, contacts)
+    return certify(h, out, bound=out.trace.palette_bound, what="probe coloring")
 
 
-def _cf_vs_hits(vertices: Scene, h: Hypergraph, prune: bool) -> tuple[Coloring, dict]:
-    """cf_color_vs_probes_report given the probe hypergraph `h` and whether to
-    prune first, without certification."""
+def _cf_vs_hits(vertices: Scene, h: Hypergraph, contacts: Graph | None) -> Coloring:
+    """cf_color_vs_probes given the probe hypergraph `h`, without certification.
+
+    `contacts` is the vertices' contact graph when they are pseudo-discs, to
+    prune when two of them meet, and None when they are discs.
+    """
     n = len(vertices)
-    kept, pruned = prune_depth_one(vertices) if prune else (list(range(n)), [])
+    prune = contacts is not None and contacts.indices.size > 0
+    kept, pruned = _prune_depth_one(vertices, contacts) if prune else (list(range(n)), [])
     engine = _ProbeEngine(n, h.indptr, h.indices)
     colors = np.zeros(n, dtype=np.int64)
     if kept:
         colors[kept] = _proper_to_cf(induced(h, kept) if pruned else h, _peel_colorer(engine)).colors
     colors[pruned] = colors.max(initial=0) + 1  # one reserved color for the pruned vertices
     bound = cf_palette_bound(n, PEEL_COLORS) + (1 if prune else 0)
-    return Coloring(tuple(colors.tolist())), {"pruned": pruned, "peel_orders": engine.peel_log, "palette_bound": bound}
-
-
-@dataclass
-class PipelineReport:
-    independent_set: list[int]
-    rest: list[int]
-    peel_orders_b: list[PeelOrder]
-    peel_orders_rest: list[PeelOrder]
-    pruned: list[int]
-    palette_bound: int
+    return Coloring(tuple(colors.tolist()), trace=Trace(bound, {"pruned": pruned}, {"rounds": engine.peel_log}))
 
 
 def pointed_cf_pseudodiscs(scene: Scene) -> Coloring:
-    coloring, _ = pointed_cf_pseudodiscs_report(scene)
-    return coloring
-
-
-def pointed_cf_pseudodiscs_report(scene: Scene) -> tuple[Coloring, PipelineReport]:
     """Pointed CF coloring of a pseudo-disc intersection graph.
 
     A greedy maximal independent set B is colored conflict-free against the
     rest as probes, the rest is colored conflict-free against B as probes (with
     pruning in pseudo-disc mode), and the two palettes are kept disjoint.  Each
     vertex with a neighbor then finds a uniquely colored one in the opposite
-    side's palette.  Both halves read their probe hits off one intersection
-    graph of the scene.
+    side's palette.  Both halves read their probe hits, and the pruning its
+    contacts, off one intersection graph of the scene.  The trace names the
+    `independent_set`, the `rest` and the `pruned` vertices, with the peels
+    of stages `b` and `rest`.
     """
     n = len(scene)
     if n == 0:
-        return Coloring(()), PipelineReport([], [], [], [], [], 0)
+        return Coloring((), trace=Trace(0, {"independent_set": [], "rest": [], "pruned": []}, {"b": [], "rest": []}))
     if scene.kind == "discs":
         mode = DISC_MODE
     elif scene.kind == "fat":
@@ -521,32 +505,28 @@ def pointed_cf_pseudodiscs_report(scene: Scene) -> tuple[Coloring, PipelineRepor
     else:
         raise IncompatibleShapesError("the pipeline accepts disc or convex-polygon scenes")
     if not validate_pseudodisc_family(scene):
-        raise ValueError("scene is not a pseudo-disc family")
+        raise InvalidInputError("scene is not a pseudo-disc family")
     g = intersection_graph(scene)
     b = greedy_maximal_independent_set(g)
     in_b = np.zeros(n, dtype=bool)
     in_b[b] = True
     rest = np.flatnonzero(~in_b).tolist()
-    col_b, rep_b = _cf_vs_hits(scene.subscene(b), _graph_probe_hypergraph(g, b, rest), False)
+    col_b = _cf_vs_hits(scene.subscene(b), _graph_probe_hypergraph(g, b, rest), None)
     offset = max(col_b.colors)
     colors = np.zeros(n, dtype=np.int64)
     colors[b] = col_b.colors
     # B is independent, so the probes of this half are pairwise disjoint
-    u, v = g.arcs()
-    prune = mode == PSEUDODISC_MODE and bool((~in_b[u] & ~in_b[v]).any())
-    col_rest, rep_rest = _cf_vs_hits(scene.subscene(rest), _graph_probe_hypergraph(g, rest, b), prune)
+    contacts = g.subgraph(rest) if mode == PSEUDODISC_MODE else None
+    col_rest = _cf_vs_hits(scene.subscene(rest), _graph_probe_hypergraph(g, rest, b), contacts)
     colors[rest] = offset + np.asarray(col_rest.colors, dtype=np.int64)
     bound = cf_palette_bound(len(b), PEEL_COLORS) + cf_palette_bound(len(rest), PEEL_COLORS) + 1
-    out = certify(g, Coloring(tuple(colors.tolist())), "pointed", bound=bound, what="pipeline output")
-    report = PipelineReport(
-        independent_set=list(b),
-        rest=rest,
-        peel_orders_b=rep_b["peel_orders"],
-        peel_orders_rest=rep_rest["peel_orders"],
-        pruned=[rest[i] for i in rep_rest["pruned"]],
-        palette_bound=bound,
+    pruned = [rest[i] for i in col_rest.trace.vertices["pruned"]]
+    trace = Trace(
+        bound,
+        {"independent_set": b, "rest": rest, "pruned": pruned},
+        {"b": col_b.trace.peels["rounds"], "rest": col_rest.trace.peels["rounds"]},
     )
-    return out, report
+    return certify(g, Coloring(tuple(colors.tolist()), trace=trace), "pointed", bound=bound, what="pipeline output")
 
 
 # ---------------------------------------------------------------------------

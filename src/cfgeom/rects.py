@@ -15,20 +15,16 @@ import numpy as np
 
 from .errors import InvalidInputError, VerificationError
 from .geom import Scene
-from .hypergraph import Coloring, certify, intersection_graph
+from .hypergraph import Coloring, Trace, certify, intersection_graph
 from .intervals import _interval_chain
 
 __all__ = ["closed_cf_color_rects"]
 
 
 def closed_cf_color_rects(rects: Scene) -> Coloring:
-    """Closed CF coloring with at most 3*(floor(log2 n) + 1) colors."""
-    coloring, _trace = color_rects_traced(rects)
-    return coloring
+    """Closed CF coloring with at most 3*(floor(log2 n) + 1) colors.
 
-
-def color_rects_traced(rects: Scene) -> tuple[Coloring, list[tuple[int, int]]]:
-    """As closed_cf_color_rects, also returning (depth, node id) per rectangle;
+    The trace labels each rectangle with its recursion `depth` and `node`;
     node ids number the recursion nodes in preorder, left before right."""
     n = len(rects)
     if n == 0:
@@ -60,6 +56,5 @@ def color_rects_traced(rects: Scene) -> tuple[Coloring, list[tuple[int, int]]]:
     if depths.max() > math.floor(math.log2(n)):
         raise VerificationError("recursion went deeper than floor(log2 n) + 1 levels")
     bound = 3 * (math.floor(math.log2(n)) + 1)
-    out = Coloring(tuple(colors.tolist()))
-    out = certify(intersection_graph(rects), out, "closed", bound=bound, what="rectangle coloring")
-    return out, list(zip(depths.tolist(), nodes.tolist()))
+    out = Coloring(tuple(colors.tolist()), trace=Trace(bound, {"depth": depths.tolist(), "node": nodes.tolist()}))
+    return certify(intersection_graph(rects), out, "closed", bound=bound, what="rectangle coloring")

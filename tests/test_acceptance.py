@@ -32,8 +32,8 @@ from cfgeom.framework import ProperColorer
 from cfgeom.hypergraph import Hypergraph
 from cfgeom.probes import (
     DISC_MODE,
-    cf_color_vs_probes_report,
-    pointed_cf_pseudodiscs_report,
+    cf_color_vs_probes,
+    pointed_cf_pseudodiscs,
     probe_hypergraph,
 )
 
@@ -52,7 +52,7 @@ def test_criterion_1_intervals_three_colors():
         n = (i * 37) % 200 + 1
         scene = generate_scene("intervals", n, [1, i], margin=0)
         try:
-            coloring, chain = closed_cf_color_intervals(scene)
+            coloring = closed_cf_color_intervals(scene)
         except Exception as exc:  # invariant or verification failure
             failures.append((i, repr(exc)))
             continue
@@ -94,15 +94,16 @@ def test_criterion_2_rectangles_log_palette():
 
 
 def _check_pipeline_instance(scene, failures, tag):
-    coloring, rep = pointed_cf_pseudodiscs_report(scene)
+    coloring = pointed_cf_pseudodiscs(scene)
+    rep = coloring.trace
     h = neighborhood_hypergraph(intersection_graph(scene), "pointed")
     if verify_cf(h, coloring):
         failures.append((tag, "not pointed-CF"))
-    b, rest = len(rep.independent_set), len(rep.rest)
+    b, rest = len(rep.vertices["independent_set"]), len(rep.vertices["rest"])
     bound = cf_palette_bound(b, 6) + cf_palette_bound(rest, 6) + 1
     if coloring.palette_size > bound:
         failures.append((tag, "palette", coloring.palette_size, bound))
-    for order in rep.peel_orders_b + rep.peel_orders_rest:
+    for order in rep.peels["b"] + rep.peels["rest"]:
         if any(d > 5 for d in order.degrees):
             failures.append((tag, "degree"))
         if order.euler_violations():
@@ -123,7 +124,7 @@ def test_criterion_3_pseudodisc_pipeline():
         n = 40 + (i * 7) % 121
         scene = generate_scene("fat", n, [4, i], rho=1.5, k=3.0, homothets_of=pent, base_size=0.05)
         rep = _check_pipeline_instance(scene, failures, ("pentagon", i))
-        pruned_total += len(rep.pruned)
+        pruned_total += len(rep.vertices["pruned"])
     if pruned_total == 0:
         failures.append(("pentagon", "pruning never engaged"))
     elapsed = time.perf_counter() - t0
@@ -146,7 +147,7 @@ def test_criterion_4_probe_discs_plateau():
         probes = Scene(master.shapes[:m], "discs")
         ps = ProbeSystem(vertices, probes, DISC_MODE)
         t0 = time.perf_counter()
-        coloring, _ = cf_color_vs_probes_report(ps)
+        coloring = cf_color_vs_probes(ps)
         elapsed = time.perf_counter() - t0
         if m == 100_000:
             t_large = elapsed
@@ -222,7 +223,7 @@ def test_criterion_7_pointed_to_closed():
         n = 2 + (i * 7) % 119
         scene = generate_scene("discs", n, [7, i])
         g = intersection_graph(scene)
-        pointed, _ = pointed_cf_pseudodiscs_report(scene)
+        pointed = pointed_cf_pseudodiscs(scene)
         try:
             closed = pointed_to_closed(g, pointed)
         except Exception as exc:
@@ -238,7 +239,7 @@ def test_criterion_7_pointed_to_closed():
         n = 20 + (i * 3) % 61
         scene = generate_scene("fat", n, [8, i], rho=1.5, k=3.0, homothets_of=pent, base_size=0.06)
         g = intersection_graph(scene)
-        pointed, _ = pointed_cf_pseudodiscs_report(scene)
+        pointed = pointed_cf_pseudodiscs(scene)
         try:
             closed = pointed_to_closed(g, pointed)
         except Exception as exc:

@@ -75,8 +75,13 @@ def test_public_entry_point_certifies_once(monkeypatch, name):
     graphs = _spy(monkeypatch, cfgeom.hypergraph, "intersection_graph")
     hits = _spy(monkeypatch, cfgeom.probes, "_pairwise_hits")
     validations = _spy(monkeypatch, cfgeom.geom, "validate_pseudodisc_family")
-    entry(*args)
+    contacts = _spy(monkeypatch, cfgeom.geom, "contact_pairs")
+    out = entry(*args)
     assert len(certified) == 1
+    # every entry point returns a bare Coloring carrying its trace
+    assert isinstance(out, cf.Coloring) and isinstance(out.trace, cf.Trace)
+    if out.trace.palette_bound is not None:
+        assert out.palette_size <= out.trace.palette_bound
     if name in ("rects", "fat-closed", "pipeline-discs", "pipeline-pentagons"):
         assert len(graphs) == 1
     if name == "probes":
@@ -85,12 +90,14 @@ def test_public_entry_point_certifies_once(monkeypatch, name):
         assert hits == []
     if name == "pipeline-pentagons":
         assert len(validations) == 1
+        # the pruning half reads its contacts off the scene's graph
+        assert len(contacts) == 1
 
 
 def test_pentagon_pipeline_prunes():
     # the one-validation count above covers the pruning half
-    _, report = cf.probes.pointed_cf_pseudodiscs_report(cf.generate_scene("fat", 40, [4, 0], **PENTAGONS))
-    assert report.pruned
+    out = cf.pointed_cf_pseudodiscs(cf.generate_scene("fat", 40, [4, 0], **PENTAGONS))
+    assert out.trace.vertices["pruned"]
 
 
 @pytest.mark.parametrize("name", ["probes", "list", "proper-to-cf", "peel", "pipeline-discs", "pipeline-pentagons"])

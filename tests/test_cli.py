@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cfgeom.cli import main
 
 
@@ -82,6 +84,31 @@ def test_intervals_and_rects_reject_wrong_kind_and_empty_family(tmp_path, capsys
         assert run(["color", "--alg", alg, "--in", scene, "--out", tmp_path / "col.json"]) == 2
         assert capsys.readouterr().err.strip().splitlines() == [line]
     assert not (tmp_path / "col.json").exists()
+
+
+DISC = {"type": "disc", "cx": 0.0, "cy": 0.0, "r": 1.0}
+CLOCKWISE = {"type": "fat", "vertices": [[0, 0], [0, 2], [2, 2], [2, 0]], "anchor": [1, 1], "r_inner": 0.5, "r_outer": 2}
+PIPELINE = ["--alg", "pseudodisc"]
+MALFORMED = {
+    "negative radius": (json.dumps({"shapes": [dict(DISC, r=-1.0)]}), PIPELINE),
+    "NaN as a string": (json.dumps({"shapes": [dict(DISC, cx="NaN")]}), PIPELINE),
+    "missing field": (json.dumps({"shapes": [{"type": "disc", "cx": 0.0}]}), PIPELINE),
+    "truncated JSON": (json.dumps({"shapes": [DISC, DISC]})[:30], PIPELINE),
+    "unknown shape type": (json.dumps({"shapes": [{"type": "triangle"}]}), PIPELINE),
+    "clockwise polygon": (json.dumps({"shapes": [CLOCKWISE]}), PIPELINE),
+    "fatness below 1": (json.dumps({"shapes": [DISC]}), ["--alg", "fat-closed", "--rho", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_scene_is_one_error_line(tmp_path, capsys, name):
+    text, argv = MALFORMED[name]
+    scene = tmp_path / "scene.json"
+    scene.write_text(text)
+    assert run(["color", *argv, "--in", scene, "--out", tmp_path / "c.json"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_fat_cli(tmp_path):

@@ -12,7 +12,7 @@ from cfgeom import (
     pointed_cf_color_fat,
     verify_cf,
 )
-from cfgeom.fat import bucket_report_csv, closed_cf_color_fat_report, grid_side
+from cfgeom.fat import grid_side
 from cfgeom.geom import Disc, Point
 
 
@@ -83,16 +83,16 @@ def test_certificate_mismatch_errors():
 
 def test_closed_single_bucket_k1():
     scene = generate_scene("fat", 40, 7, rho=2.0, k=1.0)
-    col, reports = closed_cf_color_fat_report(scene, 2.0, 1.0)
-    assert len(reports) == 1
+    col = closed_cf_color_fat(scene, 2.0, 1.0)
+    assert set(col.trace.vertices["bucket"]) == {0}
     h = neighborhood_hypergraph(intersection_graph(scene), "closed")
     assert verify_cf(h, col) == []
 
 
 def test_closed_two_singleton_buckets():
     scene = Scene((Disc(Point(0, 0), 1.0), Disc(Point(10, 0), 8.0)))
-    col, reports = closed_cf_color_fat_report(scene, 1.0, 8.0)
-    assert [r.bucket for r in reports] == [0, 3]
+    col = closed_cf_color_fat(scene, 1.0, 8.0)
+    assert col.trace.vertices["bucket"] == [0, 3]
     assert col.palette_size == 2
     h = neighborhood_hypergraph(intersection_graph(scene), "closed")
     assert verify_cf(h, col) == []
@@ -100,18 +100,19 @@ def test_closed_two_singleton_buckets():
 
 def test_closed_random_k16():
     scene = generate_scene("fat", 120, 9, rho=1.5, k=16.0)
-    col, reports = closed_cf_color_fat_report(scene, 1.5, 16.0)
+    col = closed_cf_color_fat(scene, 1.5, 16.0)
     bound = (math.floor(math.log2(16)) + 1) * 2 * (2 * grid_side(1.5, 2.0) ** 2 + 1)
-    assert col.palette_size <= bound
+    assert col.palette_size <= bound == col.trace.palette_bound
     h = neighborhood_hypergraph(intersection_graph(scene), "closed")
     assert verify_cf(h, col) == []
-    # bucket palettes are pairwise disjoint
-    spans = [(r.color_lo, r.color_hi) for r in reports]
+    # bucket palettes are pairwise disjoint, in bucket order
+    palettes = {}
+    for b, c in zip(col.trace.vertices["bucket"], col.colors):
+        palettes.setdefault(b, set()).add(c)
+    spans = [(min(palettes[b]), max(palettes[b])) for b in sorted(palettes)]
+    assert len(spans) > 1
     for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
         assert a1 < b0
-    csv = bucket_report_csv(reports)
-    assert csv.splitlines()[0] == "bucket,size_lo,size_hi,color_lo,color_hi,count"
-    assert len(csv.splitlines()) == len(reports) + 1
 
 
 def test_empty_scene():

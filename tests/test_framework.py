@@ -20,7 +20,7 @@ from cfgeom import (
     proper_to_cf_list,
     verify_cf,
 )
-from cfgeom.errors import ColorerContractError, ListExhaustedError, VerificationError
+from cfgeom.errors import ColorerContractError, InvalidInputError, ListExhaustedError, VerificationError
 
 
 def alternating_colorer(k: int = 2) -> ProperColorer:
@@ -58,6 +58,7 @@ def test_bound_formula():
     assert cf_palette_bound(1, 6) == 1
     assert cf_palette_bound(2, 2) == 2
     assert cf_palette_bound(0, 6) == 0
+    assert cf_palette_bound(100, 1) == 1
 
 
 def test_max_final_color_unique_in_every_edge():
@@ -109,6 +110,18 @@ def test_list_single_vertex():
     h = Hypergraph(1, ((0,),))
     out = proper_to_cf_list(h, [[7]], alternating_colorer())
     assert out.colors == (7,)
+
+
+def test_list_with_one_colorer_on_edgeless_hypergraph():
+    # a proper 1-coloring leaves no edge of two vertices, so one round per list color suffices
+    h = Hypergraph(5, ((0,), (3,), ()))
+    one = ProperColorer(lambda sub: Coloring((1,) * sub.n), 1, "one")
+    lists = [[1], [1], [2], [1, 2], [3]]
+    out = proper_to_cf_list(h, lists, one)
+    assert out.colors == (1, 1, 2, 1, 3)
+    assert verify_cf(h, out) == []
+    with pytest.raises(InvalidInputError):
+        ProperColorer(one.fn, 0)
 
 
 def test_list_four_points_spec_lists():

@@ -12,13 +12,13 @@ from cfgeom import (
     InvalidInputError,
     Scene,
     closed_cf_color_intervals,
+    closed_cf_color_rects,
     generate_scene,
     intersection_graph,
     neighborhood_hypergraph,
     verify_cf,
 )
 from cfgeom.intervals import _interval_chain
-from cfgeom.rects import color_rects_traced
 
 
 def scene_of(*pairs):
@@ -58,13 +58,15 @@ def check_chain_invariants(ivs, chain, colors):
 
 
 def test_single_interval():
-    col, chain = closed_cf_color_intervals(scene_of((0, 10)))
+    col = closed_cf_color_intervals(scene_of((0, 10)))
+    chain = col.trace.vertices["chain"]
     assert col.colors == (1,)
     assert chain == [0]
 
 
 def test_three_interval_trace():
-    col, chain = closed_cf_color_intervals(scene_of((0, 2), (1, 4), (3, 6)))
+    col = closed_cf_color_intervals(scene_of((0, 2), (1, 4), (3, 6)))
+    chain = col.trace.vertices["chain"]
     assert chain == [0, 1, 2]
     assert col.colors == (1, 2, 1)
 
@@ -84,13 +86,15 @@ def test_invalid_families_raise_invalid_input():
 
 
 def test_disconnected_union_bridged():
-    col, chain = closed_cf_color_intervals(scene_of((0, 1), (5, 6), (5.5, 7)))
+    col = closed_cf_color_intervals(scene_of((0, 1), (5, 6), (5.5, 7)))
+    chain = col.trace.vertices["chain"]
     assert chain == [0, 1, 2]
     assert col.palette_size <= 3
 
 
 def test_nested_intervals():
-    col, chain = closed_cf_color_intervals(scene_of((0, 10), (1, 2), (3, 4), (6, 9)))
+    col = closed_cf_color_intervals(scene_of((0, 10), (1, 2), (3, 4), (6, 9)))
+    chain = col.trace.vertices["chain"]
     assert chain == [0]
     assert col.colors == (1, 3, 3, 3)
     h = neighborhood_hypergraph(intersection_graph(scene_of((0, 10), (1, 2), (3, 4), (6, 9))), "closed")
@@ -100,7 +104,8 @@ def test_nested_intervals():
 def test_two_hundred_random_families():
     for seed in range(12):
         scene = generate_scene("intervals", 200, seed)
-        col, chain = closed_cf_color_intervals(scene)
+        col = closed_cf_color_intervals(scene)
+        chain = col.trace.vertices["chain"]
         assert col.palette_size <= 3
         # re-verify independently of the constructor's own check
         h = neighborhood_hypergraph(intersection_graph(scene), "closed")
@@ -115,7 +120,8 @@ def test_random_families_closed_cf(data):
     los = data.draw(st.lists(st.floats(0, 100, allow_nan=False), min_size=n, max_size=n))
     lens = data.draw(st.lists(st.floats(0, 30, allow_nan=False), min_size=n, max_size=n))
     scene = Scene(tuple(Interval(lo, lo + ln) for lo, ln in zip(los, lens)))
-    col, chain = closed_cf_color_intervals(scene)
+    col = closed_cf_color_intervals(scene)
+    chain = col.trace.vertices["chain"]
     assert col.palette_size <= 3
     assert set(chain) <= set(range(n))
     check_chain_invariants(scene.shapes, chain, col.colors)
@@ -131,7 +137,8 @@ def test_rect_node_chains_keep_invariants(data):
     size = st.floats(0, 40, allow_nan=False)
     boxes = data.draw(st.lists(st.tuples(coord, size, coord, size), min_size=n, max_size=n))
     scene = Scene(tuple(AARect(x, x + w, y, y + h) for x, w, y, h in boxes))
-    col, trace = color_rects_traced(scene)
+    col = closed_cf_color_rects(scene)
+    trace = list(zip(col.trace.vertices["depth"], col.trace.vertices["node"]))
     nodes = {}
     for i, (depth, node) in enumerate(trace):
         nodes.setdefault((depth, node), []).append(i)
@@ -163,7 +170,8 @@ def half_grid_families(draw):
 @example([Interval(-1.5, 2)])
 @settings(max_examples=400, deadline=None)
 def test_chain_matches_reference_scan(ivs):
-    col, chain = closed_cf_color_intervals(Scene(tuple(ivs)))
+    col = closed_cf_color_intervals(Scene(tuple(ivs)))
+    chain = col.trace.vertices["chain"]
     assert (list(col.colors), chain) == reference_chain(ivs)
 
 
@@ -188,7 +196,8 @@ def test_long_sparse_chain_is_fast():
     # 2366 links over 5000 sparse intervals, where a rescan of the family per link is cubic
     scene = generate_scene("intervals", 5000, 7, span=500, margin=0)
     t0 = time.perf_counter()
-    col, chain = closed_cf_color_intervals(scene)
+    col = closed_cf_color_intervals(scene)
+    chain = col.trace.vertices["chain"]
     elapsed = time.perf_counter() - t0
     assert len(chain) == 2366 and col.palette_size == 3
     assert elapsed < 5.0, elapsed

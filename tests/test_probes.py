@@ -45,7 +45,6 @@ from cfgeom.probes import (
     _complement_circular,
     _graph_probe_hypergraph,
     _ProbeEngine,
-    pointed_cf_pseudodiscs_report,
 )
 
 
@@ -91,7 +90,8 @@ def test_auxiliary_triangle():
     ps = ProbeSystem(vertices, probes)
     g = auxiliary_graph(ps, [0, 1, 2])
     assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
-    col, order = peel_and_color(ps)
+    col = peel_and_color(ps)
+    order = col.trace.peels["peel"][0]
     assert col.palette_size == 3
     assert verify_proper(probe_hypergraph(ps), col) == []
     assert all(d <= 5 for d in order.degrees)
@@ -99,7 +99,8 @@ def test_auxiliary_triangle():
 
 def test_peel_single_vertex():
     ps = ProbeSystem(discs((0, 0, 1)), discs((0.5, 0, 1)))
-    col, order = peel_and_color(ps)
+    col = peel_and_color(ps)
+    order = col.trace.peels["peel"][0]
     assert col.colors == (1,)
     assert order.order == [0]
 
@@ -108,7 +109,8 @@ def test_peel_200_random():
     vertices = generate_scene("discs", 200, 21)
     probes = generate_scene("discs", 200, 22, radius_range=(0.02, 0.25))
     ps = ProbeSystem(vertices, probes)
-    col, order = peel_and_color(ps)
+    col = peel_and_color(ps)
+    order = col.trace.peels["peel"][0]
     assert col.palette_size <= 6
     assert verify_proper(probe_hypergraph(ps), col) == []
     assert all(d <= 5 for d in order.degrees)
@@ -123,7 +125,8 @@ def test_peel_hereditary_on_random_subsets():
     for _ in range(5):
         keep = sorted(rng.choice(60, size=25, replace=False).tolist())
         sub = ProbeSystem(vertices.subscene(keep), probes)
-        col, order = peel_and_color(sub)
+        col = peel_and_color(sub)
+        order = col.trace.peels["peel"][0]
         assert col.palette_size <= 6
         assert all(d <= 5 for d in order.degrees)
 
@@ -206,8 +209,9 @@ def test_pipeline_disjoint_scene_one_color():
 
 def test_pipeline_k2():
     scene = discs((0, 0, 1), (1, 0, 1))
-    out, report = pointed_cf_pseudodiscs_report(scene)
-    assert report.independent_set == [0]
+    out = pointed_cf_pseudodiscs(scene)
+    report = out.trace
+    assert report.vertices["independent_set"] == [0]
     assert out.colors[0] != out.colors[1]
     h = neighborhood_hypergraph(intersection_graph(scene), "pointed")
     assert verify_cf(h, out) == []
@@ -215,19 +219,21 @@ def test_pipeline_k2():
 
 def test_pipeline_dense_discs():
     scene = generate_scene("discs", 120, 8, radius_range=(0.08, 0.3))
-    out, report = pointed_cf_pseudodiscs_report(scene)
+    out = pointed_cf_pseudodiscs(scene)
+    report = out.trace
     h = neighborhood_hypergraph(intersection_graph(scene), "pointed")
     assert verify_cf(h, out) == []
     assert out.palette_size <= report.palette_bound
-    for order in report.peel_orders_b + report.peel_orders_rest:
+    for order in report.peels["b"] + report.peels["rest"]:
         assert all(d <= 5 for d in order.degrees)
         assert order.euler_violations() == []
 
 
 def test_pipeline_two_palettes_structure():
     scene = generate_scene("discs", 80, 13, radius_range=(0.08, 0.3))
-    out, report = pointed_cf_pseudodiscs_report(scene)
-    b = set(report.independent_set)
+    out = pointed_cf_pseudodiscs(scene)
+    report = out.trace
+    b = set(report.vertices["independent_set"])
     b_colors = {out.colors[v] for v in b}
     rest_colors = {out.colors[v] for v in range(len(scene)) if v not in b}
     assert not (b_colors & rest_colors)
@@ -246,7 +252,8 @@ def test_pipeline_two_palettes_structure():
 def test_pipeline_pentagons_with_pruning():
     pent = pentagon_template()
     scene = generate_scene("fat", 60, 17, rho=1.5, k=3.0, homothets_of=pent, base_size=0.06)
-    out, report = pointed_cf_pseudodiscs_report(scene)
+    out = pointed_cf_pseudodiscs(scene)
+    report = out.trace
     h = neighborhood_hypergraph(intersection_graph(scene), "pointed")
     assert verify_cf(h, out) == []
     assert out.palette_size <= report.palette_bound
@@ -587,10 +594,11 @@ def test_boundary_and_sample_points_match_reference(family):
 def test_pipeline_pruning_coverage_audit(i):
     # pentagon families of acceptance criterion 3, whose sampled pruning removed shapes with uncovered samples
     scene = _pentagons(40 + (i * 7) % 121, [4, i], 0.05)
-    out, report = pointed_cf_pseudodiscs_report(scene)
-    assert report.pruned and out.palette_size <= report.palette_bound
-    kept = sorted(set(report.rest) - set(report.pruned))
-    assert _uncovered_removed(scene, kept, report.pruned) == []
+    out = pointed_cf_pseudodiscs(scene)
+    report = out.trace
+    assert report.vertices["pruned"] and out.palette_size <= report.palette_bound
+    kept = sorted(set(report.vertices["rest"]) - set(report.vertices["pruned"]))
+    assert _uncovered_removed(scene, kept, report.vertices["pruned"]) == []
 
 
 def test_complement_circular_takes_arcs_with_negative_starts():
@@ -651,16 +659,17 @@ def test_auxiliary_graph_planar_at_every_peel_step_on_discs():
     vertices = generate_scene("discs", 80, [205, 0], radius_range=(0.05, 0.3))
     probes = generate_scene("discs", 400, [205, 1], radius_range=(0.01, 0.3), margin=0)
     ps = ProbeSystem(vertices, probes)
-    _, order = peel_and_color(ps)
+    order = peel_and_color(ps).trace.peels["peel"][0]
     _assert_planar_along(ps, order, nx)
 
 
 def test_auxiliary_graph_planar_at_every_peel_step_on_pruned_pentagons():
     nx = pytest.importorskip("networkx")
     scene = _pentagons(61, [4, 3], 0.05)
-    _, report = pointed_cf_pseudodiscs_report(scene)
-    assert report.pruned
+    report = pointed_cf_pseudodiscs(scene).trace
+    half = report.vertices
+    assert half["pruned"]
     # the pruned half: the rest of the scene as vertices, the independent set as probes
-    ps = ProbeSystem(scene.subscene(report.rest), scene.subscene(report.independent_set), PSEUDODISC_MODE)
-    for order in report.peel_orders_rest:
+    ps = ProbeSystem(scene.subscene(half["rest"]), scene.subscene(half["independent_set"]), PSEUDODISC_MODE)
+    for order in report.peels["rest"]:
         _assert_planar_along(ps, order, nx)

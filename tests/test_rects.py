@@ -17,7 +17,6 @@ from cfgeom import (
     neighborhood_hypergraph,
     verify_cf,
 )
-from cfgeom.rects import color_rects_traced
 
 
 def test_single_rect():
@@ -49,7 +48,8 @@ def test_256_random_rects_palette_bound():
 def test_depth_bound_and_same_depth_separation():
     for seed, n in ((0, 64), (1, 100), (2, 200)):
         scene = generate_scene("rects", n, seed)
-        col, trace = color_rects_traced(scene)
+        col = closed_cf_color_rects(scene)
+        trace = list(zip(col.trace.vertices["depth"], col.trace.vertices["node"]))
         depths = [d for d, _ in trace]
         assert max(depths) <= math.floor(math.log2(n))
         # rectangles stabbed by one node's line meet exactly when their
@@ -93,7 +93,8 @@ side = st.integers(0, 6).map(lambda k: k / 2)
 def test_recursion_matches_reference_on_half_grids(boxes):
     # tied centers, lines through rectangle edges, and zero-width rectangles
     scene = Scene(tuple(AARect(x, x + w, y, y + h) for x, w, y, h in boxes))
-    col, trace = color_rects_traced(scene)
+    col = closed_cf_color_rects(scene)
+    trace = list(zip(col.trace.vertices["depth"], col.trace.vertices["node"]))
     assert (list(col.colors), trace) == reference_rects(scene)
 
 
@@ -107,5 +108,6 @@ def test_recursion_matches_reference_on_generated_families():
         for i in range(15)
     ]
     for scene in families:
-        col, trace = color_rects_traced(scene)
+        col = closed_cf_color_rects(scene)
+        trace = list(zip(col.trace.vertices["depth"], col.trace.vertices["node"]))
         assert (list(col.colors), trace) == reference_rects(scene)

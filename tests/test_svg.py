@@ -10,7 +10,7 @@ def test_empty_scene_valid_svg():
 
 def test_three_interval_bars_two_fills():
     scene = Scene((Interval(0, 2), Interval(1, 4), Interval(3, 6)))
-    coloring, _ = closed_cf_color_intervals(scene)
+    coloring = closed_cf_color_intervals(scene)
     doc = render_svg(scene, coloring)
     bars = [line for line in doc.splitlines() if line.startswith("<rect") and "fill-opacity" in line]
     assert len(bars) == 3
