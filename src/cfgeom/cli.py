@@ -7,11 +7,9 @@ import json
 import sys
 
 from .bench import BENCH_ALGS, bench_colors, rows_to_csv
-from .errors import CFGeomError, ColoringSizeError
+from .errors import CFGeomError, ColoringSizeError, InvalidInputError
 from .fat import closed_cf_color_fat, pointed_cf_color_fat
 from .geom import (
-    ConvexFatObject,
-    Disc,
     Scene,
     generate_lower_bound_family,
     generate_scene,
@@ -36,19 +34,11 @@ COLOR_ALGS = ("pseudodisc", "antennas", "intervals", "rects", "fat-pointed", "fa
 
 
 def _infer_fat_params(scene: Scene, rho, k) -> tuple[float, float]:
-    sizes = []
-    ratios = []
-    for s in scene.shapes:
-        if isinstance(s, Disc):
-            sizes.append(s.radius)
-            ratios.append(1.0)
-        elif isinstance(s, ConvexFatObject):
-            sizes.append(s.r_inner)
-            ratios.append(s.rho)
+    certs = scene.certificates
     if rho is None:
-        rho = max(ratios) if ratios else 1.0
+        rho = float((certs[:, 3] / certs[:, 2]).max(initial=1.0))
     if k is None:
-        k = (max(sizes) / min(sizes)) if sizes else 1.0
+        k = float(certs[:, 2].max() / certs[:, 2].min()) if len(certs) else 1.0
     return rho, k
 
 
@@ -79,7 +69,7 @@ def _cmd_color(args) -> int:
         coloring = pointed_cf_pseudodiscs(scene)
     elif args.alg == "antennas":
         if not args.probes:
-            raise SystemExit("--probes is required for the antennas algorithm")
+            raise InvalidInputError("--probes is required for the antennas algorithm")
         probes = load_scene(args.probes)
         coloring = cf_color_vs_probes(ProbeSystem(scene, probes, _mode_for(scene, probes)))
     elif args.alg in ("fat-pointed", "fat-closed"):
@@ -106,7 +96,7 @@ def _cmd_verify(args) -> int:
         h = neighborhood_hypergraph(intersection_graph(scene), args.mode)
     else:
         if not args.probes:
-            raise SystemExit("--probes is required for probe verification")
+            raise InvalidInputError("--probes is required for probe verification")
         probes = load_scene(args.probes)
         h = probe_hypergraph(ProbeSystem(scene, probes, _mode_for(scene, probes)))
     bad = verify_cf(h, coloring)
@@ -212,7 +202,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CFGeomError as exc:
+    except (CFGeomError, OSError, UnicodeDecodeError) as exc:  # also an input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from .errors import InvalidInputError
 from .framework import _pointed_to_closed
-from .geom import ConvexFatObject, Disc, Scene
+from .geom import Scene
 from .hypergraph import Coloring, Graph, Trace, certify, intersection_graph
 
 __all__ = [
@@ -27,26 +29,17 @@ __all__ = [
 _CERT_TOL = 1 + 1e-9
 
 
-def _certificates(objs: Scene, rho: float, k: float) -> list[tuple[float, float, float, float]]:
-    """(ax, ay, r_inner, r_outer) per object, validated against rho and k."""
-    if objs.kind not in ("fat", "discs"):
-        raise InvalidInputError("fat coloring accepts convex fat objects or discs")
-    out = []
-    for i, s in enumerate(objs.shapes):
-        if isinstance(s, Disc):
-            if s.radius <= 0:
-                raise InvalidInputError(f"disc {i} has zero radius; fat objects need positive size")
-            out.append((s.center.x, s.center.y, s.radius, s.radius))
-        else:
-            assert isinstance(s, ConvexFatObject)
-            out.append((s.anchor.x, s.anchor.y, s.r_inner, s.r_outer))
-    for i, (_, _, ri, ro) in enumerate(out):
-        if ro / ri > rho * _CERT_TOL:
-            raise InvalidInputError(f"object {i} has fatness {ro / ri:.4f} above the declared {rho}")
-    sizes = [ri for _, _, ri, _ in out]
-    if max(sizes) / min(sizes) > k * _CERT_TOL:
-        raise InvalidInputError(f"family size-ratio {max(sizes) / min(sizes):.4f} exceeds the declared {k}")
-    return out
+def _certificates(objs: Scene, rho: float, k: float) -> np.ndarray:
+    """The scene's (ax, ay, r_inner, r_outer) certificates, validated against rho and k."""
+    certs = objs.certificates
+    ratio = certs[:, 3] / certs[:, 2]
+    over = np.flatnonzero(ratio > rho * _CERT_TOL)
+    if len(over):
+        raise InvalidInputError(f"object {over[0]} has fatness {ratio[over[0]]:.4f} above the declared {rho}")
+    sizes = certs[:, 2]
+    if sizes.max() / sizes.min() > k * _CERT_TOL:
+        raise InvalidInputError(f"family size-ratio {sizes.max() / sizes.min():.4f} exceeds the declared {k}")
+    return certs
 
 
 def grid_side(rho: float, k: float) -> int:
@@ -54,11 +47,11 @@ def grid_side(rho: float, k: float) -> int:
     return 4 * math.ceil(k) * math.ceil(rho) + 1
 
 
-def _cells(certs) -> list[tuple[int, int]]:
+def _cells(certs: np.ndarray) -> list[tuple[int, int]]:
     """Unit-grid cell of each normalized anchor, with the grid origin shifted
     deterministically until no anchor sits on a gridline."""
-    smin = min(ri for _, _, ri, _ in certs)
-    pts = [(ax / smin, ay / smin) for ax, ay, _, _ in certs]
+    smin = float(certs[:, 2].min())
+    pts = [(ax / smin, ay / smin) for ax, ay in certs[:, :2].tolist()]
     shift = 2.0**-20
     for _ in range(60):
         if all((x - shift) % 1.0 != 0.0 and (y - shift) % 1.0 != 0.0 for x, y in pts):
@@ -90,7 +83,7 @@ def pointed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     return certify(g, out, "pointed", bound=bound, what="grid coloring")
 
 
-def _pointed_fat(certs, side: int, g: Graph) -> Coloring:
+def _pointed_fat(certs: np.ndarray, side: int, g: Graph) -> Coloring:
     """pointed_cf_color_fat on validated certificates and their contact graph,
     without certification."""
     n = len(certs)
@@ -142,10 +135,10 @@ def closed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     if n == 0:
         return Coloring((), trace=Trace(bound, {"bucket": []}))
     certs = _certificates(objs, rho, k)
-    smin = min(ri for _, _, ri, _ in certs)
+    smin = float(certs[:, 2].min())
     bucket_of: list[int] = []
     buckets: dict[int, list[int]] = {}
-    for i, (_, _, ri, _) in enumerate(certs):
+    for i, ri in enumerate(certs[:, 2].tolist()):
         s = ri / smin
         b = int(math.floor(math.log2(s))) if s > 1 else 0
         while 2.0**b > s:
@@ -162,7 +155,7 @@ def closed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     for b in sorted(buckets):
         members = buckets[b]
         sub_graph = g.subgraph(members)
-        dense = _densify(_pointed_fat([certs[i] for i in members], side, sub_graph))
+        dense = _densify(_pointed_fat(certs[members], side, sub_graph))
         closed = _pointed_to_closed(sub_graph, dense)
         for idx, v in enumerate(members):
             i_local, lvl = closed.palette_map[closed.colors[idx]]

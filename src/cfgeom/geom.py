@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -153,29 +154,25 @@ Shape = Union[Disc, Interval, AARect, ConvexFatObject]
 _KIND_OF_TYPE = {Disc: "discs", Interval: "intervals", AARect: "rects", ConvexFatObject: "fat"}
 
 
-def _infer_kind(shapes: Sequence[Shape]) -> str:
-    kinds = {_KIND_OF_TYPE[type(s)] for s in shapes}
-    if len(kinds) == 1:
-        return kinds.pop()
-    return "mixed"
-
-
 @dataclass(frozen=True)
 class Scene:
-    """Ordered finite family of shapes; indices are vertex identities downstream."""
+    """Ordered finite family of shapes; indices are vertex identities downstream.
+
+    The array form of the family lives here and nowhere else: `boxes`, `rows`
+    and `certificates` are built from the shapes on first use, at most once per
+    Scene, and are read-only.  `subscene` slices the arrays its parent already
+    holds.
+    """
 
     shapes: tuple[Shape, ...]
     kind: str = ""
 
     def __post_init__(self):
-        shapes = tuple(self.shapes)
-        object.__setattr__(self, "shapes", shapes)
-        kind = self.kind or (_infer_kind(shapes) if shapes else "mixed")
-        if shapes:
-            inferred = _infer_kind(shapes)
-            if self.kind and self.kind != inferred:
-                raise InvalidInputError(f"scene kind {self.kind!r} does not match shapes ({inferred})")
-            kind = inferred
+        object.__setattr__(self, "shapes", tuple(self.shapes))
+        kinds = {_KIND_OF_TYPE[type(s)] for s in self.shapes} or {self.kind or "mixed"}
+        kind = kinds.pop() if len(kinds) == 1 else "mixed"
+        if self.kind and self.kind != kind:
+            raise InvalidInputError(f"scene kind {self.kind!r} does not match shapes ({kind})")
         object.__setattr__(self, "kind", kind)
 
     def __len__(self) -> int:
@@ -185,7 +182,81 @@ class Scene:
         return self.shapes[i]
 
     def subscene(self, indices: Iterable[int]) -> "Scene":
-        return Scene(tuple(self.shapes[i] for i in indices), self.kind)
+        idx = np.fromiter(indices, dtype=np.intp)
+        sub = Scene(tuple(self.shapes[i] for i in idx.tolist()), self.kind)
+        for name in ("boxes", "rows", "certificates"):
+            if name in self.__dict__:
+                sub.__dict__[name] = _read_only(self.__dict__[name][idx])
+        return sub
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Coordinates per shape: (x, y, r) for discs, (lo, hi) for intervals,
+        (xmin, xmax, ymin, ymax) for rectangles and the (n, m, 2) vertices of
+        `_padded_vertices` for polygons."""
+        shapes = self.shapes
+        if self.kind == "discs":
+            rows = np.array([(s.center.x, s.center.y, s.radius) for s in shapes], dtype=float).reshape(-1, 3)
+        elif self.kind == "intervals":
+            rows = np.array([(s.lo, s.hi) for s in shapes], dtype=float).reshape(-1, 2)
+        elif self.kind == "rects":
+            rows = np.array([(s.xmin, s.xmax, s.ymin, s.ymax) for s in shapes], dtype=float).reshape(-1, 4)
+        elif self.kind == "fat":
+            rows = _padded_vertices([s.xy() for s in shapes])
+        else:
+            raise IncompatibleShapesError("a scene mixing shape kinds has no single row layout")
+        return _read_only(rows)
+
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """(xmin, xmax, ymin, ymax) sweep box per shape, in any mix of kinds.  A
+        disc's box is widened by a relative 1e-12, so rounding in center +-
+        radius never drops a pair the exact disc predicate accepts; an
+        interval's box is (lo, hi, 0, 0)."""
+        if self.kind == "mixed" or not len(self):
+            boxes = np.zeros((len(self), 4))
+            for t in {type(s) for s in self.shapes}:
+                at = [k for k, s in enumerate(self.shapes) if type(s) is t]
+                boxes[at] = Scene(tuple(self.shapes[k] for k in at)).boxes
+            return _read_only(boxes)
+        rows, pad = self.rows, np.zeros(len(self))
+        if self.kind == "discs":
+            x, y, r = rows.T
+            rows, pad = np.column_stack((x - r, x + r, y - r, y + r)), 1e-12 * (np.abs(x) + np.abs(y) + r)
+        elif self.kind == "fat":
+            rows = np.column_stack((rows[..., 0].min(1), rows[..., 0].max(1), rows[..., 1].min(1), rows[..., 1].max(1)))
+        elif self.kind == "intervals":
+            rows = np.column_stack((rows, np.zeros((len(rows), 2))))
+        return _read_only(rows + np.outer(pad, [-1.0, 1.0, -1.0, 1.0]))
+
+    @cached_property
+    def certificates(self) -> np.ndarray:
+        """(ax, ay, r_inner, r_outer) fatness certificate per shape of a disc or
+        polygon scene; a disc of radius r is the 1-fat object (center, r, r)."""
+        if self.kind == "discs":
+            x, y, r = self.rows.T
+            if (r <= 0).any():
+                raise InvalidInputError(f"disc {np.argmax(r <= 0)} has zero radius; fat objects need positive size")
+            return _read_only(np.column_stack((x, y, r, r)))
+        if self.kind == "fat" or not self.shapes:
+            cert = [(s.anchor.x, s.anchor.y, s.r_inner, s.r_outer) for s in self.shapes]
+            return _read_only(np.array(cert, dtype=float).reshape(-1, 4))
+        raise InvalidInputError("fatness certificates need a family of discs or of convex polygons")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _padded_vertices(polygons: Sequence[np.ndarray]) -> np.ndarray:
+    """(n, m, 2) array of the (k, 2) vertex arrays `polygons`, each padded to
+    the largest vertex count m by repeating its last vertex; the zero-length
+    edges this adds have a zero normal and cross nothing."""
+    counts = np.array([len(v) for v in polygons], dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    flat = np.concatenate(polygons) if len(polygons) else np.zeros((0, 2))
+    return flat[first[:, None] + np.minimum(np.arange(counts.max(initial=0)), counts[:, None] - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,47 +411,23 @@ def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndar
     exact; disc pairs and polygon pairs are decided by one batched exact
     predicate each, and families mixing discs with polygons by `intersects`.
     """
-    sa = a.shapes
-    sb = sa if b is None else b.shapes
-    types = {type(s) for s in sa + sb}
+    other = a if b is None else b
+    types = {type(s) for s in a.shapes + other.shapes}
     if len(types) > 1 and not types <= {Disc, ConvexFatObject}:
         names = ", ".join(sorted(t.__name__ for t in types))
         raise IncompatibleShapesError(f"no intersection predicate between {names}")
-    box_a = _sweep_boxes(sa)
-    i, j = _box_overlaps(box_a, box_a if b is None else _sweep_boxes(sb), b is None)
-    if types == {Disc}:
-        ca, cb = _disc_rows(sa), _disc_rows(sb)
-        hit = np.hypot(ca[i, 0] - cb[j, 0], ca[i, 1] - cb[j, 1]) <= ca[i, 2] + cb[j, 2]
-    elif types == {ConvexFatObject} and len(i):
-        hit = _polygons_meet(_padded_vertices(sa), _padded_vertices(sb), i, j)
-    elif len(types) > 1:
-        hit = np.array([intersects(sa[p], sb[q]) for p, q in zip(i.tolist(), j.tolist())], dtype=bool)
-    else:
+    i, j = _box_overlaps(a.boxes, other.boxes, b is None)
+    if not len(i) or types in ({Interval}, {AARect}):
         hit = np.ones(len(i), dtype=bool)
-    key = np.sort(i[hit] * len(sb) + j[hit])
-    return key // len(sb), key % len(sb)
-
-
-def _sweep_boxes(shapes: Sequence[Shape]) -> np.ndarray:
-    """(xmin, xmax, ymin, ymax) rows; a disc's box is widened by a relative
-    1e-12, so rounding in center +- radius never drops a pair the exact disc
-    predicate accepts.  An interval's box is (lo, hi, 0, 0)."""
-    boxes, pad = np.zeros((len(shapes), 4)), np.zeros(len(shapes))
-    for t in {type(s) for s in shapes}:
-        at = [k for k, s in enumerate(shapes) if type(s) is t]
-        part = [shapes[k] for k in at]
-        if t is Disc:
-            x, y, r = _disc_rows(part).T
-            boxes[at] = np.column_stack((x - r, x + r, y - r, y + r))
-            pad[at] = 1e-12 * (np.abs(x) + np.abs(y) + r)
-        elif t is ConvexFatObject:
-            v = _padded_vertices(part)
-            boxes[at] = np.column_stack((v[..., 0].min(1), v[..., 0].max(1), v[..., 1].min(1), v[..., 1].max(1)))
-        elif t is AARect:
-            boxes[at] = [(s.xmin, s.xmax, s.ymin, s.ymax) for s in part]
-        else:
-            boxes[at, :2] = [(s.lo, s.hi) for s in part]
-    return boxes + np.outer(pad, [-1.0, 1.0, -1.0, 1.0])
+    elif types == {Disc}:
+        ca, cb = a.rows, other.rows
+        hit = np.hypot(ca[i, 0] - cb[j, 0], ca[i, 1] - cb[j, 1]) <= ca[i, 2] + cb[j, 2]
+    elif types == {ConvexFatObject}:
+        hit = _polygons_meet(a.rows, other.rows, i, j)
+    else:
+        hit = np.array([intersects(a[p], other[q]) for p, q in zip(i.tolist(), j.tolist())], dtype=bool)
+    key = np.sort(i[hit] * len(other) + j[hit])
+    return key // len(other), key % len(other)
 
 
 def _box_overlaps(box_a: np.ndarray, box_b: np.ndarray, same: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -407,20 +454,6 @@ def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     counts = np.maximum(stop - start, 0)
     rows = np.repeat(np.arange(len(start)), counts)
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - start, counts)
-
-
-def _disc_rows(discs: Sequence[Disc]) -> np.ndarray:
-    return np.array([(s.center.x, s.center.y, s.radius) for s in discs], dtype=float).reshape(-1, 3)
-
-
-def _padded_vertices(polygons: Sequence[ConvexFatObject]) -> np.ndarray:
-    """(n, m, 2) vertex arrays, each polygon padded to the largest vertex count
-    m by repeating its last vertex; the zero-length edges this adds have a zero
-    normal and cross nothing."""
-    xy = [s.xy() for s in polygons]
-    counts = np.array([len(v) for v in xy])
-    first = np.cumsum(counts) - counts
-    return np.concatenate(xy)[first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
 
 
 def _polygons_meet(pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -503,12 +536,8 @@ def validate_pseudodisc_family(scene: Scene) -> bool:
     if len(scene) <= 1:
         return True
     if scene.kind == "discs":
-        seen = set()
-        for s in scene.shapes:
-            key = (s.center.x, s.center.y, s.radius)
-            if key in seen:
-                raise DegenerateGeometryError("duplicate disc in family")
-            seen.add(key)
+        if len(set(map(tuple, scene.rows.tolist()))) < len(scene):
+            raise DegenerateGeometryError("duplicate disc in family")
         return True
     if scene.kind == "fat":
         return _polygon_family_crossings_ok(scene)
@@ -520,10 +549,8 @@ def _polygon_family_crossings_ok(scene: Scene) -> bool:
     a pair with a zero orientation (a vertex on the line of an edge) takes the
     careful scalar count, which raises only when a boundary point actually
     lies on the other boundary."""
-    shapes = scene.shapes
-    boxes = _sweep_boxes(shapes)
-    ii, jj = _box_overlaps(boxes, boxes, True)
-    pts = _padded_vertices(shapes)
+    shapes, pts = scene.shapes, scene.rows
+    ii, jj = _box_overlaps(scene.boxes, scene.boxes, True)
     m = pts.shape[1]
     padding = (np.arange(m) >= np.array([len(s.vertices) for s in shapes])[:, None] - 1) & (np.arange(m) < m - 1)
     a0, b0 = pts[ii][:, :, None, :], pts[jj][:, None, :, :]  # edge starts, (pairs, m, 1, 2) and (pairs, 1, m, 2)
@@ -633,21 +660,21 @@ def generate_scene(
     tangency configurations.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidInputError("n must be >= 0")
     if kind not in ("discs", "intervals", "rects", "fat"):
-        raise ValueError(f"unknown scene kind {kind!r}")
+        raise InvalidInputError(f"unknown scene kind {kind!r}")
     if span <= 0:
-        raise ValueError("span must be positive")
+        raise InvalidInputError("span must be positive")
     if kind == "fat":
         if rho < 1:
-            raise ValueError("fatness rho must be >= 1")
+            raise InvalidInputError("fatness rho must be >= 1")
         if k < 1:
-            raise ValueError("size-ratio k must be >= 1")
+            raise InvalidInputError("size-ratio k must be >= 1")
         if homothets_of is None and rho < 1.05:
-            raise ValueError("polygon generation needs rho >= 1.05; use a disc scene for rho closer to 1")
+            raise InvalidInputError("polygon generation needs rho >= 1.05; use a disc scene for rho closer to 1")
     for r in (radius_range, length_range, side_range):
         if r[0] > r[1] or r[0] <= 0:
-            raise ValueError(f"invalid range {r}")
+            raise InvalidInputError(f"invalid range {r}")
     delta = (1e-6 * span) if margin is None else margin
     rng = np.random.default_rng(seed)
     shapes: list[Shape] = []
@@ -832,9 +859,9 @@ def generate_lower_bound_family(n: int, spacing: float) -> Scene:
     covering disc.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInputError("n must be >= 1")
     if not (0 < spacing and (n - 1) * spacing < 2):
-        raise ValueError("need 0 < spacing and (n-1)*spacing < 2")
+        raise InvalidInputError("need 0 < spacing and (n-1)*spacing < 2")
     discs = tuple(Disc(Point((i) * spacing, 0.0), 1.0) for i in range(n))
     return Scene(discs, "discs")
 
@@ -869,8 +896,7 @@ def containment_sets_by_sampling(scene: Scene, extra_points: Sequence[Point] = (
     """
     if scene.kind != "discs":
         raise IncompatibleShapesError("containment sampling is defined for disc scenes")
-    centers = np.array([(s.center.x, s.center.y) for s in scene.shapes])
-    radii = np.array([s.radius for s in scene.shapes])
+    centers, radii = scene.rows[:, :2], scene.rows[:, 2]
     pts: list[tuple[float, float]] = [(p.x, p.y) for p in extra_points]
     pts.extend(map(tuple, centers))
     eps = 1e-9 * max(1.0, float(np.abs(centers).max()) + radii.max())
@@ -883,12 +909,8 @@ def containment_sets_by_sampling(scene: Scene, extra_points: Sequence[Point] = (
             for dx, dy in nudges:
                 pts.append((px + dx * 10 * eps, py + dy * 10 * eps))
     if grid:
-        xmin = float((centers[:, 0] - radii).min())
-        xmax = float((centers[:, 0] + radii).max())
-        ymin = float((centers[:, 1] - radii).min())
-        ymax = float((centers[:, 1] + radii).max())
-        gx = np.linspace(xmin, xmax, grid)
-        gy = np.linspace(ymin, ymax, grid)
+        lo, hi = (centers - radii[:, None]).min(axis=0), (centers + radii[:, None]).max(axis=0)
+        gx, gy = (np.linspace(lo[k], hi[k], grid) for k in (0, 1))
         pts.extend((x, y) for x in gx for y in gy)
     arr = np.array(pts)
     out: set[frozenset] = set()
@@ -931,7 +953,7 @@ def contiguous_run_witnesses(n: int, spacing: float) -> dict[frozenset, Point]:
             hi = 1.0 - u * u
             lo = max(0.0, 1.0 - w * w)
             if hi <= lo:
-                raise ValueError("spacing precondition violated; no witness exists")
+                raise InvalidInputError("spacing precondition violated; no witness exists")
             y2 = 0.5 * (lo + hi) if lo > 0 else min(hi * 0.5, hi - 1e-12)
             if i == 0 and j == n - 1:
                 y2 = 0.0

@@ -33,8 +33,7 @@ def closed_cf_color_intervals(intervals: Scene) -> Coloring:
         raise InvalidInputError("empty interval family")
     if intervals.kind != "intervals":
         raise InvalidInputError("scene must contain intervals only")
-    ends = np.array([(s.lo, s.hi) for s in intervals.shapes], dtype=float)
-    colors, chain = _interval_chain(ends)
+    colors, chain = _interval_chain(intervals.rows)
     out = Coloring(tuple(colors), trace=Trace(3, {"chain": chain}))
     return certify(intersection_graph(intervals), out, "closed", bound=3, what="interval coloring")
 

@@ -23,8 +23,6 @@ from .framework import ProperColorer, _proper_to_cf, cf_palette_bound
 from .geom import (
     Scene,
     _clip_segments,
-    _disc_rows,
-    _padded_vertices,
     contact_pairs,
     scene_from_json,
     scene_to_json,
@@ -319,12 +317,10 @@ def _prune_depth_one(shapes: Scene, contacts: Graph) -> tuple[list[int], list[in
     n = len(shapes)
     if n == 0:
         return [], []
-    if shapes.kind == "discs":
-        rows, escapes = _disc_rows(shapes.shapes), _disc_escapes
-    elif shapes.kind == "fat":
-        rows, escapes = _padded_vertices(shapes.shapes), _polygon_escapes
-    else:
+    escapes = {"discs": _disc_escapes, "fat": _polygon_escapes}.get(shapes.kind)
+    if escapes is None:
         raise IncompatibleShapesError("pruning supports a family of discs or a family of convex polygons")
+    rows = shapes.rows
     alive = np.ones(n, dtype=bool)
     flat = rows.reshape(n, -1)
     for i in range(n):
@@ -545,9 +541,9 @@ def probe_system_to_json(ps: ProbeSystem) -> str:
 
 
 def probe_system_from_json(text: str) -> ProbeSystem:
-    data = json.loads(text)
-    return ProbeSystem(
-        scene_from_json(json.dumps(data["vertices"])),
-        scene_from_json(json.dumps(data["probes"])),
-        data.get("mode", DISC_MODE),
-    )
+    try:
+        data = json.loads(text)
+        vertices, probes, mode = data["vertices"], data["probes"], data.get("mode", DISC_MODE)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidInputError(f"malformed probe-system JSON ({type(exc).__name__}: {exc})") from exc
+    return ProbeSystem(scene_from_json(json.dumps(vertices)), scene_from_json(json.dumps(probes)), mode)

@@ -31,7 +31,7 @@ def closed_cf_color_rects(rects: Scene) -> Coloring:
         raise InvalidInputError("empty rectangle family")
     if rects.kind != "rects":
         raise InvalidInputError("scene must contain rectangles only")
-    box = np.array([(r.xmin, r.xmax, r.ymin, r.ymax) for r in rects.shapes], dtype=float)
+    box = rects.rows
     center = (box[:, 0] + box[:, 1]) / 2
     colors = np.zeros(n, dtype=int)
     depths = np.full(n, -1)

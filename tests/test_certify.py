@@ -4,6 +4,7 @@ Each public coloring entry point certifies its output exactly once; nested
 work runs on unverified cores that share the caller's contacts.
 """
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -98,6 +99,27 @@ def test_pentagon_pipeline_prunes():
     # the one-validation count above covers the pruning half
     out = cf.pointed_cf_pseudodiscs(cf.generate_scene("fat", 40, [4, 0], **PENTAGONS))
     assert out.trace.vertices["pruned"]
+
+
+def _count_builds(monkeypatch, name):
+    """Count builds of the cached Scene array `name`, keeping it cached."""
+    build = cf.Scene.__dict__[name].func
+    built = []
+    counted = cached_property(lambda scene: built.append(scene.kind) or build(scene))
+    counted.__set_name__(cf.Scene, name)
+    monkeypatch.setattr(cf.Scene, name, counted)
+    return built
+
+
+def test_pipelines_build_each_scene_array_once(monkeypatch):
+    # the validation, the contact graph, both halves and the pruning share one array form
+    padded = _spy(monkeypatch, cfgeom.geom, "_padded_vertices")
+    cf.pointed_cf_pseudodiscs(cf.generate_scene("fat", 40, [4, 0], **PENTAGONS))
+    assert len(padded) == 1
+    rows, boxes = _count_builds(monkeypatch, "rows"), _count_builds(monkeypatch, "boxes")
+    scene = cf.generate_scene("discs", 80, 6)
+    cf.pointed_to_closed(cf.intersection_graph(scene), cf.pointed_cf_pseudodiscs(scene))
+    assert rows == boxes == ["discs"]
 
 
 @pytest.mark.parametrize("name", ["probes", "list", "proper-to-cf", "peel", "pipeline-discs", "pipeline-pentagons"])

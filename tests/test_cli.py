@@ -97,6 +97,7 @@ MALFORMED = {
     "unknown shape type": (json.dumps({"shapes": [{"type": "triangle"}]}), PIPELINE),
     "clockwise polygon": (json.dumps({"shapes": [CLOCKWISE]}), PIPELINE),
     "fatness below 1": (json.dumps({"shapes": [DISC]}), ["--alg", "fat-closed", "--rho", "0.5"]),
+    "zero radius with inferred k": (json.dumps({"shapes": [dict(DISC, r=0.0)]}), ["--alg", "fat-pointed"]),
 }
 
 
@@ -109,6 +110,32 @@ def test_malformed_scene_is_one_error_line(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "c.json").exists()
+
+
+def test_unreadable_file_or_bad_argument_is_one_error_line(tmp_path, capsys):
+    scene, coloring = tmp_path / "scene.json", tmp_path / "coloring.json"
+    assert run(["gen", "--kind", "discs", "--n", "5", "--seed", "1", "--out", scene]) == 0
+    assert run(["color", "--alg", "pseudodisc", "--in", scene, "--out", coloring]) == 0
+    missing, binary, out = tmp_path / "missing.json", tmp_path / "binary.json", tmp_path / "out.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    capsys.readouterr()
+    for argv in (
+        ["color", "--alg", "pseudodisc", "--in", missing, "--out", out],
+        ["color", "--alg", "pseudodisc", "--in", tmp_path, "--out", out],
+        ["color", "--alg", "antennas", "--in", scene, "--probes", missing, "--out", out],
+        ["color", "--alg", "antennas", "--in", scene, "--out", out],
+        ["verify", "--mode", "pointed", "--in", scene, "--coloring", missing],
+        ["verify", "--mode", "probes", "--in", scene, "--coloring", coloring, "--probes", binary],
+        ["verify", "--mode", "probes", "--in", scene, "--coloring", coloring],
+        ["oracle", "--in", missing, "--mode", "pointed"],
+        ["svg", "--in", scene, "--coloring", binary, "--out", out],
+        ["gen", "--kind", "discs", "--n", "-1", "--out", out],
+        ["gen", "--kind", "lower-bound", "--n", "5", "--spacing", "3", "--out", out],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err, argv
+    assert not out.exists()
 
 
 def test_fat_cli(tmp_path):

@@ -10,6 +10,7 @@ import tracemalloc
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,14 +28,13 @@ from cfgeom import (
 )
 from cfgeom.errors import DegenerateGeometryError
 from cfgeom.geom import (
-    _padded_vertices,
     _polygons_meet,
     _random_fat_polygon,
     _segments_crossings,
-    _sweep_boxes,
+    contact_pairs,
     convex_polygons_intersect,
 )
-from cfgeom.probes import _pairwise_hits
+from cfgeom.probes import _pairwise_hits, _prune_depth_one
 
 half = st.integers(0, 12).map(lambda k: k / 2)
 coord = st.one_of(half, st.floats(0, 6, allow_nan=False, allow_infinity=False))
@@ -156,7 +156,7 @@ def test_sweep_boxes_match_per_shape_reference():
         list(generate_scene("fat", 40, 2, rho=2.0, k=4.0).shapes),
     ]
     for shapes in families:
-        assert _sweep_boxes(shapes).tobytes() == _boxes_reference(shapes).tobytes()
+        assert Scene(tuple(shapes)).boxes.tobytes() == _boxes_reference(shapes).tobytes()
 
 
 @given(st.data())
@@ -164,7 +164,32 @@ def test_sweep_boxes_match_per_shape_reference():
 def test_sweep_boxes_match_per_shape_reference_on_drawn_families(data):
     for kind, shape in FAMILIES.items():
         shapes = data.draw(st.lists(shape, max_size=14), label=kind)
-        assert _sweep_boxes(shapes).tobytes() == _boxes_reference(shapes).tobytes(), kind
+        assert Scene(tuple(shapes)).boxes.tobytes() == _boxes_reference(shapes).tobytes(), kind
+
+
+def test_scene_arrays_are_built_once_and_read_only():
+    scenes = [generate_scene(kind, 12, 3) for kind in ("discs", "intervals", "rects", "fat")]
+    for scene in scenes + [scene.subscene([5, 1, 1]) for scene in scenes]:
+        arrays = ["rows", "boxes"] + (["certificates"] if scene.kind in ("discs", "fat") else [])
+        for name in arrays:
+            a = getattr(scene, name)
+            assert a is getattr(scene, name) and len(a) == len(scene)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_subscene_slices_give_the_contacts_and_pruning_of_a_fresh_scene(data):
+    for shape in (discs(), polygons()):
+        scene = Scene(tuple(data.draw(st.lists(shape, min_size=1, max_size=12))))
+        intersection_graph(scene)  # builds the arrays the subscene slices
+        idx = data.draw(st.lists(st.integers(0, len(scene) - 1), unique=True))
+        sub, fresh = scene.subscene(idx), Scene(tuple(scene[i] for i in idx), scene.kind)
+        assert {"rows", "boxes"} <= set(vars(sub))
+        for got, want in zip(contact_pairs(sub), contact_pairs(fresh)):
+            assert got.tolist() == want.tolist()
+        assert _prune_depth_one(sub, intersection_graph(sub)) == _prune_depth_one(fresh, intersection_graph(fresh))
 
 
 @given(st.data())
@@ -181,7 +206,7 @@ def test_pairwise_hits_match_brute_force(data):
 @settings(max_examples=60, deadline=None)
 def test_batched_separating_axis_matches_pairwise(a, b):
     i, j = (x.ravel() for x in np.meshgrid(np.arange(len(a)), np.arange(len(b)), indexing="ij"))
-    got = _polygons_meet(_padded_vertices(a), _padded_vertices(b), i, j)
+    got = _polygons_meet(Scene(tuple(a)).rows, Scene(tuple(b)).rows, i, j)
     assert got.tolist() == [convex_polygons_intersect(a[p].xy(), b[q].xy()) for p, q in zip(i, j)]
 
 

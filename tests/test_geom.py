@@ -300,14 +300,6 @@ def grid_polygons(draw):
     return np.array(verts)
 
 
-class _Vertices:
-    def __init__(self, xy):
-        self._xy = xy
-
-    def xy(self):
-        return self._xy
-
-
 @given(
     st.lists(st.tuples(grid_point, grid_point), min_size=1, max_size=6),
     st.lists(grid_polygons(), min_size=1, max_size=4),
@@ -317,7 +309,7 @@ def test_batched_clip_matches_scalar_loop(segments, polys):
     # polygons of mixed vertex counts are padded to one count, as in pruning
     p0 = np.array([s[0] for s in segments])
     p1 = np.array([s[1] for s in segments])
-    t0, t1 = _clip_segments(p0, p1, _padded_vertices([_Vertices(xy) for xy in polys]))
+    t0, t1 = _clip_segments(p0, p1, _padded_vertices(polys))
     for s, (a, b) in enumerate(segments):
         for k, xy in enumerate(polys):
             expected = _clip_reference(a, b, xy)

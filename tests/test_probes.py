@@ -30,11 +30,9 @@ from cfgeom import (
     verify_cf,
     verify_proper,
 )
-from cfgeom.errors import IncompatibleShapesError, PlanarityError
+from cfgeom.errors import IncompatibleShapesError, InvalidInputError, PlanarityError
 from cfgeom import probes as probes_module
 from cfgeom.geom import (
-    _disc_rows,
-    _padded_vertices,
     contiguous_run_witnesses,
     intersects,
     segment_clip_convex,
@@ -281,6 +279,12 @@ def test_probe_system_json_roundtrip():
     ps = ProbeSystem(vertices, probes, "disc")
     again = probe_system_from_json(probe_system_to_json(ps))
     assert again == ps
+
+
+@pytest.mark.parametrize("text", ["{", "{}", "[]", '"probes"', '{"vertices": {"shapes": []}}'])
+def test_malformed_probe_system_json_is_invalid_input(text):
+    with pytest.raises(InvalidInputError, match="malformed probe-system JSON"):
+        probe_system_from_json(text)
 
 
 def test_engine_matches_standalone_auxiliary_graph():
@@ -579,7 +583,7 @@ def test_boundary_and_sample_points_match_reference(family):
     scene = PRUNE_FAMILIES[family]()
     g = intersection_graph(scene)
     disc = scene.kind == "discs"
-    rows = (_disc_rows if disc else _padded_vertices)(scene.shapes)
+    rows = scene.rows
     escapes = probes_module._disc_escapes if disc else probes_module._polygon_escapes
     for i, s in enumerate(scene.shapes):
         # the boundary escape test on each shape's full neighbourhood, not only on the survivors of the scan
