@@ -22,6 +22,7 @@ from .hypergraph import (
     load_coloring,
     min_cf_colors_bruteforce,
     neighborhood_hypergraph,
+    neighborhood_violations,
     save_coloring,
     verify_cf,
 )
@@ -92,14 +93,15 @@ def _load_colored_scene(args):
 
 def _cmd_verify(args) -> int:
     scene, coloring = _load_colored_scene(args)
-    if args.mode in ("pointed", "closed"):
-        h = neighborhood_hypergraph(intersection_graph(scene), args.mode)
+    if args.mode == "closed" and scene.kind in ("intervals", "rects"):
+        bad = neighborhood_violations(scene, coloring, "closed")  # vertex v is hyperedge N[v]
+    elif args.mode in ("pointed", "closed"):
+        bad = verify_cf(neighborhood_hypergraph(intersection_graph(scene), args.mode), coloring)
     else:
         if not args.probes:
             raise InvalidInputError("--probes is required for probe verification")
         probes = load_scene(args.probes)
-        h = probe_hypergraph(ProbeSystem(scene, probes, _mode_for(scene, probes)))
-    bad = verify_cf(h, coloring)
+        bad = verify_cf(probe_hypergraph(ProbeSystem(scene, probes, _mode_for(scene, probes))), coloring)
     if bad:
         print(f"NOT conflict-free: {len(bad)} violating hyperedges (first: {bad[:10]})")
         return 1

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, VerificationError
+from .errors import IncompatibleShapesError, InvalidInputError, VerificationError
 from .geom import Scene, contact_pairs
 
 __all__ = [
@@ -276,11 +276,15 @@ def verify_proper(h: Hypergraph, coloring) -> list[int]:
 
 
 def _cf_violations(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int) -> list[int]:
-    edge_of, counts = _color_counts(colors, members, owners, ne)
-    has_unique = np.zeros(ne, dtype=bool)
-    has_unique[edge_of[counts == 1]] = True
     nonempty = np.zeros(ne, dtype=bool)
     nonempty[owners] = True
+    return _without_unique(*_color_counts(colors, members, owners, ne), nonempty)
+
+
+def _without_unique(edge_of: np.ndarray, counts: np.ndarray, nonempty: np.ndarray) -> list[int]:
+    """The CF check on a census: nonempty edges with no color counted exactly once."""
+    has_unique = np.zeros(len(nonempty), dtype=bool)
+    has_unique[edge_of[counts == 1]] = True
     return np.nonzero(nonempty & ~has_unique)[0].tolist()
 
 
@@ -289,14 +293,50 @@ def verify_cf(h: Hypergraph, coloring) -> list[int]:
     return _cf_violations(_total(coloring, h.n), *h._flat, len(h.indptr) - 1)
 
 
-def neighborhood_violations(g: Graph, coloring, mode: str) -> list[int]:
+def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> list[int]:
     """Vertices v whose nonempty N(v) (pointed) or N[v] (closed) has no uniquely
-    colored member; read from the graph's edge arrays, no hypergraph is built."""
-    return _cf_violations(_total(coloring, g.n), *g._neighborhoods(mode), g.n)
+    colored member; no hypergraph is built.
+
+    A Graph is read from its edge arrays.  An interval or rectangle Scene, in
+    closed mode only, is read with no graph at all: intervals by counting
+    endpoints (`_interval_census`), rectangles from the `contact_pairs` arrays.
+    """
+    if isinstance(contacts, Graph):
+        return _cf_violations(_total(coloring, contacts.n), *contacts._neighborhoods(mode), contacts.n)
+    if mode != "closed":
+        raise InvalidInputError("a scene is checked in closed mode only")
+    n = len(contacts)
+    colors = _total(coloring, n)
+    if contacts.kind == "intervals":
+        return _without_unique(*_interval_census(contacts.rows, colors), np.ones(n, dtype=bool))
+    if contacts.kind == "rects":
+        i, j, loops = *contact_pairs(contacts), np.arange(n)
+        return _cf_violations(colors, np.concatenate([j, i, loops]), np.concatenate([i, j, loops]), n)
+    raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
+
+
+def _interval_census(ends: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex, count) of every (vertex, color) pair with count > 0, where count
+    is the number of color-c intervals meeting the closed interval of the vertex.
+
+    Interval j misses [lo, hi] exactly when hi_j < lo or lo_j > hi, and not
+    both, so count = #(lo_j <= hi) - #(hi_j < lo) over color c: two
+    `searchsorted` calls on the sorted endpoints of the class, comparisons
+    only.  O(p n log n) time for p colors and O(n) memory per color.
+    """
+    lo, hi = ends[:, 0], ends[:, 1]
+    vertex, count = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for c in np.unique(colors):
+        cls = colors == c
+        k = np.searchsorted(np.sort(lo[cls]), hi, "right") - np.searchsorted(np.sort(hi[cls]), lo, "left")
+        (met,) = np.nonzero(k)
+        vertex.append(met)
+        count.append(k[met])
+    return np.concatenate(vertex), np.concatenate(count)
 
 
 def certify(
-    contacts: Graph | Hypergraph,
+    contacts: Graph | Hypergraph | Scene,
     coloring: Coloring,
     mode: str | None = None,
     *,
@@ -309,17 +349,19 @@ def certify(
 
     Checks totality, the palette `bound`, membership of every color in its
     vertex's list, and conflict-freeness of every hyperedge, or of every
-    pointed or closed neighborhood (`mode`) when `contacts` is a graph; with
+    pointed or closed neighborhood (`mode`) when `contacts` is a graph, or of
+    every closed neighborhood when it is an interval or rectangle scene; with
     `proper`, only that no hyperedge of size >= 2 is monochromatic.
     """
-    if len(coloring.colors) != contacts.n:
-        raise VerificationError(f"{what} colors {len(coloring.colors)} of {contacts.n} vertices")
+    n = len(contacts) if isinstance(contacts, Scene) else contacts.n
+    if len(coloring.colors) != n:
+        raise VerificationError(f"{what} colors {len(coloring.colors)} of {n} vertices")
     if bound is not None and coloring.palette_size > bound:
         raise VerificationError(f"{what} used {coloring.palette_size} colors, bound is {bound}")
     outside = [v for v, (c, lst) in enumerate(zip(coloring.colors, lists or ())) if c not in lst]
     if outside:
         raise VerificationError(f"{what} colored vertices {outside[:5]} outside their lists")
-    if isinstance(contacts, Graph):
+    if isinstance(contacts, (Graph, Scene)):
         bad, where = neighborhood_violations(contacts, coloring, mode), f"the {mode} neighborhoods of vertices"
     else:
         bad, where = (verify_proper if proper else verify_cf)(contacts, coloring), "hyperedges"

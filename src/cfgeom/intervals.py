@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geom import Scene
-from .hypergraph import Coloring, Trace, certify, intersection_graph
+from .hypergraph import Coloring, Trace, certify
 
 __all__ = ["closed_cf_color_intervals"]
 
@@ -35,7 +35,7 @@ def closed_cf_color_intervals(intervals: Scene) -> Coloring:
         raise InvalidInputError("scene must contain intervals only")
     colors, chain = _interval_chain(intervals.rows)
     out = Coloring(tuple(colors), trace=Trace(3, {"chain": chain}))
-    return certify(intersection_graph(intervals), out, "closed", bound=3, what="interval coloring")
+    return certify(intervals, out, "closed", bound=3, what="interval coloring")
 
 
 def _interval_chain(ends: np.ndarray) -> tuple[list[int], list[int]]:

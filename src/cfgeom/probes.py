@@ -14,6 +14,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,11 +76,16 @@ class ProbeSystem:
                 if len(scene) and scene.kind != "discs":
                     raise IncompatibleShapesError("disc mode requires disc vertices and disc probes")
         else:
-            combined = Scene(self.vertices.shapes + self.probes.shapes)
+            combined = self.combined
             if len(combined) and combined.kind not in ("discs", "fat"):
                 raise IncompatibleShapesError("pseudo-disc mode requires a homogeneous disc or polygon family")
             if not validate_pseudodisc_family(combined):
                 raise InvalidInputError("vertices and probes do not form a pseudo-disc family")
+
+    @cached_property
+    def combined(self) -> Scene:
+        """Vertices then probes as one scene, built once per system so its arrays are too."""
+        return Scene(self.vertices.shapes + self.probes.shapes)
 
 
 @dataclass

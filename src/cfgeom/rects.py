@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, VerificationError
 from .geom import Scene
-from .hypergraph import Coloring, Trace, certify, intersection_graph
+from .hypergraph import Coloring, Trace, certify
 from .intervals import _interval_chain
 
 __all__ = ["closed_cf_color_rects"]
@@ -57,4 +57,4 @@ def closed_cf_color_rects(rects: Scene) -> Coloring:
         raise VerificationError("recursion went deeper than floor(log2 n) + 1 levels")
     bound = 3 * (math.floor(math.log2(n)) + 1)
     out = Coloring(tuple(colors.tolist()), trace=Trace(bound, {"depth": depths.tolist(), "node": nodes.tolist()}))
-    return certify(intersection_graph(rects), out, "closed", bound=bound, what="rectangle coloring")
+    return certify(rects, out, "closed", bound=bound, what="rectangle coloring")

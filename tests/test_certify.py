@@ -6,12 +6,16 @@ work runs on unverified cores that share the caller's contacts.
 import sys
 from functools import cached_property
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cfgeom as cf
 import cfgeom.geom
 import cfgeom.hypergraph
 import cfgeom.probes
+from cfgeom.hypergraph import _color_counts, _interval_census, certify, neighborhood_violations
 
 
 def _spy(monkeypatch, module, name):
@@ -77,13 +81,19 @@ def test_public_entry_point_certifies_once(monkeypatch, name):
     hits = _spy(monkeypatch, cfgeom.probes, "_pairwise_hits")
     validations = _spy(monkeypatch, cfgeom.geom, "validate_pseudodisc_family")
     contacts = _spy(monkeypatch, cfgeom.geom, "contact_pairs")
+    built = []
+    init = cfgeom.hypergraph.Graph.__init__
+    monkeypatch.setattr(cfgeom.hypergraph.Graph, "__init__", lambda g, *a: built.append(g) or init(g, *a))
     out = entry(*args)
     assert len(certified) == 1
     # every entry point returns a bare Coloring carrying its trace
     assert isinstance(out, cf.Coloring) and isinstance(out.trace, cf.Trace)
     if out.trace.palette_bound is not None:
         assert out.palette_size <= out.trace.palette_bound
-    if name in ("rects", "fat-closed", "pipeline-discs", "pipeline-pentagons"):
+    if name in ("intervals", "rects"):
+        # certified from the scene itself
+        assert graphs == built == []
+    if name in ("fat-closed", "pipeline-discs", "pipeline-pentagons"):
         assert len(graphs) == 1
     if name == "probes":
         assert len(hits) == 1
@@ -101,11 +111,12 @@ def test_pentagon_pipeline_prunes():
     assert out.trace.vertices["pruned"]
 
 
-def _count_builds(monkeypatch, name):
-    """Count builds of the cached Scene array `name`, keeping it cached."""
+def _count_builds(monkeypatch, name, label=lambda scene: scene.kind):
+    """Count builds of the cached Scene array `name`, keeping it cached; each
+    build is recorded as `label(scene)`."""
     build = cf.Scene.__dict__[name].func
     built = []
-    counted = cached_property(lambda scene: built.append(scene.kind) or build(scene))
+    counted = cached_property(lambda scene: built.append(label(scene)) or build(scene))
     counted.__set_name__(cf.Scene, name)
     monkeypatch.setattr(cf.Scene, name, counted)
     return built
@@ -120,6 +131,16 @@ def test_pipelines_build_each_scene_array_once(monkeypatch):
     scene = cf.generate_scene("discs", 80, 6)
     cf.pointed_to_closed(cf.intersection_graph(scene), cf.pointed_cf_pseudodiscs(scene))
     assert rows == boxes == ["discs"]
+
+
+def test_probe_system_builds_its_combined_scene_once(monkeypatch):
+    # pseudo-disc mode validates vertices and probes as one family on every call
+    scene = cf.generate_scene("fat", 30, [4, 1], **PENTAGONS)
+    ps = cf.ProbeSystem(scene.subscene(range(20)), scene.subscene(range(20, 30)), cfgeom.probes.PSEUDODISC_MODE)
+    rows = _count_builds(monkeypatch, "rows", label=len)
+    hypergraphs = [cf.probe_hypergraph(ps) for _ in range(3)]
+    assert rows.count(30) == 1
+    assert all(np.array_equal(h.indices, hypergraphs[0].indices) for h in hypergraphs)
 
 
 @pytest.mark.parametrize("name", ["probes", "list", "proper-to-cf", "peel", "pipeline-discs", "pipeline-pentagons"])
@@ -143,3 +164,79 @@ def test_colorer_output_checked_every_round(monkeypatch, name):
     rounds = _spy(monkeypatch, cfgeom.hypergraph, "induced")
     out = entry(*args)
     assert len(checks) == len(rounds) == max(out.colors) > 1
+
+
+# certifying interval and rectangle scenes without a graph
+# ---------------------------------------------------------------------------
+
+half = st.integers(0, 16).map(lambda k: k / 2)
+side = st.integers(0, 6).map(lambda k: k / 2)
+COLORERS = {"intervals": cf.closed_cf_color_intervals, "rects": cf.closed_cf_color_rects}
+
+
+def _scene(kind, shapes):
+    if kind == "intervals":
+        return cf.Scene(tuple(cf.Interval(x, x + w) for x, w, _, _ in shapes))
+    return cf.Scene(tuple(cf.AARect(x, x + w, y, y + h) for x, w, y, h in shapes))
+
+
+def _check_scene_census(scene, colors):
+    """The scene census finds the violations the graph finds, and certify
+    rejects exactly the colorings with violations."""
+    bad = neighborhood_violations(scene, colors, "closed")
+    g = cf.intersection_graph(scene)
+    assert bad == neighborhood_violations(g, colors, "closed")
+    if scene.kind == "intervals":
+        # the same (vertex, count) census the graph's closed neighborhoods give
+        edge_of, counts = _color_counts(np.asarray(colors), *g._neighborhoods("closed"), g.n)
+        vertex, count = _interval_census(scene.rows, np.asarray(colors))
+        assert sorted(zip(vertex.tolist(), count.tolist())) == sorted(zip(edge_of.tolist(), counts.tolist()))
+    coloring = cf.Coloring(tuple(colors))
+    if bad:
+        with pytest.raises(cf.VerificationError, match="closed neighborhoods"):
+            certify(scene, coloring, "closed")
+    else:
+        assert certify(scene, coloring, "closed") is coloring
+    return bad
+
+
+@given(
+    st.sampled_from(sorted(COLORERS)),
+    st.lists(st.tuples(half, side, half, side), min_size=1, max_size=30),
+    st.none() | st.lists(st.integers(1, 4), min_size=30, max_size=30),
+)
+@example("intervals", [(0, 0, 0, 0)], None)  # n = 1
+@example("intervals", [(0, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)], [1] * 30)  # touching closed ends
+@example("intervals", [(1, 2, 0, 0)] * 3 + [(3, 0, 0, 0)], [1, 2, 2, 3] + [1] * 26)  # repeats
+@example("rects", [(0, 0, 0, 0)], None)
+@example("rects", [(0, 1, 0, 1), (1, 1, 1, 1), (0, 1, 1, 1)], [1] * 30)  # touching edges and corners
+@example("rects", [(0, 2, 0, 2)] * 2 + [(2, 1, 0, 2)], [1, 2] + [1] * 28)  # repeats
+@settings(max_examples=300, deadline=None)
+def test_scene_census_matches_graph(kind, shapes, drawn):
+    # on the colorer's own output, or on a drawn coloring, usually with violations
+    scene = _scene(kind, shapes)
+    colors = list(COLORERS[kind](scene).colors) if drawn is None else drawn[: len(scene)]
+    bad = _check_scene_census(scene, colors)
+    assert drawn is not None or bad == []
+
+
+def test_scene_census_rejects_random_colorings():
+    rng = np.random.default_rng(7)
+    rejected = 0
+    for i in range(200):
+        kind = sorted(COLORERS)[i % 2]
+        n = int(rng.integers(1, 60))
+        shapes = np.column_stack([rng.integers(0, 40, n) / 2, rng.integers(0, 8, n) / 2] * 2)
+        scene = _scene(kind, shapes.tolist())
+        rejected += bool(_check_scene_census(scene, rng.integers(1, 4, n).tolist()))
+    assert rejected > 100
+
+
+def test_certify_scene_rejects_wrong_length_and_other_kinds():
+    scene = cf.generate_scene("intervals", 10, 1)
+    with pytest.raises(cf.VerificationError, match="colors 9 of 10 vertices"):
+        certify(scene, cf.Coloring((1,) * 9), "closed")
+    with pytest.raises(cf.InvalidInputError, match="closed mode only"):
+        neighborhood_violations(scene, [1] * 10, "pointed")
+    with pytest.raises(cf.IncompatibleShapesError):
+        neighborhood_violations(cf.generate_scene("discs", 10, 1), [1] * 10, "closed")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from cfgeom import intersection_graph, load_scene, neighborhood_hypergraph, verify_cf
 from cfgeom.cli import main
+from cfgeom.hypergraph import load_coloring
 
 
 def run(argv):
@@ -66,6 +68,25 @@ def test_intervals_and_rects_cli(tmp_path):
         assert run(["gen", "--kind", kind, "--n", "30", "--seed", "2", "--out", scene]) == 0
         assert run(["color", "--alg", alg, "--in", scene, "--out", coloring]) == 0
         assert run(["verify", "--mode", "closed", "--in", scene, "--coloring", coloring]) == 0
+
+
+def test_verify_closed_intervals_and_rects(tmp_path, capsys):
+    # checked from the scene, with the message the neighborhood hypergraph gives
+    for kind in ("intervals", "rects"):
+        scene = tmp_path / f"{kind}.json"
+        coloring = tmp_path / f"{kind}-col.json"
+        assert run(["gen", "--kind", kind, "--n", "40", "--seed", "3", "--span", "0.5", "--out", scene]) == 0
+        assert run(["color", "--alg", kind, "--in", scene, "--out", coloring]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--mode", "closed", "--in", scene, "--coloring", coloring]) == 0
+        palette = json.loads(coloring.read_text())["palette_size"]
+        assert capsys.readouterr().out == f"verified: conflict-free for mode=closed, palette_size={palette}\n"
+        coloring.write_text(json.dumps({"colors": [1] * 40}))
+        h = neighborhood_hypergraph(intersection_graph(load_scene(scene)), "closed")
+        bad = verify_cf(h, load_coloring(coloring))
+        assert bad
+        assert run(["verify", "--mode", "closed", "--in", scene, "--coloring", coloring]) == 1
+        assert capsys.readouterr().out == f"NOT conflict-free: {len(bad)} violating hyperedges (first: {bad[:10]})\n"
 
 
 def test_intervals_and_rects_reject_wrong_kind_and_empty_family(tmp_path, capsys):

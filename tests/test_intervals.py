@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,3 +202,16 @@ def test_long_sparse_chain_is_fast():
     elapsed = time.perf_counter() - t0
     assert len(chain) == 2366 and col.palette_size == 3
     assert elapsed < 5.0, elapsed
+
+
+def test_dense_family_is_certified_in_linear_memory():
+    # about 4.4M contacts: the certificate counts endpoints per color instead
+    scene = generate_scene("intervals", 5000, [41, 5000], margin=0)
+    tracemalloc.start()
+    try:
+        col = closed_cf_color_intervals(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col.palette_size <= 3
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
