@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -47,7 +47,10 @@ def _require_finite(*values: float) -> None:
             raise InvalidInputError(f"coordinate {v!r} is not finite")
 
 
-@dataclass(frozen=True)
+# Points, discs, intervals and rectangles carry __slots__: a generated scene
+# holds tens of thousands of them, and without a __dict__ each takes half the
+# memory and is built in about half the time.
+@dataclass(frozen=True, slots=True)
 class Point:
     x: float
     y: float
@@ -56,7 +59,7 @@ class Point:
         _require_finite(self.x, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disc:
     """Closed disc; radius 0 is allowed and denotes a point."""
 
@@ -69,7 +72,7 @@ class Disc:
             raise InvalidInputError("disc radius must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval [lo, hi] on the line."""
 
@@ -82,7 +85,7 @@ class Interval:
             raise InvalidInputError("interval requires lo <= hi")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AARect:
     """Closed axis-parallel rectangle."""
 
@@ -120,13 +123,10 @@ class ConvexFatObject:
         if self.r_outer < self.r_inner:
             raise InvalidInputError("r_outer must be >= r_inner")
         xy = self.xy()
-        n = len(xy)
         scale = max(1.0, float(np.abs(xy).max()))
         tol = 1e-9 * scale * scale
-        for i in range(n):
-            ax, ay = xy[i]
-            bx, by = xy[(i + 1) % n]
-            cx, cy = xy[(i + 2) % n]
+        pts = xy.tolist()  # Python floats: the same arithmetic, without a numpy scalar per coordinate
+        for (ax, ay), (bx, by), (cx, cy) in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
             if _orient(ax, ay, bx, by, cx, cy) <= -tol:
                 raise InvalidInputError("polygon vertices must be convex in counter-clockwise order")
         # certificate containment, with a small relative slack
@@ -271,11 +271,9 @@ def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) ->
 def _polygon_inradius_at(xy: np.ndarray, px: float, py: float) -> float:
     """Distance from (px, py) to the nearest edge line, i.e. the largest disc
     centered there that fits inside the convex polygon (negative if outside)."""
-    n = len(xy)
+    pts = xy.tolist()
     best = math.inf
-    for i in range(n):
-        ax, ay = xy[i]
-        bx, by = xy[(i + 1) % n]
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
         ex, ey = bx - ax, by - ay
         length = math.hypot(ex, ey)
         if length == 0:
@@ -658,6 +656,11 @@ def generate_scene(
     until every pairwise boundary distance exceeds `margin` (default 1e-6 of
     the coordinate span), which keeps generated instances out of degenerate
     tangency configurations.
+
+    The scene is the one a sequential loop makes: draw a candidate, keep it if
+    it clears every placed shape, and give up after 400 misses in a row.
+    Candidates are drawn and checked in blocks, each only against the shapes
+    whose margin boxes overlap its own (`_Placed`).
     """
     if n < 0:
         raise InvalidInputError("n must be >= 0")
@@ -677,123 +680,236 @@ def generate_scene(
             raise InvalidInputError(f"invalid range {r}")
     delta = (1e-6 * span) if margin is None else margin
     rng = np.random.default_rng(seed)
+    draw = _Sampler(kind, rng, span, radius_range, length_range, side_range, rho, k, base_size, homothets_of)
     shapes: list[Shape] = []
-    checker = _MarginChecker(delta)
-    for _ in range(n):
-        if delta <= 0:
-            shapes.append(
-                _sample_shape(kind, rng, span, radius_range, length_range, side_range, rho, k, base_size, homothets_of)
-            )
-            continue
-        for _attempt in range(400):
-            cand = _sample_shape(
-                kind, rng, span, radius_range, length_range, side_range, rho, k, base_size, homothets_of
-            )
-            if not checker.violates(cand):
-                checker.add(cand)
-                shapes.append(cand)
-                break
+    if delta <= 0:
+        while len(shapes) < n:
+            count = min(n - len(shapes), _GEN_BLOCK)
+            shapes.extend(draw(count).make(range(count)))
+        return Scene(tuple(shapes), kind)
+    placed = _Placed(kind, delta)
+    misses = drawn = 0
+    while len(shapes) < n:
+        want = n - len(shapes)
+        if draw.sequential:
+            # sampling can raise: never draw a candidate the one-at-a-time loop would not
+            want = min(want, 400 - misses)
         else:
-            raise GenerationError("could not place a shape while honoring the non-degeneracy margin")
+            want = math.ceil(want * max(drawn, 1) / max(len(shapes), 1))  # at the acceptance rate so far
+        block = draw(min(want, placed.block_limit()))
+        bad, clash = placed.conflicts(block)
+        taken: list[int] = []
+        kept = [False] * len(bad)
+        for j, b in enumerate(bad.tolist()):
+            drawn += 1
+            if b or any(kept[i] for i in clash.get(j, ())):
+                misses += 1
+                if misses == 400:
+                    raise GenerationError("could not place a shape while honoring the non-degeneracy margin")
+                continue
+            kept[j], misses = True, 0
+            taken.append(j)
+            if len(shapes) + len(taken) == n:
+                break
+        placed.add(taken)
+        shapes.extend(block.make(taken))
     return Scene(tuple(shapes), kind)
 
 
-class _MarginChecker:
-    """Incremental pairwise boundary-distance checks against placed shapes."""
+_GEN_BLOCK = 256  # candidates per generator block at most
+_GEN_CELLS = 1 << 16  # overlapping margin-box pairs per block, about
 
-    def __init__(self, delta: float):
-        self.delta = delta
-        self.discs: list[tuple[float, float, float]] = []
-        self.values: list[float] = []  # interval endpoints
-        self.xs: list[float] = []
-        self.ys: list[float] = []  # rect edge coordinates
-        self.verts: list[np.ndarray] = []
-        self.edges: list[np.ndarray] = []  # polygon data, stacked lazily
 
-    def violates(self, s: Shape) -> bool:
+@dataclass(frozen=True)
+class _Block:
+    """Candidates in draw order: `rows` in the layout of `Scene.rows` (for
+    polygons, one (k, 2) vertex array each), and `make(indices)` the shape
+    objects of the chosen ones."""
+
+    rows: Sequence
+    make: Callable[[Sequence[int]], list]
+
+
+class _Sampler:
+    """Draws candidates from `rng` in the order, and with the arithmetic, of
+    one `rng.uniform` call per coordinate: discs (x, y, r), intervals (lo,
+    length), rectangles (x, y, width, height), polygons (size unless k = 1,
+    then anchor x, y).  Fixed-count draws come `count` at a time from one
+    `rng.random` call; random polygons, whose draw count varies, are sampled
+    one by one (`sequential`)."""
+
+    def __init__(self, kind, rng, span, radius_range, length_range, side_range, rho, k, base_size, homothets_of):
+        self.kind, self.rng, self.span = kind, rng, span
+        self.radius_range, self.length_range, self.side_range = radius_range, length_range, side_range
+        self.rho, self.k, self.template = rho, k, homothets_of
+        self.base = base_size if base_size is not None else 0.05 * span
+        self.sequential = kind == "fat" and homothets_of is None
+
+    def __call__(self, count: int) -> _Block:
+        if self.sequential:
+            return self._polygons(count)
+        kind, span = self.kind, self.span
+        u = self.rng.random((count, {"discs": 3, "intervals": 2, "rects": 4}.get(kind, 2 + (self.k != 1))))
+        if kind == "discs":
+            x, y = _scaled(u[:, 0], 0, span), _scaled(u[:, 1], 0, span)
+            rows = np.column_stack((x, y, _scaled(u[:, 2], *self.radius_range)))
+            return _Block(rows, lambda idx: [Disc(Point(x, y), r) for x, y, r in _columns(rows, idx)])
+        if kind == "intervals":
+            lo = _scaled(u[:, 0], 0, span)
+            rows = np.column_stack((lo, lo + _scaled(u[:, 1], *self.length_range)))
+            return _Block(rows, lambda idx: [Interval(a, b) for a, b in _columns(rows, idx)])
+        if kind == "rects":
+            x, y = _scaled(u[:, 0], 0, span), _scaled(u[:, 1], 0, span)
+            w, h = _scaled(u[:, 2], *self.side_range), _scaled(u[:, 3], *self.side_range)
+            rows = np.column_stack((x, x + w, y, y + h))
+            return _Block(rows, lambda idx: [AARect(*r) for r in _columns(rows, idx)])
+        t = self.template
+        size = np.full(count, self.base) if self.k == 1 else _scaled(u[:, 0], self.base, self.k * self.base)
+        ax, ay = _scaled(u[:, -2], 0, span), _scaled(u[:, -1], 0, span)
+        # `_homothet`'s arithmetic, one candidate per row
+        scale = (size / t.r_inner)[:, None]
+        txy = t.xy()
+        rows = np.stack(
+            (ax[:, None] + scale * (txy[:, 0] - t.anchor.x), ay[:, None] + scale * (txy[:, 1] - t.anchor.y)), axis=2
+        )
+        params = np.column_stack((ax, ay, size))
+        return _Block(rows, lambda idx: [_homothet(t, Point(x, y), s) for x, y, s in _columns(params, idx)])
+
+    def _polygons(self, count: int) -> _Block:
+        rng, base = self.rng, self.base
+        polys = []
+        for _ in range(count):
+            size = base if self.k == 1 else rng.uniform(base, self.k * base)
+            ax, ay = rng.uniform(0, self.span, size=2)
+            polys.append(_random_fat_polygon(rng, Point(ax, ay), size, self.rho))
+        return _Block([poly.xy() for poly in polys], lambda idx: [polys[i] for i in idx])
+
+
+def _columns(rows: np.ndarray, idx: Iterable[int]) -> Iterable[tuple[float, ...]]:
+    """The chosen rows as tuples of floats, converted column by column, so no
+    list per row is made and dropped among the floats the shapes keep (on the
+    `disc-dense` benchmark, 3 MB less peak RSS than `rows.tolist()`)."""
+    return zip(*rows[list(idx)].T.tolist())
+
+
+def _scaled(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """`rng.uniform(lo, hi)` from its unit draws `u`: the same lo + (hi - lo) * u."""
+    return lo + (hi - lo) * u
+
+
+class _Placed:
+    """Shapes accepted so far, as the margin keys of `_margin_keys` and their
+    sweep boxes, in arrays that double when full."""
+
+    def __init__(self, kind: str, delta: float):
+        self.kind, self.delta = kind, delta
+        self.per = {"intervals": 2, "rects": 4, "fat": 8}.get(kind, 1)  # keys per shape, as last seen
+        self.keys = np.empty((16, {"discs": 3, "fat": 4}.get(kind, 1)))
+        self.boxes = np.empty((16, 4))
+        self.size = 0  # keys held
+        self.density = 1.0  # share of key pairs whose boxes overlapped in the last block
+        self._block: tuple = ()
+
+    def block_limit(self) -> int:
+        """Candidates per block such that the expected overlapping box pairs,
+        against placed keys and within the block, stay near `_GEN_CELLS`."""
+        if self.density <= 0:
+            return _GEN_BLOCK
+        m = self.size
+        x = math.sqrt(m * m + 2 * _GEN_CELLS / self.density) - m  # x (m + x / 2) density = _GEN_CELLS
+        return max(1, min(_GEN_BLOCK, int(x / self.per)))
+
+    def conflicts(self, block: _Block) -> tuple[np.ndarray, dict[int, list[int]]]:
+        """Per candidate, whether it is too close to a placed shape; and per
+        candidate j, the earlier candidates i < j it is too close to."""
+        keys, boxes, owner = _margin_keys(self.kind, block.rows, self.delta)
+        bad = np.zeros(len(block.rows), dtype=bool)
+        i, j = _box_overlaps(self.boxes[: self.size], boxes, False)
+        bad[owner[j[self._too_close(self.keys[i], keys[j])]]] = True
+        p, q = _box_overlaps(boxes, boxes, True)
+        other = owner[p] != owner[q]  # keys are grouped by owner, so then owner[p] < owner[q]
+        p, q = p[other], q[other]
+        near = self._too_close(keys[p], keys[q])
+        x, m = len(keys), self.size
+        self.density = (len(i) + len(p)) / max(1, x * m + x * (x - 1) // 2)
+        self.per = x / len(block.rows)
+        clash: dict[int, list[int]] = {}
+        for a, b in zip(owner[p[near]].tolist(), owner[q[near]].tolist()):
+            clash.setdefault(b, []).append(a)
+        self._block = (keys, boxes, owner)
+        return bad, clash
+
+    def _too_close(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether key a (of the placed shape) and key b are closer than delta."""
         d = self.delta
-        if isinstance(s, Disc):
-            if not self.discs:
-                return False
-            arr = np.asarray(self.discs)
-            dist = np.hypot(arr[:, 0] - s.center.x, arr[:, 1] - s.center.y)
-            return bool(
-                (dist < d).any()
-                or (np.abs(dist - (arr[:, 2] + s.radius)) < d).any()
-                or (np.abs(dist - np.abs(arr[:, 2] - s.radius)) < d).any()
-            )
-        if isinstance(s, Interval):
-            if not self.values:
-                return False
-            arr = np.asarray(self.values)
-            return bool((np.abs(arr[:, None] - np.array([s.lo, s.hi])[None, :]) < d).any())
-        if isinstance(s, AARect):
-            if not self.xs:
-                return False
-            xs = np.asarray(self.xs)
-            ys = np.asarray(self.ys)
-            return bool(
-                (np.abs(xs[:, None] - np.asarray([s.xmin, s.xmax])[None, :]) < d).any()
-                or (np.abs(ys[:, None] - np.asarray([s.ymin, s.ymax])[None, :]) < d).any()
-            )
-        if isinstance(s, ConvexFatObject):
-            if not self.verts:
-                return False
-            xy = s.xy()
-            cand_edges = np.stack([xy, np.roll(xy, -1, axis=0)], axis=1)
-            placed_verts = np.concatenate(self.verts)
-            placed_edges = np.concatenate(self.edges)
-            return bool(
-                (_points_segments_dist(xy, placed_edges) < d).any()
-                or (_points_segments_dist(placed_verts, cand_edges) < d).any()
-            )
-        return False
+        if self.kind == "discs":
+            dist = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+            outer, inner = np.abs(dist - (a[:, 2] + b[:, 2])), np.abs(dist - np.abs(a[:, 2] - b[:, 2]))
+            return (dist < d) | (outer < d) | (inner < d)
+        if self.kind == "fat":
+            # each vertex starts one edge, and that edge's box holds it: the start
+            # of each edge against the other edge covers every vertex-edge pair
+            e0, e1, f0, f1 = a[:, :2], a[:, 2:], b[:, :2], b[:, 2:]
+            return (_points_segments_dist(f0, e0, e1) < d) | (_points_segments_dist(e0, f0, f1) < d)
+        return np.abs(a[:, 0] - b[:, 0]) < d
 
-    def add(self, s: Shape) -> None:
-        if isinstance(s, Disc):
-            self.discs.append((s.center.x, s.center.y, s.radius))
-        elif isinstance(s, Interval):
-            self.values.extend([s.lo, s.hi])
-        elif isinstance(s, AARect):
-            self.xs.extend([s.xmin, s.xmax])
-            self.ys.extend([s.ymin, s.ymax])
-        elif isinstance(s, ConvexFatObject):
-            xy = s.xy()
-            self.verts.append(xy)
-            self.edges.append(np.stack([xy, np.roll(xy, -1, axis=0)], axis=1))
+    def add(self, taken: list[int]) -> None:
+        """Place the candidates `taken` of the block last passed to `conflicts`."""
+        keys, boxes, owner = self._block
+        mine = np.isin(owner, taken)
+        keys, boxes = keys[mine], boxes[mine]
+        end = self.size + len(keys)
+        self.keys, self.boxes = _grown(self.keys, end), _grown(self.boxes, end)
+        self.keys[self.size : end], self.boxes[self.size : end] = keys, boxes
+        self.size = end
 
 
-def _points_segments_dist(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Distances of every point to every segment; shape (P, S)."""
-    a = segs[:, 0][None, :, :]
-    b = segs[:, 1][None, :, :]
-    p = pts[:, None, :]
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """`a`, or a copy at least twice as long when it has fewer than `size` rows."""
+    if size <= len(a):
+        return a
+    out = np.empty((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+def _margin_keys(kind: str, rows: Sequence, delta: float) -> tuple[np.ndarray, ...]:
+    """The parts of a block of shapes that the margin check compares, as
+    (keys, boxes, owner), grouped by owning shape in block order.
+
+    The keys are (x, y, r) per disc, each interval endpoint, each rectangle
+    edge coordinate, and each polygon edge (ax, ay, bx, by) in its polygon's
+    ccw order, the closing edge last.  Each box is grown by delta / 2 plus a
+    relative 1e-12, so keys whose computed distance is below delta have
+    overlapping boxes.  A coordinate's box is degenerate in y, at 0 for an
+    x-coordinate and 1 for a y-coordinate, which keeps the axes apart."""
+    half = 0.5 * delta
+    if kind == "discs":
+        x, y, r = rows.T
+        g = r + half + 1e-12 * (np.abs(x) + np.abs(y) + r + delta)
+        return rows, np.column_stack((x - g, x + g, y - g, y + g)), np.arange(len(rows))
+    if kind in ("intervals", "rects"):
+        v = rows.reshape(-1, 1)
+        g = half + 1e-12 * (np.abs(v[:, 0]) + delta)
+        axis = np.arange(len(v)) % rows.shape[1] // 2
+        boxes = np.column_stack((v[:, 0] - g, v[:, 0] + g, axis, axis))
+        return v, boxes, np.repeat(np.arange(len(rows)), rows.shape[1])
+    edges = np.concatenate([np.column_stack((xy, np.roll(xy, -1, axis=0))) for xy in rows])
+    ex, ey = edges[:, 0::2], edges[:, 1::2]
+    g = half + 1e-12 * (np.abs(edges).max(axis=1) + delta)
+    boxes = np.column_stack((ex.min(1) - g, ex.max(1) + g, ey.min(1) - g, ey.max(1) + g))
+    return edges, boxes, np.repeat(np.arange(len(rows)), [len(xy) for xy in rows])
+
+
+def _points_segments_dist(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from point p to segment (a, b), broadcast over the leading axes;
+    the last axis holds (x, y)."""
     ab = b - a
-    denom = (ab**2).sum(axis=2)
+    denom = (ab**2).sum(axis=-1)
     denom = np.where(denom == 0, 1.0, denom)
-    t = np.clip(((p - a) * ab).sum(axis=2) / denom, 0.0, 1.0)
+    t = np.clip(((p - a) * ab).sum(axis=-1) / denom, 0.0, 1.0)
     proj = a + t[..., None] * ab
     return np.hypot(p[..., 0] - proj[..., 0], p[..., 1] - proj[..., 1])
-
-
-def _sample_shape(kind, rng, span, radius_range, length_range, side_range, rho, k, base_size, homothets_of) -> Shape:
-    if kind == "discs":
-        cx, cy = rng.uniform(0, span, size=2)
-        r = rng.uniform(*radius_range)
-        return Disc(Point(cx, cy), r)
-    if kind == "intervals":
-        lo = rng.uniform(0, span)
-        return Interval(lo, lo + rng.uniform(*length_range))
-    if kind == "rects":
-        x = rng.uniform(0, span)
-        y = rng.uniform(0, span)
-        return AARect(x, x + rng.uniform(*side_range), y, y + rng.uniform(*side_range))
-    base = base_size if base_size is not None else 0.05 * span
-    size = base if k == 1 else rng.uniform(base, k * base)
-    ax, ay = rng.uniform(0, span, size=2)
-    if homothets_of is not None:
-        return _homothet(homothets_of, Point(ax, ay), size)
-    return _random_fat_polygon(rng, Point(ax, ay), size, rho)
 
 
 def _homothet(template: ConvexFatObject, anchor: Point, size: float) -> ConvexFatObject:
@@ -807,7 +923,7 @@ def _homothet(template: ConvexFatObject, anchor: Point, size: float) -> ConvexFa
 
 def _convex_hull_ccw(xy: np.ndarray) -> np.ndarray:
     """Monotone-chain hull in counter-clockwise order, collinear points dropped."""
-    pts = sorted(map(tuple, xy))
+    pts = sorted(map(tuple, xy.tolist()))
     if len(pts) < 3:
         return np.array(pts)
 
@@ -845,7 +961,7 @@ def _random_fat_polygon(rng, anchor: Point, size: float, rho: float) -> ConvexFa
         if inner <= 0 or outer / inner > rho:
             continue
         scale = size / inner
-        verts = tuple(Point(anchor.x + scale * x, anchor.y + scale * y) for x, y in xy)
+        verts = tuple(Point(anchor.x + scale * x, anchor.y + scale * y) for x, y in xy.tolist())
         return ConvexFatObject(verts, anchor, size, outer * scale)
     raise GenerationError(f"could not sample a convex polygon with fatness <= {rho}")
 

@@ -298,8 +298,9 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
     colored member; no hypergraph is built.
 
     A Graph is read from its edge arrays.  An interval or rectangle Scene, in
-    closed mode only, is read with no graph at all: intervals by counting
-    endpoints (`_interval_census`), rectangles from the `contact_pairs` arrays.
+    closed mode only, is read with no graph at all: from the `contact_pairs`
+    arrays, or, for intervals with fewer (vertex, color) cells n p than closed
+    neighborhood members n + D, by counting endpoints (`_interval_census`).
     """
     if isinstance(contacts, Graph):
         return _cf_violations(_total(coloring, contacts.n), *contacts._neighborhoods(mode), contacts.n)
@@ -308,11 +309,19 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
     n = len(contacts)
     colors = _total(coloring, n)
     if contacts.kind == "intervals":
-        return _without_unique(*_interval_census(contacts.rows, colors), np.ones(n, dtype=bool))
-    if contacts.kind == "rects":
+        if n * len(np.unique(colors)) <= n + _closed_degree_total(contacts.rows):
+            return _without_unique(*_interval_census(contacts.rows, colors), np.ones(n, dtype=bool))
+    if contacts.kind in ("intervals", "rects"):
         i, j, loops = *contact_pairs(contacts), np.arange(n)
         return _cf_violations(colors, np.concatenate([j, i, loops]), np.concatenate([i, j, loops]), n)
     raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
+
+
+def _closed_degree_total(ends: np.ndarray) -> int:
+    """D, the sum of |N[v]| over the intervals: `_interval_census` of one color,
+    summed, so its queries can be sorted too."""
+    lo, hi = np.sort(ends[:, 0]), np.sort(ends[:, 1])
+    return int(np.searchsorted(lo, hi, "right").sum() - np.searchsorted(hi, lo, "left").sum())
 
 
 def _interval_census(ends: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

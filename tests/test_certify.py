@@ -203,19 +203,26 @@ def _check_scene_census(scene, colors):
 @given(
     st.sampled_from(sorted(COLORERS)),
     st.lists(st.tuples(half, side, half, side), min_size=1, max_size=30),
-    st.none() | st.lists(st.integers(1, 4), min_size=30, max_size=30),
+    st.none() | st.lists(st.integers(0, 10**6), min_size=30, max_size=30),
+    st.sampled_from([4, 1, 3, 200, 0]),  # 0: as many colors as vertices
 )
-@example("intervals", [(0, 0, 0, 0)], None)  # n = 1
-@example("intervals", [(0, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)], [1] * 30)  # touching closed ends
-@example("intervals", [(1, 2, 0, 0)] * 3 + [(3, 0, 0, 0)], [1, 2, 2, 3] + [1] * 26)  # repeats
-@example("rects", [(0, 0, 0, 0)], None)
-@example("rects", [(0, 1, 0, 1), (1, 1, 1, 1), (0, 1, 1, 1)], [1] * 30)  # touching edges and corners
-@example("rects", [(0, 2, 0, 2)] * 2 + [(2, 1, 0, 2)], [1, 2] + [1] * 28)  # repeats
+@example("intervals", [(0, 0, 0, 0)], None, 4)  # n = 1
+@example("intervals", [(0, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)], [0] * 30, 4)  # touching closed ends
+@example("intervals", [(k, 1, 0, 0) for k in range(10)], list(range(30)), 0)  # touching, all distinct: by pairs
+@example("intervals", [(1, 2, 0, 0)] * 3 + [(3, 0, 0, 0)], [0, 1, 1, 2] + [0] * 26, 4)  # repeats
+@example("intervals", [(1, 2, 0, 0)] * 4, list(range(30)), 0)  # all tied: the census is no larger than the pairs
+@example("intervals", [(k / 2, 1, 0, 0) for k in range(30)], list(range(0, 3000, 100)), 200)
+@example("intervals", [(1, 2, 0, 0)] * 3 + [(3, 0, 0, 0)], [0] * 30, 1)
+@example("rects", [(0, 0, 0, 0)], None, 4)
+@example("rects", [(0, 1, 0, 1), (1, 1, 1, 1), (0, 1, 1, 1)], [0] * 30, 4)  # touching edges and corners
+@example("rects", [(0, 2, 0, 2)] * 2 + [(2, 1, 0, 2)], [0, 1] + [0] * 28, 4)  # repeats
 @settings(max_examples=300, deadline=None)
-def test_scene_census_matches_graph(kind, shapes, drawn):
-    # on the colorer's own output, or on a drawn coloring, usually with violations
+def test_scene_census_matches_graph(kind, shapes, drawn, palette):
+    # on the colorer's own output, or on a drawn coloring with 1, 3, 4, 200 or n
+    # colors, usually with violations
     scene = _scene(kind, shapes)
-    colors = list(COLORERS[kind](scene).colors) if drawn is None else drawn[: len(scene)]
+    p = palette or len(scene)
+    colors = list(COLORERS[kind](scene).colors) if drawn is None else [d % p + 1 for d in drawn[: len(scene)]]
     bad = _check_scene_census(scene, colors)
     assert drawn is not None or bad == []
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from generator_reference import generate_scene_reference
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfgeom import (
@@ -22,7 +24,7 @@ from cfgeom import (
     scene_to_json,
     validate_pseudodisc_family,
 )
-from cfgeom.errors import DegenerateGeometryError, IncompatibleShapesError
+from cfgeom.errors import DegenerateGeometryError, GenerationError, IncompatibleShapesError
 from cfgeom.geom import (
     _clip_segments,
     _convex_hull_ccw,
@@ -151,15 +153,106 @@ def test_generate_scene_empty_and_determinism():
     assert a != c
 
 
+def _segment_dist(p, a, b) -> float:
+    """Scalar distance from point p to segment (a, b)."""
+    ex, ey = b.x - a.x, b.y - a.y
+    t = ((p.x - a.x) * ex + (p.y - a.y) * ey) / (ex * ex + ey * ey)
+    t = min(1.0, max(0.0, t))
+    return math.hypot(p.x - (a.x + t * ex), p.y - (a.y + t * ey))
+
+
+def _boundary_pairs(scene):
+    """(i, j, boundary distances of shapes i and j), by scalar arithmetic; polygons both ways round."""
+    for i, a in enumerate(scene.shapes):
+        for j, b in enumerate(scene.shapes):
+            if i == j or (i > j and not isinstance(a, ConvexFatObject)):
+                continue
+            if isinstance(a, Disc):
+                d = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
+                yield i, j, [d, abs(d - (a.radius + b.radius)), abs(d - abs(a.radius - b.radius))]
+            elif isinstance(a, Interval):
+                yield i, j, [abs(u - v) for u in (a.lo, a.hi) for v in (b.lo, b.hi)]
+            elif isinstance(a, AARect):
+                xs = [abs(u - v) for u in (a.xmin, a.xmax) for v in (b.xmin, b.xmax)]
+                yield i, j, xs + [abs(u - v) for u in (a.ymin, a.ymax) for v in (b.ymin, b.ymax)]
+            else:  # every vertex of a against every edge of b
+                edges = list(zip(b.vertices, b.vertices[1:] + b.vertices[:1]))
+                yield i, j, [_segment_dist(p, e0, e1) for p in a.vertices for e0, e1 in edges]
+
+
 def test_generate_scene_margin_holds():
     delta = 1e-3
-    scene = generate_scene("discs", 40, 5, margin=delta)
-    for i in range(40):
-        for j in range(i + 1, 40):
-            a, b = scene[i], scene[j]
-            d = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
-            assert abs(d - (a.radius + b.radius)) >= delta
-            assert abs(d - abs(a.radius - b.radius)) >= delta
+    for kind, n, extra in [
+        ("discs", 40, {}),
+        ("intervals", 40, {"span": 4.0}),
+        ("rects", 40, {}),
+        ("fat", 30, {"rho": 1.5, "k": 3.0, "homothets_of": pentagon_template(), "base_size": 0.05}),
+        ("fat", 15, {"rho": 2.0, "k": 4.0, "base_size": 0.03}),
+    ]:
+        scene = generate_scene(kind, n, 5, margin=delta, **extra)
+        assert len(scene) == n
+        for i, j, dists in _boundary_pairs(scene):
+            assert min(dists) >= delta, (kind, i, j)
+
+
+PENTAGON = pentagon_template()
+
+
+@st.composite
+def _generator_args(draw):
+    kind = draw(st.sampled_from(["discs", "intervals", "rects", "homothets", "fat"]))
+    margin = draw(st.sampled_from([None, 0.0, 1e-9, 1e-3]) | st.floats(0.02, 0.1))
+    args = {"margin": margin, "span": draw(st.sampled_from([1.0, 3.0]))}
+    n = draw(st.integers(0, 80))
+    if kind == "homothets":
+        kind = "fat"
+        args.update(homothets_of=PENTAGON, rho=1.5, k=draw(st.sampled_from([1.0, 3.0])), base_size=0.05)
+    elif kind == "fat":
+        n = min(n, 30)  # sampled one at a time
+        args.update(rho=draw(st.sampled_from([1.2, 2.0])), k=draw(st.sampled_from([1.0, 4.0])), base_size=0.03)
+    return kind, n, draw(st.integers(0, 2**32 - 1)), args
+
+
+def _generated(generate, kind, n, seed, args):
+    try:
+        return generate(kind, n, seed, **args)
+    except GenerationError as exc:
+        return str(exc)
+
+
+@given(_generator_args())
+@example(("rects", 80, 9, {"margin": 0.05}))  # many misses
+@example(("fat", 80, 1, {"margin": 0.1, "homothets_of": PENTAGON, "rho": 1.5, "k": 3.0, "base_size": 0.05}))
+@settings(max_examples=80, deadline=None)
+def test_generate_scene_matches_sequential_reference(case):
+    got, want = _generated(generate_scene, *case), _generated(generate_scene_reference, *case)
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(got, Scene):
+        assert got.rows.tobytes() == want.rows.tobytes()
+
+
+def test_generate_scene_gives_up_where_the_reference_does():
+    for generate in (generate_scene, generate_scene_reference):
+        with pytest.raises(GenerationError, match="non-degeneracy margin"):
+            generate("intervals", 40, 3, margin=0.1)
+
+
+def test_generate_scene_memory_follows_near_pairs():
+    # 3e4 discs of mean degree about 10, default margin: one block of 256
+    # candidates against every placed disc would take 61 MB per array; the
+    # sweep keeps only the pairs whose margin boxes overlap
+    n, radii = 30000, (0.05, 0.2)
+    mean, var = sum(radii) / 2, (radii[1] - radii[0]) ** 2 / 12
+    span = math.sqrt(n * math.pi * (4 * mean * mean + 2 * var) / 10)
+    tracemalloc.start()
+    try:
+        scene = generate_scene("discs", n, 11, span=span, radius_range=radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scene) == n
+    assert peak < 50 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_generate_fat_certificates_valid():
