@@ -111,11 +111,11 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
     remaining lists.  Needs list sizes of at least cf_palette_bound(n, pc.k).
     """
     if len(lists) != h.n:
-        raise ValueError("one color list per vertex required")
+        raise InvalidInputError("one color list per vertex required")
     need = cf_palette_bound(h.n, pc.k)
     for v, lst in enumerate(lists):
         if len(set(lst)) < need:
-            raise ValueError(f"list of vertex {v} has {len(set(lst))} colors, needs >= {need}")
+            raise InvalidInputError(f"list of vertex {v} has {len(set(lst))} colors, needs >= {need}")
     remaining = [set(lst) for lst in lists]
     final: list[int | None] = [None] * h.n
     while alive := [v for v in range(h.n) if final[v] is None]:
@@ -146,9 +146,9 @@ def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
     recorded in the palette map.
     """
     if len(c.colors) != g.n:
-        raise ValueError("coloring is not total")
+        raise InvalidInputError("coloring is not total")
     if any(col < 1 for col in c.colors):
-        raise ValueError("pointed_to_closed expects positive color ids")
+        raise InvalidInputError("pointed_to_closed expects positive color ids")
     bad = neighborhood_violations(g, c, "pointed")
     if bad:
         raise VerificationError(f"input is not pointed-CF (violations on neighborhoods {bad[:5]})")

@@ -43,7 +43,11 @@ __all__ = [
 
 def _require_finite(*values: float) -> None:
     for v in values:
-        if not math.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
             raise InvalidInputError(f"coordinate {v!r} is not finite")
 
 

@@ -51,11 +51,11 @@ class Graph:
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError("graph edges must be vertex pairs")
+            raise InvalidInputError("graph edges must be vertex pairs")
         u, v = e[:, 0], e[:, 1]
         bad = np.nonzero((u < 0) | (u >= v) | (v >= n))[0]
         if len(bad):
-            raise ValueError(f"bad edge ({u[bad[0]]},{v[bad[0]]}) for n={n}")
+            raise InvalidInputError(f"bad edge ({u[bad[0]]},{v[bad[0]]}) for n={n}")
         self.n = n
         self.indptr, self.indices = _csr(np.concatenate([u * n + v, v * n + u]), n, n)
 
@@ -79,7 +79,7 @@ class Graph:
     def _neighborhoods(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
         """(member, owner) pairs of every N(v) (pointed) or N[v] (closed), flat."""
         if mode not in ("pointed", "closed"):
-            raise ValueError("mode must be 'pointed' or 'closed'")
+            raise InvalidInputError("mode must be 'pointed' or 'closed'")
         owners, members = self.arcs()
         if mode == "closed":
             loops = np.arange(self.n)
@@ -90,7 +90,7 @@ class Graph:
         """Induced subgraph on the strictly increasing vertex list `keep`, keep[i] renamed i."""
         keep = np.asarray(keep, dtype=np.int64)
         if len(keep) and (keep[0] < 0 or keep[-1] >= self.n or (np.diff(keep) <= 0).any()):
-            raise ValueError(f"keep must be strictly increasing vertices of 0..{self.n - 1}")
+            raise InvalidInputError(f"keep must be strictly increasing vertices of 0..{self.n - 1}")
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[keep] = np.arange(len(keep))
         u, v = (pos[x] for x in self.arcs())
@@ -116,7 +116,7 @@ class Hypergraph:
         edge_ids = np.repeat(np.arange(len(edges)), sizes)
         bad = np.nonzero((members < 0) | (members >= n))[0]
         if len(bad):
-            raise ValueError(f"edge {tuple(sorted(set(edges[edge_ids[bad[0]]])))} out of range for n={n}")
+            raise InvalidInputError(f"edge {tuple(sorted(set(edges[edge_ids[bad[0]]])))} out of range for n={n}")
         self._fill(n, len(edges), edge_ids, members, edge_labels, vertex_labels)
 
     @classmethod
@@ -128,9 +128,9 @@ class Hypergraph:
 
     def _fill(self, n, m, edge_ids, members, edge_labels, vertex_labels) -> None:
         if edge_labels is not None and len(edge_labels) != m:
-            raise ValueError("edge_labels length mismatch")
+            raise InvalidInputError("edge_labels length mismatch")
         if vertex_labels is not None and len(vertex_labels) != n:
-            raise ValueError("vertex_labels length mismatch")
+            raise InvalidInputError("vertex_labels length mismatch")
         self.n, self.edge_labels, self.vertex_labels = n, edge_labels, vertex_labels
         self.indptr, self.indices = _csr(edge_ids * n + members, m, n)
 
@@ -227,11 +227,11 @@ def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
     renamed i, each edge intersected with keep; edge labels are shared."""
     keep = np.asarray(keep, dtype=np.int64)
     if len(keep) and (keep.min() < 0 or keep.max() >= h.n):
-        raise ValueError(f"keep must be vertices of 0..{h.n - 1}")
+        raise InvalidInputError(f"keep must be vertices of 0..{h.n - 1}")
     pos = np.full(h.n, -1, dtype=np.int64)
     pos[keep] = np.arange(len(keep))
     if (pos[keep] != np.arange(len(keep))).any():
-        raise ValueError("keep must not contain duplicates")
+        raise InvalidInputError("keep must not contain duplicates")
     members, edge_ids = h._flat
     renamed = pos[members]
     inside = renamed >= 0
@@ -263,7 +263,7 @@ def _color_counts(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, n
 def _total(coloring, n: int) -> np.ndarray:
     colors = np.asarray(_colors_of(coloring), dtype=np.int64)
     if len(colors) != n:
-        raise ValueError("coloring is not total")
+        raise InvalidInputError("coloring is not total")
     return colors
 
 
@@ -298,9 +298,10 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
     colored member; no hypergraph is built.
 
     A Graph is read from its edge arrays.  An interval or rectangle Scene, in
-    closed mode only, is read with no graph at all: from the `contact_pairs`
-    arrays, or, for intervals with fewer (vertex, color) cells n p than closed
-    neighborhood members n + D, by counting endpoints (`_interval_census`).
+    closed mode only, is read with no graph at all.  Intervals are counted by
+    endpoints (`_interval_census`), or from the `contact_pairs` arrays when the
+    (vertex, color) cells n p outnumber the closed neighborhood members n + D.
+    Rectangles are counted in 64-bit words (`_rect_violations`), with no pairs.
     """
     if isinstance(contacts, Graph):
         return _cf_violations(_total(coloring, contacts.n), *contacts._neighborhoods(mode), contacts.n)
@@ -308,13 +309,14 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
         raise InvalidInputError("a scene is checked in closed mode only")
     n = len(contacts)
     colors = _total(coloring, n)
-    if contacts.kind == "intervals":
-        if n * len(np.unique(colors)) <= n + _closed_degree_total(contacts.rows):
-            return _without_unique(*_interval_census(contacts.rows, colors), np.ones(n, dtype=bool))
-    if contacts.kind in ("intervals", "rects"):
-        i, j, loops = *contact_pairs(contacts), np.arange(n)
-        return _cf_violations(colors, np.concatenate([j, i, loops]), np.concatenate([i, j, loops]), n)
-    raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
+    if contacts.kind == "rects":
+        return _rect_violations(contacts.rows, colors)
+    if contacts.kind != "intervals":
+        raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
+    if n * len(np.unique(colors)) <= n + _closed_degree_total(contacts.rows):
+        return _without_unique(*_interval_census(contacts.rows, colors), np.ones(n, dtype=bool))
+    i, j, loops = *contact_pairs(contacts), np.arange(n)
+    return _cf_violations(colors, np.concatenate([j, i, loops]), np.concatenate([i, j, loops]), n)
 
 
 def _closed_degree_total(ends: np.ndarray) -> int:
@@ -342,6 +344,71 @@ def _interval_census(ends: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, 
         vertex.append(met)
         count.append(k[met])
     return np.concatenate(vertex), np.concatenate(count)
+
+
+# words per (vertex x block of words) array of the rectangle census, about 16 MB
+_CENSUS_BLOCK_WORDS = 1 << 21
+
+
+def _rect_violations(box: np.ndarray, colors: np.ndarray) -> list[int]:
+    """Vertices whose closed rectangle meets no color class exactly once, for
+    the (n, 4) array of (xmin, xmax, ymin, ymax) rows.
+
+    Rectangle j misses the closed rectangle v exactly when it lies entirely to
+    its left, right, below or above: xmax_j < xmin_v, xmin_j > xmax_v,
+    ymax_j < ymin_v or ymin_j > ymax_v.  Each of those sets is a prefix of one
+    sorted order of a coordinate, found by one `searchsorted` per side
+    (comparisons only), so the complement of N[v] is the OR of one row from
+    each of four prefix bitsets.  Bits are laid out by color, each class
+    padded to whole 64-bit words whose padding bits are never set; one
+    `np.bitwise_count` and one `np.add.reduceat` over the class starts count
+    the members of each class that miss v, and class c meets v n_c - miss
+    times.  Words go in column blocks of _CENSUS_BLOCK_WORDS // n, a class
+    wider than a block carrying its count to the next, so memory stays
+    O(n * block) and time O(n (n/64 + p)) words for p colors.
+    """
+    n = len(box)
+    _, dense = np.unique(colors, return_inverse=True)
+    sizes = np.bincount(dense)
+    words = -(-sizes // 64)
+    end = np.cumsum(words)
+    start = end - words  # first word of each class
+    bit = np.empty(n, dtype=np.int64)
+    bit[np.argsort(dense, kind="stable")] = np.arange(n) + np.repeat(64 * start - (np.cumsum(sizes) - sizes), sizes)
+    sides = []
+    for lo, hi in (box[:, :2].T, box[:, 2:].T):
+        by_hi, by_lo = np.argsort(hi), np.argsort(lo)
+        sides.append((bit[by_hi], np.searchsorted(hi[by_hi], lo, "left")))  # left of or below v
+        sides.append((bit[by_lo[::-1]], n - np.searchsorted(lo[by_lo], hi, "right")))  # right of or above v
+    unique = np.zeros(n, dtype=bool)
+    carry = 0  # misses counted so far of a class that continues into the block
+    total, step = int(words.sum()), max(1, _CENSUS_BLOCK_WORDS // max(n, 1))
+    for w0 in range(0, total, step):
+        w1 = min(w0 + step, total)
+        first, stop = np.searchsorted(end, w0, "right"), np.searchsorted(start, w1, "left")  # classes in the block
+        seg = np.add.reduceat(
+            np.bitwise_count(_missed_words(sides, n, w0, w1)), np.maximum(start[first:stop], w0) - w0, axis=1, dtype=np.int64
+        )
+        seg[:, 0] += carry
+        done = end[first:stop] <= w1
+        carry = 0 if done[-1] else seg[:, -1]
+        unique |= (seg[:, done] == sizes[first:stop][done] - 1).any(axis=1)
+    return np.flatnonzero(~unique).tolist()
+
+
+def _missed_words(sides: list[tuple[np.ndarray, np.ndarray]], n: int, w0: int, w1: int) -> np.ndarray:
+    """Words w0..w1-1 of the bitset of rectangles missing each vertex.  Each
+    side holds the bits of the rectangles in the order its prefixes take them,
+    and k, the length of the prefix that misses each vertex on that side."""
+    missed = np.zeros((n, w1 - w0), dtype=np.uint64)
+    for bits, k in sides:
+        word = bits >> 6
+        (inside,) = np.nonzero((word >= w0) & (word < w1))
+        prefix = np.zeros((n + 1, w1 - w0), dtype=np.uint64)
+        prefix[inside + 1, word[inside] - w0] = np.left_shift(np.uint64(1), (bits[inside] & 63).astype(np.uint64))
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        missed |= prefix[k]
+    return missed
 
 
 def certify(
@@ -393,7 +460,7 @@ def min_cf_colors_bruteforce(h: Hypergraph, max_colors: int) -> tuple[int, Color
     lacks a unique color.  Enforces n <= 16.
     """
     if h.n > ORACLE_MAX_VERTICES:
-        raise ValueError(f"oracle limited to n <= {ORACLE_MAX_VERTICES}, got {h.n}")
+        raise InvalidInputError(f"oracle limited to n <= {ORACLE_MAX_VERTICES}, got {h.n}")
     if h.n == 0:
         return (0, Coloring(()))
     complete_at: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
@@ -440,7 +507,7 @@ def greedy_maximal_independent_set(g: Graph, order: Sequence[int] | None = None)
         order = range(g.n)
     order = list(order)
     if sorted(order) != list(range(g.n)):
-        raise ValueError("order must be a permutation of the vertices")
+        raise InvalidInputError("order must be a permutation of the vertices")
     ptr, idx = g.indptr.tolist(), g.indices.tolist()
     blocked = [False] * g.n  # a chosen vertex blocks its neighbours and is never blocked itself
     for v in order:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import colorsys
 
+from .errors import InvalidInputError
 from .geom import AARect, ConvexFatObject, Disc, Interval, Scene
 from .hypergraph import Coloring
 
@@ -31,7 +32,7 @@ def render_svg(scene: Scene, coloring: Coloring, out=None) -> str:
     """One SVG element per shape, filled by a deterministic palette map, with a
     legend; identical inputs produce byte-identical documents."""
     if len(coloring.colors) != len(scene):
-        raise ValueError("coloring does not match the scene")
+        raise InvalidInputError("coloring does not match the scene")
     fills = _palette_fills(coloring.colors)
     body: list[str] = []
     xs: list[float] = []

@@ -18,18 +18,24 @@ import cfgeom.probes
 from cfgeom.hypergraph import _color_counts, _interval_census, certify, neighborhood_violations
 
 
+def _replace(monkeypatch, module, name, replacement):
+    """Replace module.name in every cfgeom module that binds it; return the original."""
+    original = getattr(module, name)
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "cfgeom" or modname.startswith("cfgeom.")) and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+    return original
+
+
 def _spy(monkeypatch, module, name):
     """Count calls of module.name through every cfgeom module that binds it."""
-    original = getattr(module, name)
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for modname, mod in list(sys.modules.items()):
-        if (modname == "cfgeom" or modname.startswith("cfgeom.")) and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, spy)
+    original = _replace(monkeypatch, module, name, spy)
     return calls
 
 
@@ -170,6 +176,7 @@ def test_colorer_output_checked_every_round(monkeypatch, name):
 # ---------------------------------------------------------------------------
 
 half = st.integers(0, 16).map(lambda k: k / 2)
+wide = st.integers(0, 400).map(lambda k: k / 2)
 side = st.integers(0, 6).map(lambda k: k / 2)
 COLORERS = {"intervals": cf.closed_cf_color_intervals, "rects": cf.closed_cf_color_rects}
 
@@ -200,10 +207,18 @@ def _check_scene_census(scene, colors):
     return bad
 
 
+# 200 rectangles on the half grid, with tied coordinates and touching edges;
+# densely packed, or along a diagonal where each meets at most three others
+GRID = [(k % 17 / 2, k % 7 / 2, k * 7 % 17 / 2, k * 3 % 7 / 2) for k in range(200)]
+DIAGONAL = [(k / 2, k % 3 / 2, k / 2 + k % 2, k % 5 / 2) for k in range(200)]
+
+
 @given(
     st.sampled_from(sorted(COLORERS)),
-    st.lists(st.tuples(half, side, half, side), min_size=1, max_size=30),
-    st.none() | st.lists(st.integers(0, 10**6), min_size=30, max_size=30),
+    # up to 30 shapes, or 63 to 200 so that color classes cross 64-bit words
+    st.lists(st.tuples(half, side, half, side), min_size=1, max_size=30)
+    | st.lists(st.tuples(wide, side, wide, side), min_size=63, max_size=200),
+    st.none() | st.lists(st.integers(0, 10**6), min_size=200, max_size=200),
     st.sampled_from([4, 1, 3, 200, 0]),  # 0: as many colors as vertices
 )
 @example("intervals", [(0, 0, 0, 0)], None, 4)  # n = 1
@@ -216,6 +231,16 @@ def _check_scene_census(scene, colors):
 @example("rects", [(0, 0, 0, 0)], None, 4)
 @example("rects", [(0, 1, 0, 1), (1, 1, 1, 1), (0, 1, 1, 1)], [0] * 30, 4)  # touching edges and corners
 @example("rects", [(0, 2, 0, 2)] * 2 + [(2, 1, 0, 2)], [0, 1] + [0] * 28, 4)  # repeats
+@example("rects", GRID[:63], None, 4)
+@example("rects", GRID[:64], [0] * 200, 1)  # one class of exactly one word
+@example("rects", GRID[:65], [0] * 200, 1)  # one class of one word and one bit
+@example("rects", GRID[:129], [0] * 64 + [1] * 65 + [0] * 71, 0)  # classes of exactly 64 and 65
+@example("rects", GRID, [0] * 150 + list(range(1, 51)), 0)  # a class of 150 spans three words
+@example("rects", GRID, list(range(200)), 0)  # palette n: every class is one padded word
+@example("rects", GRID, [k // 3 for k in range(200)], 0)  # classes of 3 and 2
+@example("rects", GRID, None, 0)
+@example("rects", DIAGONAL, [0] * 150 + list(range(1, 51)), 0)
+@example("rects", DIAGONAL, [k % 3 for k in range(200)], 0)
 @settings(max_examples=300, deadline=None)
 def test_scene_census_matches_graph(kind, shapes, drawn, palette):
     # on the colorer's own output, or on a drawn coloring with 1, 3, 4, 200 or n
@@ -225,6 +250,38 @@ def test_scene_census_matches_graph(kind, shapes, drawn, palette):
     colors = list(COLORERS[kind](scene).colors) if drawn is None else [d % p + 1 for d in drawn[: len(scene)]]
     bad = _check_scene_census(scene, colors)
     assert drawn is not None or bad == []
+
+
+@pytest.mark.parametrize("shapes", [GRID, DIAGONAL], ids=["grid", "diagonal"])
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_rect_census_carries_classes_across_blocks(monkeypatch, block, shapes):
+    # blocks of 1-3 words split the classes of 64, 65 and 150 members
+    monkeypatch.setattr(cfgeom.hypergraph, "_CENSUS_BLOCK_WORDS", block * len(shapes))
+    scene = _scene("rects", shapes)
+    rng = np.random.default_rng(block)
+    for colors in (
+        [1] * 200,
+        [1] * 64 + [2] * 65 + [3] * 71,
+        [1] * 150 + list(range(2, 52)),
+        rng.permutation([1] * 150 + list(range(2, 52))).tolist(),
+        list(range(200)),
+        rng.integers(1, 5, 200).tolist(),
+        list(COLORERS["rects"](scene).colors),
+    ):
+        _check_scene_census(scene, colors)
+
+
+def test_rect_scenes_are_certified_without_pairs(monkeypatch):
+    scene = cf.generate_scene("rects", 300, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rectangle scene listed contact pairs")
+
+    for name in ("contact_pairs", "_box_overlaps"):
+        _replace(monkeypatch, cfgeom.geom, name, refuse)
+    col = cf.closed_cf_color_rects(scene)
+    assert neighborhood_violations(scene, col, "closed") == []
+    assert neighborhood_violations(scene, [1] * len(scene), "closed")
 
 
 def test_scene_census_rejects_random_colorings():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from axis_reference import reference_rects
@@ -72,6 +73,19 @@ def test_stacked_rects_all_stabbed():
     scene = Scene(tuple(AARect(0, 1, i * 0.5, i * 0.5 + 0.8) for i in range(10)))
     col = closed_cf_color_rects(scene)
     assert col.palette_size <= 3
+
+
+def test_twenty_thousand_rects_in_bounded_memory():
+    # 13.2M contact pairs: the certificate counts in 64-bit words instead
+    scene = generate_scene("rects", 20000, [41, 20000], margin=0)
+    tracemalloc.start()
+    try:
+        col = closed_cf_color_rects(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col.palette_size <= 3 * (math.floor(math.log2(20000)) + 1)
+    assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_invalid_families_raise_invalid_input():
