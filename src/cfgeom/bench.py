@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import VerificationError
+from .errors import InvalidInputError, VerificationError
 from .fat import closed_cf_color_fat, pointed_cf_color_fat
 from .geom import generate_scene, save_scene
 from .intervals import closed_cf_color_intervals
@@ -72,9 +72,9 @@ def bench_colors(
 ) -> list[BenchRow]:
     """One certified row per (n, rep), in canonical order."""
     if alg not in _ALGS:
-        raise ValueError(f"unknown algorithm {alg!r}; pick one of {BENCH_ALGS}")
+        raise InvalidInputError(f"unknown algorithm {alg!r}; pick one of {BENCH_ALGS}")
     if not n_values:
-        raise ValueError("n_values must not be empty")
+        raise InvalidInputError("n_values must not be empty")
     return [_run_one(alg, n, rep, seed, probes_count, rho, k) for n in sorted(n_values) for rep in range(reps)]
 
 

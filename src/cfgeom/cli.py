@@ -6,6 +6,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .bench import BENCH_ALGS, bench_colors, rows_to_csv
 from .errors import CFGeomError, ColoringSizeError, InvalidInputError
 from .fat import closed_cf_color_fat, pointed_cf_color_fat
@@ -36,10 +38,11 @@ COLOR_ALGS = ("pseudodisc", "antennas", "intervals", "rects", "fat-pointed", "fa
 
 def _infer_fat_params(scene: Scene, rho, k) -> tuple[float, float]:
     certs = scene.certificates
-    if rho is None:
-        rho = float((certs[:, 3] / certs[:, 2]).max(initial=1.0))
-    if k is None:
-        k = float(certs[:, 2].max() / certs[:, 2].min()) if len(certs) else 1.0
+    with np.errstate(over="ignore"):  # a ratio beyond float range reads inf, which the colorers reject
+        if rho is None:
+            rho = float((certs[:, 3] / certs[:, 2]).max(initial=1.0))
+        if k is None:
+            k = float(certs[:, 2].max() / certs[:, 2].min()) if len(certs) else 1.0
     return rho, k
 
 
@@ -123,7 +126,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    n_values = [int(x) for x in args.n_values.split(",") if x]
+    try:
+        n_values = [int(x) for x in args.n_values.split(",") if x]
+    except ValueError:
+        raise InvalidInputError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
     rows = bench_colors(
         args.alg,
         n_values,

@@ -27,18 +27,20 @@ __all__ = [
 ]
 
 _CERT_TOL = 1 + 1e-9
+_MAX_BOUND = 2**62  # flat color ids stay below it, so they fit int64
 
 
 def _certificates(objs: Scene, rho: float, k: float) -> np.ndarray:
     """The scene's (ax, ay, r_inner, r_outer) certificates, validated against rho and k."""
     certs = objs.certificates
-    ratio = certs[:, 3] / certs[:, 2]
+    with np.errstate(over="ignore"):  # a ratio beyond float range reads inf and fails its test
+        ratio = certs[:, 3] / certs[:, 2]
+        spread = certs[:, 2].max() / certs[:, 2].min()
     over = np.flatnonzero(ratio > rho * _CERT_TOL)
     if len(over):
         raise InvalidInputError(f"object {over[0]} has fatness {ratio[over[0]]:.4f} above the declared {rho}")
-    sizes = certs[:, 2]
-    if sizes.max() / sizes.min() > k * _CERT_TOL:
-        raise InvalidInputError(f"family size-ratio {sizes.max() / sizes.min():.4f} exceeds the declared {k}")
+    if spread > k * _CERT_TOL:
+        raise InvalidInputError(f"family size-ratio {spread:.4f} exceeds the declared {k}")
     return certs
 
 
@@ -58,7 +60,7 @@ def _cells(certs: np.ndarray) -> list[tuple[int, int]]:
             break
         shift *= 2
     else:
-        raise ValueError("could not shift anchors off the grid lines")
+        raise InvalidInputError("could not shift anchors off the grid lines: coordinates too large for the grid")
     return [(math.floor(x - shift), math.floor(y - shift)) for x, y in pts]
 
 
@@ -71,10 +73,12 @@ def pointed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     recolors its lowest-index spare neighbor to its own color at level 2.
     Colors (i, level) are flattened to 2*(i-1) + (level-1).
     """
-    if rho < 1 or k < 1:
-        raise InvalidInputError("need rho >= 1 and k >= 1")
+    if not (1 <= rho < math.inf and 1 <= k < math.inf):
+        raise InvalidInputError("need finite rho >= 1 and k >= 1")
     side = grid_side(rho, k)
     bound = 2 * side * side + 1
+    if bound >= _MAX_BOUND:
+        raise InvalidInputError(f"rho={rho} and k={k} allow more colors than 64-bit color ids hold")
     if len(objs) == 0:
         return Coloring((), trace=Trace(bound))
     certs = _certificates(objs, rho, k)
@@ -127,10 +131,12 @@ def closed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     bucket colors the subgraph it induces.  The trace labels every object
     with its `bucket` b.
     """
-    if rho < 1 or k < 1:
-        raise InvalidInputError("need rho >= 1 and k >= 1")
+    if not (1 <= rho < math.inf and 1 <= k < math.inf):
+        raise InvalidInputError("need finite rho >= 1 and k >= 1")
     side = grid_side(rho, 2.0)
     bound = (int(math.floor(math.log2(k))) + 1) * 2 * (2 * side**2 + 1)
+    if bound >= _MAX_BOUND:
+        raise InvalidInputError(f"rho={rho} and k={k} allow more colors than 64-bit color ids hold")
     n = len(objs)
     if n == 0:
         return Coloring((), trace=Trace(bound, {"bucket": []}))

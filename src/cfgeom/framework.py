@@ -1,6 +1,6 @@
 """Generic machinery turning hereditary proper colorability into CF colorings.
 
-The core iteration repeatedly proper-colors the surviving sub-hypergraph,
+The core iteration repeatedly proper-colors the surviving vertices,
 freezes the largest color class with a fresh final color, and removes it.
 In any hyperedge the maximum final color is then achieved by exactly one
 vertex, which is the conflict-free witness.
@@ -66,40 +66,44 @@ def _checked_proper(h: Hypergraph, pc: ProperColorer) -> Coloring:
     return col
 
 
-def _largest_class(colors: Sequence[int], labels: Sequence[int]) -> list[int]:
-    """Largest color class; ties broken by the class whose lowest original
-    vertex label is smallest.  Returns positions within the sub-hypergraph."""
+def _largest_class(colors: Sequence[int], vertices: Sequence[int]) -> list[int]:
+    """Largest color class of `vertices` colored `colors`; ties broken by the
+    class whose smallest vertex is smallest."""
     classes: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    return max(classes.values(), key=lambda cls: (len(cls), -min(labels[i] for i in cls)))
+    for v, c in zip(vertices, colors):
+        classes.setdefault(c, []).append(v)
+    return max(classes.values(), key=lambda cls: (len(cls), -min(cls)))
+
+
+def _largest_class_rounds(alive: list[int], color: Callable[[list[int]], Sequence[int]]) -> dict[int, int]:
+    """Final color of each vertex of the list `alive` under the
+    largest-class iteration.
+
+    Round r proper-colors the surviving vertices with `color` (one color per
+    vertex, in their order); a largest class takes r as its final color and
+    leaves.
+    """
+    final: dict[int, int] = {}
+    rnd = 0
+    while alive:
+        rnd += 1
+        taken = set(_largest_class(color(alive), alive))
+        for v in taken:
+            final[v] = rnd
+        alive = [v for v in alive if v not in taken]
+    return final
 
 
 def proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
     """CF coloring via iterated proper coloring with final colors 1, 2, ...
 
     Every round the surviving vertices are proper-colored by `pc`, a largest
-    class is assigned the round number as its final color, and removed.  The
-    output is certified before it is returned.
+    class (ties to the class holding the smallest vertex index) is assigned
+    the round number as its final color, and removed.  The output is
+    certified before it is returned.
     """
-    return certify(h, replace(_proper_to_cf(h, pc), trace=Trace()), what="proper-to-CF iteration")
-
-
-def _proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
-    """proper_to_cf without the final certification."""
-    final = [0] * h.n
-    alive = list(range(h.n))
-    rnd = 0
-    while alive:
-        rnd += 1
-        sub = induced(h, alive)
-        col = _checked_proper(sub, pc)
-        cls = _largest_class(col.colors, sub.vertex_labels)
-        for i in cls:
-            final[alive[i]] = rnd
-        taken = {alive[i] for i in cls}
-        alive = [v for v in alive if v not in taken]
-    return Coloring(tuple(final))
+    final = _largest_class_rounds(list(range(h.n)), lambda alive: _checked_proper(induced(h, alive), pc).colors)
+    return certify(h, Coloring(tuple(final[v] for v in range(h.n)), trace=Trace()), what="proper-to-CF iteration")
 
 
 def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperColorer) -> Coloring:
@@ -125,11 +129,9 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
         popularity = Counter(c for v in alive for c in remaining[v])
         c = max(popularity, key=lambda col: (popularity[col], -col))
         holders = [v for v in alive if c in remaining[v]]
-        sub = induced(h, holders)
-        col = _checked_proper(sub, pc)
-        cls = _largest_class(col.colors, sub.vertex_labels)
-        for i in cls:
-            final[holders[i]] = c
+        col = _checked_proper(induced(h, holders), pc)
+        for v in _largest_class(col.colors, holders):
+            final[v] = c
         for v in alive:
             remaining[v].discard(c)
     return certify(h, Coloring(tuple(final), trace=Trace()), lists=lists, what="list iteration")

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IncompatibleShapesError, InvalidInputError, PlanarityError
-from .framework import ProperColorer, _proper_to_cf, cf_palette_bound
+from .errors import ColorerContractError, IncompatibleShapesError, InvalidInputError, PlanarityError
+from .framework import ProperColorer, _largest_class_rounds, cf_palette_bound
 from .geom import (
     Scene,
     _clip_segments,
@@ -37,7 +37,6 @@ from .hypergraph import (
     _csr,
     certify,
     greedy_maximal_independent_set,
-    induced,
     intersection_graph,
 )
 
@@ -163,7 +162,8 @@ class _ProbeEngine:
     Built from the CSR rows (indptr, indices) of a probe hypergraph on n
     vertices.  Hit sets are deduplicated once; a peel over any active subset
     maintains, per probe, the count of active vertices it intersects, and the
-    auxiliary graph as a witness-counted simple graph.
+    auxiliary graph as a witness-counted simple graph.  `color_round` is one
+    round of the largest-class iteration: a peel and its exact check.
     """
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
@@ -176,91 +176,127 @@ class _ProbeEngine:
         self.peel_log: list[PeelOrder] = []
 
     def peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
+        """Smallest-last peel of the active vertices, then the reverse greedy coloring.
+
+        Each step removes the smallest active vertex of auxiliary degree at
+        most 5 and records its degree and the auxiliary graph's size.
+        """
         active_list = sorted(set(active))
         mask = np.zeros(self.n, dtype=bool)
         mask[active_list] = True
         on = mask[self._flat_v]
         counts = np.bincount(self._flat_p[on], minlength=len(self.hits))
         two = on & (counts[self._flat_p] == 2)  # the active members of probes hitting exactly two
-        first_pairs = zip(self._flat_p[two][::2].tolist(), self._flat_v[two].reshape(-1, 2).tolist())
+        first_pairs = zip(self._flat_p[two][::2].tolist(), map(tuple, self._flat_v[two].reshape(-1, 2).tolist()))
         counts = counts.tolist()
-        active_set = set(active_list)
-        pair_of: list[tuple[int, int] | None] = [None] * len(self.hits)
+        alive = bytearray(mask.tobytes())
+        left = len(active_list)
+        hits, hitters = self.hits, self.hitters
+        # the auxiliary graph: each pair with the number of probes whose two active members it is
+        pair_of: list[tuple[int, int] | None] = [None] * len(hits)
         witness: dict[tuple[int, int], int] = {}
         adj: dict[int, set[int]] = {v: set() for v in active_list}
         total_edges = 0
-
-        def add_pair(pair: tuple[int, int]) -> None:
-            nonlocal total_edges
+        for pid, pair in first_pairs:
+            pair_of[pid] = pair
             w = witness.get(pair, 0)
             witness[pair] = w + 1
-            if w == 0:
+            if not w:
                 a, b = pair
                 adj[a].add(b)
                 adj[b].add(a)
                 total_edges += 1
-
-        def drop_pair(pair: tuple[int, int]) -> None:
-            nonlocal total_edges
-            w = witness[pair] - 1
-            if w:
-                witness[pair] = w
-            else:
-                del witness[pair]
-                a, b = pair
-                adj[a].discard(b)
-                adj[b].discard(a)
-                total_edges -= 1
-                for u in pair:
-                    if u in active_set and len(adj[u]) <= 5:
-                        heapq.heappush(heap, u)
-
-        for pid, (a, b) in first_pairs:
-            pair_of[pid] = (a, b)
-            add_pair((a, b))
         heap = [v for v in active_list if len(adj[v]) <= 5]  # sorted, so already a heap
+        heappop, heappush = heapq.heappop, heapq.heappush
 
         order = PeelOrder()
-        removal_neighbors: list[list[int]] = []
-        while active_set:
-            v = None
+        removed, degrees, aux_sizes = order.order, order.degrees, order.aux_sizes
+        while left:
             while heap:
-                cand = heapq.heappop(heap)
-                if cand in active_set and len(adj[cand]) <= 5:
-                    v = cand
+                v = heappop(heap)
+                if alive[v] and len(adj[v]) <= 5:
                     break
-            if v is None:
+            else:
                 raise PlanarityError(
                     "no vertex of auxiliary degree <= 5; the input family violates the planarity guarantee"
                 )
-            order.order.append(v)
-            order.degrees.append(len(adj[v]))
-            order.aux_sizes.append((len(active_set), total_edges))
-            removal_neighbors.append(sorted(adj[v]))
-            active_set.discard(v)
-            for pid in self.hitters[v]:
+            nbs = adj[v]  # kept as the neighbours at removal; only the survivors' sets change
+            removed.append(v)
+            degrees.append(len(nbs))
+            aux_sizes.append((left, total_edges))
+            alive[v] = 0
+            left -= 1
+            dissolved = 0
+            for pid in hitters[v]:
                 c = counts[pid]
-                if c == 0:
-                    continue
-                if c == 2:
-                    drop_pair(pair_of[pid])
-                    pair_of[pid] = None
-                elif c == 3:
-                    survivors = [u for u in self.hits[pid] if u in active_set]
-                    pair = (survivors[0], survivors[1])
-                    pair_of[pid] = pair
-                    add_pair(pair)
                 counts[pid] = c - 1
-            if adj[v]:
+                if c == 2:  # v and one survivor: the probe's pair leaves the graph
+                    pair = pair_of[pid]
+                    w = witness[pair] - 1
+                    if w:
+                        witness[pair] = w
+                    else:
+                        del witness[pair]
+                        u = pair[0] if pair[1] == v else pair[1]
+                        s = adj[u]
+                        s.discard(v)
+                        total_edges -= 1
+                        dissolved += 1
+                        if len(s) <= 5:
+                            heappush(heap, u)
+                elif c == 3:  # two survivors, found scanning from the end of the sorted hit set
+                    b = -1
+                    for u in reversed(hits[pid]):
+                        if alive[u]:
+                            if b < 0:
+                                b = u
+                            else:
+                                break
+                    pair = (u, b)
+                    pair_of[pid] = pair
+                    w = witness.get(pair, 0)
+                    witness[pair] = w + 1
+                    if not w:
+                        adj[u].add(b)
+                        adj[b].add(u)
+                        total_edges += 1
+            if dissolved != len(nbs):
                 raise AssertionError("auxiliary edges of a removed vertex did not dissolve")
-            del adj[v]
 
         colors: dict[int, int] = {}
-        for v, nbs in zip(reversed(order.order), reversed(removal_neighbors)):
-            used = {colors[u] for u in nbs}
-            colors[v] = next(c for c in range(1, PEEL_COLORS + 1) if c not in used)
+        for v in reversed(removed):
+            used = {colors[u] for u in adj[v]}
+            c = 1
+            while c in used:
+                c += 1
+            colors[v] = c
         self.peel_log.append(order)
         return colors, order
+
+    def color_round(self, alive: list[int]) -> list[int]:
+        """Peel colors of the vertex list `alive`, in its order; one
+        round of the largest-class iteration, checked by `check_round`."""
+        cmap, _ = self.peel(alive)
+        colors = [cmap.get(v, 0) for v in alive]
+        self.check_round(alive, colors)
+        return colors
+
+    def check_round(self, alive: list[int], colors: list[int]) -> None:
+        """Raise ColorerContractError unless `colors` (of the vertices `alive`)
+        are all in 1..PEEL_COLORS and leave no hit set with two or more alive
+        members monochromatic: an exact count of each hit set's members per color."""
+        if colors and (min(colors) < 1 or max(colors) > PEEL_COLORS):
+            raise ColorerContractError(f"peel colors must lie in 1..{PEEL_COLORS}, one per alive vertex")
+        width = PEEL_COLORS + 1
+        color_of = np.zeros(self.n, dtype=np.int64)
+        color_of[alive] = colors
+        member = color_of[self._flat_v]  # 0 where the member is not alive
+        table = np.bincount(self._flat_p * width + member, minlength=len(self.hits) * width).reshape(-1, width)[:, 1:]
+        bad = np.flatnonzero((table.sum(axis=1) >= 2) & ((table > 0).sum(axis=1) == 1))
+        if len(bad):
+            raise ColorerContractError(
+                f"peel coloring leaves hit sets {[self.hits[j] for j in bad[:5].tolist()]} monochromatic"
+            )
 
 
 def peel_and_color(ps: ProbeSystem) -> Coloring:
@@ -281,20 +317,18 @@ def peel_and_color(ps: ProbeSystem) -> Coloring:
     return certify(h, coloring, bound=PEEL_COLORS, proper=True, what="peel coloring")
 
 
-def _peel_colorer(engine: _ProbeEngine) -> ProperColorer:
+def peel_proper_colorer(vertices: Scene, probes: Scene) -> ProperColorer:
+    """Hereditary 6-color proper colorer for the probe hypergraph of the given
+    system, backed by one shared peel engine; pairs with proper_to_cf_list."""
+    h = _pairwise_hits(vertices, probes)
+    engine = _ProbeEngine(h.n, h.indptr, h.indices)
+
     def fn(sub: Hypergraph) -> Coloring:
         active = sub.vertex_labels if sub.vertex_labels is not None else tuple(range(sub.n))
         cmap, _ = engine.peel(active)
         return Coloring(tuple(cmap[v] for v in active))
 
     return ProperColorer(fn, PEEL_COLORS, "degeneracy-peel")
-
-
-def peel_proper_colorer(vertices: Scene, probes: Scene) -> ProperColorer:
-    """Hereditary 6-color proper colorer for the probe hypergraph of the given
-    system, backed by one shared peel engine; pairs with proper_to_cf_list."""
-    h = _pairwise_hits(vertices, probes)
-    return _peel_colorer(_ProbeEngine(h.n, h.indptr, h.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +487,9 @@ def cf_color_vs_probes(ps: ProbeSystem) -> Coloring:
     """CF coloring of the probe hypergraph.
 
     Runs the largest-class iteration with the degeneracy peel as the
-    hereditary proper colorer; the trace's `rounds` stage holds one peel per
-    round.  In pseudo-disc mode with overlapping vertices the family is first
+    hereditary proper colorer, on the peel engine over the original vertex
+    ids; each round's peel is checked exactly once (`_ProbeEngine.check_round`)
+    and the trace's `rounds` stage holds one peel per round.  In pseudo-disc mode with overlapping vertices the family is first
     pruned to depth-one owners (which requires the probes to be pairwise
     disjoint); the `pruned` vertices receive one extra reserved color.
     """
@@ -477,9 +512,9 @@ def _cf_vs_hits(vertices: Scene, h: Hypergraph, contacts: Graph | None) -> Color
     prune = contacts is not None and contacts.indices.size > 0
     kept, pruned = _prune_depth_one(vertices, contacts) if prune else (list(range(n)), [])
     engine = _ProbeEngine(n, h.indptr, h.indices)
+    final = _largest_class_rounds(kept, engine.color_round)
     colors = np.zeros(n, dtype=np.int64)
-    if kept:
-        colors[kept] = _proper_to_cf(induced(h, kept) if pruned else h, _peel_colorer(engine)).colors
+    colors[kept] = [final[v] for v in kept]
     colors[pruned] = colors.max(initial=0) + 1  # one reserved color for the pruned vertices
     bound = cf_palette_bound(n, PEEL_COLORS) + (1 if prune else 0)
     return Coloring(tuple(colors.tolist()), trace=Trace(bound, {"pruned": pruned}, {"rounds": engine.peel_log}))

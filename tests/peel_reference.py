@@ -1,0 +1,108 @@
+"""Reference implementation of the degeneracy peel.
+
+This is the earlier `_ProbeEngine.peel`, with its witness-counted auxiliary
+graph kept through `add_pair`/`drop_pair` closures, a set of active vertices,
+and a forward scan of a probe's hit tuple for its two survivors.  The tests
+require `cfgeom.probes._ProbeEngine.peel` to reproduce its colors, orders,
+degrees and auxiliary sizes exactly, and to raise `PlanarityError` exactly
+where it does.
+"""
+from __future__ import annotations
+
+import heapq
+from typing import Sequence
+
+import numpy as np
+
+from cfgeom import PlanarityError
+from cfgeom.probes import PEEL_COLORS, PeelOrder
+
+
+def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
+    """The peel of the active vertices on the engine `self`; written as the
+    method it was, so a test can set it on `_ProbeEngine`."""
+    active_list = sorted(set(active))
+    mask = np.zeros(self.n, dtype=bool)
+    mask[active_list] = True
+    on = mask[self._flat_v]
+    counts = np.bincount(self._flat_p[on], minlength=len(self.hits))
+    two = on & (counts[self._flat_p] == 2)  # the active members of probes hitting exactly two
+    first_pairs = zip(self._flat_p[two][::2].tolist(), self._flat_v[two].reshape(-1, 2).tolist())
+    counts = counts.tolist()
+    active_set = set(active_list)
+    pair_of: list[tuple[int, int] | None] = [None] * len(self.hits)
+    witness: dict[tuple[int, int], int] = {}
+    adj: dict[int, set[int]] = {v: set() for v in active_list}
+    total_edges = 0
+
+    def add_pair(pair: tuple[int, int]) -> None:
+        nonlocal total_edges
+        w = witness.get(pair, 0)
+        witness[pair] = w + 1
+        if w == 0:
+            a, b = pair
+            adj[a].add(b)
+            adj[b].add(a)
+            total_edges += 1
+
+    def drop_pair(pair: tuple[int, int]) -> None:
+        nonlocal total_edges
+        w = witness[pair] - 1
+        if w:
+            witness[pair] = w
+        else:
+            del witness[pair]
+            a, b = pair
+            adj[a].discard(b)
+            adj[b].discard(a)
+            total_edges -= 1
+            for u in pair:
+                if u in active_set and len(adj[u]) <= 5:
+                    heapq.heappush(heap, u)
+
+    for pid, (a, b) in first_pairs:
+        pair_of[pid] = (a, b)
+        add_pair((a, b))
+    heap = [v for v in active_list if len(adj[v]) <= 5]  # sorted, so already a heap
+
+    order = PeelOrder()
+    removal_neighbors: list[list[int]] = []
+    while active_set:
+        v = None
+        while heap:
+            cand = heapq.heappop(heap)
+            if cand in active_set and len(adj[cand]) <= 5:
+                v = cand
+                break
+        if v is None:
+            raise PlanarityError(
+                "no vertex of auxiliary degree <= 5; the input family violates the planarity guarantee"
+            )
+        order.order.append(v)
+        order.degrees.append(len(adj[v]))
+        order.aux_sizes.append((len(active_set), total_edges))
+        removal_neighbors.append(sorted(adj[v]))
+        active_set.discard(v)
+        for pid in self.hitters[v]:
+            c = counts[pid]
+            if c == 0:
+                continue
+            if c == 2:
+                drop_pair(pair_of[pid])
+                pair_of[pid] = None
+            elif c == 3:
+                survivors = [u for u in self.hits[pid] if u in active_set]
+                pair = (survivors[0], survivors[1])
+                pair_of[pid] = pair
+                add_pair(pair)
+            counts[pid] = c - 1
+        if adj[v]:
+            raise AssertionError("auxiliary edges of a removed vertex did not dissolve")
+        del adj[v]
+
+    colors: dict[int, int] = {}
+    for v, nbs in zip(reversed(order.order), reversed(removal_neighbors)):
+        used = {colors[u] for u in nbs}
+        colors[v] = next(c for c in range(1, PEEL_COLORS + 1) if c not in used)
+    self.peel_log.append(order)
+    return colors, order

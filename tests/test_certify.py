@@ -162,14 +162,42 @@ def test_hot_paths_never_build_the_edge_view(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["proper-to-cf", "probes"])
 def test_colorer_output_checked_every_round(monkeypatch, name):
-    # each round of the largest-class iteration restricts with `induced` and
-    # checks the colorer's output with `verify_proper` exactly once
+    # each round of the largest-class iteration checks the proper coloring
+    # exactly once: a supplied colorer through `induced` and `verify_proper`,
+    # the probe path through the peel engine's own check, with no sub-hypergraph
     setup, entry = ENTRY_POINTS[name]
     args = setup()
     checks = _spy(monkeypatch, cfgeom.hypergraph, "verify_proper")
     rounds = _spy(monkeypatch, cfgeom.hypergraph, "induced")
+    engine_checks = []
+    check_round = cfgeom.probes._ProbeEngine.check_round
+    monkeypatch.setattr(
+        cfgeom.probes._ProbeEngine, "check_round", lambda e, *a: engine_checks.append(a) or check_round(e, *a)
+    )
     out = entry(*args)
-    assert len(checks) == len(rounds) == max(out.colors) > 1
+    if name == "probes":
+        assert checks == rounds == []
+        assert len(engine_checks) == max(out.colors) > 1
+    else:
+        assert len(checks) == len(rounds) == max(out.colors) > 1
+        assert engine_checks == []
+
+
+IMPROPER_PEELS = {
+    "one color": lambda engine, active: ({v: 1 for v in active}, None),
+    "color out of range": lambda engine, active: ({v: 7 for v in active}, None),
+    "uncolored": lambda engine, active: ({}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPROPER_PEELS))
+def test_improper_peel_breaks_the_probe_iteration(monkeypatch, name):
+    # the per-round check, not the final certification, stops a bad peel
+    monkeypatch.setattr(cfgeom.probes._ProbeEngine, "peel", IMPROPER_PEELS[name])
+    certified = _spy(monkeypatch, cfgeom.hypergraph, "certify")
+    with pytest.raises(cf.ColorerContractError):
+        cf.cf_color_vs_probes(_probe_system())
+    assert certified == []
 
 
 # certifying interval and rectangle scenes without a graph

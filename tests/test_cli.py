@@ -152,6 +152,9 @@ def test_unreadable_file_or_bad_argument_is_one_error_line(tmp_path, capsys):
         ["svg", "--in", scene, "--coloring", binary, "--out", out],
         ["gen", "--kind", "discs", "--n", "-1", "--out", out],
         ["gen", "--kind", "lower-bound", "--n", "5", "--spacing", "3", "--out", out],
+        ["bench", "--alg", "rects", "--n-values", ","],
+        ["bench", "--alg", "rects", "--n-values", "a"],
+        ["bench", "--alg", "rects", "--n-values", "3,x"],
     ):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfgeom as cf
-from cfgeom.cli import main
+from cfgeom.bench import bench_colors
+from cfgeom.cli import _infer_fat_params, main
 from cfgeom.hypergraph import neighborhood_violations
 from cfgeom.svg import render_svg
 
@@ -45,6 +46,8 @@ BAD_CALLS = {
     "conversion not total": lambda: cf.pointed_to_closed(_path(), cf.Coloring((1, 2))),
     "conversion color ids": lambda: cf.pointed_to_closed(_path(), cf.Coloring((0, 1, 0))),
     "svg coloring length": lambda: render_svg(cf.generate_scene("discs", 3, 1), cf.Coloring((1,))),
+    "bench without sizes": lambda: bench_colors("rects", [], 1, 0),
+    "bench unknown algorithm": lambda: bench_colors("mystery", [4], 1, 0),
 }
 
 
@@ -188,3 +191,151 @@ def test_every_strange_number_fails_cleanly(tmp_path, kind, value):
     shape = doc["shapes"][2]
     shape[FIELDS[shape["type"]][-1]] = STRANGE_NUMBERS[value]
     _check_document(tmp_path, doc)
+
+
+# fuzzing disc and polygon scene documents
+# ---------------------------------------------------------------------------
+
+ODD_NUMBERS = {
+    "zero": 0.0,
+    "negative": -0.5,
+    "NaN": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "integer beyond float": 10**400,
+    "huge": 1e300,
+    "tiny": 1e-300,
+    "number as a string": "1.5",
+    "null": None,
+}
+DISC_FIELDS = ("cx", "cy", "r")
+FAT_FIELDS = ("anchor", "r_inner", "r_outer")
+PLANAR_OPS = ["empty", "mixed", "kind", "drop-top", "drop", "number", "clockwise", "collinear", "few", "swap"]
+# alg -> (library colorer of a scene, neighborhood mode its output is certified for)
+PLANAR_COLORERS = {
+    "pseudodisc": (cf.pointed_cf_pseudodiscs, "pointed"),
+    "fat-pointed": (lambda scene: cf.pointed_cf_color_fat(scene, *_infer_fat_params(scene, None, None)), "pointed"),
+    "fat-closed": (lambda scene: cf.closed_cf_color_fat(scene, *_infer_fat_params(scene, None, None)), "closed"),
+}
+
+
+def _planar_document(kind: str, n: int, seed: int) -> dict:
+    if kind == "discs":
+        scene = cf.generate_scene("discs", n, seed, radius_range=(0.05, 0.3))
+    elif kind == "pentagons":
+        scene = cf.generate_scene("fat", n, seed, rho=1.5, k=3.0, homothets_of=cf.pentagon_template(), base_size=0.1)
+    else:
+        scene = cf.generate_scene("fat", n, seed, rho=2.0, k=4.0)
+    return json.loads(cf.scene_to_json(scene))
+
+
+def _mutate_planar(doc: dict, op: str, draw) -> None:
+    """Apply the mutation `op` to a disc or polygon scene document, in place."""
+    shapes = doc.get("shapes", [])
+    if op in ("empty", "mixed", "kind", "drop-top"):
+        _mutate(doc, op, draw)
+        return
+    planar = [s for s in shapes if isinstance(s, dict) and s.get("type") in ("disc", "fat")]
+    if not planar:
+        return
+    shape = draw(st.sampled_from(planar))
+    polygon = shape["type"] == "fat" and isinstance(shape.get("vertices"), list)
+    if op == "drop":
+        shape.pop(draw(st.sampled_from(("type", "vertices") + FAT_FIELDS if polygon else ("type",) + DISC_FIELDS)), None)
+    elif op == "number":
+        value = draw(st.sampled_from(list(ODD_NUMBERS.values())))
+        if not polygon:
+            shape[draw(st.sampled_from(DISC_FIELDS))] = value
+        else:
+            point = draw(st.sampled_from(shape["vertices"] + [shape.get("anchor")]))
+            if isinstance(point, list) and draw(st.booleans()):
+                point[draw(st.integers(0, 1))] = value
+            else:
+                shape[draw(st.sampled_from(FAT_FIELDS[1:]))] = value
+    elif not polygon:
+        return
+    elif op == "clockwise":
+        shape["vertices"].reverse()
+    elif op == "collinear":  # a vertex on an edge, or every vertex on one line
+        v = shape["vertices"]
+        if len(v) < 2 or not all(isinstance(c, float) for p in v[:2] for c in p):
+            return
+        if draw(st.booleans()):
+            v.insert(1, [(v[0][0] + v[1][0]) / 2, (v[0][1] + v[1][1]) / 2])
+        else:
+            shape["vertices"] = [[v[0][0] + t, v[0][1] + 2 * t] for t in (0.0, 0.1, 0.2, 0.3)]
+    elif op == "few":
+        del shape["vertices"][draw(st.integers(0, 2)) :]
+    elif op == "swap":  # r_inner > r_outer
+        shape["r_inner"], shape["r_outer"] = shape.get("r_outer"), shape.get("r_inner")
+
+
+def _check_planar_document(where, doc: dict) -> None:
+    """The only outcomes: a certified coloring, a CFGeomError from the library,
+    and from the CLI exit 2 with one `error:` line."""
+    text = json.dumps(doc)
+    try:
+        scene = cf.scene_from_json(text)
+    except cf.CFGeomError:
+        scene = None
+    for colorer, mode in PLANAR_COLORERS.values():
+        if scene is None:
+            break
+        try:
+            coloring = colorer(scene)
+        except cf.CFGeomError:
+            continue
+        assert neighborhood_violations(cf.intersection_graph(scene), coloring, mode) == []
+
+    scene_file, coloring_file = where / "scene.json", where / "coloring.json"
+    scene_file.write_text(text)
+    for alg, (_, mode) in PLANAR_COLORERS.items():
+        coloring_file.unlink(missing_ok=True)
+        code, err = _run_cli("color", "--alg", alg, "--in", scene_file, "--out", coloring_file)
+        _assert_cli_outcome(code, err, (0,))
+        if code == 0:
+            code, err = _run_cli("verify", "--mode", mode, "--in", scene_file, "--coloring", coloring_file)
+            _assert_cli_outcome(code, err, (0,))
+    shapes = doc.get("shapes")
+    coloring_file.write_text(json.dumps({"colors": [1] * (len(shapes) if isinstance(shapes, list) else 1)}))
+    for mode in ("pointed", "closed"):
+        code, err = _run_cli("verify", "--mode", mode, "--in", scene_file, "--coloring", coloring_file)
+        _assert_cli_outcome(code, err, (0, 1))
+
+
+@given(
+    st.sampled_from(["discs", "pentagons", "polygons"]),
+    st.integers(1, 10),
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from(PLANAR_OPS), min_size=0, max_size=3),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_disc_and_polygon_scenes_fail_cleanly(tmp_path_factory, kind, n, seed, ops, data):
+    doc = _planar_document(kind, n, seed)
+    for op in ops:
+        _mutate_planar(doc, op, data.draw)
+    where = tmp_path_factory.getbasetemp() / "fuzz-planar"
+    where.mkdir(exist_ok=True)
+    _check_planar_document(where, doc)
+
+
+@pytest.mark.parametrize("value", sorted(ODD_NUMBERS))
+@pytest.mark.parametrize("field", ["cx", "r", "vertex", "r_inner", "r_outer"])
+def test_every_odd_disc_or_polygon_number_fails_cleanly(tmp_path, field, value):
+    doc = _planar_document("discs" if field in DISC_FIELDS else "polygons", 5, 1)
+    shape = doc["shapes"][2]
+    if field == "vertex":
+        shape["vertices"][1][0] = ODD_NUMBERS[value]
+    else:
+        shape[field] = ODD_NUMBERS[value]
+    _check_planar_document(tmp_path, doc)
+
+
+def test_fatness_beyond_float_range_fails_cleanly(tmp_path):
+    # r_outer / r_inner overflows to inf, so the inferred rho is not finite
+    square = {"type": "fat", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "anchor": [0.5, 0.5]}
+    doc = {"shapes": [dict(square, r_inner=1e-300, r_outer=1e300), dict(square, r_inner=0.5, r_outer=1.0)]}
+    _check_planar_document(tmp_path, doc)
+    with pytest.raises(cf.InvalidInputError, match="finite"):
+        PLANAR_COLORERS["fat-pointed"][0](cf.scene_from_json(json.dumps(doc)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from peel_reference import reference_peel
 
 from cfgeom import (
     ConvexFatObject,
@@ -428,6 +429,70 @@ def test_engine_from_csr_keeps_peel_orders_on_disc_systems():
         assert csr.hits == reference.hits
         for active in (range(40), range(0, 40, 3)):
             assert _peel_outcome(csr, active) == _peel_outcome(reference, active)
+
+
+@st.composite
+def hit_systems(draw):
+    """(n, hit sets, active subsets): hit sets with repeats, pairs that may
+    form a clique breaking planarity, and active subsets that leave a hit
+    set's survivors at its start, at its end or spread through it."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    sets = draw(st.lists(st.sets(vertex, min_size=1, max_size=10), max_size=60))
+    sets += draw(st.lists(st.sampled_from(sets), max_size=10)) if sets else []  # duplicate sets
+    sets += draw(st.lists(st.sets(vertex, min_size=min(n, 2), max_size=2), max_size=3 * n))
+    clique = sorted(draw(st.sets(vertex, max_size=9)))  # from 7 vertices on, no vertex of degree <= 5
+    sets += [{a, b} for i, a in enumerate(clique) for b in clique[i + 1 :]]
+    cut = draw(st.integers(0, n))
+    actives = [range(n), range(cut), range(cut, n), sorted(draw(st.sets(vertex)))]
+    return n, [sets[i] for i in draw(st.permutations(range(len(sets))))], actives
+
+
+def _engine(n, sets):
+    h = Hypergraph(n, sets)
+    return _ProbeEngine(n, h.indptr, h.indices)
+
+
+@given(hit_systems())
+@settings(max_examples=300, deadline=None)
+def test_peel_matches_reference_peel(system):
+    n, sets, actives = system
+    engine, reference = _engine(n, sets), _engine(n, sets)
+    for active in actives:
+        try:
+            expected = reference_peel(reference, active)
+        except PlanarityError:
+            with pytest.raises(PlanarityError):
+                engine.peel(active)
+            continue
+        colors, order = engine.peel(active)
+        assert colors == expected[0]
+        assert (order.order, order.degrees, order.aux_sizes) == (
+            expected[1].order,
+            expected[1].degrees,
+            expected[1].aux_sizes,
+        )
+
+
+def _traced(coloring):
+    return coloring.colors, {
+        stage: [(o.order, o.degrees, o.aux_sizes) for o in orders] for stage, orders in coloring.trace.peels.items()
+    }
+
+
+def test_probe_colorings_match_reference_peel_on_disc_systems(monkeypatch):
+    systems = [
+        ProbeSystem(
+            generate_scene("discs", n, [205, seed]),
+            generate_scene("discs", 10 * n, [206, seed], radius_range=(0.01, 0.3), margin=0),
+        )
+        for seed, n in enumerate((12, 40, 90))
+    ]
+    scenes = [generate_scene("discs", n, [207, seed]) for seed, n in enumerate((30, 80, 160))]
+    outputs = [_traced(cf_color_vs_probes(ps)) for ps in systems] + [_traced(pointed_cf_pseudodiscs(s)) for s in scenes]
+    monkeypatch.setattr(_ProbeEngine, "peel", reference_peel)
+    expected = [_traced(cf_color_vs_probes(ps)) for ps in systems] + [_traced(pointed_cf_pseudodiscs(s)) for s in scenes]
+    assert outputs == expected
 
 
 # ---------------------------------------------------------------------------
