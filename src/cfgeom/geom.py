@@ -409,9 +409,11 @@ def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndar
     j of `b`.
 
     Candidates are the pairs whose bounding boxes overlap, found by a sweep
-    over boxes sorted by xmin.  For intervals and rectangles that box test is
-    exact; disc pairs and polygon pairs are decided by one batched exact
-    predicate each, and families mixing discs with polygons by `intersects`.
+    over boxes sorted by xmin within horizontal strips (`_box_overlaps`), so
+    a sparse family's candidates follow its near pairs.  For intervals and
+    rectangles that box test is exact; disc pairs and polygon pairs are
+    decided by one batched exact predicate each, and families mixing discs
+    with polygons by `intersects`.
     """
     other = a if b is None else b
     types = {type(s) for s in a.shapes + other.shapes}
@@ -434,21 +436,98 @@ def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndar
 
 def _box_overlaps(box_a: np.ndarray, box_b: np.ndarray, same: bool) -> tuple[np.ndarray, np.ndarray]:
     """Pairs whose closed boxes overlap: i < j within `box_a` when `same`, else
-    every (i, j) with i in `box_a` and j in `box_b`."""
+    every (i, j) with i in `box_a` and j in `box_b`.
+
+    Boxes are ranked by xmin, ties by index.  A box is paired with every box
+    whose rank lies in a window of ranks: the later boxes starting at or before
+    its xmax (same mode); in cross mode, for an a-box the b-boxes starting in
+    [xmin, xmax], and for a b-box the a-boxes starting in (xmin, xmax].  These
+    are exactly the pairs whose x-ranges meet.  When `_strips` cuts the plane
+    into horizontal strips, each window is searched only in the box's own
+    strip and the two next to it; the y test then keeps the boxes that overlap.
+    """
     oa = np.argsort(box_a[:, 0], kind="stable")
     xa = box_a[oa, 0]
     if same:
-        p, q = _spans(np.arange(1, len(oa) + 1), np.searchsorted(xa, box_a[oa, 1], "right"))
+        lo, hi = np.arange(1, len(oa) + 1), np.searchsorted(xa, box_a[oa, 1], "right")
+        strips = _strips((box_a,), int((hi - lo).sum()))
+        s = None if strips is None else strips[oa]
+        p, q = _windows(lo, hi, s, s)
         i, j = np.minimum(oa[p], oa[q]), np.maximum(oa[p], oa[q])
     else:
         ob = np.argsort(box_b[:, 0], kind="stable")
         xb = box_b[ob, 0]
         # b starting inside a's x-range, then a starting strictly inside b's
-        i1, q = _spans(np.searchsorted(xb, box_a[:, 0], "left"), np.searchsorted(xb, box_a[:, 1], "right"))
-        j2, p = _spans(np.searchsorted(xa, box_b[:, 0], "right"), np.searchsorted(xa, box_b[:, 1], "right"))
+        lo1, hi1 = np.searchsorted(xb, box_a[:, 0], "left"), np.searchsorted(xb, box_a[:, 1], "right")
+        lo2, hi2 = np.searchsorted(xa, box_b[:, 0], "right"), np.searchsorted(xa, box_b[:, 1], "right")
+        strips = _strips((box_a, box_b), int((hi1 - lo1).sum() + (hi2 - lo2).sum()))
+        sa, sb = (None, None) if strips is None else (strips[: len(box_a)], strips[len(box_a) :])
+        i1, q = _windows(lo1, hi1, sa, None if sb is None else sb[ob])
+        j2, p = _windows(lo2, hi2, sb, None if sa is None else sa[oa])
         i, j = np.concatenate([i1, oa[p]]), np.concatenate([ob[q], j2])
     y = (box_a[i, 2] <= box_b[j, 3]) & (box_b[j, 2] <= box_a[i, 3])
     return i[y], j[y]
+
+
+# The key sort and searches of strips cost about as much as this many
+# candidates per box, plus this many per call.
+_STRIP_PER_BOX, _STRIP_PER_CALL = 4, 2048
+
+
+def _strips(families: tuple[np.ndarray, ...], candidates: int) -> np.ndarray | None:
+    """Strip index per box of the concatenated `families`, or None to keep one
+    strip.
+
+    Strips are at least as tall as every box and at least yspan / n, so there
+    are at most n + 1 of them.  A box then meets the boxes of three strips
+    instead of the whole y-span, so about 3 h / (yspan + h) of the x-sweep's
+    `candidates` remain.  Strips are used only when that, plus their own cost,
+    at most halves the candidates; boxes of zero height (intervals) keep one
+    strip.
+    """
+    n = sum(len(b) for b in families)
+    cost = _STRIP_PER_BOX * n + _STRIP_PER_CALL
+    if candidates <= 2 * cost:
+        return None
+    # with candidates, every family holds a box
+    y0 = min(b[:, 2].min() for b in families)
+    yspan = max(b[:, 2].max() for b in families) - y0
+    tallest = max((b[:, 3] - b[:, 2]).max() for b in families)
+    h = max(tallest, yspan / n) * (1 + 2**-20)  # headroom for rounding
+    if not (np.isfinite(h) and h > 0) or 2 * (candidates * 3 * h / (yspan + h) + cost) > candidates:
+        return None
+    return _strip_index(np.concatenate(families), h)
+
+
+def _strip_index(boxes: np.ndarray, h: float) -> np.ndarray | None:
+    """Index of the strip of height h, counted up from the lowest ymin, that
+    holds each box's ymin; or None if some box reaches the lower bound of the
+    strip two above its own.  The bounds are compared in float, as computed,
+    so when every box ends below that bound no two overlapping boxes are ever
+    two strips apart, whatever the rounding."""
+    ymin, ymax = boxes[:, 2], boxes[:, 3]
+    y0 = ymin.min()
+    bounds = np.append(y0 + h * np.arange(int((ymin.max() - y0) / h) + 2), [np.inf, np.inf])
+    strip = np.searchsorted(bounds, ymin, "right") - 1
+    return strip if (ymax < bounds[strip + 2]).all() else None
+
+
+def _windows(
+    lo: np.ndarray, hi: np.ndarray, strip: np.ndarray | None, ranked: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, k) for every rank k in range(lo[row], hi[row]) of the other family
+    whose strip `ranked[k]` is within one of `strip[row]`; every k in the
+    range when there are no strips.  Each (strip, rank) is the integer key
+    strip * (n + 1) + rank, so a window of ranks in one strip is one range of
+    sorted keys."""
+    if strip is None:
+        return _spans(lo, hi)
+    n1 = len(ranked) + 1
+    order = np.argsort(ranked, kind="stable")
+    keys = ranked[order] * n1 + order
+    base = (strip + np.array([[-1], [0], [1]])) * n1
+    row, k = _spans(np.searchsorted(keys, (base + lo).ravel()), np.searchsorted(keys, (base + hi).ravel()))
+    return row % len(lo), order[k]
 
 
 def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -359,40 +359,51 @@ def _rect_violations(box: np.ndarray, colors: np.ndarray) -> list[int]:
     ymax_j < ymin_v or ymin_j > ymax_v.  Each of those sets is a prefix of one
     sorted order of a coordinate, found by one `searchsorted` per side
     (comparisons only), so the complement of N[v] is the OR of one row from
-    each of four prefix bitsets.  Bits are laid out by color, each class
+    each of four prefix bitsets.  Bits are laid out by group, each group
     padded to whole 64-bit words whose padding bits are never set; one
-    `np.bitwise_count` and one `np.add.reduceat` over the class starts count
-    the members of each class that miss v, and class c meets v n_c - miss
-    times.  Words go in column blocks of _CENSUS_BLOCK_WORDS // n, a class
-    wider than a block carrying its count to the next, so memory stays
-    O(n * block) and time O(n (n/64 + p)) words for p colors.
+    `np.bitwise_count` and one `np.add.reduceat` over the group starts count
+    the members of each group that miss v.  A color class of two or more is
+    a group, and meets v once when exactly size - 1 of it miss v.  All
+    singleton classes share the last group: a singleton meets v once when it
+    meets v at all, so v is settled by them when fewer than all of them miss
+    it.  Words go in column blocks of _CENSUS_BLOCK_WORDS // n, a group wider
+    than a block carrying its count to the next, so memory stays O(n * block)
+    and time O(n (n/64 + p)) words for p classes of two or more.
     """
     n = len(box)
-    _, dense = np.unique(colors, return_inverse=True)
-    sizes = np.bincount(dense)
+    _, group = np.unique(colors, return_inverse=True)
+    sizes = np.bincount(group)
+    single = sizes == 1
+    pooled = np.zeros(len(sizes), dtype=bool)
+    if single.any():  # the singletons, in one group after the others
+        group = np.where(single, (~single).sum(), np.cumsum(~single) - 1)[group]
+        sizes = np.bincount(group)
+        pooled = np.arange(len(sizes)) == len(sizes) - 1
     words = -(-sizes // 64)
     end = np.cumsum(words)
-    start = end - words  # first word of each class
+    start = end - words  # first word of each group
     bit = np.empty(n, dtype=np.int64)
-    bit[np.argsort(dense, kind="stable")] = np.arange(n) + np.repeat(64 * start - (np.cumsum(sizes) - sizes), sizes)
+    bit[np.argsort(group, kind="stable")] = np.arange(n) + np.repeat(64 * start - (np.cumsum(sizes) - sizes), sizes)
     sides = []
     for lo, hi in (box[:, :2].T, box[:, 2:].T):
         by_hi, by_lo = np.argsort(hi), np.argsort(lo)
         sides.append((bit[by_hi], np.searchsorted(hi[by_hi], lo, "left")))  # left of or below v
         sides.append((bit[by_lo[::-1]], n - np.searchsorted(lo[by_lo], hi, "right")))  # right of or above v
     unique = np.zeros(n, dtype=bool)
-    carry = 0  # misses counted so far of a class that continues into the block
+    carry = 0  # misses counted so far of a group that continues into the block
     total, step = int(words.sum()), max(1, _CENSUS_BLOCK_WORDS // max(n, 1))
     for w0 in range(0, total, step):
         w1 = min(w0 + step, total)
-        first, stop = np.searchsorted(end, w0, "right"), np.searchsorted(start, w1, "left")  # classes in the block
+        first, stop = np.searchsorted(end, w0, "right"), np.searchsorted(start, w1, "left")  # groups in the block
         seg = np.add.reduceat(
             np.bitwise_count(_missed_words(sides, n, w0, w1)), np.maximum(start[first:stop], w0) - w0, axis=1, dtype=np.int64
         )
         seg[:, 0] += carry
         done = end[first:stop] <= w1
         carry = 0 if done[-1] else seg[:, -1]
-        unique |= (seg[:, done] == sizes[first:stop][done] - 1).any(axis=1)
+        size, settles = sizes[first:stop][done], pooled[first:stop][done]
+        seg = seg[:, done]
+        unique |= ((seg == size - 1) | (settles & (seg < size))).any(axis=1)
     return np.flatnonzero(~unique).tolist()
 
 

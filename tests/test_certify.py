@@ -299,6 +299,24 @@ def test_rect_census_carries_classes_across_blocks(monkeypatch, block, shapes):
         _check_scene_census(scene, colors)
 
 
+@pytest.mark.parametrize("block", [0, 1, 3])
+def test_rect_census_pools_singleton_classes(monkeypatch, block):
+    # random colorings with p = 3, n/2 and n colors: few large classes, many
+    # small ones, and mostly singletons, which share words; blocks of 1 or 3
+    # words split the shared group
+    n = 600
+    scene = cf.generate_scene("rects", n, 9, span=3.0, margin=0)
+    if block:
+        monkeypatch.setattr(cfgeom.hypergraph, "_CENSUS_BLOCK_WORDS", block * n)
+    rng = np.random.default_rng(block)
+    settled = set()
+    for p in (3, n // 2, n):
+        for _ in range(3):
+            bad = _check_scene_census(scene, rng.integers(1, p + 1, n).tolist())
+            settled.add(0 < len(bad) < n)
+    assert True in settled
+
+
 def test_rect_scenes_are_certified_without_pairs(monkeypatch):
     scene = cf.generate_scene("rects", 300, 5)
 

@@ -1,17 +1,20 @@
 """The contact layer against the brute-force predicate it batches.
 
 `intersection_graph` and `_pairwise_hits` both come from `geom.contact_pairs`
-(an x-sorted sweep plus batched exact predicates); every property here compares
-them with `geom.intersects` called on every pair.  Half-integer coordinates
-make tied xmin values and exactly touching (closed) contacts common.
+(bounding-box candidates from a sweep over horizontal strips, plus batched
+exact predicates); the properties here compare them with `geom.intersects`
+called on every pair, and the strip sweep with the single x-sweep of
+`contact_reference`.  Half-integer coordinates make tied xmin values and
+exactly touching (closed) contacts common.
 """
 import math
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfgeom import (
@@ -26,15 +29,20 @@ from cfgeom import (
     intersects,
     validate_pseudodisc_family,
 )
+from cfgeom import geom
 from cfgeom.errors import DegenerateGeometryError
 from cfgeom.geom import (
+    _box_overlaps,
     _polygons_meet,
     _random_fat_polygon,
     _segments_crossings,
+    _strip_index,
+    _strips,
     contact_pairs,
     convex_polygons_intersect,
 )
 from cfgeom.probes import _pairwise_hits, _prune_depth_one
+from contact_reference import box_overlaps_reference
 
 half = st.integers(0, 12).map(lambda k: k / 2)
 coord = st.one_of(half, st.floats(0, 6, allow_nan=False, allow_infinity=False))
@@ -228,17 +236,129 @@ def test_polygon_pseudodisc_validation_matches_pairwise_counts(shapes):
     assert validate_pseudodisc_family(Scene(tuple(shapes), "fat" if shapes else "")) == all(c <= 2 for c in counts)
 
 
-def test_sparse_disc_graph_memory_is_linear():
-    # 3000 discs spread for mean degree about 10, as in the disc-sparse benchmark
-    n, lo, hi = 3000, 0.05, 0.2
+# (offset, unit) of the corner grids: half-integers, and coordinates near 1e9
+# with extents near 1e-3, where a float strip bound lands between grid values
+BOX_GRIDS = [(0.0, 0.5), (1e9, 1e-3), (-3.0, 0.25)]
+
+
+@st.composite
+def box_families(draw):
+    """Two families of (xmin, xmax, ymin, ymax) boxes with corners on one grid,
+    so boxes tie in xmin and touch exactly; sometimes all of zero height, as
+    intervals are."""
+    offset, unit = draw(st.sampled_from(BOX_GRIDS))
+    flat = draw(st.booleans())
+    k = st.integers(0, 24)
+    extent = st.integers(0, 6)
+
+    def family():
+        rows = []
+        for _ in range(draw(st.integers(0, 30))):
+            x, y, w = draw(k), draw(k), draw(extent)
+            rows.append((x, x + w, y, y if flat else y + draw(extent)))
+        return offset + unit * np.array(rows, dtype=float).reshape(-1, 4)
+
+    return family(), family(), unit
+
+
+def _forced_strips(height: str, unit: float):
+    """A stand-in for `geom._strips` that always cuts strips: shorter than the
+    tallest box (which `_strip_index` must refuse wherever a pair could end up
+    two strips apart), as tall as the tallest box with no headroom, a little
+    taller, or tall enough that every box lies in one strip."""
+
+    def strips(families, candidates):
+        boxes = np.concatenate(families)
+        if not len(boxes):
+            return None
+        span = boxes[:, 2].max() - boxes[:, 2].min()
+        tallest = max((boxes[:, 3] - boxes[:, 2]).max(), span / len(boxes), unit)
+        if height == "one":
+            return _strip_index(boxes, 2 * (span + tallest))
+        h = {"short": 0.75, "tallest": 1.0, "headroom": 1.5}[height] * tallest
+        return _strip_index(boxes, h)
+
+    return strips
+
+
+def _pair_set(pairs):
+    return sorted(zip(*(p.tolist() for p in pairs)))
+
+
+ONE_BOX = np.array([[0.0, 1.0, 0.0, 1.0]])
+
+
+@given(box_families(), st.sampled_from(["chosen", "short", "tallest", "headroom", "one"]))
+@example((np.zeros((0, 4)), ONE_BOX, 0.5), "tallest")
+@example((ONE_BOX, np.zeros((0, 4)), 0.5), "one")
+@settings(max_examples=300, deadline=None)
+def test_strip_sweep_matches_the_x_sweep_reference(families, height):
+    a, b, unit = families
+    with mock.patch.object(geom, "_strips", geom._strips if height == "chosen" else _forced_strips(height, unit)):
+        assert _pair_set(_box_overlaps(a, a, True)) == _pair_set(box_overlaps_reference(a, a, True))
+        assert _pair_set(_box_overlaps(a, b, False)) == _pair_set(box_overlaps_reference(a, b, False))
+        assert _pair_set(_box_overlaps(b, a, False)) == _pair_set(box_overlaps_reference(b, a, False))
+
+
+def test_forced_strips_match_the_reference_on_random_grids():
+    # hypothesis draws mostly small families; these are larger and many
+    rng = np.random.default_rng(11)
+    for offset, unit in BOX_GRIDS:
+        for _ in range(150):
+            x, y = rng.integers(0, 25, (2, rng.integers(1, 40)))
+            w, h = rng.integers(0, 7, (2, len(x)))
+            a = offset + unit * np.column_stack((x, x + w, y, y + h)).astype(float)
+            for height in ("short", "tallest", "headroom", "one"):
+                with mock.patch.object(geom, "_strips", _forced_strips(height, unit)):
+                    assert _pair_set(_box_overlaps(a, a, True)) == _pair_set(box_overlaps_reference(a, a, True))
+                    half = a[: len(a) // 2]
+                    assert _pair_set(_box_overlaps(half, a, False)) == _pair_set(box_overlaps_reference(half, a, False))
+
+
+def test_strip_index_keeps_overlapping_boxes_within_one_strip():
+    rng = np.random.default_rng(3)
+    for offset, unit in BOX_GRIDS:
+        x, y = rng.integers(0, 200, (2, 400))
+        w, h = rng.integers(0, 7, (2, 400))
+        boxes = offset + unit * np.column_stack((x, x + w, y, y + h)).astype(float)
+        tallest = (boxes[:, 3] - boxes[:, 2]).max()
+        strip = _strip_index(boxes, 1.5 * tallest)
+        assert strip is not None and strip.max() >= 20
+        i, j = box_overlaps_reference(boxes, boxes, True)
+        assert len(i) and np.abs(strip[i] - strip[j]).max() <= 1
+        # no headroom: a box ending on a bound two strips up is refused, not cut
+        exact = _strip_index(boxes, tallest)
+        assert exact is None or np.abs(exact[i] - exact[j]).max() <= 1
+
+
+def test_strips_are_cut_only_where_they_cut_candidates():
+    sparse = generate_scene("discs", 3000, 5, span=_sparse_span(3000), margin=0).boxes
+    dense = generate_scene("discs", 640, 5).boxes
+    flat = generate_scene("intervals", 3000, 5, margin=0).boxes
+    for boxes, cut in ((sparse, True), (dense, False), (flat, False)):
+        n = len(boxes)
+        # pairs whose x-ranges meet: the x-sweep's candidates
+        candidates = int(np.searchsorted(np.sort(boxes[:, 0]), boxes[:, 1], "right").sum()) - n * (n + 1) // 2
+        assert candidates > 50 * n
+        assert (_strips((boxes,), candidates) is not None) == cut
+
+
+def _sparse_span(n, lo=0.05, hi=0.2):
+    """Square side giving mean degree about 10, as in the disc-sparse benchmark."""
     mean, var = (lo + hi) / 2, (hi - lo) ** 2 / 12
-    span = math.sqrt(n * math.pi * (4 * mean * mean + 2 * var) / 10.0)
-    scene = generate_scene("discs", n, 5, span=span, margin=0)
-    tracemalloc.start()
-    try:
-        g = intersection_graph(scene)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0 < len(g.indices) < 40 * n
-    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    return math.sqrt(n * math.pi * (4 * mean * mean + 2 * var) / 10.0)
+
+
+def test_sparse_disc_graph_memory_is_linear():
+    # uniform discs spread for mean degree about 10: the disc-sparse benchmark's
+    # 3000, and ten times as many
+    for n in (3000, 30000):
+        scene = generate_scene("discs", n, 5, span=_sparse_span(n), margin=0)
+        tracemalloc.start()
+        try:
+            g = intersection_graph(scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(g.indices) < 40 * n
+        assert peak < 64 * 2**20, f"n={n}: peak {peak / 2**20:.1f} MB"
