@@ -41,14 +41,14 @@ __all__ = [
 ]
 
 
-def _require_finite(*values: float) -> None:
+def _require_finite(*values: float, what: str = "coordinate") -> None:
     for v in values:
         try:
             finite = math.isfinite(v)
         except OverflowError:  # an integer too large for a float
             finite = False
         if not finite:
-            raise InvalidInputError(f"coordinate {v!r} is not finite")
+            raise InvalidInputError(f"{what} {v!r} is not finite")
 
 
 # Points, discs, intervals and rectangles carry __slots__: a generated scene
@@ -351,23 +351,25 @@ def disc_polygon_intersect(center: Point, radius: float, xy: np.ndarray) -> bool
 def segment_clip_convex(p0: tuple, p1: tuple, xy: np.ndarray) -> tuple[float, float] | None:
     """Parameter range [t0, t1] of the segment p0 + t*(p1-p0) inside a ccw convex
     polygon, or None when the segment misses it."""
-    t0, t1 = _clip_segments(np.array([p0], dtype=float), np.array([p1], dtype=float), xy[None])
-    return None if t0[0, 0] > t1[0, 0] else (float(t0[0, 0]), float(t1[0, 0]))
+    t0, t1 = _clip_segments(np.array(p0, dtype=float), np.array(p1, dtype=float), xy)
+    return None if t0 > t1 else (float(t0), float(t1))
 
 
 def _clip_segments(p0: np.ndarray, p1: np.ndarray, polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter ranges (t0, t1), each of shape (segments, polygons), of every
-    segment p0[s] + t*(p1[s] - p0[s]) inside every ccw convex polygon of the
-    (k, m, 2) padded vertex array `polys`; t0 > t1 where a segment misses."""
+    """Parameter range (t0, t1) of the segment p0 + t*(p1 - p0) inside the ccw
+    convex polygon `polys`, padded as by `_padded_vertices`; t0 > t1 where the
+    segment misses.  Segments (..., 2) broadcast against polygons (..., m, 2):
+    `_clip_segments(p0[:, None], p1[:, None], polys)` clips every segment
+    against every polygon, and equal leading shapes clip cell by cell."""
     d = p1 - p0
-    e = np.concatenate((polys[:, 1:], polys[:, :1]), axis=1) - polys
+    e = np.concatenate((polys[..., 1:, :], polys[..., :1, :]), axis=-2) - polys
     # inside is where cross(edge, point - a) >= 0; a padding edge has num = den = 0
-    num = e[..., 0] * (p0[:, None, None, 1] - polys[..., 1]) - e[..., 1] * (p0[:, None, None, 0] - polys[..., 0])
-    den = e[..., 0] * d[:, None, None, 1] - e[..., 1] * d[:, None, None, 0]
+    num = e[..., 0] * (p0[..., None, 1] - polys[..., 1]) - e[..., 1] * (p0[..., None, 0] - polys[..., 0])
+    den = e[..., 0] * d[..., None, 1] - e[..., 1] * d[..., None, 0]
     t = -num / np.where(den == 0, 1.0, den)
-    t0 = np.where(den > 0, t, 0.0).max(axis=2)
-    t1 = np.where(den < 0, t, 1.0).min(axis=2)
-    return np.where(((den == 0) & (num < 0)).any(axis=2), np.inf, t0), t1
+    t0 = np.where(den > 0, t, 0.0).max(axis=-1)
+    t1 = np.where(den < 0, t, 1.0).min(axis=-1)
+    return np.where(((den == 0) & (num < 0)).any(axis=-1), np.inf, t0), t1
 
 
 # ---------------------------------------------------------------------------
@@ -540,22 +542,38 @@ def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _polygons_meet(pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Separating-axis test of each pair (pa[i], pb[j]) of padded ccw convex
     polygons, in blocks of pairs; the arithmetic is that of
-    `convex_polygons_intersect`, so touching polygons meet."""
+    `convex_polygons_intersect`, so touching polygons meet.  Each polygon's
+    edge normals and its extent along them are taken once per family, so a
+    pair projects each polygon only onto the other's normals."""
+    own_a = _own_extents(pa)
+    own_b = own_a if pb is pa else _own_extents(pb)
     step = max(1, _SAT_CELLS // (pa.shape[1] * pb.shape[1]))
     out = np.empty(len(i), dtype=bool)
     for s in range(0, len(i), step):
-        p, q = pa[i[s : s + step]], pb[j[s : s + step]]
-        out[s : s + step] = ~(_separated_on_edges_of(p, p, q) | _separated_on_edges_of(q, p, q))
+        p, q = i[s : s + step], j[s : s + step]
+        out[s : s + step] = ~(_outside(*(x[p] for x in own_a), pb[q]) | _outside(*(x[q] for x in own_b), pa[p]))
     return out
 
 
-def _separated_on_edges_of(poly: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per pair, whether an edge normal of `poly` separates `p` from `q`."""
-    e = np.roll(poly, -1, axis=1) - poly
-    nx, ny = -e[..., 1, None], e[..., 0, None]  # (pairs, axes, 1)
-    proj_p = p[:, None, :, 0] * nx + p[:, None, :, 1] * ny  # (pairs, axes, vertices)
-    proj_q = q[:, None, :, 0] * nx + q[:, None, :, 1] * ny
-    return ((proj_p.max(axis=2) < proj_q.min(axis=2)) | (proj_q.max(axis=2) < proj_p.min(axis=2))).any(axis=1)
+def _own_extents(polys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per polygon, its edge normals (nx, ny) and the max and min of its
+    vertices' projections onto each, every array of shape (polygons, axes)."""
+    e = np.roll(polys, -1, axis=1) - polys
+    nx, ny = -e[..., 1], e[..., 0]
+    top, bottom = np.empty(nx.shape), np.empty(nx.shape)
+    step = max(1, _SAT_CELLS // (polys.shape[1] ** 2))
+    for s in range(0, len(polys), step):
+        p, x, y = polys[s : s + step], nx[s : s + step, :, None], ny[s : s + step, :, None]
+        proj = p[:, None, :, 0] * x + p[:, None, :, 1] * y  # (polygons, axes, vertices)
+        top[s : s + step], bottom[s : s + step] = proj.max(axis=2), proj.min(axis=2)
+    return nx, ny, top, bottom
+
+
+def _outside(nx: np.ndarray, ny: np.ndarray, top: np.ndarray, bottom: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per pair, whether some axis (nx, ny) of the first polygon, along which
+    it spans [bottom, top], has the polygon `q` wholly to one side."""
+    proj = q[:, None, :, 0] * nx[..., None] + q[:, None, :, 1] * ny[..., None]  # (pairs, axes, vertices)
+    return ((top < proj.min(axis=2)) | (proj.max(axis=2) < bottom)).any(axis=1)
 
 
 def _segments_crossings(axy: np.ndarray, bxy: np.ndarray) -> int:
@@ -749,6 +767,11 @@ def generate_scene(
         raise InvalidInputError("n must be >= 0")
     if kind not in ("discs", "intervals", "rects", "fat"):
         raise InvalidInputError(f"unknown scene kind {kind!r}")
+    for name, value in (("span", span), ("rho", rho), ("k", k), ("base_size", base_size), ("margin", margin)):
+        if value is not None:
+            _require_finite(value, what=name)
+    for r in (radius_range, length_range, side_range):
+        _require_finite(*r, what="range bound")
     if span <= 0:
         raise InvalidInputError("span must be positive")
     if kind == "fat":

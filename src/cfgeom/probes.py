@@ -24,6 +24,7 @@ from .framework import ProperColorer, _largest_class_rounds, cf_palette_bound
 from .geom import (
     Scene,
     _clip_segments,
+    _spans,
     contact_pairs,
     scene_from_json,
     scene_to_json,
@@ -353,23 +354,60 @@ def prune_depth_one(shapes: Scene) -> tuple[list[int], list[int]]:
 
 
 def _prune_depth_one(shapes: Scene, contacts: Graph) -> tuple[list[int], list[int]]:
-    """prune_depth_one given the contact graph of `shapes`."""
+    """prune_depth_one given the contact graph of `shapes`.
+
+    The scan is decided in dependency waves: a shape's wave is one more than
+    the largest wave among its lower-index neighbours.  When its wave comes
+    up, a shape's lower-index neighbours are all decided and its higher-index
+    ones all still alive, as in a one-at-a-time scan, and no two shapes of one
+    wave meet; so one batched test decides the whole wave.
+    """
     n = len(shapes)
     if n == 0:
         return [], []
-    escapes = {"discs": _disc_escapes, "fat": _polygon_escapes}.get(shapes.kind)
-    if escapes is None:
+    escape = {"discs": _discs_escape, "fat": _polygons_escape}.get(shapes.kind)
+    if escape is None:
         raise IncompatibleShapesError("pruning supports a family of discs or a family of convex polygons")
     rows = shapes.rows
     alive = np.ones(n, dtype=bool)
     flat = rows.reshape(n, -1)
-    for i in range(n):
-        near = contacts.indices[contacts.indptr[i] : contacts.indptr[i + 1]]
-        near = near[alive[near]]
-        # a surviving copy of i covers it; the test below would let each copy keep the other
-        copied = (flat[near] == flat[i]).all(axis=1).any()
-        alive[i] = not copied and escapes(rows, i, near)
+    indptr, indices = contacts.indptr, contacts.indices
+    for wave in _waves(indptr, indices):
+        block, near = _spans(indptr[wave], indptr[wave + 1])
+        near = indices[near]
+        survives = alive[near]
+        block, near = block[survives], near[survives]
+        # a surviving copy of a shape covers it; the test below would let each copy keep the other
+        test = np.ones(len(wave), dtype=bool)
+        test[block[(flat[near] == flat[wave[block]]).all(axis=1)]] = False
+        tested = test[block]
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(block[tested], minlength=len(wave))[test])))
+        alive[wave] = False
+        alive[wave[test]] = escape(rows, wave[test], ptr, near[tested])
     return np.flatnonzero(alive).tolist(), np.flatnonzero(~alive).tolist()
+
+
+def _waves(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    """The vertices of a CSR graph (sorted neighbours) grouped by wave, each
+    group increasing: a vertex's wave is one more than the largest wave among
+    its lower-index neighbours, 0 if it has none."""
+    ptr, idx = indptr.tolist(), indices.tolist()
+    wave: list[int] = []
+    for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
+        w = 0
+        for j in idx[a:b]:
+            if j > i:
+                break
+            w = max(w, wave[j] + 1)
+        wave.append(w)
+    waves = np.array(wave, dtype=np.intp)
+    return np.split(np.argsort(waves, kind="stable"), np.cumsum(np.bincount(waves))[:-1])
+
+
+def _discs_escape(circles: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Per disc centres[b], whether it has a point in none of the discs
+    near[ptr[b]:ptr[b + 1]]."""
+    return np.array([_disc_escapes(circles, i, near[a:b]) for i, a, b in zip(centres, ptr, ptr[1:])], dtype=bool)
 
 
 def _disc_escapes(circles: np.ndarray, i: int, near: np.ndarray) -> bool:
@@ -412,24 +450,62 @@ def _free_arc(c: list[float], covers: list[list[float]], arcs: list[tuple[float,
     return bool(_complement_circular(arcs))
 
 
-def _polygon_escapes(polys: np.ndarray, i: int, near: np.ndarray) -> bool:
-    """Whether polygon i has a point in none of the polygons `near`, from one
-    clip of the real edges of i and of its neighbours against all of them."""
-    ids = np.append(near, i)  # polygon i is the last column
+_CLIP_CELLS = 1 << 14  # (segment, polygon) cells per batched clip of pruning, about
+
+
+def _polygons_escape(polys: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Per polygon c = centres[b], whether it has a point in none of the
+    polygons near[ptr[b]:ptr[b + 1]]: one clip of the real edges of c and of
+    those polygons against all of them.  Consecutive centres are batched into
+    clips of about `_CLIP_CELLS` cells."""
+    size = ptr[1:] - ptr[:-1] + 1
+    cells = size * size * polys.shape[1]
+    cut = np.flatnonzero(np.diff((np.cumsum(cells) - cells) // _CLIP_CELLS, prepend=-1)).tolist()
+    out = np.empty(len(centres), dtype=bool)
+    for a, b in zip(cut, cut[1:] + [len(centres)]):
+        out[a:b] = _blocks_escape(polys, centres[a:b], ptr[a : b + 1] - ptr[a], near[ptr[a] : ptr[b]])
+    return out
+
+
+def _blocks_escape(polys: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """`_polygons_escape` in one batch.  Block b lists near[ptr[b]:ptr[b + 1]]
+    and then its centre.  A real edge of a block's polygon is clipped against
+    that block's other polygons, and its ranges fill one row of `_uncovered`."""
+    size = ptr[1:] - ptr[:-1] + 1
+    start = ptr[:-1] + np.arange(len(centres))  # slot of block b's first polygon
+    last = start + size - 1  # slot of its centre
+    ids = np.empty(len(near) + len(centres), dtype=np.intp)
+    is_near = np.ones(len(ids), dtype=bool)
+    is_near[last] = False
+    ids[last], ids[is_near] = centres, near
     p0 = polys[ids]
-    p1 = np.roll(p0, -1, axis=1)
-    real = (p0 != p1).any(axis=2)  # padding edges have length zero
-    owner = np.nonzero(real)[0]
-    t0, t1 = _clip_segments(p0[real], p1[real], p0)
-    last = len(near)
-    mine = owner == last
-    # the boundary of i counts whole, a neighbour's only inside i: its parts outside i are covered
-    lo, hi = np.where(mine, 0.0, t0[:, last]), np.where(mine, 1.0, t1[:, last])
-    t0[np.arange(len(owner)), owner] = np.inf  # no shape covers its own boundary
-    t0[:, last] = np.inf  # and i covers none
-    t0 = np.column_stack((t0, np.zeros_like(lo), hi))
-    t1 = np.column_stack((t1, lo, np.ones_like(hi)))
-    return bool(_uncovered(t0, t1).any())
+    p1 = np.concatenate((p0[:, 1:], p0[:, :1]), axis=1)
+    owner, edge = np.nonzero((p0 != p1).any(axis=2))  # padding edges have length zero
+    blk = np.repeat(np.arange(len(centres)), size)[owner]
+    a, b = p0[owner, edge], p1[owner, edge]
+    # the boundary of a centre counts whole, a neighbour's only inside the centre:
+    # its parts outside are covered, so an edge that misses the centre (lo > hi) is covered whole
+    lo, hi = _clip_segments(a, b, p0[last[blk]])
+    mine = owner == last[blk]
+    lo[mine], hi[mine] = 0.0, 1.0
+    keep = ~(lo > hi)
+    owner, blk, a, b, lo, hi = owner[keep], blk[keep], a[keep], b[keep], lo[keep], hi[keep]
+    # the centre covers no edge, and no polygon its own
+    seg, slot = _spans(start[blk], last[blk])
+    other = slot != owner[seg]
+    seg, slot = seg[other], slot[other]
+    t0, t1 = _clip_segments(a[seg], b[seg], p0[slot])
+    width = np.bincount(seg, minlength=len(owner))
+    col = np.arange(len(seg)) - np.repeat(np.cumsum(width) - width, width)
+    rows = np.arange(len(owner))
+    r0 = np.full((len(owner), width.max(initial=0) + 2), np.inf)  # unused cells hold empty ranges
+    r1 = np.zeros(r0.shape)
+    r0[seg, col], r1[seg, col] = t0, t1
+    r0[rows, width], r1[rows, width] = 0.0, lo
+    r0[rows, width + 1], r1[rows, width + 1] = hi, 1.0
+    out = np.zeros(len(centres), dtype=bool)
+    out[blk[_uncovered(r0, r1)]] = True
+    return out
 
 
 def _uncovered(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:

@@ -1,13 +1,21 @@
-"""Reference implementation of the contact layer's box-overlap candidates.
+"""Reference implementations of the contact layer's box-overlap candidates
+and of its batched polygon predicate.
 
-This is the earlier single sweep over boxes sorted by xmin: every pair whose
-x-ranges meet is a candidate, whatever its y-distance, and the y test then
-keeps the boxes that overlap.  The tests require the strip sweep in
+The first is the earlier single sweep over boxes sorted by xmin: every pair
+whose x-ranges meet is a candidate, whatever its y-distance, and the y test
+then keeps the boxes that overlap.  The tests require the strip sweep in
 `cfgeom.geom._box_overlaps` to return the same pair sets.
+
+The second is the earlier separating-axis test, which rebuilds both polygons'
+edge normals and projects both polygons onto them for every pair.  The tests
+require `cfgeom.geom._polygons_meet`, which projects each polygon onto its own
+normals once per family, to return the same booleans.
 """
 from __future__ import annotations
 
 import numpy as np
+
+_SAT_CELLS = 1 << 18  # projection values per separating-axis batch
 
 
 def box_overlaps_reference(box_a: np.ndarray, box_b: np.ndarray, same: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -34,3 +42,24 @@ def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     counts = np.maximum(stop - start, 0)
     rows = np.repeat(np.arange(len(start)), counts)
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - start, counts)
+
+
+def polygons_meet_reference(pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Separating-axis test of each pair (pa[i], pb[j]) of padded ccw convex
+    polygons, in blocks of pairs; the arithmetic is that of
+    `convex_polygons_intersect`, so touching polygons meet."""
+    step = max(1, _SAT_CELLS // (pa.shape[1] * pb.shape[1]))
+    out = np.empty(len(i), dtype=bool)
+    for s in range(0, len(i), step):
+        p, q = pa[i[s : s + step]], pb[j[s : s + step]]
+        out[s : s + step] = ~(_separated_on_edges_of(p, p, q) | _separated_on_edges_of(q, p, q))
+    return out
+
+
+def _separated_on_edges_of(poly: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per pair, whether an edge normal of `poly` separates `p` from `q`."""
+    e = np.roll(poly, -1, axis=1) - poly
+    nx, ny = -e[..., 1, None], e[..., 0, None]  # (pairs, axes, 1)
+    proj_p = p[:, None, :, 0] * nx + p[:, None, :, 1] * ny  # (pairs, axes, vertices)
+    proj_q = q[:, None, :, 0] * nx + q[:, None, :, 1] * ny
+    return ((proj_p.max(axis=2) < proj_q.min(axis=2)) | (proj_q.max(axis=2) < proj_p.min(axis=2))).any(axis=1)

@@ -210,3 +210,13 @@ def test_pentagon_gen_cli(tmp_path):
     )
     assert run(["color", "--alg", "pseudodisc", "--in", scene, "--out", coloring]) == 0
     assert run(["verify", "--mode", "pointed", "--in", scene, "--coloring", coloring]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--span", "--rho", "--k"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_gen_argument_is_one_error_line(tmp_path, capsys, flag, value):
+    out = tmp_path / "scene.json"
+    assert run(["gen", "--kind", "fat", "--n", "5", f"{flag}={value}", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"error: {flag[2:]} {float(value)!r} is not finite"]
+    assert not out.exists()

@@ -42,7 +42,7 @@ from cfgeom.geom import (
     convex_polygons_intersect,
 )
 from cfgeom.probes import _pairwise_hits, _prune_depth_one
-from contact_reference import box_overlaps_reference
+from contact_reference import box_overlaps_reference, polygons_meet_reference
 
 half = st.integers(0, 12).map(lambda k: k / 2)
 coord = st.one_of(half, st.floats(0, 6, allow_nan=False, allow_infinity=False))
@@ -216,6 +216,30 @@ def test_batched_separating_axis_matches_pairwise(a, b):
     i, j = (x.ravel() for x in np.meshgrid(np.arange(len(a)), np.arange(len(b)), indexing="ij"))
     got = _polygons_meet(Scene(tuple(a)).rows, Scene(tuple(b)).rows, i, j)
     assert got.tolist() == [convex_polygons_intersect(a[p].xy(), b[q].xy()) for p, q in zip(i, j)]
+
+
+@st.composite
+def repeated_polygons(draw):
+    """A polygon family with some members repeated, vertex for vertex."""
+    shapes = draw(st.lists(polygons(), min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        shapes.insert(draw(st.integers(0, len(shapes))), draw(st.sampled_from(shapes)))
+    return shapes
+
+
+@given(repeated_polygons(), repeated_polygons())
+@settings(max_examples=100, deadline=None)
+def test_separating_axis_with_own_extents_matches_reference(a, b):
+    pa, pb = Scene(tuple(a)).rows, Scene(tuple(b)).rows
+    # same mode: every pair i < j of one family, on the one array and on an equal copy of it
+    i, j = np.triu_indices(len(a), 1)
+    expected = polygons_meet_reference(pa, pa, i, j)
+    assert np.array_equal(_polygons_meet(pa, pa, i, j), expected)
+    assert np.array_equal(_polygons_meet(pa, pa.copy(), i, j), expected)
+    # cross mode: every pair of the two families, whose vertex counts differ
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(len(a)), np.arange(len(b)), indexing="ij"))
+    assert np.array_equal(_polygons_meet(pa, pb, i, j), polygons_meet_reference(pa, pb, i, j))
+    assert np.array_equal(_polygons_meet(pb, pa, j, i), polygons_meet_reference(pb, pa, j, i))
 
 
 @given(

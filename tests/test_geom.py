@@ -402,7 +402,7 @@ def test_batched_clip_matches_scalar_loop(segments, polys):
     # polygons of mixed vertex counts are padded to one count, as in pruning
     p0 = np.array([s[0] for s in segments])
     p1 = np.array([s[1] for s in segments])
-    t0, t1 = _clip_segments(p0, p1, _padded_vertices(polys))
+    t0, t1 = _clip_segments(p0[:, None], p1[:, None], _padded_vertices(polys))
     for s, (a, b) in enumerate(segments):
         for k, xy in enumerate(polys):
             expected = _clip_reference(a, b, xy)

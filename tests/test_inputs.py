@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -339,3 +340,136 @@ def test_fatness_beyond_float_range_fails_cleanly(tmp_path):
     _check_planar_document(tmp_path, doc)
     with pytest.raises(cf.InvalidInputError, match="finite"):
         PLANAR_COLORERS["fat-pointed"][0](cf.scene_from_json(json.dumps(doc)))
+
+
+# fuzzing probe-system documents
+# ---------------------------------------------------------------------------
+
+PROBE_OPS = PLANAR_OPS + ["drop-side", "mode"]
+
+
+def _probe_document(kind: str, n: int, m: int, seed: int) -> dict:
+    if kind == "discs":
+        vertices = cf.generate_scene("discs", n, [seed, 0], radius_range=(0.05, 0.3))
+        probes = cf.generate_scene("discs", m, [seed, 1], radius_range=(0.01, 0.3), margin=0)
+    else:
+        pent = cf.pentagon_template()
+        both = cf.generate_scene("fat", n + m, seed, rho=1.5, k=3.0, homothets_of=pent, base_size=0.08)
+        vertices, probes = both.subscene(range(n)), both.subscene(range(n, n + m))
+    mode = "disc" if kind == "discs" else "pseudodisc"
+    return json.loads(cf.probe_system_to_json(cf.ProbeSystem(vertices, probes, mode)))
+
+
+def _mutate_probe_system(doc: dict, op: str, draw) -> None:
+    """Apply the mutation `op` to a probe-system document, in place: to the
+    document itself, or to its vertex or probe scene."""
+    if op == "drop-side":
+        doc.pop(draw(st.sampled_from(["vertices", "probes", "mode"])), None)
+    elif op == "mode":
+        doc["mode"] = draw(st.sampled_from(["disc", "pseudodisc", "antenna", "", 3, None]))
+    else:
+        side = doc.get(draw(st.sampled_from(["vertices", "probes"])))
+        if isinstance(side, dict):
+            _mutate_planar(side, op, draw)
+
+
+def _check_probe_document(where, doc: dict) -> None:
+    """The only outcomes: a coloring certified against the probe hypergraph, a
+    CFGeomError from the library, and from the CLI exit 2 with one `error:`
+    line."""
+    try:
+        ps = cf.probe_system_from_json(json.dumps(doc))
+        coloring = cf.cf_color_vs_probes(ps)
+    except cf.CFGeomError:
+        pass
+    else:
+        assert cf.verify_cf(cf.probe_hypergraph(ps), coloring) == []
+
+    scene_file, probe_file, coloring_file = where / "vertices.json", where / "probes.json", where / "coloring.json"
+    scene_file.write_text(json.dumps(doc.get("vertices")))
+    probe_file.write_text(json.dumps(doc.get("probes")))
+    scene_args, verify = ("--in", scene_file, "--probes", probe_file), ("verify", "--mode", "probes")
+    coloring_file.unlink(missing_ok=True)
+    code, err = _run_cli("color", "--alg", "antennas", *scene_args, "--out", coloring_file)
+    _assert_cli_outcome(code, err, (0,))
+    if code == 0:
+        code, err = _run_cli(*verify, *scene_args, "--coloring", coloring_file)
+        _assert_cli_outcome(code, err, (0,))
+    vertices = doc.get("vertices")
+    shapes = vertices.get("shapes") if isinstance(vertices, dict) else None
+    coloring_file.write_text(json.dumps({"colors": [1] * (len(shapes) if isinstance(shapes, list) else 1)}))
+    code, err = _run_cli(*verify, *scene_args, "--coloring", coloring_file)
+    _assert_cli_outcome(code, err, (0, 1))
+
+
+@given(
+    st.sampled_from(["discs", "pentagons"]),
+    st.integers(1, 8),
+    st.integers(0, 16),
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from(PROBE_OPS), min_size=0, max_size=3),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_mutated_probe_systems_fail_cleanly(tmp_path_factory, kind, n, m, seed, ops, data):
+    doc = _probe_document(kind, n, m, seed)
+    for op in ops:
+        _mutate_probe_system(doc, op, data.draw)
+    where = tmp_path_factory.getbasetemp() / "fuzz-probes"
+    where.mkdir(exist_ok=True)
+    _check_probe_document(where, doc)
+
+
+# generator arguments
+# ---------------------------------------------------------------------------
+
+NON_FINITE = {"NaN": math.nan, "inf": math.inf, "-inf": -math.inf, "integer beyond float": 10**400}
+GENERATOR_ARGUMENTS = {
+    "span": lambda v: cf.generate_scene("discs", 5, 1, span=v),
+    "rho": lambda v: cf.generate_scene("fat", 5, 1, rho=v),
+    "k": lambda v: cf.generate_scene("fat", 5, 1, k=v),
+    "base_size": lambda v: cf.generate_scene("fat", 5, 1, base_size=v),
+    "margin": lambda v: cf.generate_scene("discs", 5, 1, margin=v),
+    "range bound": lambda v: cf.generate_scene("discs", 5, 1, radius_range=(0.05, v)),
+}
+
+
+@pytest.mark.parametrize("value", sorted(NON_FINITE))
+@pytest.mark.parametrize("argument", sorted(GENERATOR_ARGUMENTS))
+def test_non_finite_generator_arguments_raise_invalid_input(argument, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(cf.InvalidInputError, match="not finite"):
+            GENERATOR_ARGUMENTS[argument](NON_FINITE[value])
+
+
+GEN_NUMBERS = ["0", "-1", "0.5", "1", "1.02", "2", "16", "1e300", "1e-300", "nan", "inf", "-inf", "1e400"]
+
+
+@given(
+    st.sampled_from(["discs", "intervals", "rects", "fat", "lower-bound"]),
+    st.integers(-2, 12),
+    st.integers(0, 10**6),
+    st.dictionaries(st.sampled_from(["--span", "--rho", "--k", "--spacing"]), st.sampled_from(GEN_NUMBERS)),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_gen_arguments_fail_cleanly(tmp_path_factory, kind, n, seed, numbers, pentagons):
+    where = tmp_path_factory.getbasetemp() / "fuzz-gen"
+    where.mkdir(exist_ok=True)
+    out = where / "scene.json"
+    out.unlink(missing_ok=True)
+    argv = ["gen", "--kind", kind, "--n", n, "--seed", seed, "--out", out]
+    argv += [f"{flag}={value}" for flag, value in numbers.items()] + ["--homothets", "pentagon"] * pentagons
+    code, err = _run_cli(*argv)
+    _assert_cli_outcome(code, err, (0,))
+    if code == 2:
+        assert not out.exists()
+        return
+    scene = cf.load_scene(out)
+    assert len(scene) == n and (kind == "lower-bound" or not n or scene.kind == kind)
+    if kind == "fat" and n and not pentagons:
+        # every polygon carries a certificate within the requested fatness and size ratio
+        rho, k = _infer_fat_params(scene, None, None)
+        assert rho <= float(numbers.get("--rho", 2.0)) * (1 + 1e-9)
+        assert k <= float(numbers.get("--k", 4.0)) * (1 + 1e-9)

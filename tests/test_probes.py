@@ -1,11 +1,13 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from peel_reference import reference_peel
+from prune_reference import prune_depth_one_reference
 
 from cfgeom import (
     ConvexFatObject,
@@ -34,16 +36,20 @@ from cfgeom import (
 from cfgeom.errors import IncompatibleShapesError, InvalidInputError, PlanarityError
 from cfgeom import probes as probes_module
 from cfgeom.geom import (
+    _polygon_inradius_at,
+    _polygon_outradius_at,
     contiguous_run_witnesses,
     intersects,
     segment_clip_convex,
 )
-from cfgeom.hypergraph import all_intervals_hypergraph, min_cf_colors_bruteforce
+from cfgeom.hypergraph import all_intervals_hypergraph, greedy_maximal_independent_set, min_cf_colors_bruteforce
 from cfgeom.probes import (
     PSEUDODISC_MODE,
     _complement_circular,
     _graph_probe_hypergraph,
     _ProbeEngine,
+    _prune_depth_one,
+    _waves,
 )
 
 
@@ -647,13 +653,14 @@ def test_prune_matches_reference_and_samples_only_when_needed(family):
 def test_boundary_and_sample_points_match_reference(family):
     scene = PRUNE_FAMILIES[family]()
     g = intersection_graph(scene)
-    disc = scene.kind == "discs"
     rows = scene.rows
-    escapes = probes_module._disc_escapes if disc else probes_module._polygon_escapes
+    escape = probes_module._discs_escape if scene.kind == "discs" else probes_module._polygons_escape
     for i, s in enumerate(scene.shapes):
-        # the boundary escape test on each shape's full neighbourhood, not only on the survivors of the scan
+        # the boundary escape test on each shape's full neighbourhood, not only on the survivors of the scan,
+        # as a wave of one shape
         near = g.adjacency[i]
-        assert escapes(rows, i, np.array(near, dtype=np.int64)) == _ref_escapes(s, [scene[j] for j in near])
+        got = escape(rows, np.array([i]), np.array([0, len(near)]), np.array(near, dtype=np.int64))
+        assert got.tolist() == [_ref_escapes(s, [scene[j] for j in near])]
         # the audit's sample points lie in their shape, so an audit that passes covers s
         pts = _samples(s, 24)
         assert len(pts) and _in_shape(s, pts).all()
@@ -709,6 +716,106 @@ def test_prune_rejects_unsupported_shapes():
     with pytest.raises(IncompatibleShapesError):
         prune_depth_one(Scene((Disc(Point(0, 0), 1), pentagon_template())))
     assert prune_depth_one(Scene((), "intervals")) == ([], [])
+
+
+# ---------------------------------------------------------------------------
+# pruning in dependency waves against the one-shape-at-a-time scan
+# ---------------------------------------------------------------------------
+
+# ccw convex templates on the integer grid; at half scale their homothets land on a half-integer grid
+GRID_TEMPLATES = {
+    "pentagon": ((0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)),
+    "square": ((0, 0), (2, 0), (2, 2), (0, 2)),
+    "triangle": ((0, 0), (2, 0), (0, 2)),
+}
+
+
+def _grid_polygon(template, x, y, scale):
+    xy = np.array([(x + scale * a / 2, y + scale * b / 2) for a, b in GRID_TEMPLATES[template]])
+    ax, ay = xy.mean(axis=0)
+    verts = tuple(Point(px, py) for px, py in xy.tolist())
+    inner, outer = _polygon_inradius_at(xy, ax, ay), _polygon_outradius_at(xy, ax, ay)
+    return ConvexFatObject(verts, Point(ax, ay), 0.99 * inner, 1.01 * outer)
+
+
+@st.composite
+def grid_families(draw, kind):
+    """Pentagons (or pentagons, squares and triangles) on a half-integer grid,
+    so that edges touch and overlap exactly, or discs on the same grid; with
+    identical copies, and with a chain whose every member meets the one before,
+    which takes one wave per member."""
+    templates = ["pentagon"] if kind == "pentagons" else sorted(GRID_TEMPLATES)
+
+    def shape(x, y, size, template):
+        return Disc(Point(x, y), size / 2) if kind == "discs" else _grid_polygon(template, x, y, size)
+
+    cell = st.integers(0, 8).map(lambda c: c / 2)
+    shapes = draw(
+        st.lists(st.builds(shape, cell, cell, st.integers(1, 2), st.sampled_from(templates)), min_size=1, max_size=12)
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        shapes.insert(draw(st.integers(0, len(shapes))), draw(st.sampled_from(shapes)))
+    steps = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.sampled_from(templates)), max_size=24))
+    x = y = draw(cell)
+    for dx, dy, template in steps:
+        x, y = x + dx / 2, y + dy / 2
+        shapes.append(shape(x, y, 2, template))
+    return Scene(tuple(shapes))
+
+
+@given(st.sampled_from(["pentagons", "polygons", "discs"]).flatmap(grid_families))
+@settings(max_examples=200, deadline=None)
+def test_prune_in_waves_matches_scan_on_grid_families(scene):
+    g = intersection_graph(scene)
+    assert _prune_depth_one(scene, g) == prune_depth_one_reference(scene, g)
+
+
+def test_waves_follow_lower_index_neighbours():
+    # a path 0-1-2-3, plus 4 meeting only 0 and 5 meeting nothing
+    g = intersection_graph(discs((0, 0, 1), (1.5, 0, 1), (3, 0, 1), (4.5, 0, 1), (0, 1.5, 1), (9, 9, 1)))
+    assert [w.tolist() for w in _waves(g.indptr, g.indices)] == [[0, 5], [1, 4], [2], [3]]
+
+
+def _pipeline_pentagon_families():
+    """The pentagon families of the benchmark's `polygons` workload at seeds
+    1-3 and of acceptance criterion 3."""
+    pent = pentagon_template()
+    sizes = [24 + round(36 * i / 11) for i in range(12)]
+    for seed in (1, 2, 3):
+        for i, n in enumerate(sizes):
+            yield generate_scene("fat", n, [seed, 31, i], rho=1.5, k=3.0, homothets_of=pent, base_size=0.05)
+    for i in range(50):
+        yield generate_scene("fat", 40 + (i * 7) % 121, [4, i], rho=1.5, k=3.0, homothets_of=pent, base_size=0.05)
+
+
+def test_prune_in_waves_matches_scan_on_pipeline_and_fixed_families():
+    checked = 0
+    for scene in _pipeline_pentagon_families():
+        # the half the pipeline prunes: every shape outside its independent set
+        g = intersection_graph(scene)
+        rest = sorted(set(range(len(scene))) - set(greedy_maximal_independent_set(g)))
+        sub, g = scene.subscene(rest), g.subgraph(rest)
+        assert _prune_depth_one(sub, g) == prune_depth_one_reference(sub, g)
+        checked += len(sub)
+    for make in PRUNE_FAMILIES.values():
+        scene = make()
+        g = intersection_graph(scene)
+        assert _prune_depth_one(scene, g) == prune_depth_one_reference(scene, g)
+    assert checked > 5000
+
+
+def test_prune_peak_memory_on_a_large_pentagon_family():
+    # 3000 pentagons of mean degree about 22, on which the one-at-a-time scan peaked at 10.2 MB
+    scene = generate_scene("fat", 3000, [15, 0], rho=1.5, k=3.0, homothets_of=pentagon_template(), base_size=0.01)
+    scene.rows
+    tracemalloc.start()
+    try:
+        kept, removed = prune_depth_one(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) + len(removed) == 3000 and removed
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
