@@ -150,8 +150,16 @@ def _cmd_svg(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise InvalidInputError, which `main`
+    reports as one `error:` line, instead of printing the usage text."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="cfgeom", description=__doc__)
+    p = _Parser(prog="cfgeom", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a scene")
@@ -207,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CFGeomError, OSError, UnicodeDecodeError) as exc:  # also an input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)

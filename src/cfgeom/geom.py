@@ -418,17 +418,19 @@ def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndar
     with polygons by `intersects`.
     """
     other = a if b is None else b
-    types = {type(s) for s in a.shapes + other.shapes}
-    if len(types) > 1 and not types <= {Disc, ConvexFatObject}:
-        names = ", ".join(sorted(t.__name__ for t in types))
+    kinds = {s.kind for s in (a, other) if len(s)}
+    if "mixed" in kinds:  # only a scene mixing kinds has its shapes looked at
+        kinds = {_KIND_OF_TYPE[type(s)] for s in a.shapes + other.shapes}
+    if len(kinds) > 1 and not kinds <= {"discs", "fat"}:
+        names = ", ".join(sorted(t.__name__ for t, kind in _KIND_OF_TYPE.items() if kind in kinds))
         raise IncompatibleShapesError(f"no intersection predicate between {names}")
     i, j = _box_overlaps(a.boxes, other.boxes, b is None)
-    if not len(i) or types in ({Interval}, {AARect}):
+    if not len(i) or kinds in ({"intervals"}, {"rects"}):
         hit = np.ones(len(i), dtype=bool)
-    elif types == {Disc}:
+    elif kinds == {"discs"}:
         ca, cb = a.rows, other.rows
         hit = np.hypot(ca[i, 0] - cb[j, 0], ca[i, 1] - cb[j, 1]) <= ca[i, 2] + cb[j, 2]
-    elif types == {ConvexFatObject}:
+    elif kinds == {"fat"}:
         hit = _polygons_meet(a.rows, other.rows, i, j)
     else:
         hit = np.array([intersects(a[p], other[q]) for p, q in zip(i.tolist(), j.tolist())], dtype=bool)

@@ -7,6 +7,13 @@ graph joins two vertices whenever some probe intersects exactly that pair
 among the active vertices; for valid inputs it is planar, so a vertex of
 degree at most 5 always exists and a reverse-peel greedy coloring proper-colors
 every probe hyperedge with at most 6 colors.
+
+The peel removes the smallest vertex of degree at most 5 at each step.  Its
+ascending prefix, while it removes the active vertices in increasing order, is
+computed in arrays: with every smaller vertex gone, a vertex's neighbours are
+the larger members of the hit sets whose two largest active members include
+it.  The prefix ends at the first vertex of degree above 5; from there a
+witness-counted removal loop peels the vertices left.
 """
 from __future__ import annotations
 
@@ -35,7 +42,6 @@ from .hypergraph import (
     Graph,
     Hypergraph,
     Trace,
-    _csr,
     certify,
     greedy_maximal_independent_set,
     intersection_graph,
@@ -158,119 +164,102 @@ def auxiliary_graph(ps: ProbeSystem, active: Sequence[int]) -> Graph:
 
 
 class _ProbeEngine:
-    """Incremental exactly-two bookkeeping shared by repeated peels.
+    """Exactly-two bookkeeping shared by repeated peels.
 
     Built from the CSR rows (indptr, indices) of a probe hypergraph on n
-    vertices.  Hit sets are deduplicated once; a peel over any active subset
-    maintains, per probe, the count of active vertices it intersects, and the
-    auxiliary graph as a witness-counted simple graph.  `color_round` is one
-    round of the largest-class iteration: a peel and its exact check.
+    vertices.  Hit sets are deduplicated and sorted once and kept as flat
+    member arrays, hit set by hit set.  A peel over any active subset reads
+    its ascending prefix off those arrays and runs the witness-counted
+    removal loop only on the rest (`peel`).  `color_round` is one round of
+    the largest-class iteration: a peel and its exact check.
     """
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = n
-        ptr, idx = indptr.tolist(), indices.tolist()
-        self.hits: list[tuple[int, ...]] = sorted({tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]) if b > a})
-        self._flat_v, self._flat_p = Hypergraph(n, self.hits)._flat
-        ptr, pids = (a.tolist() for a in _csr(self._flat_v * len(self.hits) + self._flat_p, n, len(self.hits)))
-        self.hitters: list[list[int]] = [pids[a:b] for a, b in zip(ptr, ptr[1:])]  # probe ids, increasing
+        ptr = (indptr * 8).tolist()
+        data = indices.astype(">i8").tobytes()  # big-endian, so byte order is tuple order
+        rows = sorted({data[a:b] for a, b in zip(ptr, ptr[1:]) if b > a})
+        self.m = len(rows)  # distinct nonempty hit sets
+        self._flat_v = np.frombuffer(b"".join(rows), dtype=">i8").astype(np.int64)
+        self._flat_p = np.repeat(np.arange(self.m), [len(r) >> 3 for r in rows])
         self.peel_log: list[PeelOrder] = []
+
+    @cached_property
+    def hits(self) -> list[tuple[int, ...]]:
+        """The distinct nonempty hit sets, sorted, each sorted; a view built on first use."""
+        ptr = np.searchsorted(self._flat_p, np.arange(self.m + 1)).tolist()
+        members = self._flat_v.tolist()
+        return [tuple(members[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+    @cached_property
+    def hitters(self) -> list[list[int]]:
+        """Per vertex, the ids of the hit sets holding it, increasing; a view built on first use."""
+        by_vertex = np.argsort(self._flat_v, kind="stable")
+        ptr = np.searchsorted(self._flat_v[by_vertex], np.arange(self.n + 1)).tolist()
+        pids = self._flat_p[by_vertex].tolist()
+        return [pids[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
         """Smallest-last peel of the active vertices, then the reverse greedy coloring.
 
         Each step removes the smallest active vertex of auxiliary degree at
         most 5 and records its degree and the auxiliary graph's size.
+
+        While every smaller vertex is already removed, the auxiliary
+        neighbours of vertex v are exactly the b of the hit sets whose two
+        largest active members are (v, b); such a pair is an edge from just
+        after the smallest third-largest member among its hit sets (from the
+        start when one has no third) up to the removal of its smaller end.
+        So the ascending prefix, the active vertices in increasing order up
+        to the first of degree above 5, is read off the member arrays with
+        its degrees, sizes and colors.  From that vertex on the state is
+        that of a fresh peel of the vertices left, which `_peel_loop` runs.
         """
-        active_list = sorted(set(active))
-        mask = np.zeros(self.n, dtype=bool)
-        mask[active_list] = True
+        n = self.n
+        mask = np.zeros(n, dtype=bool)
+        mask[list(active)] = True
+        ids = mask.nonzero()[0]
         on = mask[self._flat_v]
-        counts = np.bincount(self._flat_p[on], minlength=len(self.hits))
-        two = on & (counts[self._flat_p] == 2)  # the active members of probes hitting exactly two
-        first_pairs = zip(self._flat_p[two][::2].tolist(), map(tuple, self._flat_v[two].reshape(-1, 2).tolist()))
-        counts = counts.tolist()
-        alive = bytearray(mask.tobytes())
-        left = len(active_list)
-        hits, hitters = self.hits, self.hitters
-        # the auxiliary graph: each pair with the number of probes whose two active members it is
-        pair_of: list[tuple[int, int] | None] = [None] * len(hits)
-        witness: dict[tuple[int, int], int] = {}
-        adj: dict[int, set[int]] = {v: set() for v in active_list}
-        total_edges = 0
-        for pid, pair in first_pairs:
-            pair_of[pid] = pair
-            w = witness.get(pair, 0)
-            witness[pair] = w + 1
-            if not w:
-                a, b = pair
-                adj[a].add(b)
-                adj[b].add(a)
-                total_edges += 1
-        heap = [v for v in active_list if len(adj[v]) <= 5]  # sorted, so already a heap
-        heappop, heappush = heapq.heappop, heapq.heappush
-
-        order = PeelOrder()
-        removed, degrees, aux_sizes = order.order, order.degrees, order.aux_sizes
-        while left:
-            while heap:
-                v = heappop(heap)
-                if alive[v] and len(adj[v]) <= 5:
-                    break
+        v, p = self._flat_v[on], self._flat_p[on]  # the active members, hit set by hit set
+        cut = np.empty(len(p) + 1, dtype=bool)  # cut[i]: a hit set starts at member i, or i is the end
+        cut[0] = cut[-1] = True
+        np.not_equal(p[1:], p[:-1], out=cut[1:-1])
+        # per hit set with two or more active members: the last two (a, b), and the third-last (-1 if none)
+        top = (cut[1:] > cut[:-1]).nonzero()[0]
+        third = v[top - 2]
+        third[cut[top - 1]] = -1
+        a = v[top - 1]
+        key = a * n + v[top]
+        # the distinct pairs, increasing, each with its smallest third-last member
+        by_pair = np.lexsort((third, key))
+        key, third = key[by_pair], third[by_pair]
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key, a = key[first], a[by_pair][first]
+        degree = np.bincount(a, minlength=n)[ids]
+        over = (degree > 5).nonzero()[0]
+        k = int(over[0]) if len(over) else len(ids)
+        # at step i an edge has started when i is past its third-last member, and not ended when
+        # i is at or before its smaller end: the pairs of the earlier steps' vertices have ended
+        start = np.bincount(ids.searchsorted(third[first], side="right"), minlength=len(ids) + 1)[:-1]
+        edges = (start - degree).cumsum() + degree
+        prefix, degrees = ids[:k].tolist(), degree[:k].tolist()
+        colors, tail = _peel_loop(ids[k:], v, p) if k < len(ids) else ({}, PeelOrder())
+        nbs, hi = (key - a * n).tolist(), sum(degrees)  # the pairs of the prefix come first, by smaller end
+        color_of = colors.__getitem__
+        for u, d in zip(reversed(prefix), reversed(degrees)):
+            if d:
+                used = set(map(color_of, nbs[hi - d : hi]))
+                hi -= d
+                c = 1
+                while c in used:
+                    c += 1
+                colors[u] = c
             else:
-                raise PlanarityError(
-                    "no vertex of auxiliary degree <= 5; the input family violates the planarity guarantee"
-                )
-            nbs = adj[v]  # kept as the neighbours at removal; only the survivors' sets change
-            removed.append(v)
-            degrees.append(len(nbs))
-            aux_sizes.append((left, total_edges))
-            alive[v] = 0
-            left -= 1
-            dissolved = 0
-            for pid in hitters[v]:
-                c = counts[pid]
-                counts[pid] = c - 1
-                if c == 2:  # v and one survivor: the probe's pair leaves the graph
-                    pair = pair_of[pid]
-                    w = witness[pair] - 1
-                    if w:
-                        witness[pair] = w
-                    else:
-                        del witness[pair]
-                        u = pair[0] if pair[1] == v else pair[1]
-                        s = adj[u]
-                        s.discard(v)
-                        total_edges -= 1
-                        dissolved += 1
-                        if len(s) <= 5:
-                            heappush(heap, u)
-                elif c == 3:  # two survivors, found scanning from the end of the sorted hit set
-                    b = -1
-                    for u in reversed(hits[pid]):
-                        if alive[u]:
-                            if b < 0:
-                                b = u
-                            else:
-                                break
-                    pair = (u, b)
-                    pair_of[pid] = pair
-                    w = witness.get(pair, 0)
-                    witness[pair] = w + 1
-                    if not w:
-                        adj[u].add(b)
-                        adj[b].add(u)
-                        total_edges += 1
-            if dissolved != len(nbs):
-                raise AssertionError("auxiliary edges of a removed vertex did not dissolve")
-
-        colors: dict[int, int] = {}
-        for v in reversed(removed):
-            used = {colors[u] for u in adj[v]}
-            c = 1
-            while c in used:
-                c += 1
-            colors[v] = c
+                colors[u] = 1
+        sizes = list(zip(range(len(ids), len(ids) - k, -1), edges[:k].tolist()))
+        order = PeelOrder(prefix + tail.order, degrees + tail.degrees, sizes + tail.aux_sizes)
         self.peel_log.append(order)
         return colors, order
 
@@ -292,12 +281,123 @@ class _ProbeEngine:
         color_of = np.zeros(self.n, dtype=np.int64)
         color_of[alive] = colors
         member = color_of[self._flat_v]  # 0 where the member is not alive
-        table = np.bincount(self._flat_p * width + member, minlength=len(self.hits) * width).reshape(-1, width)[:, 1:]
+        table = np.bincount(self._flat_p * width + member, minlength=self.m * width).reshape(-1, width)[:, 1:]
         bad = np.flatnonzero((table.sum(axis=1) >= 2) & ((table > 0).sum(axis=1) == 1))
         if len(bad):
             raise ColorerContractError(
                 f"peel coloring leaves hit sets {[self.hits[j] for j in bad[:5].tolist()]} monochromatic"
             )
+
+
+def _peel_loop(ids: np.ndarray, v: np.ndarray, p: np.ndarray) -> tuple[dict[int, int], PeelOrder]:
+    """Smallest-last peel of the vertices `ids` (increasing), one removal at
+    a time, then the reverse greedy coloring.
+
+    `v` and `p` are the active members and their hit sets, hit set by hit
+    set, where `ids` are the active vertices from ids[0] on.  The loop
+    renumbers `ids` and the hit sets with two or more of them from 0, keeps
+    per hit set the count of its members still present, and keeps the
+    auxiliary graph as a witness-counted simple graph.
+    """
+    mine = v >= ids[0]
+    v, p = v[mine], p[mine]
+    size = np.bincount(p)  # members of ids per hit set
+    many = size >= 2  # a hit set with one member never joins a pair
+    keep = many[p]
+    v, p, size = ids.searchsorted(v[keep]), (many.cumsum() - 1)[p[keep]], size[many]
+    end = size.cumsum()
+    by_vertex = v.argsort(kind="stable")
+    ptr = v[by_vertex].searchsorted(np.arange(len(ids) + 1)).tolist()
+    pids = p[by_vertex].tolist()
+    hitters = [pids[a:b] for a, b in zip(ptr, ptr[1:])]  # hit set ids, increasing
+    members, last = v.tolist(), (end - 1).tolist()  # hit set by hit set, and where each one ends
+    counts = size.tolist()
+    two = end[size == 2]
+    first_pairs = zip((size == 2).nonzero()[0].tolist(), zip(v[two - 2].tolist(), v[two - 1].tolist()))
+    left = len(ids)
+    alive = bytearray(b"\x01") * left
+    # the auxiliary graph: each pair with the number of hit sets whose two present members it is
+    pair_of: list[tuple[int, int] | None] = [None] * len(counts)
+    witness: dict[tuple[int, int], int] = {}
+    adj: list[set[int]] = [set() for _ in range(left)]
+    total_edges = 0
+    for pid, pair in first_pairs:
+        pair_of[pid] = pair
+        w = witness.get(pair, 0)
+        witness[pair] = w + 1
+        if not w:
+            a, b = pair
+            adj[a].add(b)
+            adj[b].add(a)
+            total_edges += 1
+    heap = [u for u in range(left) if len(adj[u]) <= 5]  # sorted, so already a heap
+    heappop, heappush = heapq.heappop, heapq.heappush
+
+    removed: list[int] = []
+    degrees: list[int] = []
+    aux_sizes: list[tuple[int, int]] = []
+    while left:
+        while heap:
+            x = heappop(heap)
+            if alive[x] and len(adj[x]) <= 5:
+                break
+        else:
+            raise PlanarityError(
+                "no vertex of auxiliary degree <= 5; the input family violates the planarity guarantee"
+            )
+        nbs = adj[x]  # kept as the neighbours at removal; only the survivors' sets change
+        removed.append(x)
+        degrees.append(len(nbs))
+        aux_sizes.append((left, total_edges))
+        alive[x] = 0
+        left -= 1
+        dissolved = 0
+        for pid in hitters[x]:
+            c = counts[pid]
+            counts[pid] = c - 1
+            if c == 2:  # x and one survivor: the hit set's pair leaves the graph
+                pair = pair_of[pid]
+                w = witness[pair] - 1
+                if w:
+                    witness[pair] = w
+                else:
+                    del witness[pair]
+                    u = pair[0] if pair[1] == x else pair[1]
+                    s = adj[u]
+                    s.discard(x)
+                    total_edges -= 1
+                    dissolved += 1
+                    if len(s) <= 5:
+                        heappush(heap, u)
+            elif c == 3:  # two survivors, found scanning down from the end of the sorted hit set
+                i = last[pid]
+                while not alive[members[i]]:
+                    i -= 1
+                b = members[i]
+                i -= 1
+                while not alive[members[i]]:
+                    i -= 1
+                u = members[i]
+                pair = (u, b)
+                pair_of[pid] = pair
+                w = witness.get(pair, 0)
+                witness[pair] = w + 1
+                if not w:
+                    adj[u].add(b)
+                    adj[b].add(u)
+                    total_edges += 1
+        if dissolved != len(nbs):
+            raise AssertionError("auxiliary edges of a removed vertex did not dissolve")
+
+    out = ids.tolist()
+    colors: dict[int, int] = {}
+    for x in reversed(removed):
+        used = {colors[out[u]] for u in adj[x]}
+        c = 1
+        while c in used:
+            c += 1
+        colors[out[x]] = c
+    return colors, PeelOrder([out[x] for x in removed], degrees, aux_sizes)
 
 
 def peel_and_color(ps: ProbeSystem) -> Coloring:

@@ -30,7 +30,7 @@ from cfgeom import (
     validate_pseudodisc_family,
 )
 from cfgeom import geom
-from cfgeom.errors import DegenerateGeometryError
+from cfgeom.errors import DegenerateGeometryError, IncompatibleShapesError
 from cfgeom.geom import (
     _box_overlaps,
     _polygons_meet,
@@ -386,3 +386,41 @@ def test_sparse_disc_graph_memory_is_linear():
             tracemalloc.stop()
         assert 0 < len(g.indices) < 40 * n
         assert peak < 64 * 2**20, f"n={n}: peak {peak / 2**20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# which predicate a pair of scenes gets, read off Scene.kind
+# ---------------------------------------------------------------------------
+
+DISCS = Scene((Disc(Point(0, 0), 1.0), Disc(Point(1.5, 0), 1.0), Disc(Point(5, 5), 0.5)))
+SQUARES = Scene((_square(0.5, 0.5, 1.0), _square(4.0, 4.0, 2.0), _square(9.0, 9.0, 1.0)))
+
+
+def _brute_pairs(a, b):
+    return [(i, j) for i in range(len(a)) for j in range(len(b)) if intersects(a[i], b[j])]
+
+
+def test_contact_pairs_of_discs_against_an_empty_scene_are_empty():
+    for a, b in ((DISCS, Scene(())), (Scene(()), DISCS), (Scene(()), Scene(()))):
+        i, j = contact_pairs(a, b)
+        assert i.tolist() == j.tolist() == []
+
+
+def test_contact_pairs_of_disc_and_polygon_scenes_match_brute_force():
+    i, j = contact_pairs(DISCS, SQUARES)
+    assert list(zip(i.tolist(), j.tolist())) == _brute_pairs(DISCS, SQUARES) == [(0, 0), (1, 0), (2, 1)]
+    mixed = Scene(DISCS.shapes + SQUARES.shapes)
+    assert mixed.kind == "mixed"
+    i, j = contact_pairs(mixed)
+    assert list(zip(i.tolist(), j.tolist())) == [(p, q) for p, q in _brute_pairs(mixed, mixed) if p < q]
+    i, j = contact_pairs(mixed, DISCS)
+    assert list(zip(i.tolist(), j.tolist())) == _brute_pairs(mixed, DISCS)
+
+
+def test_contact_pairs_of_intervals_against_discs_name_both_types():
+    intervals = Scene((Interval(0.0, 1.0),))
+    for a, b in ((intervals, DISCS), (DISCS, intervals)):
+        with pytest.raises(IncompatibleShapesError, match="^no intersection predicate between Disc, Interval$"):
+            contact_pairs(a, b)
+    with pytest.raises(IncompatibleShapesError, match="^no intersection predicate between Disc, Interval$"):
+        contact_pairs(Scene(DISCS.shapes + intervals.shapes))

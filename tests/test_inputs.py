@@ -452,15 +452,19 @@ GEN_NUMBERS = ["0", "-1", "0.5", "1", "1.02", "2", "16", "1e300", "1e-300", "nan
     st.integers(0, 10**6),
     st.dictionaries(st.sampled_from(["--span", "--rho", "--k", "--spacing"]), st.sampled_from(GEN_NUMBERS)),
     st.booleans(),
+    st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_gen_arguments_fail_cleanly(tmp_path_factory, kind, n, seed, numbers, pentagons):
+def test_fuzzed_gen_arguments_fail_cleanly(tmp_path_factory, kind, n, seed, numbers, pentagons, split):
     where = tmp_path_factory.getbasetemp() / "fuzz-gen"
     where.mkdir(exist_ok=True)
     out = where / "scene.json"
     out.unlink(missing_ok=True)
     argv = ["gen", "--kind", kind, "--n", n, "--seed", seed, "--out", out]
-    argv += [f"{flag}={value}" for flag, value in numbers.items()] + ["--homothets", "pentagon"] * pentagons
+    # as separate tokens, argparse reads a value such as -inf as an option: a usage error
+    for flag, value in numbers.items():
+        argv += [flag, value] if split else [f"{flag}={value}"]
+    argv += ["--homothets", "pentagon"] * pentagons
     code, err = _run_cli(*argv)
     _assert_cli_outcome(code, err, (0,))
     if code == 2:
@@ -473,3 +477,26 @@ def test_fuzzed_gen_arguments_fail_cleanly(tmp_path_factory, kind, n, seed, numb
         rho, k = _infer_fat_params(scene, None, None)
         assert rho <= float(numbers.get("--rho", 2.0)) * (1 + 1e-9)
         assert k <= float(numbers.get("--k", 4.0)) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "fat", "--n", "5", "--k", "-inf", "--out", "x.json"],
+        ["gen", "--kind", "fat", "--n", "five", "--out", "x.json"],
+        ["color", "--alg", "nope", "--in", "a.json", "--out", "b.json"],
+        ["verify", "--in", "a.json"],
+        [],
+    ],
+)
+def test_cli_usage_errors_are_one_error_line(argv):
+    code, err = _run_cli(*argv)
+    assert code == 2
+    _assert_cli_outcome(code, err, ())
+
+
+def test_cli_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cfgeom gen")

@@ -501,6 +501,60 @@ def test_probe_colorings_match_reference_peel_on_disc_systems(monkeypatch):
     assert outputs == expected
 
 
+def test_probe_colorings_match_reference_peel_past_the_prefix(monkeypatch):
+    # disc systems whose peels leave increasing order, so the removal loop runs on real geometry
+    ps = ProbeSystem(
+        generate_scene("discs", 60, [205, 1]),
+        generate_scene("discs", 600, [206, 1], radius_range=(0.01, 0.3), margin=0),
+    )
+    scene = generate_scene("discs", 200, [207, 0])
+    outputs = [_traced(cf_color_vs_probes(ps)), _traced(pointed_cf_pseudodiscs(scene))]
+    for _, peels in outputs:
+        assert any(order != sorted(order) for orders in peels.values() for order, _, _ in orders)
+    monkeypatch.setattr(_ProbeEngine, "peel", reference_peel)
+    assert outputs == [_traced(cf_color_vs_probes(ps)), _traced(pointed_cf_pseudodiscs(scene))]
+
+
+def _reference_outcome(engine, active):
+    try:
+        colors, order = reference_peel(engine, active)
+    except PlanarityError:
+        return "planarity"
+    return colors, order.order, order.degrees, order.aux_sizes
+
+
+HANDOVERS = {
+    # (n, hit sets, the vertices handed to the removal loop: None when the prefix is the whole peel)
+    "no tail": (8, [{i, i + 1} for i in range(7)] + [{0, 2, 5}, {1, 3, 4, 6}, {2, 7}, {2, 7}], None),
+    "tail from the first vertex": (7, [{0, j} for j in range(1, 7)] + [{1, 2}, {2, 3, 4}], range(7)),
+    "K7, no vertex of degree <= 5": (7, [{i, j} for i in range(7) for j in range(i + 1, 7)], range(7)),
+    # vertex 3 is the first of degree 6; {1, 3, 4} joins (3, 4) after 1 goes, {2, 7} has one member left
+    "midway": (
+        10,
+        [{0, 1}, {1, 2}, {1, 3, 4}, {2, 5, 8, 9}, {2, 7}, {0, 9}, {0, 4, 6}] + [{3, j} for j in range(4, 10)],
+        range(3, 10),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANDOVERS))
+def test_peel_hands_over_to_the_removal_loop_at_the_first_vertex_of_degree_above_5(monkeypatch, case):
+    n, sets, tail = HANDOVERS[case]
+    handed = []
+    loop = probes_module._peel_loop
+
+    def spy(ids, v, p):
+        handed.append(ids.tolist())
+        return loop(ids, v, p)
+
+    monkeypatch.setattr(probes_module, "_peel_loop", spy)
+    outcome = _peel_outcome(_engine(n, sets), range(n))
+    assert outcome == _reference_outcome(_engine(n, sets), range(n))
+    assert handed == ([] if tail is None else [list(tail)])
+    if tail is not None and outcome != "planarity":
+        assert outcome[1] != sorted(outcome[1])
+
+
 # ---------------------------------------------------------------------------
 # depth-one pruning against a per-shape exact reference and a sampled coverage audit
 # ---------------------------------------------------------------------------
