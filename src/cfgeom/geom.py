@@ -104,13 +104,20 @@ class AARect:
             raise InvalidInputError("rectangle requires xmin <= xmax and ymin <= ymax")
 
 
+# The exact polygon predicates multiply coordinate differences.  With every
+# vertex and anchor coordinate within +-_COORD_MAX and every polygon spanning
+# at least _SPAN_MIN in x or y, no such product overflows or underflows.
+_COORD_MAX, _SPAN_MIN = 1e150, 1e-150
+
+
 @dataclass(frozen=True)
 class ConvexFatObject:
     """Convex polygon carrying a fatness certificate.
 
     The certificate states that disc(anchor, r_inner) is contained in the
     polygon and the polygon is contained in disc(anchor, r_outer).  The
-    declared fatness of the object is r_outer / r_inner.
+    declared fatness of the object is r_outer / r_inner.  Coordinates must
+    lie within +-1e150 and the polygon must span at least 1e-150.
     """
 
     vertices: tuple[Point, ...]
@@ -127,7 +134,14 @@ class ConvexFatObject:
         if self.r_outer < self.r_inner:
             raise InvalidInputError("r_outer must be >= r_inner")
         xy = self.xy()
-        scale = max(1.0, float(np.abs(xy).max()))
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
+        reach = max(-float(lo.min()), float(hi.max()))  # the largest |coordinate| of a vertex
+        if not (max(reach, abs(self.anchor.x), abs(self.anchor.y)) <= _COORD_MAX and (hi - lo).max() >= _SPAN_MIN):
+            raise InvalidInputError(
+                f"polygon coordinates must lie within +-{_COORD_MAX:g} and a polygon must span at least "
+                f"{_SPAN_MIN:g}, the range in which the exact polygon predicates neither overflow nor underflow"
+            )
+        scale = max(1.0, reach)
         tol = 1e-9 * scale * scale
         pts = xy.tolist()  # Python floats: the same arithmetic, without a numpy scalar per coordinate
         for (ax, ay), (bx, by), (cx, cy) in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
@@ -404,6 +418,15 @@ def intersects(a: Shape, b: Shape) -> bool:
 
 _SAT_CELLS = 1 << 18  # projection values per separating-axis batch
 
+# The exact filters in front of the separating-axis test (`_certified`) and of
+# the pruning clip (`probes._prune_depth_one`) settle a case only with a margin
+# of _GUARD * max(1, s), s the largest magnitude among the coordinates and radii
+# involved.  ConvexFatObject validates its convexity and certificates with a
+# slack of 1e-9 of that scale (plus 1e-12 on a radius); the guard is 1000 times
+# that, and far above the rounding of SAT and of the clip, so a filter never
+# settles a case the full test would decide the other way.
+_GUARD = 1e-6
+
 
 def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j) of every intersecting pair, sorted by i then j: the
@@ -415,7 +438,10 @@ def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndar
     a sparse family's candidates follow its near pairs.  For intervals and
     rectangles that box test is exact; disc pairs and polygon pairs are
     decided by one batched exact predicate each, and families mixing discs
-    with polygons by `intersects`.
+    with polygons by `intersects`.  Polygon pairs are first settled by their
+    fatness certificates where these decide with the margin `_GUARD`: inner
+    discs overlapping means the polygons meet, outer discs apart means they
+    do not.  Only the pairs left go to the separating-axis test.
     """
     other = a if b is None else b
     kinds = {s.kind for s in (a, other) if len(s)}
@@ -431,7 +457,9 @@ def contact_pairs(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndar
         ca, cb = a.rows, other.rows
         hit = np.hypot(ca[i, 0] - cb[j, 0], ca[i, 1] - cb[j, 1]) <= ca[i, 2] + cb[j, 2]
     elif kinds == {"fat"}:
-        hit = _polygons_meet(a.rows, other.rows, i, j)
+        hit, settled = _certified(a.certificates, other.certificates, i, j)
+        rest = ~settled
+        hit[rest] = _polygons_meet(a.rows, other.rows, i[rest], j[rest])
     else:
         hit = np.array([intersects(a[p], other[q]) for p, q in zip(i.tolist(), j.tolist())], dtype=bool)
     key = np.sort(i[hit] * len(other) + j[hit])
@@ -539,6 +567,24 @@ def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     counts = np.maximum(stop - start, 0)
     rows = np.repeat(np.arange(len(start)), counts)
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - start, counts)
+
+
+def _certified(ca: np.ndarray, cb: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(meet, settled) per pair (i, j) of (ax, ay, r_inner, r_outer)
+    certificates `ca` and `cb`: settled where the inner discs overlap (then
+    meet) or the outer discs lie apart, each by more than the guard
+    _GUARD * max(1, |anchor coordinates|, sum of the two r_outer)."""
+    meet, settled = np.empty(len(i), dtype=bool), np.empty(len(i), dtype=bool)
+    for s in range(0, len(i), _SAT_CELLS):
+        p, q = ca[i[s : s + _SAT_CELLS]], cb[j[s : s + _SAT_CELLS]]
+        d = np.hypot(p[:, 0] - q[:, 0], p[:, 1] - q[:, 1])
+        with np.errstate(over="ignore"):  # outer radii near the float limit sum to inf, which settles nothing
+            outer = p[:, 3] + q[:, 3]
+            scale = np.maximum(np.abs(np.column_stack((p[:, :2], q[:, :2]))).max(axis=1), outer)
+            guard = _GUARD * np.maximum(scale, 1.0)
+            inner = d < p[:, 2] + q[:, 2] - guard
+            meet[s : s + _SAT_CELLS], settled[s : s + _SAT_CELLS] = inner, inner | (d > outer + guard)
+    return meet, settled
 
 
 def _polygons_meet(pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .errors import ColorerContractError, IncompatibleShapesError, InvalidInputE
 from .framework import ProperColorer, _largest_class_rounds, cf_palette_bound
 from .geom import (
     Scene,
+    _GUARD,
     _clip_segments,
     _spans,
     contact_pairs,
@@ -446,6 +447,10 @@ def prune_depth_one(shapes: Scene) -> tuple[list[int], list[int]]:
     exists exactly when a piece of the boundary of i, or a piece of a surviving
     neighbour j's boundary lying inside i, is covered by none of the other
     survivors (the points just outside j next to such a piece lie only in i).
+    A polygon is settled without that test when a vertex of it lies outside
+    every polygon it meets (kept), or all its vertices lie inside one polygon
+    of higher index it meets (removed), each by more than the guard
+    `geom._GUARD` allows for rounding and for the validation's slack.
     It assumes boundaries that meet in isolated points, as the pseudo-disc
     check of the pipelines requires, apart from identical copies: of those
     only the last one scanned can survive.
@@ -456,11 +461,17 @@ def prune_depth_one(shapes: Scene) -> tuple[list[int], list[int]]:
 def _prune_depth_one(shapes: Scene, contacts: Graph) -> tuple[list[int], list[int]]:
     """prune_depth_one given the contact graph of `shapes`.
 
-    The scan is decided in dependency waves: a shape's wave is one more than
-    the largest wave among its lower-index neighbours.  When its wave comes
-    up, a shape's lower-index neighbours are all decided and its higher-index
-    ones all still alive, as in a one-at-a-time scan, and no two shapes of one
-    wave meet; so one batched test decides the whole wave.
+    Polygons first go through `_vertex_filter`, which settles most of them
+    with no clip.  Its verdicts are those of the scan: a vertex more than the
+    guard outside every neighbour is a point of i that no survivor covers, and
+    a neighbour of higher index is a survivor when i is scanned.
+
+    The shapes left are decided in dependency waves: a shape's wave is one
+    more than the largest wave among its unsettled lower-index neighbours.
+    When its wave comes up, a shape's lower-index neighbours are all decided
+    and its higher-index ones count as alive, as in a one-at-a-time scan
+    (even one the filter removed), and no two shapes of one wave meet; so one
+    batched test decides the whole wave.
     """
     n = len(shapes)
     if n == 0:
@@ -469,13 +480,16 @@ def _prune_depth_one(shapes: Scene, contacts: Graph) -> tuple[list[int], list[in
     if escape is None:
         raise IncompatibleShapesError("pruning supports a family of discs or a family of convex polygons")
     rows = shapes.rows
-    alive = np.ones(n, dtype=bool)
-    flat = rows.reshape(n, -1)
     indptr, indices = contacts.indptr, contacts.indices
-    for wave in _waves(indptr, indices):
+    alive, todo = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    if shapes.kind == "fat":
+        kept, removed = _vertex_filter(rows, indptr, indices)
+        alive, todo = ~removed, ~(kept | removed)
+    flat = rows.reshape(n, -1)
+    for wave in _waves(indptr, indices, todo):
         block, near = _spans(indptr[wave], indptr[wave + 1])
         near = indices[near]
-        survives = alive[near]
+        survives = alive[near] | (near > wave[block])
         block, near = block[survives], near[survives]
         # a surviving copy of a shape covers it; the test below would let each copy keep the other
         test = np.ones(len(wave), dtype=bool)
@@ -487,21 +501,53 @@ def _prune_depth_one(shapes: Scene, contacts: Graph) -> tuple[list[int], list[in
     return np.flatnonzero(alive).tolist(), np.flatnonzero(~alive).tolist()
 
 
-def _waves(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
-    """The vertices of a CSR graph (sorted neighbours) grouped by wave, each
-    group increasing: a vertex's wave is one more than the largest wave among
-    its lower-index neighbours, 0 if it has none."""
+def _vertex_filter(polys: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, removed) per padded polygon of a CSR contact graph: kept when a
+    vertex of it lies outside every polygon it meets, removed when all its
+    vertices lie inside one polygon of higher index it meets.  Each side is
+    taken more than the guard _GUARD * max(1, |coordinates| of the pair) from
+    the edge lines of the other polygon.  Pairs go in blocks of about
+    `_CLIP_CELLS` (vertex, polygon) cells."""
+    n, m = polys.shape[:2]
+    owner = np.repeat(np.arange(n), np.diff(indptr))  # pair k is (owner[k], indices[k])
+    edges = np.roll(polys, -1, axis=1) - polys
+    length = np.abs(edges).sum(axis=2)  # at least the edge's length; 0 for padding
+    scale = np.maximum(np.abs(polys).max(axis=(1, 2)), 1.0)
+    outside = np.zeros(n * m, dtype=np.intp)  # per (polygon, vertex): the neighbours it lies outside of
+    removed = np.zeros(n, dtype=bool)
+    step = max(1, _CLIP_CELLS // m)
+    for s in range(0, len(indices), step):
+        i, j = owner[s : s + step], indices[s : s + step]
+        v, a, e = polys[i][:, :, None], polys[j][:, None], edges[j][:, None]
+        # (pairs, vertex of i, edge of j), positive on the inner side of the edge, as in _clip_segments
+        cross = e[..., 0] * (v[..., 1] - a[..., 1]) - e[..., 1] * (v[..., 0] - a[..., 0])
+        margin = (_GUARD * np.maximum(scale[i], scale[j]))[:, None, None] * length[j][:, None]
+        out = (cross < -margin).any(axis=2)
+        outside += np.bincount((i[:, None] * m + np.arange(m))[out], minlength=n * m)
+        inside = (cross >= margin).all(axis=(1, 2))  # padding edges have margin 0 and cross 0
+        removed[i[inside & (j > i)]] = True
+    kept = (outside.reshape(n, m) == np.diff(indptr)[:, None]).any(axis=1)
+    return kept, removed
+
+
+def _waves(indptr: np.ndarray, indices: np.ndarray, todo: np.ndarray) -> list[np.ndarray]:
+    """The vertices with `todo` of a CSR graph (sorted neighbours) grouped by
+    wave, each group increasing: a vertex's wave is one more than the largest
+    wave among its lower-index neighbours with `todo`, 0 if it has none."""
     ptr, idx = indptr.tolist(), indices.tolist()
     wave: list[int] = []
-    for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
-        w = 0
-        for j in idx[a:b]:
-            if j > i:
-                break
-            w = max(w, wave[j] + 1)
+    for i, (a, b, t) in enumerate(zip(ptr, ptr[1:], todo.tolist())):
+        w = -1  # in no wave, and no wave waits for it
+        if t:
+            w = 0
+            for j in idx[a:b]:
+                if j > i:
+                    break
+                w = max(w, wave[j] + 1)
         wave.append(w)
     waves = np.array(wave, dtype=np.intp)
-    return np.split(np.argsort(waves, kind="stable"), np.cumsum(np.bincount(waves))[:-1])
+    ids = np.flatnonzero(waves >= 0)
+    return np.split(ids[np.argsort(waves[ids], kind="stable")], np.cumsum(np.bincount(waves[ids]))[:-1])
 
 
 def _discs_escape(circles: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray) -> np.ndarray:

@@ -33,6 +33,9 @@ from cfgeom import geom
 from cfgeom.errors import DegenerateGeometryError, IncompatibleShapesError
 from cfgeom.geom import (
     _box_overlaps,
+    _certified,
+    _polygon_inradius_at,
+    _polygon_outradius_at,
     _polygons_meet,
     _random_fat_polygon,
     _segments_crossings,
@@ -424,3 +427,76 @@ def test_contact_pairs_of_intervals_against_discs_name_both_types():
             contact_pairs(a, b)
     with pytest.raises(IncompatibleShapesError, match="^no intersection predicate between Disc, Interval$"):
         contact_pairs(Scene(DISCS.shapes + intervals.shapes))
+
+
+# ---------------------------------------------------------------------------
+# the certificate filter in front of the separating-axis test
+# ---------------------------------------------------------------------------
+
+# ccw convex templates on the integer grid; at half scale their copies land on a half-integer grid
+GRID_TEMPLATES = (((0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)), ((0, 0), (2, 0), (2, 2), (0, 2)), ((0, 0), (2, 0), (0, 2)))
+UNIT = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+
+
+def _tight(xy, ax, ay, slack):
+    """The polygon `xy` with the tightest certificate at (ax, ay): r_inner the
+    true inradius and r_outer the true outradius there, or with `slack`, r_inner
+    above and r_outer below them by nearly all the slack validation accepts."""
+    inner, outer = _polygon_inradius_at(xy, ax, ay), _polygon_outradius_at(xy, ax, ay)
+    if slack:
+        inner, outer = inner * (1 + 0.99e-9) + 0.99e-12, outer * (1 - 0.99e-9) - 0.99e-12
+    return ConvexFatObject(tuple(Point(x, y) for x, y in xy.tolist()), Point(ax, ay), inner, max(inner, outer))
+
+
+@st.composite
+def tight_grid_polygons(draw):
+    xy = np.array(draw(st.sampled_from(GRID_TEMPLATES)), dtype=float) * draw(st.integers(1, 3)) / 2
+    xy += (draw(half), draw(half))
+    return _tight(xy, *xy.mean(axis=0).tolist(), draw(st.booleans()))
+
+
+def _filter_verdicts(scene):
+    """The certificate filter's (meet, settled) on every pair i < j of `scene`."""
+    i, j = np.triu_indices(len(scene), 1)
+    return (i, j), _certified(scene.certificates, scene.certificates, i, j)
+
+
+@given(st.lists(tight_grid_polygons(), min_size=2, max_size=14))
+@settings(max_examples=150, deadline=None)
+def test_certificate_filter_agrees_with_separating_axis_on_tight_grid_polygons(shapes):
+    scene = Scene(tuple(shapes))
+    (i, j), (meet, settled) = _filter_verdicts(scene)
+    assert np.array_equal(meet[settled], polygons_meet_reference(scene.rows, scene.rows, i, j)[settled])
+    i, j = box_overlaps_reference(scene.boxes, scene.boxes, True)
+    hit = polygons_meet_reference(scene.rows, scene.rows, i, j)
+    assert sorted(zip(i[hit].tolist(), j[hit].tolist())) == list(zip(*(x.tolist() for x in contact_pairs(scene))))
+
+
+@pytest.mark.parametrize("slack", [False, True])
+def test_certificate_filter_leaves_touching_certificates_to_the_separating_axis_test(slack):
+    pairs = {
+        "inner discs touch, squares share an edge": (UNIT + (1, 0), True),
+        "outer discs touch, squares share a corner": (UNIT + (1, 1), True),
+        "squares 1e-10 apart": (UNIT + (1 + 1e-10, 0), False),
+    }
+    for name, (xy, meets) in pairs.items():
+        scene = Scene((_tight(UNIT, 0.5, 0.5, slack), _tight(xy, *xy.mean(axis=0).tolist(), slack)))
+        _, (meet, settled) = _filter_verdicts(scene)
+        assert not settled[0], name
+        assert contact_pairs(scene)[0].tolist() == ([0] if meets else []), name
+
+
+def test_certificate_filter_settles_most_candidates_of_a_fat_family():
+    scene = generate_scene("fat", 400, [5, 5], rho=2.0, k=4.0, base_size=0.08, margin=0)
+    i, j = _box_overlaps(scene.boxes, scene.boxes, True)
+    meet, settled = _certified(scene.certificates, scene.certificates, i, j)
+    assert settled.mean() > 0.4, settled.mean()
+    assert np.array_equal(meet[settled], polygons_meet_reference(scene.rows, scene.rows, i[settled], j[settled]))
+
+
+def test_outer_radii_near_the_float_limit_settle_nothing():
+    # the two outer radii sum to inf, which proves nothing and warns of nothing: SAT finds the squares apart
+    squares = [ConvexFatObject(_square(x, 0, 1).vertices, Point(x + 0.5, 0.5), 0.5, 1.7e308) for x in (0, 3)]
+    scene = Scene(tuple(squares))
+    assert not _filter_verdicts(scene)[1][1][0]
+    assert contact_pairs(scene)[0].tolist() == []

@@ -827,7 +827,7 @@ def test_prune_in_waves_matches_scan_on_grid_families(scene):
 def test_waves_follow_lower_index_neighbours():
     # a path 0-1-2-3, plus 4 meeting only 0 and 5 meeting nothing
     g = intersection_graph(discs((0, 0, 1), (1.5, 0, 1), (3, 0, 1), (4.5, 0, 1), (0, 1.5, 1), (9, 9, 1)))
-    assert [w.tolist() for w in _waves(g.indptr, g.indices)] == [[0, 5], [1, 4], [2], [3]]
+    assert [w.tolist() for w in _waves(g.indptr, g.indices, np.ones(6, dtype=bool))] == [[0, 5], [1, 4], [2], [3]]
 
 
 def _pipeline_pentagon_families():
@@ -870,6 +870,137 @@ def test_prune_peak_memory_on_a_large_pentagon_family():
         tracemalloc.stop()
     assert len(kept) + len(removed) == 3000 and removed
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# the vertex filter in front of the pruning clip
+# ---------------------------------------------------------------------------
+
+
+def _box_polygon(x0, y0, x1, y1):
+    verts = (Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1))
+    half = min(x1 - x0, y1 - y0) / 2
+    return ConvexFatObject(verts, Point((x0 + x1) / 2, (y0 + y1) / 2), half, math.hypot(x1 - x0, y1 - y0) / 2)
+
+
+def _filter_spies(monkeypatch):
+    """Record the shapes `_vertex_filter` leaves unsettled and those it removes
+    (per call, as sets), and every centre the clip decides."""
+    seen = {"unsettled": [], "removed": [], "clipped": []}
+    real_filter, real_escape = probes_module._vertex_filter, probes_module._polygons_escape
+
+    def vertex_filter(polys, indptr, indices):
+        kept, removed = real_filter(polys, indptr, indices)
+        seen["unsettled"].append(set(np.flatnonzero(~(kept | removed)).tolist()))
+        seen["removed"].append(set(np.flatnonzero(removed).tolist()))
+        seen["clipped"].append(set())
+        return kept, removed
+
+    def polygons_escape(polys, centres, ptr, near):
+        seen["clipped"][-1].update(centres.tolist())
+        return real_escape(polys, centres, ptr, near)
+
+    monkeypatch.setattr(probes_module, "_vertex_filter", vertex_filter)
+    monkeypatch.setattr(probes_module, "_polygons_escape", polygons_escape)
+    return seen
+
+
+# tight cases: vertices on edges, shared edges, copies, and a neighbour of higher index the filter removes
+TIGHT_PRUNE_FAMILIES = {
+    "homothet sharing an edge, inside first": [_box_polygon(0, 0, 1, 1), _box_polygon(0, 0, 2, 2)],
+    "homothet sharing an edge, container first": [_box_polygon(0, 0, 2, 2), _box_polygon(0, 0, 1, 1)],
+    "vertex on an edge": [
+        _box_polygon(0, 0, 2, 2),
+        ConvexFatObject((Point(1, 2), Point(3, 2), Point(2, 4)), Point(2, 2.6), 0.3, 1.5),
+        _box_polygon(0.5, 0.5, 1.5, 2),
+    ],
+    "identical copies": [pentagon_template(), pentagon_template(), pentagon_template()],
+    # the corner of 0 that 1 and 2 leave is 1e-13 wide, too thin for the clip to count
+    "vertex a hair outside every neighbour": [
+        _box_polygon(0, 0, 1, 1),
+        _box_polygon(-1, -1, 1 - 1e-13, 2),
+        _box_polygon(-1, -1, 2, 1 - 1e-13),
+    ],
+    # 0 is covered by 1 and 3, and meets 2, which lies inside 3 and is removed by the filter
+    "higher neighbour removed by the filter": [
+        _box_polygon(0, 0, 2, 2),
+        _box_polygon(-1, -1, 1, 3),
+        _box_polygon(1.2, 0.5, 2.2, 1.5),
+        _box_polygon(1, -0.5, 3.5, 2.5),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIGHT_PRUNE_FAMILIES))
+def test_filtered_prune_matches_scan_on_tight_families(monkeypatch, name):
+    scene = Scene(tuple(TIGHT_PRUNE_FAMILIES[name]))
+    g = intersection_graph(scene)
+    seen = _filter_spies(monkeypatch)
+    assert _prune_depth_one(scene, g) == prune_depth_one_reference(scene, g)
+    assert seen["clipped"][0] <= seen["unsettled"][0]
+    if name == "higher neighbour removed by the filter":
+        assert seen["removed"][0] == {2} and 0 in seen["clipped"][0]
+        assert _prune_depth_one(scene, g) == ([1, 3], [0, 2])
+
+
+@st.composite
+def generated_polygon_families(draw):
+    """Pentagon homothets or random rho=2 polygons, dense enough to prune."""
+    n, seed = draw(st.integers(2, 60)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([0.05, 0.1]))
+        return generate_scene("fat", n, seed, rho=1.5, k=3.0, homothets_of=pentagon_template(), base_size=base)
+    k = draw(st.sampled_from([4.0, 16.0]))
+    return generate_scene("fat", n, seed, rho=2.0, k=k, base_size=draw(st.sampled_from([0.03, 0.08])))
+
+
+@given(generated_polygon_families())
+@settings(max_examples=40, deadline=None)
+def test_filtered_prune_matches_scan_on_generated_families(scene):
+    g = intersection_graph(scene)
+    assert _prune_depth_one(scene, g) == prune_depth_one_reference(scene, g)
+    rest = sorted(set(range(len(scene))) - set(greedy_maximal_independent_set(g)))
+    sub, g = scene.subscene(rest), g.subgraph(rest)
+    assert _prune_depth_one(sub, g) == prune_depth_one_reference(sub, g)
+
+
+def test_vertex_filter_settles_most_pipeline_shapes_and_the_clip_sees_only_the_rest(monkeypatch):
+    seen = _filter_spies(monkeypatch)
+    shapes = 0
+    # the 36 pentagon families of the benchmark's `polygons` workload at seeds 1-3
+    for scene in list(_pipeline_pentagon_families())[:36]:
+        pointed_cf_pseudodiscs(scene)
+        shapes += len(scene) - len(greedy_maximal_independent_set(intersection_graph(scene)))
+    # generated shapes have no identical copies, so the clip decides every shape left
+    assert seen["clipped"] == seen["unsettled"]
+    left = sum(len(u) for u in seen["unsettled"])
+    assert len(seen["unsettled"]) == 36 and left < 0.3 * shapes, (left, shapes)
+
+
+def _scaled_pentagons(s):
+    """Homothets of the pentagon template at scales 1, 0.9 and 0.4, offset by
+    (0, 0), (0.3, 0.1) and (0.05, 0), all multiplied by s."""
+    pent = pentagon_template()
+
+    def homothet(k, dx, dy):
+        verts = tuple(Point(s * (k * p.x + dx), s * (k * p.y + dy)) for p in pent.vertices)
+        return ConvexFatObject(verts, Point(s * dx, s * dy), s * k * pent.r_inner, s * k * pent.r_outer)
+
+    return Scene((homothet(1.0, 0.0, 0.0), homothet(0.9, 0.3, 0.1), homothet(0.4, 0.05, 0.0)))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e140, 1e-140, 2.0**-400])
+def test_scaled_pentagons_prune_alike_inside_the_safe_range(s):
+    # tests run with RuntimeWarnings as errors, so no overflow or underflow warning passes either
+    scene = _scaled_pentagons(s)
+    assert prune_depth_one(scene) == ([0, 1], [2])
+    assert pointed_cf_pseudodiscs(scene).trace.vertices["pruned"]
+
+
+@pytest.mark.parametrize("s", [1e300, 1e-300])
+def test_scaled_pentagons_outside_the_safe_range_are_rejected(s):
+    with pytest.raises(InvalidInputError, match=r"within \+-1e\+150 .* at least 1e-150"):
+        _scaled_pentagons(s)
 
 
 # ---------------------------------------------------------------------------
