@@ -1,5 +1,5 @@
-"""Command-line surface: generation, coloring, verification, the exact oracle,
-benchmarking, and SVG export, all deterministic given flags and seeds."""
+"""Command-line surface: generation, coloring, verification, the exact oracle
+and SVG export, all deterministic given flags and seeds."""
 from __future__ import annotations
 
 import argparse
@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 
-from .bench import BENCH_ALGS, bench_colors, rows_to_csv
 from .errors import CFGeomError, ColoringSizeError, InvalidInputError
 from .fat import closed_cf_color_fat, pointed_cf_color_fat
 from .geom import (
@@ -96,10 +95,10 @@ def _load_colored_scene(args):
 
 def _cmd_verify(args) -> int:
     scene, coloring = _load_colored_scene(args)
-    if args.mode == "closed" and scene.kind in ("intervals", "rects"):
-        bad = neighborhood_violations(scene, coloring, "closed")  # vertex v is hyperedge N[v]
-    elif args.mode in ("pointed", "closed"):
-        bad = verify_cf(neighborhood_hypergraph(intersection_graph(scene), args.mode), coloring)
+    if args.mode in ("pointed", "closed"):
+        # vertex ids v whose N(v) or N[v] fails; closed axis scenes are counted with no graph
+        axis = args.mode == "closed" and scene.kind in ("intervals", "rects")
+        bad = neighborhood_violations(scene if axis else intersection_graph(scene), coloring, args.mode)
     else:
         if not args.probes:
             raise InvalidInputError("--probes is required for probe verification")
@@ -122,24 +121,6 @@ def _cmd_oracle(args) -> int:
     t, witness = result
     print(f"min CF colors = {t}")
     print(json.dumps({"witness": list(witness.colors)}))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    try:
-        n_values = [int(x) for x in args.n_values.split(",") if x]
-    except ValueError:
-        raise InvalidInputError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
-    rows = bench_colors(
-        args.alg,
-        n_values,
-        args.reps,
-        args.seed,
-        probes_count=args.probes_count,
-        rho=args.rho,
-        k=args.k,
-    )
-    sys.stdout.write(rows_to_csv(rows))
     return 0
 
 
@@ -195,16 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--mode", required=True, choices=["pointed", "closed"])
     o.add_argument("--max-colors", type=int, default=8)
     o.set_defaults(fn=_cmd_oracle)
-
-    b = sub.add_parser("bench", help="verified palette-size benchmark (CSV on stdout)")
-    b.add_argument("--alg", required=True, choices=list(BENCH_ALGS))
-    b.add_argument("--n-values", required=True, help="comma-separated instance sizes")
-    b.add_argument("--reps", type=int, default=1)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--probes-count", type=int, default=None)
-    b.add_argument("--rho", type=float, default=2.0)
-    b.add_argument("--k", type=float, default=4.0)
-    b.set_defaults(fn=_cmd_bench)
 
     s = sub.add_parser("svg", help="render a colored scene")
     s.add_argument("--in", dest="infile", required=True)

@@ -36,7 +36,6 @@ __all__ = [
     "scene_from_json",
     "save_scene",
     "load_scene",
-    "containment_sets_by_sampling",
     "contiguous_run_witnesses",
 ]
 
@@ -136,13 +135,15 @@ class ConvexFatObject:
         xy = self.xy()
         lo, hi = xy.min(axis=0), xy.max(axis=0)
         reach = max(-float(lo.min()), float(hi.max()))  # the largest |coordinate| of a vertex
-        if not (max(reach, abs(self.anchor.x), abs(self.anchor.y)) <= _COORD_MAX and (hi - lo).max() >= _SPAN_MIN):
+        span = float((hi - lo).max())
+        if not (max(reach, abs(self.anchor.x), abs(self.anchor.y)) <= _COORD_MAX and span >= _SPAN_MIN):
             raise InvalidInputError(
                 f"polygon coordinates must lie within +-{_COORD_MAX:g} and a polygon must span at least "
                 f"{_SPAN_MIN:g}, the range in which the exact polygon predicates neither overflow nor underflow"
             )
-        scale = max(1.0, reach)
-        tol = 1e-9 * scale * scale
+        # a turn's rounding error scales with reach * span, and span <= 2 * reach: the slack
+        # follows the polygon's own size, so a small polygon is checked as strictly as a large one
+        tol = 5e-10 * reach * span
         pts = xy.tolist()  # Python floats: the same arithmetic, without a numpy scalar per coordinate
         for (ax, ay), (bx, by), (cx, cy) in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
             if _orient(ax, ay, bx, by, cx, cy) <= -tol:
@@ -1151,60 +1152,6 @@ def pentagon_template() -> ConvexFatObject:
     scale = 1.0 / inner
     verts = tuple(Point(scale * x, scale * y) for x, y in xy)
     return ConvexFatObject(verts, Point(0.0, 0.0), 1.0, outer * scale)
-
-
-# ---------------------------------------------------------------------------
-# arrangement sampling (used to audit generators and to build probe sets)
-# ---------------------------------------------------------------------------
-
-
-def containment_sets_by_sampling(scene: Scene, extra_points: Sequence[Point] = (), grid: int = 0) -> set[frozenset]:
-    """Nonempty containment sets found by probing the arrangement of a disc scene.
-
-    Samples disc centers, nudged axis extremes, nudged pairwise circle
-    intersections, optional extra points, and an optional uniform grid.
-    """
-    if scene.kind != "discs":
-        raise IncompatibleShapesError("containment sampling is defined for disc scenes")
-    centers, radii = scene.rows[:, :2], scene.rows[:, 2]
-    pts: list[tuple[float, float]] = [(p.x, p.y) for p in extra_points]
-    pts.extend(map(tuple, centers))
-    eps = 1e-9 * max(1.0, float(np.abs(centers).max()) + radii.max())
-    for (cx, cy), r in zip(centers, radii):
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            pts.append((cx + dx * (r - eps), cy + dy * (r - eps)))
-    nudges = [(math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
-    for i, j in zip(*(x.tolist() for x in contact_pairs(scene))):
-        for px, py in _circle_intersections(centers[i], radii[i], centers[j], radii[j]):
-            for dx, dy in nudges:
-                pts.append((px + dx * 10 * eps, py + dy * 10 * eps))
-    if grid:
-        lo, hi = (centers - radii[:, None]).min(axis=0), (centers + radii[:, None]).max(axis=0)
-        gx, gy = (np.linspace(lo[k], hi[k], grid) for k in (0, 1))
-        pts.extend((x, y) for x in gx for y in gy)
-    arr = np.array(pts)
-    out: set[frozenset] = set()
-    d2 = (arr[:, None, 0] - centers[None, :, 0]) ** 2 + (arr[:, None, 1] - centers[None, :, 1]) ** 2
-    inside = d2 <= (radii[None, :] ** 2)
-    for row in inside:
-        s = frozenset(np.nonzero(row)[0].tolist())
-        if s:
-            out.add(s)
-    return out
-
-
-def _circle_intersections(c1, r1, c2, r2) -> list[tuple[float, float]]:
-    dx, dy = c2[0] - c1[0], c2[1] - c1[1]
-    d = math.hypot(dx, dy)
-    if d == 0 or d > r1 + r2 or d < abs(r1 - r2):
-        return []
-    a = (r1 * r1 - r2 * r2 + d * d) / (2 * d)
-    h2 = r1 * r1 - a * a
-    if h2 < 0:
-        return []
-    h = math.sqrt(h2)
-    mx, my = c1[0] + a * dx / d, c1[1] + a * dy / d
-    return [(mx - h * dy / d, my + h * dx / d), (mx + h * dy / d, my - h * dx / d)]
 
 
 def contiguous_run_witnesses(n: int, spacing: float) -> dict[frozenset, Point]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cfgeom import intersection_graph, load_scene, neighborhood_hypergraph, verify_cf
+from cfgeom import Disc, Point, Scene, intersection_graph, load_scene, neighborhood_hypergraph, save_scene, verify_cf
 from cfgeom.cli import main
 from cfgeom.hypergraph import load_coloring
 
@@ -89,6 +89,17 @@ def test_verify_closed_intervals_and_rects(tmp_path, capsys):
         assert capsys.readouterr().out == f"NOT conflict-free: {len(bad)} violating hyperedges (first: {bad[:10]})\n"
 
 
+def test_verify_pointed_reports_vertex_ids(tmp_path, capsys):
+    # disc 0 meets nothing, so N(0) is empty; only N(2) = {1, 3} is one color
+    scene, coloring = tmp_path / "scene.json", tmp_path / "coloring.json"
+    discs = [(-10, 0, 0.5), (0, 0, 1), (1.5, 0, 1), (3, 0, 1)]
+    save_scene(Scene(tuple(Disc(Point(x, y), r) for x, y, r in discs)), scene)
+    coloring.write_text(json.dumps({"colors": [1, 1, 2, 1]}))
+    capsys.readouterr()
+    assert run(["verify", "--mode", "pointed", "--in", scene, "--coloring", coloring]) == 1
+    assert capsys.readouterr().out == "NOT conflict-free: 1 violating hyperedges (first: [2])\n"
+
+
 def test_intervals_and_rects_reject_wrong_kind_and_empty_family(tmp_path, capsys):
     discs = tmp_path / "discs.json"
     assert run(["gen", "--kind", "discs", "--n", "6", "--seed", "1", "--out", discs]) == 0
@@ -152,9 +163,6 @@ def test_unreadable_file_or_bad_argument_is_one_error_line(tmp_path, capsys):
         ["svg", "--in", scene, "--coloring", binary, "--out", out],
         ["gen", "--kind", "discs", "--n", "-1", "--out", out],
         ["gen", "--kind", "lower-bound", "--n", "5", "--spacing", "3", "--out", out],
-        ["bench", "--alg", "rects", "--n-values", ","],
-        ["bench", "--alg", "rects", "--n-values", "a"],
-        ["bench", "--alg", "rects", "--n-values", "3,x"],
     ):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
@@ -188,17 +196,6 @@ def test_oracle_cli(tmp_path, capsys):
     assert run(["oracle", "--in", scene, "--mode", "pointed", "--max-colors", "6"]) == 0
     out = capsys.readouterr().out
     assert "min CF colors = " in out
-
-
-def test_bench_cli(tmp_path, capsys):
-    assert run(["bench", "--alg", "intervals", "--n-values", "10,20", "--reps", "2", "--seed", "1"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == "n,rep,palette_size,bound,runtime_ms,verified"
-    assert len(out) == 5
-    rows = [line.split(",") for line in out[1:]]
-    assert [r[0] for r in rows] == ["10", "10", "20", "20"]
-    assert all(int(r[2]) <= 3 for r in rows)
-    assert all(r[5] == "true" for r in rows)
 
 
 def test_pentagon_gen_cli(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfgeom as cf
-from cfgeom.bench import bench_colors
 from cfgeom.cli import _infer_fat_params, main
 from cfgeom.hypergraph import neighborhood_violations
 from cfgeom.svg import render_svg
@@ -47,8 +46,6 @@ BAD_CALLS = {
     "conversion not total": lambda: cf.pointed_to_closed(_path(), cf.Coloring((1, 2))),
     "conversion color ids": lambda: cf.pointed_to_closed(_path(), cf.Coloring((0, 1, 0))),
     "svg coloring length": lambda: render_svg(cf.generate_scene("discs", 3, 1), cf.Coloring((1,))),
-    "bench without sizes": lambda: bench_colors("rects", [], 1, 0),
-    "bench unknown algorithm": lambda: bench_colors("mystery", [4], 1, 0),
 }
 
 
@@ -487,6 +484,7 @@ def test_fuzzed_gen_arguments_fail_cleanly(tmp_path_factory, kind, n, seed, numb
         ["color", "--alg", "nope", "--in", "a.json", "--out", "b.json"],
         ["verify", "--in", "a.json"],
         [],
+        ["bench", "--alg", "rects", "--n-values", "4"],  # the subcommand was removed
     ],
 )
 def test_cli_usage_errors_are_one_error_line(argv):
