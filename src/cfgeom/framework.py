@@ -28,8 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProperColorer:
-    """Callable producing a proper coloring with at most `k` colors for a
-    hypergraph and every induced sub-hypergraph it is handed."""
+    """Callable producing a proper coloring with at most `k` colors for a hypergraph
+    and every induced sub-hypergraph it is handed; the iterations read it through `_rounds`."""
 
     fn: Callable[[Hypergraph], Coloring]
     k: int
@@ -42,6 +42,23 @@ class ProperColorer:
     def __call__(self, h: Hypergraph) -> Coloring:
         return self.fn(h)
 
+    def _rounds(self, h: Hypergraph) -> Callable[[list[int]], Sequence[int]]:
+        """The iterations' round function on `h`: the proper colors of the
+        surviving vertex ids, in order, checked on their `induced` sub-hypergraph."""
+
+        def color(alive: list[int]) -> tuple[int, ...]:
+            sub = induced(h, alive)
+            col = self(sub)
+            if len(col.colors) != sub.n:
+                raise ColorerContractError("colorer returned a partial coloring", sub)
+            if col.palette_size > self.k:
+                raise ColorerContractError(f"colorer used {col.palette_size} colors, declared at most {self.k}", sub)
+            if bad := verify_proper(sub, col):
+                raise ColorerContractError(f"colorer output is improper on edges {bad[:5]}", sub)
+            return col.colors
+
+        return color
+
 
 def cf_palette_bound(n: int, k: int) -> int:
     """Ceiling of 1 + log_{1+1/(k-1)} n, the palette guarantee of the iteration.
@@ -50,20 +67,6 @@ def cf_palette_bound(n: int, k: int) -> int:
     if n <= 1 or k == 1:
         return min(n, 1) if n >= 0 else 0
     return math.ceil(1 + math.log(n) / math.log(1 + 1 / (k - 1)))
-
-
-def _checked_proper(h: Hypergraph, pc: ProperColorer) -> Coloring:
-    col = pc(h)
-    if len(col.colors) != h.n:
-        raise ColorerContractError("colorer returned a partial coloring", h)
-    if col.palette_size > pc.k:
-        raise ColorerContractError(
-            f"colorer used {col.palette_size} colors, declared at most {pc.k}", h
-        )
-    bad = verify_proper(h, col)
-    if bad:
-        raise ColorerContractError(f"colorer output is improper on edges {bad[:5]}", h)
-    return col
 
 
 def _largest_class(colors: Sequence[int], vertices: Sequence[int]) -> list[int]:
@@ -102,15 +105,15 @@ def proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
     the round number as its final color, and removed.  The output is
     certified before it is returned.
     """
-    final = _largest_class_rounds(list(range(h.n)), lambda alive: _checked_proper(induced(h, alive), pc).colors)
+    final = _largest_class_rounds(list(range(h.n)), pc._rounds(h))
     return certify(h, Coloring(tuple(final[v] for v in range(h.n)), trace=Trace()), what="proper-to-CF iteration")
 
 
 def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperColorer) -> Coloring:
     """CF coloring in which every vertex receives a color from its own list.
 
-    Greedy most-popular-color iteration: the color present in the most
-    uncolored lists is proper-colored on the vertices holding it, a largest
+    Greedy most-popular-color iteration: the color in the most uncolored
+    lists is proper-colored on its holders by `pc`'s round function, a largest
     class keeps that color for good, and the color is struck from all
     remaining lists.  Needs list sizes of at least cf_palette_bound(n, pc.k).
     """
@@ -120,6 +123,7 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
     for v, lst in enumerate(lists):
         if len(set(lst)) < need:
             raise InvalidInputError(f"list of vertex {v} has {len(set(lst))} colors, needs >= {need}")
+    color = pc._rounds(h)
     remaining = [set(lst) for lst in lists]
     final: list[int | None] = [None] * h.n
     while alive := [v for v in range(h.n) if final[v] is None]:
@@ -129,8 +133,7 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
         popularity = Counter(c for v in alive for c in remaining[v])
         c = max(popularity, key=lambda col: (popularity[col], -col))
         holders = [v for v in alive if c in remaining[v]]
-        col = _checked_proper(induced(h, holders), pc)
-        for v in _largest_class(col.colors, holders):
+        for v in _largest_class(color(holders), holders):
             final[v] = c
         for v in alive:
             remaining[v].discard(c)

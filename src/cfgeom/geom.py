@@ -148,12 +148,13 @@ class ConvexFatObject:
         for (ax, ay), (bx, by), (cx, cy) in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
             if _orient(ax, ay, bx, by, cx, cy) <= -tol:
                 raise InvalidInputError("polygon vertices must be convex in counter-clockwise order")
-        # certificate containment, with a small relative slack
+        # certificate containment; the absolute slack follows the coordinates' size, as a distance's rounding does
         inner = _polygon_inradius_at(xy, self.anchor.x, self.anchor.y)
         outer = _polygon_outradius_at(xy, self.anchor.x, self.anchor.y)
-        if inner < self.r_inner * (1 - 1e-9) - 1e-12:
+        slack = 1e-12 * min(1.0, max(reach, abs(self.anchor.x), abs(self.anchor.y)))
+        if inner < self.r_inner * (1 - 1e-9) - slack:
             raise InvalidInputError("inner certificate disc is not contained in the polygon")
-        if outer > self.r_outer * (1 + 1e-9) + 1e-12:
+        if outer > self.r_outer * (1 + 1e-9) + slack:
             raise InvalidInputError("polygon is not contained in the outer certificate disc")
 
     def xy(self) -> np.ndarray:
@@ -423,9 +424,9 @@ _SAT_CELLS = 1 << 18  # projection values per separating-axis batch
 # the pruning clip (`probes._prune_depth_one`) settle a case only with a margin
 # of _GUARD * max(1, s), s the largest magnitude among the coordinates and radii
 # involved.  ConvexFatObject validates its convexity and certificates with a
-# slack of 1e-9 of that scale (plus 1e-12 on a radius); the guard is 1000 times
-# that, and far above the rounding of SAT and of the clip, so a filter never
-# settles a case the full test would decide the other way.
+# slack of 1e-9 of that scale (plus 1e-12 * min(1, s) on a radius); the guard is
+# 1000 times that, and far above the rounding of SAT and of the clip, so a
+# filter never settles a case the full test would decide the other way.
 _GUARD = 1e-6
 
 

@@ -104,12 +104,11 @@ class Hypergraph:
 
     Built from an iterable of vertex iterables (a member repeated within an
     edge counts once; repeated and empty edges are kept), or by `from_pairs`.
-    `edge_labels` (strings) record where each edge came from (which probe,
-    which vertex neighborhood); `vertex_labels` carry original vertex
-    identities through `induced`.
+    Edges and vertices are known by their indices alone: each function that
+    makes one says which edge index stands for what (a probe, a neighbourhood).
     """
 
-    def __init__(self, n: int, edges: Iterable[Iterable[int]] = (), edge_labels=None, vertex_labels=None):
+    def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         edges = [tuple(e) for e in edges]
         sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
         members = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
@@ -117,22 +116,16 @@ class Hypergraph:
         bad = np.nonzero((members < 0) | (members >= n))[0]
         if len(bad):
             raise InvalidInputError(f"edge {tuple(sorted(set(edges[edge_ids[bad[0]]])))} out of range for n={n}")
-        self._fill(n, len(edges), edge_ids, members, edge_labels, vertex_labels)
+        self.n = n
+        self.indptr, self.indices = _csr(edge_ids * n + members, len(edges), n)
 
     @classmethod
-    def from_pairs(cls, n: int, m: int, edge_ids: np.ndarray, members: np.ndarray, edge_labels=None, vertex_labels=None):
+    def from_pairs(cls, n: int, m: int, edge_ids: np.ndarray, members: np.ndarray) -> Hypergraph:
         """Edges 0..m-1, members[i] in edge edge_ids[i]; pairs in range, in any order."""
         h = cls.__new__(cls)
-        h._fill(n, m, edge_ids, members, edge_labels, vertex_labels)
+        h.n = n
+        h.indptr, h.indices = _csr(edge_ids * n + members, m, n)
         return h
-
-    def _fill(self, n, m, edge_ids, members, edge_labels, vertex_labels) -> None:
-        if edge_labels is not None and len(edge_labels) != m:
-            raise InvalidInputError("edge_labels length mismatch")
-        if vertex_labels is not None and len(vertex_labels) != n:
-            raise InvalidInputError("vertex_labels length mismatch")
-        self.n, self.edge_labels, self.vertex_labels = n, edge_labels, vertex_labels
-        self.indptr, self.indices = _csr(edge_ids * n + members, m, n)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -213,18 +206,20 @@ def intersection_graph(scene: Scene) -> Graph:
 
 def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
     """One hyperedge per vertex: N(v) for pointed mode (empty neighborhoods
-    omitted) or N[v] for closed mode; the rows of `g`, plus the diagonal when closed."""
+    omitted) or N[v] for closed mode; the rows of `g`, plus the diagonal when
+    closed.  Closed edge v is N[v]; pointed edge i is N(v) for the i-th vertex
+    v with a neighbour, np.flatnonzero(np.diff(g.indptr))[i]."""
     members, owners = g._neighborhoods(mode)
     if mode == "closed":
-        return Hypergraph.from_pairs(g.n, g.n, owners, members, tuple(f"N[{v}]" for v in range(g.n)))
+        return Hypergraph.from_pairs(g.n, g.n, owners, members)
     nonempty = np.nonzero(np.diff(g.indptr))[0]
     rows = np.searchsorted(nonempty, owners)  # N(v) is edge number (rank of v among the nonempty rows)
-    return Hypergraph.from_pairs(g.n, len(nonempty), rows, members, tuple(f"N({v})" for v in nonempty.tolist()))
+    return Hypergraph.from_pairs(g.n, len(nonempty), rows, members)
 
 
 def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
     """Sub-hypergraph on the distinct vertices `keep` (any order), keep[i]
-    renamed i, each edge intersected with keep; edge labels are shared."""
+    renamed i, each edge intersected with keep; edge i stays edge i."""
     keep = np.asarray(keep, dtype=np.int64)
     if len(keep) and (keep.min() < 0 or keep.max() >= h.n):
         raise InvalidInputError(f"keep must be vertices of 0..{h.n - 1}")
@@ -235,9 +230,7 @@ def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
     members, edge_ids = h._flat
     renamed = pos[members]
     inside = renamed >= 0
-    kept = keep.tolist()
-    labels = tuple(kept) if h.vertex_labels is None else tuple(h.vertex_labels[v] for v in kept)
-    return Hypergraph.from_pairs(len(kept), len(h.indptr) - 1, edge_ids[inside], renamed[inside], h.edge_labels, labels)
+    return Hypergraph.from_pairs(len(keep), len(h.indptr) - 1, edge_ids[inside], renamed[inside])
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +523,7 @@ def greedy_maximal_independent_set(g: Graph, order: Sequence[int] | None = None)
 
 def all_intervals_hypergraph(n: int) -> Hypergraph:
     """Hypergraph on n collinear points whose edges are all contiguous index runs."""
-    runs = [(i, j) for i in range(n) for j in range(i, n)]
-    return Hypergraph(n, [range(i, j + 1) for i, j in runs], tuple(f"run:{i}-{j}" for i, j in runs))
+    return Hypergraph(n, [range(i, j + 1) for i in range(n) for j in range(i, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +539,24 @@ def coloring_to_json(c: Coloring) -> str:
 
 
 def coloring_from_json(text: str) -> Coloring:
+    """The Coloring of a JSON document: every color, and each palette-map value
+    a pair of them, a JSON integer (not a bool) in the 64-bit range."""
     try:
         data = json.loads(text)
-        pm = None
-        if "palette_map" in data:
-            pm = {int(k): (v[0], v[1]) for k, v in data["palette_map"].items()}
-        c = Coloring(tuple(data["colors"]), pm)
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        colors = data["colors"]
+        pm = {int(k): tuple(v) for k, v in data["palette_map"].items()} if "palette_map" in data else None
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise InvalidInputError(f"malformed coloring JSON ({type(exc).__name__}: {exc})") from exc
+    if not _int64s(colors) or not all(_int64s(v) and len(v) == 2 for v in (pm or {}).values()):
+        raise InvalidInputError("coloring JSON colors and palette_map pairs must be integers in the 64-bit range")
+    c = Coloring(tuple(colors), pm)
     if "palette_size" in data and data["palette_size"] != c.palette_size:
         raise InvalidInputError("palette_size field disagrees with the colors array")
     return c
+
+
+def _int64s(values) -> bool:
+    return isinstance(values, (list, tuple)) and all(type(x) is int and -(2**63) <= x < 2**63 for x in values)
 
 
 def save_coloring(c: Coloring, path) -> None:

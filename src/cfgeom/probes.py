@@ -22,12 +22,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ColorerContractError, IncompatibleShapesError, InvalidInputError, PlanarityError
-from .framework import ProperColorer, _largest_class_rounds, cf_palette_bound
+from .framework import _largest_class_rounds, cf_palette_bound
 from .geom import (
     Scene,
     _GUARD,
@@ -119,20 +119,14 @@ class PeelOrder:
 
 def _pairwise_hits(vertices: Scene, probes: Scene) -> Hypergraph:
     """Probe hypergraph of the system: edge j holds the vertices probe j intersects."""
-    p, v = contact_pairs(probes, vertices)
-    return _hits_hypergraph(len(vertices), len(probes), p, v)
+    return Hypergraph.from_pairs(len(vertices), len(probes), *contact_pairs(probes, vertices))
 
 
 def probe_hypergraph(ps: ProbeSystem) -> Hypergraph:
-    """One hyperedge per probe: the vertices intersecting it.  Empty edges are
-    kept (with their provenance label) and ignored by the verifiers."""
+    """One hyperedge per probe, edge j for probe j: the vertices intersecting
+    it.  Empty edges are kept and ignored by the verifiers."""
     ps.validate()
     return _pairwise_hits(ps.vertices, ps.probes)
-
-
-def _hits_hypergraph(n: int, m: int, probe: np.ndarray, vertex: np.ndarray) -> Hypergraph:
-    """Hypergraph of m probes over n vertices from its (probe, vertex) hit pairs."""
-    return Hypergraph.from_pairs(n, m, probe, vertex, tuple(f"probe:{j}" for j in range(m)))
 
 
 def _graph_probe_hypergraph(g: Graph, vertices: list[int], probes: list[int]) -> Hypergraph:
@@ -144,7 +138,7 @@ def _graph_probe_hypergraph(g: Graph, vertices: list[int], probes: list[int]) ->
     owner, member = g.arcs()
     p, v = local[0, owner], local[1, member]
     hit = (p >= 0) & (v >= 0)
-    return _hits_hypergraph(len(vertices), len(probes), p[hit], v[hit])
+    return Hypergraph.from_pairs(len(vertices), len(probes), p[hit], v[hit])
 
 
 def auxiliary_graph(ps: ProbeSystem, active: Sequence[int]) -> Graph:
@@ -172,8 +166,11 @@ class _ProbeEngine:
     member arrays, hit set by hit set.  A peel over any active subset reads
     its ascending prefix off those arrays and runs the witness-counted
     removal loop only on the rest (`peel`).  `color_round` is one round of
-    the largest-class iteration: a peel and its exact check.
+    the largest-class iteration: a peel and its exact check; with `k` and
+    `_rounds` the engine is a proper colorer for the framework's iterations.
     """
+
+    k = PEEL_COLORS
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = n
@@ -263,6 +260,12 @@ class _ProbeEngine:
         order = PeelOrder(prefix + tail.order, degrees + tail.degrees, sizes + tail.aux_sizes)
         self.peel_log.append(order)
         return colors, order
+
+    def _rounds(self, h: Hypergraph) -> Callable[[list[int]], list[int]]:
+        """`color_round`, the iterations' round function on `h`, a hypergraph on this engine's vertices."""
+        if h.n != self.n:
+            raise InvalidInputError(f"the peel engine colors {self.n} vertices, the hypergraph has {h.n}")
+        return self.color_round
 
     def color_round(self, alive: list[int]) -> list[int]:
         """Peel colors of the vertex list `alive`, in its order; one
@@ -419,18 +422,12 @@ def peel_and_color(ps: ProbeSystem) -> Coloring:
     return certify(h, coloring, bound=PEEL_COLORS, proper=True, what="peel coloring")
 
 
-def peel_proper_colorer(vertices: Scene, probes: Scene) -> ProperColorer:
+def peel_proper_colorer(vertices: Scene, probes: Scene) -> _ProbeEngine:
     """Hereditary 6-color proper colorer for the probe hypergraph of the given
-    system, backed by one shared peel engine; pairs with proper_to_cf_list."""
+    system: its peel engine, whose rounds in `proper_to_cf` and `proper_to_cf_list`
+    peel the surviving vertex ids and check the peel exactly, with no sub-hypergraph."""
     h = _pairwise_hits(vertices, probes)
-    engine = _ProbeEngine(h.n, h.indptr, h.indices)
-
-    def fn(sub: Hypergraph) -> Coloring:
-        active = sub.vertex_labels if sub.vertex_labels is not None else tuple(range(sub.n))
-        cmap, _ = engine.peel(active)
-        return Coloring(tuple(cmap[v] for v in active))
-
-    return ProperColorer(fn, PEEL_COLORS, "degeneracy-peel")
+    return _ProbeEngine(h.n, h.indptr, h.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +694,6 @@ def _complement_circular(arcs: list[tuple[float, float]]) -> list[tuple[float, f
     if merged[-1][1] < two_pi:
         free.append((merged[-1][1], two_pi))
     return [f for f in free if f[1] - f[0] > 1e-12]
-
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ and a forward scan of a probe's hit tuple for its two survivors.  The tests
 require `cfgeom.probes._ProbeEngine.peel` to reproduce its colors, orders,
 degrees and auxiliary sizes exactly, and to raise `PlanarityError` exactly
 where it does.
+
+`reference_colorer` is the peel as a colorer that a caller supplies, which the
+iterations run through `induced` and `verify_proper`; the tests require the
+engine that `peel_proper_colorer` returns to give the same colorings.
 """
 from __future__ import annotations
 
@@ -14,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from cfgeom import PlanarityError
-from cfgeom.probes import PEEL_COLORS, PeelOrder
+from cfgeom import Coloring, Hypergraph, PlanarityError, ProperColorer
+from cfgeom.probes import PEEL_COLORS, PeelOrder, _ProbeEngine
 
 
 def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
@@ -106,3 +110,14 @@ def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrd
         colors[v] = next(c for c in range(1, PEEL_COLORS + 1) if c not in used)
     self.peel_log.append(order)
     return colors, order
+
+
+def reference_colorer() -> ProperColorer:
+    """The 6-color peel as a supplied colorer: each sub-hypergraph it is handed
+    is peeled whole by an engine of its own."""
+
+    def fn(sub: Hypergraph) -> Coloring:
+        cmap, _ = _ProbeEngine(sub.n, sub.indptr, sub.indices).peel(range(sub.n))
+        return Coloring(tuple(cmap[v] for v in range(sub.n)))
+
+    return ProperColorer(fn, PEEL_COLORS, "reference-peel")

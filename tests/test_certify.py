@@ -16,6 +16,7 @@ import cfgeom.geom
 import cfgeom.hypergraph
 import cfgeom.probes
 from cfgeom.hypergraph import _color_counts, _interval_census, certify, neighborhood_violations
+from peel_reference import reference_colorer
 
 
 def _replace(monkeypatch, module, name, replacement):
@@ -160,12 +161,27 @@ def test_hot_paths_never_build_the_edge_view(monkeypatch, name):
     assert built == []
 
 
-@pytest.mark.parametrize("name", ["proper-to-cf", "probes"])
+def _supplied(args):
+    """The iteration's arguments with the peel engine replaced by the reference colorer."""
+    return args[:-1] + (reference_colorer(),)
+
+
+# name -> (setup, entry point), each running the largest-class iteration
+ROUNDS = {
+    "proper-to-cf": ENTRY_POINTS["proper-to-cf"],
+    "list": ENTRY_POINTS["list"],
+    "probes": ENTRY_POINTS["probes"],
+    "supplied": (lambda: _supplied(_iteration_args()), cf.proper_to_cf),
+    "supplied-list": (lambda: _supplied(_iteration_args(with_lists=True)), cf.proper_to_cf_list),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDS))
 def test_colorer_output_checked_every_round(monkeypatch, name):
     # each round of the largest-class iteration checks the proper coloring
     # exactly once: a supplied colorer through `induced` and `verify_proper`,
-    # the probe path through the peel engine's own check, with no sub-hypergraph
-    setup, entry = ENTRY_POINTS[name]
+    # the peel engine through its own check, with no sub-hypergraph
+    setup, entry = ROUNDS[name]
     args = setup()
     checks = _spy(monkeypatch, cfgeom.hypergraph, "verify_proper")
     rounds = _spy(monkeypatch, cfgeom.hypergraph, "induced")
@@ -175,12 +191,14 @@ def test_colorer_output_checked_every_round(monkeypatch, name):
         cfgeom.probes._ProbeEngine, "check_round", lambda e, *a: engine_checks.append(a) or check_round(e, *a)
     )
     out = entry(*args)
-    if name == "probes":
-        assert checks == rounds == []
-        assert len(engine_checks) == max(out.colors) > 1
-    else:
-        assert len(checks) == len(rounds) == max(out.colors) > 1
+    # one round per final color: the list iteration strikes each color it gives
+    assert out.palette_size > 1
+    if name.startswith("supplied"):
+        assert len(checks) == len(rounds) == out.palette_size
         assert engine_checks == []
+    else:
+        assert checks == rounds == []
+        assert len(engine_checks) == out.palette_size
 
 
 IMPROPER_PEELS = {

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +13,19 @@ from cfgeom import (
     all_intervals_hypergraph,
     cf_palette_bound,
     generate_scene,
+    ProbeSystem,
     intersection_graph,
     neighborhood_hypergraph,
+    peel_proper_colorer,
     pointed_to_closed,
     pointed_cf_pseudodiscs,
+    probe_hypergraph,
     proper_to_cf,
     proper_to_cf_list,
     verify_cf,
 )
 from cfgeom.errors import ColorerContractError, InvalidInputError, ListExhaustedError, VerificationError
+from peel_reference import reference_colorer
 
 
 def alternating_colorer(k: int = 2) -> ProperColorer:
@@ -150,6 +155,44 @@ def test_list_exhaustion_reported():
     # collide so vertex 1 is never in a largest class until its list drains
     with pytest.raises((ListExhaustedError, VerificationError, ValueError)):
         proper_to_cf_list(h, [[1, 2], [1]], ProperColorer(bad, 2))
+
+
+# ---------------------------------------------------------------------------
+# the peel engine against the same peel as a supplied colorer
+# ---------------------------------------------------------------------------
+
+
+def _same_iterations(vertices, probes, lists):
+    """Both iterations give identical colorings with the engine that
+    peel_proper_colorer returns and with the reference colorer."""
+    h = probe_hypergraph(ProbeSystem(vertices, probes))
+    engine, reference = peel_proper_colorer(vertices, probes), reference_colorer()
+    assert proper_to_cf(h, engine) == proper_to_cf(h, reference)
+    assert proper_to_cf_list(h, lists, engine) == proper_to_cf_list(h, lists, reference)
+
+
+def test_peel_engine_matches_reference_colorer_on_criterion_5():
+    rng = np.random.default_rng(99)
+    for i in range(100):  # criterion 5's instances and lists
+        n = (i * 11) % 64 + 1
+        vertices = generate_scene("discs", n, [6, i])
+        probes = generate_scene("discs", 150, [6, i, 1], radius_range=(0.01, 0.3), margin=0)
+        need = cf_palette_bound(n, 6)
+        lists = [sorted(rng.choice(2 * need, size=need, replace=False) + 1) for _ in range(n)]
+        _same_iterations(vertices, probes, lists)
+
+
+@given(st.integers(1, 60), st.integers(0, 400), st.integers(0, 10**6), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_peel_engine_matches_reference_colorer_on_random_systems(n, m, seed, extra):
+    # overlapping vertices and probes, and lists over need + extra colors, so
+    # that colors tie in popularity (extra 0: every list is the same)
+    vertices = generate_scene("discs", n, [seed, 0], span=1.5, margin=0)
+    probes = generate_scene("discs", m, [seed, 1], radius_range=(0.01, 0.4), margin=0)
+    need = cf_palette_bound(n, 6)
+    rng = np.random.default_rng(seed)
+    lists = [rng.choice(need + extra, size=need, replace=False) + 1 for _ in range(n)]
+    _same_iterations(vertices, probes, lists)
 
 
 def test_pointed_to_closed_k2():

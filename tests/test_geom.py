@@ -338,6 +338,17 @@ def test_fat_certificate_validation():
     ConvexFatObject(square, Point(0, 0), 0.99 * h, 1.5 * h)  # counter-clockwise: valid
     with pytest.raises(InvalidInputError, match="convex in counter-clockwise order"):
         ConvexFatObject(square[::-1], Point(0, 0), 0.99 * h, 1.5 * h)
+    # and so are both certificates: a 1e-12 slack would pass an inner disc 20 times the
+    # inradius, an anchor outside the square, and an outer disc inside it
+    with pytest.raises(InvalidInputError, match="inner certificate"):
+        ConvexFatObject(square, Point(0, 0), 1e-12, 1.5e-12)
+    with pytest.raises(InvalidInputError, match="inner certificate"):
+        ConvexFatObject(square, Point(3 * h, h), 9e-13, 1e-12)
+    with pytest.raises(InvalidInputError, match="outer certificate"):
+        ConvexFatObject(square, Point(0, 0), 0.5 * h, 0.6 * h)
+    # valid copies: the same square with certificates that hold, and an anchor inside it
+    ConvexFatObject(square, Point(0, 0), 0.99 * h, 1.5e-12)
+    ConvexFatObject(square, Point(0.4 * h, 0.2 * h), 0.59 * h, 1.9 * h)
     dart = ((0, 0), (1, 0), (1, 1), (0.5, 0.95), (0, 1))
     for s in (1.0, 1e-3, 1e-5, 1e-7):
         with pytest.raises(InvalidInputError, match="convex in counter-clockwise order"):

@@ -72,7 +72,6 @@ def test_induced():
     assert induced(h, [0, 1, 2]).edges == ((0, 1, 2),)
     sub = induced(h, [0, 2])
     assert sub.edges == ((0, 1),)
-    assert sub.vertex_labels == (0, 2)
     assert induced(Hypergraph(3, ((0, 1),)), [2]).edges == ((),)
 
 
@@ -196,6 +195,12 @@ def _verify_cf_reference(h, colors):
     return bad
 
 
+def _edge_owners(g, mode):
+    """The vertex of each edge of neighborhood_hypergraph(g, mode): closed edge v
+    is N[v]; pointed edge i is N(v) for the i-th vertex v with a neighbour."""
+    return list(range(g.n)) if mode == "closed" else np.flatnonzero(np.diff(g.indptr)).tolist()
+
+
 def _verify_proper_reference(h, colors):
     bad = []
     for idx, e in enumerate(h.edges):
@@ -224,7 +229,7 @@ def test_graph_certification_matches_neighborhood_hypergraph(data):
     colors = data.draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
     for mode in ("pointed", "closed"):
         h = neighborhood_hypergraph(g, mode)
-        owners = [int(label[2:-1]) for label in h.edge_labels]
+        owners = _edge_owners(g, mode)
         expected = [owners[i] for i in _verify_cf_reference(h, colors)]
         assert neighborhood_violations(g, colors, mode) == expected
         if expected:
@@ -292,16 +297,14 @@ def _tuple_edges(edges):
     return tuple(tuple(sorted(set(e))) for e in edges)
 
 
-def _induced_reference(n, edges, vertex_labels, keep):
+def _induced_reference(n, edges, keep):
     """The tuple-rebuilding `induced` that the CSR mask replaced, on plain
-    tuples: (n, edges, vertex labels) of the sub-hypergraph."""
+    tuples: (n, edges) of the sub-hypergraph."""
     keep = list(keep)
     if sorted(set(keep)) != sorted(keep):
         raise ValueError("keep must not contain duplicates")
     pos = {v: i for i, v in enumerate(keep)}
-    sub = tuple(tuple(sorted(pos[v] for v in e if v in pos)) for e in edges)
-    labels = tuple(keep) if vertex_labels is None else tuple(vertex_labels[v] for v in keep)
-    return len(keep), sub, labels
+    return len(keep), tuple(tuple(sorted(pos[v] for v in e if v in pos)) for e in edges)
 
 
 @st.composite
@@ -317,13 +320,11 @@ def raw_hypergraphs(draw):
 @settings(max_examples=120, deadline=None)
 def test_csr_hypergraph_matches_tuple_normalization(case):
     n, edges = case
-    labels = tuple(f"e{i}" for i in range(len(edges)))
-    h = Hypergraph(n, edges, labels)
+    h = Hypergraph(n, edges)
     expected = _tuple_edges(edges)
     assert h.edges == expected
     assert h.indptr.tolist() == [0] + [sum(len(e) for e in expected[: i + 1]) for i in range(len(expected))]
     assert h.indices.tolist() == [v for e in expected for v in e]
-    assert h.edge_labels is labels and h.vertex_labels is None
 
 
 def test_hypergraph_accepts_any_iterables_and_rejects_out_of_range():
@@ -334,23 +335,20 @@ def test_hypergraph_accepts_any_iterables_and_rejects_out_of_range():
             Hypergraph(4, bad)
     with pytest.raises(ValueError, match="out of range"):
         Hypergraph(0, ((0,),))
-    with pytest.raises(ValueError, match="edge_labels"):
-        Hypergraph(2, ((0, 1),), ("a", "b"))
 
 
 @given(raw_hypergraphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_induced_mask_matches_tuple_reference(case, data):
     n, edges = case
-    h = Hypergraph(n, edges, tuple(f"e{i}" for i in range(len(edges))))
+    h = Hypergraph(n, edges)
     keep = data.draw(st.permutations(range(n)).flatmap(lambda p: st.integers(0, n).map(lambda k: p[:k])))
     sub = induced(h, keep)
-    assert (sub.n, sub.edges, sub.vertex_labels) == _induced_reference(n, h.edges, None, keep)
-    assert sub.edge_labels is h.edge_labels
-    # labels pass through a second restriction, in any order
+    assert (sub.n, sub.edges) == _induced_reference(n, h.edges, keep)
+    # and a second restriction, in any order
     again = data.draw(st.permutations(range(sub.n)).flatmap(lambda p: st.integers(0, sub.n).map(lambda k: p[:k])))
     twice = induced(sub, again)
-    assert (twice.n, twice.edges, twice.vertex_labels) == _induced_reference(sub.n, sub.edges, sub.vertex_labels, again)
+    assert (twice.n, twice.edges) == _induced_reference(sub.n, sub.edges, again)
 
 
 @pytest.mark.parametrize("keep", [[5], [-1], [0, 3], [1, 1], [2, 0, 2]])
@@ -370,11 +368,9 @@ def test_neighborhood_hypergraph_matches_adjacency_rows(data):
     pointed = neighborhood_hypergraph(g, "pointed")
     owners = [v for v in range(n) if rows[v]]
     assert pointed.edges == tuple(rows[v] for v in owners)
-    assert pointed.edge_labels == tuple(f"N({v})" for v in owners)
     closed = neighborhood_hypergraph(g, "closed")
     assert closed.edges == tuple(tuple(sorted(rows[v] + (v,))) for v in range(n))
-    assert closed.edge_labels == tuple(f"N[{v}]" for v in range(n))
-    assert pointed.n == closed.n == n and pointed.vertex_labels is None
+    assert pointed.n == closed.n == n
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +417,7 @@ def test_color_census_matches_unique_reference(data):
     g = Graph(n, {(u, v) for e in edges for u in e for v in e if u < v})
     for mode in ("pointed", "closed"):  # closed appends the diagonal, so its owners are unsorted
         nh = neighborhood_hypergraph(g, mode)
-        owner_of = [int(label[2:-1]) for label in nh.edge_labels]
+        owner_of = _edge_owners(g, mode)
         assert neighborhood_violations(g, colors, mode) == [owner_of[i] for i in _verify_cf_reference(nh, colors)]
 
 

@@ -24,6 +24,11 @@ def _triangle():
     return cf.Hypergraph(3, [[0, 1], [1, 2], [0, 2]])
 
 
+def _two_discs():
+    """A probe system of two vertex discs, for a colorer of two vertices."""
+    return cf.generate_scene("discs", 2, 1), cf.generate_scene("discs", 3, 2)
+
+
 def _ones(h):
     return cf.Coloring((1,) * h.n)
 
@@ -35,14 +40,13 @@ BAD_CALLS = {
     "unknown neighborhood mode": lambda: cf.neighborhood_hypergraph(_path(), "open"),
     "subgraph keep not increasing": lambda: _path().subgraph([2, 1]),
     "hyperedge out of range": lambda: cf.Hypergraph(2, [[0, 5]]),
-    "edge labels mismatch": lambda: cf.Hypergraph(2, [[0, 1]], edge_labels=("a", "b")),
-    "vertex labels mismatch": lambda: cf.Hypergraph(2, [[0, 1]], vertex_labels=("a",)),
     "induced out of range": lambda: cf.induced(_triangle(), [5]),
     "induced duplicates": lambda: cf.induced(_triangle(), [0, 0]),
     "independent set order": lambda: cf.greedy_maximal_independent_set(_path(), [0, 1]),
     "oracle too large": lambda: cf.min_cf_colors_bruteforce(cf.Hypergraph(17, []), 3),
     "one list per vertex": lambda: cf.proper_to_cf_list(_triangle(), [[1, 2]], cf.ProperColorer(_ones, 2)),
     "lists too short": lambda: cf.proper_to_cf_list(_triangle(), [[1]] * 3, cf.ProperColorer(_ones, 2)),
+    "peel engine of another system": lambda: cf.proper_to_cf(_triangle(), cf.peel_proper_colorer(*_two_discs())),
     "conversion not total": lambda: cf.pointed_to_closed(_path(), cf.Coloring((1, 2))),
     "conversion color ids": lambda: cf.pointed_to_closed(_path(), cf.Coloring((0, 1, 0))),
     "svg coloring length": lambda: render_svg(cf.generate_scene("discs", 3, 1), cf.Coloring((1,))),
@@ -55,6 +59,48 @@ def test_bad_caller_input_raises_invalid_input(name):
     with pytest.raises(cf.InvalidInputError) as info:
         BAD_CALLS[name]()
     assert isinstance(info.value, cf.CFGeomError) and isinstance(info.value, ValueError)
+
+
+# coloring documents whose values are not JSON integers
+# ---------------------------------------------------------------------------
+
+PAIRS = {"1": [1, 1], "2": [1, 2], "3": [2, 1], "4": [2, 2]}
+BAD_COLORINGS = {
+    "mixed values": {"colors": [1.5, 2.7, True, "3"]},
+    "float": {"colors": [1, 2, 3.0, 4]},
+    "bool": {"colors": [1, 2, True, 4]},
+    "string": {"colors": [1, 2, "3", 4]},
+    "null": {"colors": [1, 2, None, 4]},
+    "beyond 64 bits": {"colors": [1, 2, 2**63, 4]},
+    "colors an object": {"colors": {"0": 1, "1": 2, "2": 3, "3": 4}},
+    "palette value a string": {"colors": [1, 2, 3, 4], "palette_map": {**PAIRS, "1": "ab"}},
+    "palette value a triple": {"colors": [1, 2, 3, 4], "palette_map": {**PAIRS, "1": [1, 1, 1]}},
+    "palette value with a float": {"colors": [1, 2, 3, 4], "palette_map": {**PAIRS, "2": [1, 2.0]}},
+    "palette value with a bool": {"colors": [1, 2, 3, 4], "palette_map": {**PAIRS, "2": [True, 2]}},
+    "palette value an integer": {"colors": [1, 2, 3, 4], "palette_map": {**PAIRS, "4": 4}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COLORINGS))
+def test_coloring_json_values_must_be_integers(tmp_path, name):
+    # no coercion: the library raises, and `verify` and `svg` exit 2 with one error line
+    text = json.dumps(BAD_COLORINGS[name])
+    with pytest.raises(cf.InvalidInputError, match="coloring JSON"):
+        cf.coloring_from_json(text)
+    scene_file, coloring_file = tmp_path / "scene.json", tmp_path / "coloring.json"
+    cf.save_scene(cf.generate_scene("discs", 4, 1), scene_file)
+    coloring_file.write_text(text)
+    for command in (["verify", "--mode", "closed"], ["svg", "--out", tmp_path / "out.svg"]):
+        code, err = _run_cli(*command, "--in", scene_file, "--coloring", coloring_file)
+        assert code == 2 and "coloring JSON" in err
+        _assert_cli_outcome(code, err, ())
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_coloring_json_loads_the_whole_64_bit_range():
+    doc = {"colors": [1, 2, 3, -(2**63)], "palette_map": {**PAIRS, "5": [2**63 - 1, -1]}}
+    c = cf.coloring_from_json(json.dumps(doc))
+    assert c.colors == (1, 2, 3, -(2**63)) and c.palette_map[5] == (2**63 - 1, -1)
 
 
 # fuzzing interval and rectangle scene documents

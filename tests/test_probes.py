@@ -67,7 +67,6 @@ def test_probe_edge_from_two_reachable_discs():
     ps = ProbeSystem(discs((0, 0, 1), (5, 0, 1)), discs((2.5, 0, 1.6)))
     h = probe_hypergraph(ps)
     assert h.edges == ((0, 1),)
-    assert h.edge_labels == ("probe:0",)
 
 
 def test_disjoint_probe_records_empty_edge():
@@ -360,7 +359,6 @@ def test_probe_hypergraph_matches_tuple_hits(vertices, probes):
     h = probe_hypergraph(ProbeSystem(Scene(tuple(vertices), "discs"), Scene(tuple(probes), "discs")))
     assert h.n == len(vertices)
     assert h.edges == tuple(tuple(i for i, v in enumerate(vertices) if intersects(v, p)) for p in probes)
-    assert h.edge_labels == tuple(f"probe:{j}" for j in range(len(probes)))
 
 
 @given(st.lists(small_discs, min_size=1, max_size=14), st.data())
@@ -375,8 +373,7 @@ def test_graph_probe_hypergraph_matches_tuple_reference(shapes, data):
     # the row scan this function did before it read CSR arrays
     pos = {v: i for i, v in enumerate(vertices)}
     hits = tuple(tuple(sorted(pos[u] for u in g.adjacency[p] if u in pos)) for p in probes)
-    assert (h.n, h.edges, h.vertex_labels) == (len(vertices), hits, None)
-    assert h.edge_labels == tuple(f"probe:{j}" for j in range(len(probes)))
+    assert (h.n, h.edges) == (len(vertices), hits)
     direct = probe_hypergraph(ProbeSystem(scene.subscene(vertices), scene.subscene(probes)))
     assert direct.edges == hits
 
