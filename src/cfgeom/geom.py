@@ -308,13 +308,13 @@ def _polygon_outradius_at(xy: np.ndarray, px: float, py: float) -> float:
     return float(np.max(np.hypot(xy[:, 0] - px, xy[:, 1] - py)))
 
 
-def point_in_convex_polygon(xy: np.ndarray, px: float, py: float, tol: float = 0.0) -> bool:
+def point_in_convex_polygon(xy: np.ndarray, px: float, py: float) -> bool:
     """Closed membership test for a ccw convex polygon."""
     n = len(xy)
     for i in range(n):
         ax, ay = xy[i]
         bx, by = xy[(i + 1) % n]
-        if _orient(ax, ay, bx, by, px, py) < -tol:
+        if _orient(ax, ay, bx, by, px, py) < 0:
             return False
     return True
 

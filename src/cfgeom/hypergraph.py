@@ -121,7 +121,10 @@ class Hypergraph:
 
     @classmethod
     def from_pairs(cls, n: int, m: int, edge_ids: np.ndarray, members: np.ndarray) -> Hypergraph:
-        """Edges 0..m-1, members[i] in edge edge_ids[i]; pairs in range, in any order."""
+        """Edges 0..m-1, members[i] in edge edge_ids[i]; pairs in any order."""
+        edge_ids, members = np.asarray(edge_ids, dtype=np.int64), np.asarray(members, dtype=np.int64)
+        if ((members < 0) | (members >= n) | (edge_ids < 0) | (edge_ids >= m)).any():
+            raise InvalidInputError(f"a pair has an edge id outside 0..{m - 1} or a member outside 0..{n - 1}")
         h = cls.__new__(cls)
         h.n = n
         h.indptr, h.indices = _csr(edge_ids * n + members, m, n)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -180,7 +179,6 @@ class _ProbeEngine:
         self.m = len(rows)  # distinct nonempty hit sets
         self._flat_v = np.frombuffer(b"".join(rows), dtype=">i8").astype(np.int64)
         self._flat_p = np.repeat(np.arange(self.m), [len(r) >> 3 for r in rows])
-        self.peel_log: list[PeelOrder] = []
 
     @cached_property
     def hits(self) -> list[tuple[int, ...]]:
@@ -257,20 +255,21 @@ class _ProbeEngine:
             else:
                 colors[u] = 1
         sizes = list(zip(range(len(ids), len(ids) - k, -1), edges[:k].tolist()))
-        order = PeelOrder(prefix + tail.order, degrees + tail.degrees, sizes + tail.aux_sizes)
-        self.peel_log.append(order)
-        return colors, order
+        return colors, PeelOrder(prefix + tail.order, degrees + tail.degrees, sizes + tail.aux_sizes)
 
     def _rounds(self, h: Hypergraph) -> Callable[[list[int]], list[int]]:
-        """`color_round`, the iterations' round function on `h`, a hypergraph on this engine's vertices."""
+        """`color_round`, the iterations' round function on `h`, a hypergraph
+        on this engine's vertices, with each peel dropped."""
         if h.n != self.n:
             raise InvalidInputError(f"the peel engine colors {self.n} vertices, the hypergraph has {h.n}")
-        return self.color_round
+        return lambda alive: self.color_round(alive, [])
 
-    def color_round(self, alive: list[int]) -> list[int]:
-        """Peel colors of the vertex list `alive`, in its order; one
-        round of the largest-class iteration, checked by `check_round`."""
-        cmap, _ = self.peel(alive)
+    def color_round(self, alive: list[int], peels: list[PeelOrder]) -> list[int]:
+        """Peel colors of the vertex list `alive`, in its order, the peel
+        appended to `peels`; one round of the largest-class iteration,
+        checked by `check_round`.  The engine keeps no peel."""
+        cmap, order = self.peel(alive)
+        peels.append(order)
         colors = [cmap.get(v, 0) for v in alive]
         self.check_round(alive, colors)
         return colors
@@ -468,13 +467,16 @@ def _prune_depth_one(shapes: Scene, contacts: Graph) -> tuple[list[int], list[in
     When its wave comes up, a shape's lower-index neighbours are all decided
     and its higher-index ones count as alive, as in a one-at-a-time scan
     (even one the filter removed), and no two shapes of one wave meet; so one
-    batched test decides the whole wave.
+    batched test, `_shapes_escape`, decides the whole wave.  Discs and
+    polygons share it; the kind only picks the piece builder, each circle
+    over its angle (`_circle_pieces`) or each real edge over [0, 1]
+    (`_edge_pieces`).
     """
     n = len(shapes)
     if n == 0:
         return [], []
-    escape = {"discs": _discs_escape, "fat": _polygons_escape}.get(shapes.kind)
-    if escape is None:
+    pieces = {"discs": _circle_pieces, "fat": _edge_pieces}.get(shapes.kind)
+    if pieces is None:
         raise IncompatibleShapesError("pruning supports a family of discs or a family of convex polygons")
     rows = shapes.rows
     indptr, indices = contacts.indptr, contacts.indices
@@ -494,7 +496,7 @@ def _prune_depth_one(shapes: Scene, contacts: Graph) -> tuple[list[int], list[in
         tested = test[block]
         ptr = np.concatenate(([0], np.cumsum(np.bincount(block[tested], minlength=len(wave))[test])))
         alive[wave] = False
-        alive[wave[test]] = escape(rows, wave[test], ptr, near[tested])
+        alive[wave[test]] = _shapes_escape(rows, wave[test], ptr, near[tested], pieces)
     return np.flatnonzero(alive).tolist(), np.flatnonzero(~alive).tolist()
 
 
@@ -547,153 +549,144 @@ def _waves(indptr: np.ndarray, indices: np.ndarray, todo: np.ndarray) -> list[np
     return np.split(ids[np.argsort(waves[ids], kind="stable")], np.cumsum(np.bincount(waves[ids]))[:-1])
 
 
-def _discs_escape(circles: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Per disc centres[b], whether it has a point in none of the discs
-    near[ptr[b]:ptr[b + 1]]."""
-    return np.array([_disc_escapes(circles, i, near[a:b]) for i, a, b in zip(centres, ptr, ptr[1:])], dtype=bool)
+_CLIP_CELLS = 1 << 14  # (piece, shape) cells per batched escape test of pruning, about
 
 
-def _disc_escapes(circles: np.ndarray, i: int, near: np.ndarray) -> bool:
-    """Whether disc i has a point in none of the discs `near`, from the free
-    arcs of its own circle and of theirs."""
-    c, others = circles[i].tolist(), circles[near].tolist()
-    if _free_arc(c, others):
-        return True
-    for j, o in enumerate(others):
-        arc = _arc_inside(o, c)
-        if arc is None:
-            continue
-        theta, alpha = arc
-        outside = [(theta + alpha, theta + 2 * math.pi - alpha)] if alpha < math.pi else []
-        if _free_arc(o, others[:j] + others[j + 1 :], outside):
-            return True
-    return False
-
-
-def _arc_inside(c: list[float], o: list[float]) -> tuple[float, float] | None:
-    """(centre angle, half-width) of the arc of circle c = (x, y, r) inside disc
-    o: half-width pi when c lies in o, None when no arc of positive length does."""
-    (x, y, r), (ox, oy, ro) = c, o
-    d = math.hypot(ox - x, oy - y)
-    if d + r <= ro:
-        return 0.0, math.pi
-    if d >= r + ro or d + ro <= r:
-        return None
-    cosa = (d * d + r * r - ro * ro) / (2 * d * r)
-    return math.atan2(oy - y, ox - x), math.acos(min(1.0, max(-1.0, cosa)))
-
-
-def _free_arc(c: list[float], covers: list[list[float]], arcs: list[tuple[float, float]] = ()) -> bool:
-    """Whether some arc of circle c lies outside `arcs` and in none of the discs `covers`."""
-    arcs = list(arcs)
-    for o in covers:
-        arc = _arc_inside(c, o)
-        if arc is not None:
-            arcs.append((arc[0] - arc[1], arc[0] + arc[1]))
-    return bool(_complement_circular(arcs))
-
-
-_CLIP_CELLS = 1 << 14  # (segment, polygon) cells per batched clip of pruning, about
-
-
-def _polygons_escape(polys: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Per polygon c = centres[b], whether it has a point in none of the
-    polygons near[ptr[b]:ptr[b + 1]]: one clip of the real edges of c and of
-    those polygons against all of them.  Consecutive centres are batched into
-    clips of about `_CLIP_CELLS` cells."""
+def _shapes_escape(shapes: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray, pieces) -> np.ndarray:
+    """Per shape c = centres[b] of the rows `shapes`, whether it has a point in
+    none of the shapes near[ptr[b]:ptr[b + 1]]; `pieces` is `_circle_pieces`
+    for discs and `_edge_pieces` for polygons.  Consecutive centres are
+    batched into blocks of about `_CLIP_CELLS` (piece, shape) cells."""
     size = ptr[1:] - ptr[:-1] + 1
-    cells = size * size * polys.shape[1]
+    cells = size * size * (shapes.shape[1] if shapes.ndim == 3 else 1)  # m edges per polygon, one circle per disc
     cut = np.flatnonzero(np.diff((np.cumsum(cells) - cells) // _CLIP_CELLS, prepend=-1)).tolist()
     out = np.empty(len(centres), dtype=bool)
     for a, b in zip(cut, cut[1:] + [len(centres)]):
-        out[a:b] = _blocks_escape(polys, centres[a:b], ptr[a : b + 1] - ptr[a], near[ptr[a] : ptr[b]])
+        out[a:b] = _blocks_escape(shapes, centres[a:b], ptr[a : b + 1] - ptr[a], near[ptr[a] : ptr[b]], pieces)
     return out
 
 
-def _blocks_escape(polys: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """`_polygons_escape` in one batch.  Block b lists near[ptr[b]:ptr[b + 1]]
-    and then its centre.  A real edge of a block's polygon is clipped against
-    that block's other polygons, and its ranges fill one row of `_uncovered`."""
+def _blocks_escape(shapes: np.ndarray, centres: np.ndarray, ptr: np.ndarray, near: np.ndarray, pieces) -> np.ndarray:
+    """`_shapes_escape` in one batch.  Block b lists near[ptr[b]:ptr[b + 1]]
+    and then its centre.  `pieces` cuts the block's boundaries into pieces,
+    each with its parameter ranges outside the centre, which count as covered,
+    and drops the pieces with no part inside the centre.  Every other
+    non-centre shape of the block adds the ranges it covers of a piece, and a
+    piece's ranges fill one row of `_uncovered`: the centre escapes when a
+    piece of its block keeps an uncovered part."""
     size = ptr[1:] - ptr[:-1] + 1
-    start = ptr[:-1] + np.arange(len(centres))  # slot of block b's first polygon
+    start = ptr[:-1] + np.arange(len(centres))  # slot of block b's first shape
     last = start + size - 1  # slot of its centre
     ids = np.empty(len(near) + len(centres), dtype=np.intp)
     is_near = np.ones(len(ids), dtype=bool)
     is_near[last] = False
     ids[last], ids[is_near] = centres, near
-    p0 = polys[ids]
-    p1 = np.concatenate((p0[:, 1:], p0[:, :1]), axis=1)
-    owner, edge = np.nonzero((p0 != p1).any(axis=2))  # padding edges have length zero
-    blk = np.repeat(np.arange(len(centres)), size)[owner]
-    a, b = p0[owner, edge], p1[owner, edge]
-    # the boundary of a centre counts whole, a neighbour's only inside the centre:
-    # its parts outside are covered, so an edge that misses the centre (lo > hi) is covered whole
-    lo, hi = _clip_segments(a, b, p0[last[blk]])
-    mine = owner == last[blk]
-    lo[mine], hi[mine] = 0.0, 1.0
-    keep = ~(lo > hi)
-    owner, blk, a, b, lo, hi = owner[keep], blk[keep], a[keep], b[keep], lo[keep], hi[keep]
-    # the centre covers no edge, and no polygon its own
+    blk = np.repeat(np.arange(len(centres)), size)
+    owner, (o0, o1), cover, end = pieces(shapes[ids], last[blk])
+    blk = blk[owner]
+    # the centre covers no piece, and no shape its own
     seg, slot = _spans(start[blk], last[blk])
     other = slot != owner[seg]
     seg, slot = seg[other], slot[other]
-    t0, t1 = _clip_segments(a[seg], b[seg], p0[slot])
-    width = np.bincount(seg, minlength=len(owner))
-    col = np.arange(len(seg)) - np.repeat(np.cumsum(width) - width, width)
-    rows = np.arange(len(owner))
-    r0 = np.full((len(owner), width.max(initial=0) + 2), np.inf)  # unused cells hold empty ranges
+    t0, t1 = cover(seg, slot)  # (ranges per cover) columns per (piece, shape)
+    count = np.bincount(seg, minlength=len(owner))
+    k = t0.shape[1]
+    col = (np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count))[:, None] * k + np.arange(k)
+    own = (count * k)[:, None] + np.arange(o0.shape[1])
+    r0 = np.full((len(owner), k * count.max(initial=0) + o0.shape[1]), np.inf)  # unused cells hold empty ranges
     r1 = np.zeros(r0.shape)
-    r0[seg, col], r1[seg, col] = t0, t1
-    r0[rows, width], r1[rows, width] = 0.0, lo
-    r0[rows, width + 1], r1[rows, width + 1] = hi, 1.0
+    r0[seg[:, None], col], r1[seg[:, None], col] = t0, t1
+    np.put_along_axis(r0, own, o0, axis=1)
+    np.put_along_axis(r1, own, o1, axis=1)
     out = np.zeros(len(centres), dtype=bool)
-    out[blk[_uncovered(r0, r1)]] = True
+    out[blk[_uncovered(r0, r1, end)]] = True
     return out
 
 
-def _uncovered(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """Per row: whether [0, 1] holds a piece longer than 1e-12 inside none of
-    the row's ranges [t0, t1] (a range with t0 > t1 is empty)."""
+def _edge_pieces(polys: np.ndarray, centre: np.ndarray):
+    """The pieces of `_blocks_escape` for padded polygons, slot s's centre in
+    slot centre[s]: each real edge, its parameter over [0, 1], and the ranges
+    a polygon covers of it clipped by `_clip_segments`."""
+    p1 = np.concatenate((polys[:, 1:], polys[:, :1]), axis=1)
+    owner, edge = np.nonzero((polys != p1).any(axis=2))  # padding edges have length zero
+    a, b = polys[owner, edge], p1[owner, edge]
+    # the boundary of a centre counts whole, a neighbour's only inside the centre:
+    # its parts outside are covered, so an edge that misses the centre (lo > hi) is covered whole
+    lo, hi = _clip_segments(a, b, polys[centre[owner]])
+    mine = owner == centre[owner]
+    lo[mine], hi[mine] = 0.0, 1.0
+    keep = ~(lo > hi)
+    owner, a, b, lo, hi = owner[keep], a[keep], b[keep], lo[keep], hi[keep]
+
+    def cover(seg: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t0, t1 = _clip_segments(a[seg], b[seg], polys[slot])
+        return t0[:, None], t1[:, None]
+
+    outside = (np.column_stack((np.zeros(len(lo)), hi)), np.column_stack((lo, np.ones(len(hi)))))
+    return owner, outside, cover, 1.0
+
+
+def _circle_pieces(circles: np.ndarray, centre: np.ndarray):
+    """The pieces of `_blocks_escape` for discs (x, y, r), slot s's centre in
+    slot centre[s]: each circle, its parameter the angle over [0, 2pi], and
+    the arc a disc covers of it, as `_arcs_inside` finds it, in the ranges of
+    `_wrapped`."""
+    theta, alpha, miss = _arcs_inside(circles, circles[centre])
+    mine = np.arange(len(circles)) == centre
+    owner = np.flatnonzero(mine | ~miss)
+    theta, alpha = theta[owner], alpha[owner]
+    # a neighbour's circle counts only on its arc inside the centre; the arc outside is covered
+    o0, o1 = _wrapped(theta + alpha, theta + 2 * np.pi - alpha)
+    o0[mine[owner] | (alpha >= np.pi)] = np.inf
+
+    def cover(seg: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta, alpha, miss = _arcs_inside(circles[owner[seg]], circles[slot])
+        t0, t1 = _wrapped(theta - alpha, theta + alpha)
+        t0[miss] = np.inf
+        return t0, t1
+
+    return owner, (o0, o1), cover, 2 * np.pi
+
+
+def _arcs_inside(c: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centre angle, half-width, miss) of the arc of each circle c = (x, y, r)
+    inside the disc o alongside it: half-width pi where c lies in o, and miss
+    where no arc of positive length does (then the half-width is 0)."""
+    (x, y, r), (ox, oy, ro) = c.T, o.T
+    dx, dy = ox - x, oy - y
+    d = np.hypot(dx, dy)
+    inside = d + r <= ro
+    miss = ~inside & ((d >= r + ro) | (d + ro <= r))
+    with np.errstate(divide="ignore", invalid="ignore"):  # d or r is 0 only where c lies in o or misses it
+        alpha = np.arccos(np.clip((d * d + r * r - ro * ro) / (2 * d * r), -1.0, 1.0))
+    return np.arctan2(dy, dx), np.where(inside, np.pi, np.where(miss, 0.0, alpha)), miss
+
+
+def _wrapped(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each arc (a, b) of a circle, as two ranges (t0, t1) of [0, 2pi] in two
+    columns: its start reduced mod 2pi with the width b - a (0 if negative)
+    taken before, and the second range empty unless the arc runs past 2pi.
+    An arc of width 2pi leaves at most a rounding error uncovered, far below
+    the 1e-12 of `_uncovered`."""
+    two_pi = 2 * np.pi
+    width = np.maximum(b - a, 0.0)
+    a = a % two_pi
+    stop = a + width
+    t0 = np.column_stack((a, np.where(stop > two_pi, 0.0, np.inf)))
+    t1 = np.column_stack((np.minimum(stop, two_pi), stop - two_pi))
+    return t0, t1
+
+
+def _uncovered(t0: np.ndarray, t1: np.ndarray, end: float) -> np.ndarray:
+    """Per row: whether [0, end] holds a piece longer than 1e-12 inside none
+    of the row's ranges [t0, t1] (a range with t0 > t1 is empty)."""
     empty = t0 > t1
-    a = np.clip(np.where(empty, 1.0, t0), 0.0, 1.0)
-    b = np.clip(np.where(empty, 1.0, t1), 0.0, 1.0)
+    a = np.clip(np.where(empty, end, t0), 0.0, end)
+    b = np.clip(np.where(empty, end, t1), 0.0, end)
     order = np.argsort(a, axis=1)
     a, b = np.take_along_axis(a, order, axis=1), np.take_along_axis(b, order, axis=1)
     reach = np.maximum.accumulate(np.column_stack((np.zeros(len(a)), b)), axis=1)  # covered from 0 up to here
-    return (np.column_stack((a, np.ones(len(a)))) - reach > 1e-12).any(axis=1)
-
-
-def _complement_circular(arcs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not arcs:
-        return [(0.0, 2 * math.pi)]
-    two_pi = 2 * math.pi
-    norm: list[tuple[float, float]] = []
-    for a, b in arcs:
-        width = max(b - a, 0.0)  # before reducing a, which may be negative
-        a %= two_pi
-        if width >= two_pi:
-            return []
-        if a + width <= two_pi:
-            norm.append((a, a + width))
-        else:
-            norm.append((a, two_pi))
-            norm.append((0.0, a + width - two_pi))
-    norm.sort()
-    merged: list[list[float]] = []
-    for a, b in norm:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    free: list[tuple[float, float]] = []
-    if merged[0][0] > 0:
-        free.append((0.0, merged[0][0]))
-    for (a0, b0), (a1, b1) in zip(merged, merged[1:]):
-        if a1 > b0:
-            free.append((b0, a1))
-    if merged[-1][1] < two_pi:
-        free.append((merged[-1][1], two_pi))
-    return [f for f in free if f[1] - f[0] > 1e-12]
+    return (np.column_stack((a, np.full(len(a), end))) - reach > 1e-12).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +723,13 @@ def _cf_vs_hits(vertices: Scene, h: Hypergraph, contacts: Graph | None) -> Color
     prune = contacts is not None and contacts.indices.size > 0
     kept, pruned = _prune_depth_one(vertices, contacts) if prune else (list(range(n)), [])
     engine = _ProbeEngine(n, h.indptr, h.indices)
-    final = _largest_class_rounds(kept, engine.color_round)
+    peels: list[PeelOrder] = []
+    final = _largest_class_rounds(kept, lambda alive: engine.color_round(alive, peels))
     colors = np.zeros(n, dtype=np.int64)
     colors[kept] = [final[v] for v in kept]
     colors[pruned] = colors.max(initial=0) + 1  # one reserved color for the pruned vertices
     bound = cf_palette_bound(n, PEEL_COLORS) + (1 if prune else 0)
-    return Coloring(tuple(colors.tolist()), trace=Trace(bound, {"pruned": pruned}, {"rounds": engine.peel_log}))
+    return Coloring(tuple(colors.tolist()), trace=Trace(bound, {"pruned": pruned}, {"rounds": peels}))
 
 
 def pointed_cf_pseudodiscs(scene: Scene) -> Coloring:

@@ -108,7 +108,6 @@ def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrd
     for v, nbs in zip(reversed(order.order), reversed(removal_neighbors)):
         used = {colors[u] for u in nbs}
         colors[v] = next(c for c in range(1, PEEL_COLORS + 1) if c not in used)
-    self.peel_log.append(order)
     return colors, order
 
 

@@ -1,22 +1,27 @@
 """Reference implementation of depth-one pruning.
 
-This is the earlier scan that decides one shape at a time: shape i is tested
-against its surviving neighbours by one clip of every real edge of i and of
-those neighbours against all of them (`_polygon_escapes`), with the clip
-kernel in its earlier outer-product form (segments x polygons).  The disc
-test and `_uncovered`, which it shared with the package and which are
-unchanged, are imported from there.  The tests require
-`cfgeom.probes._prune_depth_one`, which decides shapes in dependency waves,
-to return the same (kept, removed) lists exactly.
+This is the earlier scan that decides one shape at a time.  A polygon i is
+tested against its surviving neighbours by one clip of every real edge of i
+and of those neighbours against all of them (`polygon_escapes_reference`),
+with the clip kernel in its earlier outer-product form (segments x polygons);
+`_uncovered`, which it shares with the package, is imported from there.  A
+disc is tested by the earlier scalar arc scan (`disc_escapes_reference`):
+the free arcs of its own circle, then of each neighbour's circle inside it,
+one circle at a time in Python floats.  The tests require
+`cfgeom.probes._prune_depth_one`, which decides shapes in dependency waves
+with one batched kernel for both kinds, to return the same (kept, removed)
+lists exactly.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from cfgeom.errors import IncompatibleShapesError
 from cfgeom.geom import Scene
 from cfgeom.hypergraph import Graph
-from cfgeom.probes import _disc_escapes, _uncovered
+from cfgeom.probes import _uncovered
 
 
 def prune_depth_one_reference(shapes: Scene, contacts: Graph) -> tuple[list[int], list[int]]:
@@ -24,7 +29,7 @@ def prune_depth_one_reference(shapes: Scene, contacts: Graph) -> tuple[list[int]
     n = len(shapes)
     if n == 0:
         return [], []
-    escapes = {"discs": _disc_escapes, "fat": polygon_escapes_reference}.get(shapes.kind)
+    escapes = {"discs": disc_escapes_reference, "fat": polygon_escapes_reference}.get(shapes.kind)
     if escapes is None:
         raise IncompatibleShapesError("pruning supports a family of discs or a family of convex polygons")
     rows = shapes.rows
@@ -56,7 +61,82 @@ def polygon_escapes_reference(polys: np.ndarray, i: int, near: np.ndarray) -> bo
     t0[:, last] = np.inf  # and i covers none
     t0 = np.column_stack((t0, np.zeros_like(lo), hi))
     t1 = np.column_stack((t1, lo, np.ones_like(hi)))
-    return bool(_uncovered(t0, t1).any())
+    return bool(_uncovered(t0, t1, 1.0).any())
+
+
+def disc_escapes_reference(circles: np.ndarray, i: int, near: np.ndarray) -> bool:
+    """Whether disc i has a point in none of the discs `near`, from the free
+    arcs of its own circle and of theirs."""
+    c, others = circles[i].tolist(), circles[near].tolist()
+    if _free_arc(c, others):
+        return True
+    for j, o in enumerate(others):
+        arc = _arc_inside(o, c)
+        if arc is None:
+            continue
+        theta, alpha = arc
+        outside = [(theta + alpha, theta + 2 * math.pi - alpha)] if alpha < math.pi else []
+        if _free_arc(o, others[:j] + others[j + 1 :], outside):
+            return True
+    return False
+
+
+def _arc_inside(c: list[float], o: list[float]) -> tuple[float, float] | None:
+    """(centre angle, half-width) of the arc of circle c = (x, y, r) inside disc
+    o: half-width pi when c lies in o, None when no arc of positive length does."""
+    (x, y, r), (ox, oy, ro) = c, o
+    d = math.hypot(ox - x, oy - y)
+    if d + r <= ro:
+        return 0.0, math.pi
+    if d >= r + ro or d + ro <= r:
+        return None
+    cosa = (d * d + r * r - ro * ro) / (2 * d * r)
+    return math.atan2(oy - y, ox - x), math.acos(min(1.0, max(-1.0, cosa)))
+
+
+def _free_arc(c: list[float], covers: list[list[float]], arcs: list[tuple[float, float]] = ()) -> bool:
+    """Whether some arc of circle c lies outside `arcs` and in none of the discs `covers`."""
+    arcs = list(arcs)
+    for o in covers:
+        arc = _arc_inside(c, o)
+        if arc is not None:
+            arcs.append((arc[0] - arc[1], arc[0] + arc[1]))
+    return bool(_complement_circular(arcs))
+
+
+def _complement_circular(arcs: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The arcs of [0, 2pi) longer than 1e-12 that lie in none of `arcs`
+    (start, stop), each start taken mod 2pi after its width."""
+    if not arcs:
+        return [(0.0, 2 * math.pi)]
+    two_pi = 2 * math.pi
+    norm: list[tuple[float, float]] = []
+    for a, b in arcs:
+        width = max(b - a, 0.0)  # before reducing a, which may be negative
+        a %= two_pi
+        if width >= two_pi:
+            return []
+        if a + width <= two_pi:
+            norm.append((a, a + width))
+        else:
+            norm.append((a, two_pi))
+            norm.append((0.0, a + width - two_pi))
+    norm.sort()
+    merged: list[list[float]] = []
+    for a, b in norm:
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    free: list[tuple[float, float]] = []
+    if merged[0][0] > 0:
+        free.append((0.0, merged[0][0]))
+    for (a0, b0), (a1, b1) in zip(merged, merged[1:]):
+        if a1 > b0:
+            free.append((b0, a1))
+    if merged[-1][1] < two_pi:
+        free.append((merged[-1][1], two_pi))
+    return [f for f in free if f[1] - f[0] > 1e-12]
 
 
 def _clip_segments(p0: np.ndarray, p1: np.ndarray, polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -195,6 +195,25 @@ def test_peel_engine_matches_reference_colorer_on_random_systems(n, m, seed, ext
     _same_iterations(vertices, probes, lists)
 
 
+def test_repeated_iterations_leave_the_peel_engine_the_same_size():
+    # the engine keeps no peels: each iteration hands its peels to its caller and drops them
+    vertices = generate_scene("discs", 40, [6, 1])
+    probes = generate_scene("discs", 150, [6, 1, 1], radius_range=(0.01, 0.3), margin=0)
+    h = probe_hypergraph(ProbeSystem(vertices, probes))
+    engine = peel_proper_colorer(vertices, probes)
+    lists = [list(range(1, cf_palette_bound(40, 6) + 1))] * 40
+
+    def state():
+        sizes = {int: lambda v: v, np.ndarray: lambda v: v.nbytes}
+        return {k: sizes.get(type(v), len)(v) for k, v in vars(engine).items()}
+
+    first = proper_to_cf_list(h, lists, engine), proper_to_cf(h, engine)
+    size = state()
+    for _ in range(2):
+        assert (proper_to_cf_list(h, lists, engine), proper_to_cf(h, engine)) == first
+    assert state() == size
+
+
 def test_pointed_to_closed_k2():
     g = Graph(2, frozenset({(0, 1)}))
     out = pointed_to_closed(g, Coloring((1, 1)))

@@ -40,6 +40,9 @@ BAD_CALLS = {
     "unknown neighborhood mode": lambda: cf.neighborhood_hypergraph(_path(), "open"),
     "subgraph keep not increasing": lambda: _path().subgraph([2, 1]),
     "hyperedge out of range": lambda: cf.Hypergraph(2, [[0, 5]]),
+    "pair member out of range": lambda: cf.Hypergraph.from_pairs(2, 1, [0], [5]),
+    "pair member negative": lambda: cf.Hypergraph.from_pairs(3, 2, [0, 1], [-1, 2]),
+    "pair edge out of range": lambda: cf.Hypergraph.from_pairs(3, 2, [0, 2], [1, 1]),
     "induced out of range": lambda: cf.induced(_triangle(), [5]),
     "induced duplicates": lambda: cf.induced(_triangle(), [0, 0]),
     "independent set order": lambda: cf.greedy_maximal_independent_set(_path(), [0, 1]),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from peel_reference import reference_peel
-from prune_reference import prune_depth_one_reference
+from prune_reference import _complement_circular, disc_escapes_reference, prune_depth_one_reference
 
 from cfgeom import (
     ConvexFatObject,
@@ -45,7 +45,6 @@ from cfgeom.geom import (
 from cfgeom.hypergraph import all_intervals_hypergraph, greedy_maximal_independent_set, min_cf_colors_bruteforce
 from cfgeom.probes import (
     PSEUDODISC_MODE,
-    _complement_circular,
     _graph_probe_hypergraph,
     _ProbeEngine,
     _prune_depth_one,
@@ -392,7 +391,6 @@ def _tuple_engine(n, hits):
             flat_p.append(pid)
     engine._flat_v = np.asarray(flat_v, dtype=np.int64)
     engine._flat_p = np.asarray(flat_p, dtype=np.int64)
-    engine.peel_log = []
     return engine
 
 
@@ -705,13 +703,13 @@ def test_boundary_and_sample_points_match_reference(family):
     scene = PRUNE_FAMILIES[family]()
     g = intersection_graph(scene)
     rows = scene.rows
-    escape = probes_module._discs_escape if scene.kind == "discs" else probes_module._polygons_escape
+    pieces = probes_module._circle_pieces if scene.kind == "discs" else probes_module._edge_pieces
     for i, s in enumerate(scene.shapes):
         # the boundary escape test on each shape's full neighbourhood, not only on the survivors of the scan,
         # as a wave of one shape
-        near = g.adjacency[i]
-        got = escape(rows, np.array([i]), np.array([0, len(near)]), np.array(near, dtype=np.int64))
-        assert got.tolist() == [_ref_escapes(s, [scene[j] for j in near])]
+        near = np.array(g.adjacency[i], dtype=np.intp)
+        got = probes_module._shapes_escape(rows, np.array([i]), np.array([0, len(near)]), near, pieces)
+        assert got.tolist() == [_ref_escapes(s, [scene[j] for j in near.tolist()])]
         # the audit's sample points lie in their shape, so an audit that passes covers s
         pts = _samples(s, 24)
         assert len(pts) and _in_shape(s, pts).all()
@@ -728,9 +726,43 @@ def test_pipeline_pruning_coverage_audit(i):
     assert _uncovered_removed(scene, kept, report.vertices["pruned"]) == []
 
 
-def test_complement_circular_takes_arcs_with_negative_starts():
-    assert _complement_circular([(-0.5, 0.5)]) == [(0.5, 2 * math.pi - 0.5)]
-    assert _complement_circular([(-1.0, 3.5), (3.0, 5.5)]) == []
+def test_wrapped_arcs_start_below_zero_and_run_past_two_pi():
+    # the ranges of [0, 2pi] the kernel reads off the arcs (-0.5, 0.5), (-1, 3.5) and (3, 5.5) of a circle
+    two_pi = 2 * math.pi
+    t0, t1 = probes_module._wrapped(np.array([-0.5, -1.0, 3.0]), np.array([0.5, 3.5, 5.5]))
+    assert t0.tolist() == [[two_pi - 0.5, 0.0], [two_pi - 1.0, 0.0], [3.0, math.inf]]
+    assert t1[:, 0].tolist() == [two_pi, two_pi, 5.5] and t1[:2, 1].tolist() == pytest.approx([0.5, 3.5])
+    assert probes_module._uncovered(t0[:1], t1[:1], two_pi).tolist() == [True]  # (0.5, 2pi - 0.5) is free
+    assert probes_module._uncovered(t0[1:].reshape(1, 4), t1[1:].reshape(1, 4), two_pi).tolist() == [False]
+
+
+def _ring(gap):
+    """A unit disc 0 and discs 1 to 3 of radius 1 at distance 0.5 whose arcs
+    on its circle (half-width acos(1/4)) leave free just (-gap/2, gap/2): the
+    arc of disc 2 on circle 0 starts below 0, and outside disc 0 the arc of
+    circle 1 starts below 0 and that of circle 2 runs past 2pi."""
+    alpha = math.acos(0.25)
+    return discs(
+        (0, 0, 1),
+        *((0.5 * math.cos(t), 0.5 * math.sin(t), 1) for t in (gap / 2 + alpha, -gap / 2 - alpha, math.pi)),
+    )
+
+
+# the centre escapes only through the free arc at angle 0, and without it not at all
+WRAPPING_DISC_FAMILIES = {
+    "gap at angle 0": (_ring(0.1), True),
+    "no gap": (_ring(-0.1), False),
+    "two discs covering the centre": (discs((0, 0, 1), (0.5, 0, 1.2), (-0.5, 0, 1.2)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPING_DISC_FAMILIES))
+def test_disc_kernel_on_arcs_that_wrap(name):
+    scene, escapes = WRAPPING_DISC_FAMILIES[name]
+    rows, near = scene.rows, np.arange(1, len(scene))
+    got = probes_module._shapes_escape(rows, np.array([0]), np.array([0, len(near)]), near, probes_module._circle_pieces)
+    assert got.tolist() == [escapes] == [disc_escapes_reference(rows, 0, near)]
+    assert prune_depth_one(scene)[1] == ([] if escapes else [0])
 
 
 @st.composite
@@ -869,6 +901,29 @@ def test_prune_peak_memory_on_a_large_pentagon_family():
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_prune_peak_memory_on_a_dense_disc_family():
+    # 3000 discs of mean degree 65.5, on which the one-at-a-time arc scan peaked at 12.5 MB
+    scene = generate_scene("discs", 3000, [15, 0], radius_range=(0.01, 0.04), span=0.6, margin=0)
+    scene.rows
+    tracemalloc.start()
+    try:
+        kept, removed = prune_depth_one(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) + len(removed) == 3000 and removed
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("n, span", [(200, 1.0), (1000, 3.0)])
+def test_prune_in_waves_matches_scan_on_generated_disc_families(n, span):
+    for seed in (1, 2, 3):
+        scene = generate_scene("discs", n, seed, span=span, radius_range=(0.05, 0.2), margin=0)
+        g = intersection_graph(scene)
+        kept, removed = _prune_depth_one(scene, g)
+        assert (kept, removed) == prune_depth_one_reference(scene, g) and kept and removed
+
+
 # ---------------------------------------------------------------------------
 # the vertex filter in front of the pruning clip
 # ---------------------------------------------------------------------------
@@ -884,7 +939,7 @@ def _filter_spies(monkeypatch):
     """Record the shapes `_vertex_filter` leaves unsettled and those it removes
     (per call, as sets), and every centre the clip decides."""
     seen = {"unsettled": [], "removed": [], "clipped": []}
-    real_filter, real_escape = probes_module._vertex_filter, probes_module._polygons_escape
+    real_filter, real_escape = probes_module._vertex_filter, probes_module._shapes_escape
 
     def vertex_filter(polys, indptr, indices):
         kept, removed = real_filter(polys, indptr, indices)
@@ -893,12 +948,12 @@ def _filter_spies(monkeypatch):
         seen["clipped"].append(set())
         return kept, removed
 
-    def polygons_escape(polys, centres, ptr, near):
+    def shapes_escape(polys, centres, ptr, near, pieces):
         seen["clipped"][-1].update(centres.tolist())
-        return real_escape(polys, centres, ptr, near)
+        return real_escape(polys, centres, ptr, near, pieces)
 
     monkeypatch.setattr(probes_module, "_vertex_filter", vertex_filter)
-    monkeypatch.setattr(probes_module, "_polygons_escape", polygons_escape)
+    monkeypatch.setattr(probes_module, "_shapes_escape", shapes_escape)
     return seen
 
 
