@@ -60,9 +60,7 @@ from .intervals import closed_cf_color_intervals
 from .probes import (
     PeelOrder,
     ProbeSystem,
-    auxiliary_graph,
     cf_color_vs_probes,
-    peel_and_color,
     peel_proper_colorer,
     pointed_cf_pseudodiscs,
     probe_hypergraph,

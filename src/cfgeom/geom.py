@@ -364,13 +364,6 @@ def disc_polygon_intersect(center: Point, radius: float, xy: np.ndarray) -> bool
     return False
 
 
-def segment_clip_convex(p0: tuple, p1: tuple, xy: np.ndarray) -> tuple[float, float] | None:
-    """Parameter range [t0, t1] of the segment p0 + t*(p1-p0) inside a ccw convex
-    polygon, or None when the segment misses it."""
-    t0, t1 = _clip_segments(np.array(p0, dtype=float), np.array(p1, dtype=float), xy)
-    return None if t0 > t1 else (float(t0), float(t1))
-
-
 def _clip_segments(p0: np.ndarray, p1: np.ndarray, polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parameter range (t0, t1) of the segment p0 + t*(p1 - p0) inside the ccw
     convex polygon `polys`, padded as by `_padded_vertices`; t0 > t1 where the
@@ -626,31 +619,48 @@ def _outside(nx: np.ndarray, ny: np.ndarray, top: np.ndarray, bottom: np.ndarray
     return ((top < proj.min(axis=2)) | (proj.max(axis=2) < bottom)).any(axis=1)
 
 
-def _segments_crossings(axy: np.ndarray, bxy: np.ndarray) -> int:
-    count = 0
-    na, nb = len(axy), len(bxy)
-    for i in range(na):
-        p1 = axy[i]
-        p2 = axy[(i + 1) % na]
-        for j in range(nb):
-            q1 = bxy[j]
-            q2 = bxy[(j + 1) % nb]
-            d1 = _orient(q1[0], q1[1], q2[0], q2[1], p1[0], p1[1])
-            d2 = _orient(q1[0], q1[1], q2[0], q2[1], p2[0], p2[1])
-            d3 = _orient(p1[0], p1[1], p2[0], p2[1], q1[0], q1[1])
-            d4 = _orient(p1[0], p1[1], p2[0], p2[1], q2[0], q2[1])
-            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and all(d != 0 for d in (d1, d2, d3, d4)):
-                count += 1
-                continue
-            for d, (px, py), (ux, uy), (vx, vy) in (
-                (d1, p1, q1, q2),
-                (d2, p2, q1, q2),
-                (d3, q1, p1, p2),
-                (d4, q2, p1, p2),
-            ):
-                if d == 0 and min(ux, vx) <= px <= max(ux, vx) and min(uy, vy) <= py <= max(uy, vy):
-                    raise DegenerateGeometryError("polygon boundaries touch without crossing; perturb the input")
-    return count
+def _crossings(polys: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Proper crossings of the boundaries of each pair (polys[i], polys[j]) of
+    padded polygons, in blocks of about `_SAT_CELLS` cells; raises
+    DegenerateGeometryError if the boundaries of any pair touch.
+
+    Edges cross properly when the orientations of each one's ends against
+    the other are nonzero and differ in sign.  Boundaries touch where a
+    vertex has a zero orientation against an edge of the other polygon and
+    lies in the edge's closed box.  An orientation is the float `_orient`,
+    taken once per (vertex, edge).  A zero-length padding edge crosses
+    nothing and touches only where the real edges at its point do, so
+    padding needs no mask."""
+    out = np.empty(len(i), dtype=np.intp)
+    step = max(1, _SAT_CELLS // polys.shape[1] ** 2)
+    for s in range(0, len(i), step):
+        p, q = polys[i[s : s + step]], polys[j[s : s + step]]
+        pq, qp = np.sign(_orientations(p, q)), np.sign(_orientations(q, p))  # (pairs, vertex, other's edge)
+        # (pairs, edge of p, edge of q): the ends of each edge lie strictly on both sides of the other
+        across = (pq * np.roll(pq, -1, axis=1) < 0) & (qp * np.roll(qp, -1, axis=1) < 0).transpose(0, 2, 1)
+        out[s : s + step] = across.sum(axis=(1, 2))
+    return out
+
+
+def _orientations(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per pair of padded polygons v and w, the `_orient` of each vertex of v
+    against each edge of w, shape (pairs, vertices, edges); raises
+    DegenerateGeometryError where a zero one has its vertex in the edge's
+    closed box."""
+    a, b = w, np.roll(w, -1, axis=1)  # edge starts and ends
+    e = b - a
+    d = v[:, :, None, 1] - a[:, None, :, 1]
+    d *= e[:, None, :, 0]
+    t = v[:, :, None, 0] - a[:, None, :, 0]
+    t *= e[:, None, :, 1]
+    d -= t
+    zero = d == 0
+    if zero.any():  # seldom: the full scan of np.nonzero costs more than this test
+        pair, vertex, edge = np.nonzero(zero)
+        x, a, b = v[pair, vertex], a[pair, edge], b[pair, edge]
+        if ((np.minimum(a, b) <= x) & (x <= np.maximum(a, b))).all(axis=1).any():
+            raise DegenerateGeometryError("polygon boundaries touch without crossing; perturb the input")
+    return d
 
 
 def boundary_crossings(a: Shape, b: Shape) -> int:
@@ -658,7 +668,8 @@ def boundary_crossings(a: Shape, b: Shape) -> int:
 
     Requires both shapes to be discs or both convex polygons, with boundaries
     in general position; tangent or overlapping boundaries raise
-    DegenerateGeometryError.
+    DegenerateGeometryError.  Polygons go to the kernel of pseudo-disc
+    validation as its one pair.
     """
     if isinstance(a, Disc) and isinstance(b, Disc):
         dx = a.center.x - b.center.x
@@ -672,50 +683,39 @@ def boundary_crossings(a: Shape, b: Shape) -> int:
             raise DegenerateGeometryError("tangent circles; perturb the input")
         return 2 if rdiff < d < rsum else 0
     if isinstance(a, ConvexFatObject) and isinstance(b, ConvexFatObject):
-        return _segments_crossings(a.xy(), b.xy())
+        return int(_crossings(_padded_vertices([a.xy(), b.xy()]), np.array([0]), np.array([1]))[0])
     raise IncompatibleShapesError("boundary_crossings needs two discs or two convex polygons")
 
 
 def validate_pseudodisc_family(scene: Scene) -> bool:
     """Whether every pair of boundaries crosses in at most two points.
 
-    Disc families always qualify; convex-polygon families are checked pairwise.
+    Two equal discs raise DegenerateGeometryError; other disc families
+    qualify.  Convex polygons are checked on their contact pairs, as
+    boundaries cross or touch only where the shapes meet.  If the boundaries
+    of any pair touch without crossing, DegenerateGeometryError is raised;
+    otherwise the family fails when some pair crosses more than twice.
     Other or mixed scenes are not supported.
     """
+    pairs = contact_pairs(scene) if scene.kind == "fat" and len(scene) > 1 else None
+    return _validate_pseudodiscs(scene, pairs)
+
+
+def _validate_pseudodiscs(scene: Scene, pairs: tuple[np.ndarray, np.ndarray] | None) -> bool:
+    """validate_pseudodisc_family given `pairs` (i, j), which hold every
+    contact pair of a polygon scene with i < j, pairs with i >= j ignored;
+    a disc scene needs none.  Duplicate discs are found by one sort."""
     if len(scene) <= 1:
         return True
     if scene.kind == "discs":
-        if len(set(map(tuple, scene.rows.tolist()))) < len(scene):
+        rows = scene.rows[np.lexsort(scene.rows.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise DegenerateGeometryError("duplicate disc in family")
         return True
     if scene.kind == "fat":
-        return _polygon_family_crossings_ok(scene)
+        i, j = pairs
+        return bool((_crossings(scene.rows, i[i < j], j[i < j]) <= 2).all())
     raise IncompatibleShapesError("pseudo-disc validation supports disc or convex-polygon scenes")
-
-
-def _polygon_family_crossings_ok(scene: Scene) -> bool:
-    """Crossing counts of every pair of polygons whose boxes overlap, batched;
-    a pair with a zero orientation (a vertex on the line of an edge) takes the
-    careful scalar count, which raises only when a boundary point actually
-    lies on the other boundary."""
-    shapes, pts = scene.shapes, scene.rows
-    ii, jj = _box_overlaps(scene.boxes, scene.boxes, True)
-    m = pts.shape[1]
-    padding = (np.arange(m) >= np.array([len(s.vertices) for s in shapes])[:, None] - 1) & (np.arange(m) < m - 1)
-    a0, b0 = pts[ii][:, :, None, :], pts[jj][:, None, :, :]  # edge starts, (pairs, m, 1, 2) and (pairs, 1, m, 2)
-    a1, b1 = np.roll(a0, -1, axis=1), np.roll(b0, -1, axis=2)
-
-    def orient(u0, u1, w):
-        ex, ey = u1[..., 0] - u0[..., 0], u1[..., 1] - u0[..., 1]
-        return ex * (w[..., 1] - u0[..., 1]) - ey * (w[..., 0] - u0[..., 0])
-
-    d1, d2, d3, d4 = orient(b0, b1, a0), orient(b0, b1, a1), orient(a0, a1, b0), orient(a0, a1, b1)
-    zero = ((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)) & ~padding[ii][:, :, None] & ~padding[jj][:, None, :]
-    suspect = zero.any(axis=(1, 2))
-    if any(_segments_crossings(shapes[a].xy(), shapes[b].xy()) > 2 for a, b in zip(ii[suspect], jj[suspect])):
-        return False
-    crossing = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))  # never on a zero-length padding edge
-    return bool((crossing[~suspect].sum(axis=(1, 2)) <= 2).all())
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,12 @@ class Graph:
     neighbours of v are indices[indptr[v]:indptr[v + 1]], in increasing order.
 
     Built from edge pairs (u, v) with u < v, given as an iterable or an (m, 2)
-    integer array; repeated pairs count once.
+    integer array; repeated pairs count once.  Counts and ids must be integers.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        n = _count(n, "vertex count")
+        e = _integers(edges if isinstance(edges, np.ndarray) else list(edges), "graph edges")
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -70,12 +71,6 @@ class Graph:
         up = u < v
         return frozenset(zip(u[up].tolist(), v[up].tolist()))
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbours of each vertex; a view built on first use."""
-        ptr, idx = self.indptr.tolist(), self.indices.tolist()
-        return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
-
     def _neighborhoods(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
         """(member, owner) pairs of every N(v) (pointed) or N[v] (closed), flat."""
         if mode not in ("pointed", "closed"):
@@ -88,7 +83,7 @@ class Graph:
 
     def subgraph(self, keep: Sequence[int]) -> Graph:
         """Induced subgraph on the strictly increasing vertex list `keep`, keep[i] renamed i."""
-        keep = np.asarray(keep, dtype=np.int64)
+        keep = _integers(keep, "subgraph vertices")
         if len(keep) and (keep[0] < 0 or keep[-1] >= self.n or (np.diff(keep) <= 0).any()):
             raise InvalidInputError(f"keep must be strictly increasing vertices of 0..{self.n - 1}")
         pos = np.full(self.n, -1, dtype=np.int64)
@@ -103,15 +98,17 @@ class Hypergraph:
     are indices[indptr[i]:indptr[i + 1]], sorted and distinct.
 
     Built from an iterable of vertex iterables (a member repeated within an
-    edge counts once; repeated and empty edges are kept), or by `from_pairs`.
+    edge counts once; repeated and empty edges are kept), or by `from_pairs`;
+    counts and ids must be integers.
     Edges and vertices are known by their indices alone: each function that
     makes one says which edge index stands for what (a probe, a neighbourhood).
     """
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
+        n = _count(n, "vertex count")
         edges = [tuple(e) for e in edges]
         sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-        members = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+        members = _integers(list(chain.from_iterable(edges)), "hyperedge members")
         edge_ids = np.repeat(np.arange(len(edges)), sizes)
         bad = np.nonzero((members < 0) | (members >= n))[0]
         if len(bad):
@@ -122,7 +119,8 @@ class Hypergraph:
     @classmethod
     def from_pairs(cls, n: int, m: int, edge_ids: np.ndarray, members: np.ndarray) -> Hypergraph:
         """Edges 0..m-1, members[i] in edge edge_ids[i]; pairs in any order."""
-        edge_ids, members = np.asarray(edge_ids, dtype=np.int64), np.asarray(members, dtype=np.int64)
+        n, m = _count(n, "vertex count"), _count(m, "edge count")
+        edge_ids, members = _integers(edge_ids, "edge ids"), _integers(members, "hyperedge members")
         if ((members < 0) | (members >= n) | (edge_ids < 0) | (edge_ids >= m)).any():
             raise InvalidInputError(f"a pair has an edge id outside 0..{m - 1} or a member outside 0..{n - 1}")
         h = cls.__new__(cls)
@@ -140,6 +138,26 @@ class Hypergraph:
     def _flat(self) -> tuple[np.ndarray, np.ndarray]:
         """(member, edge) of every membership, edge by edge."""
         return self.indices, np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+
+def _count(n, what: str) -> int:
+    """`n` as an int; InvalidInputError unless it is a non-negative integer."""
+    a = _integers(n, what)
+    if a.ndim or a < 0:
+        raise InvalidInputError(f"{what} must be a non-negative integer, not {n!r}")
+    return int(a)
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as an int64 array; InvalidInputError unless they are integers.
+    An integer array is taken as it is, with no pass over its values."""
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise InvalidInputError(f"{what} must be integers ({exc})") from None
+    if a.dtype.kind not in "biu" and a.size:
+        raise InvalidInputError(f"{what} must be integers in the 64-bit range, not {a.dtype} values")
+    return a.astype(np.int64, copy=False)
 
 
 def _csr(key: np.ndarray, nrows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +178,7 @@ class Trace:
     `vertices` holds named vertex lists (`chain`, `independent_set`, `rest`,
     `pruned`) and per-vertex labels (`depth` and `node` for rectangles,
     `bucket` for closed fat coloring).  `peels` maps each peel stage (`b` and
-    `rest` in the pipeline, `rounds` against probes, `peel`) to its PeelOrders.
+    `rest` in the pipeline, `rounds` against probes) to its PeelOrders.
     """
 
     palette_bound: int | None = None
@@ -170,7 +188,7 @@ class Trace:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Total map vertex index -> integer color id.
+    """Total map vertex index -> integer color id (a float, even 2.0, is not one).
 
     `palette_map` is present when colors are structured pairs (i, level)
     flattened to integers; it maps each flat id back to its pair.  `trace`
@@ -183,7 +201,7 @@ class Coloring:
     trace: Trace | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(map(int, self.colors)))
+        object.__setattr__(self, "colors", tuple(_integers(self.colors, "colors").tolist()))
 
     @property
     def palette_size(self) -> int:
@@ -223,7 +241,7 @@ def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
 def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
     """Sub-hypergraph on the distinct vertices `keep` (any order), keep[i]
     renamed i, each edge intersected with keep; edge i stays edge i."""
-    keep = np.asarray(keep, dtype=np.int64)
+    keep = _integers(keep, "induced vertices")
     if len(keep) and (keep.min() < 0 or keep.max() >= h.n):
         raise InvalidInputError(f"keep must be vertices of 0..{h.n - 1}")
     pos = np.full(h.n, -1, dtype=np.int64)
@@ -257,7 +275,7 @@ def _color_counts(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, n
 
 
 def _total(coloring, n: int) -> np.ndarray:
-    colors = np.asarray(_colors_of(coloring), dtype=np.int64)
+    colors = _integers(_colors_of(coloring), "colors")
     if len(colors) != n:
         raise InvalidInputError("coloring is not total")
     return colors

@@ -32,6 +32,7 @@ from .geom import (
     _GUARD,
     _clip_segments,
     _spans,
+    _validate_pseudodiscs,
     contact_pairs,
     scene_from_json,
     scene_to_json,
@@ -51,8 +52,6 @@ __all__ = [
     "ProbeSystem",
     "PeelOrder",
     "probe_hypergraph",
-    "auxiliary_graph",
-    "peel_and_color",
     "peel_proper_colorer",
     "prune_depth_one",
     "cf_color_vs_probes",
@@ -138,18 +137,6 @@ def _graph_probe_hypergraph(g: Graph, vertices: list[int], probes: list[int]) ->
     p, v = local[0, owner], local[1, member]
     hit = (p >= 0) & (v >= 0)
     return Hypergraph.from_pairs(len(vertices), len(probes), p[hit], v[hit])
-
-
-def auxiliary_graph(ps: ProbeSystem, active: Sequence[int]) -> Graph:
-    """Graph on the active vertices joining pairs that are exactly the active
-    intersection set of some probe."""
-    n = len(ps.vertices)
-    p, v = contact_pairs(ps.probes, ps.vertices)
-    on = np.zeros(n, dtype=bool)
-    on[list(active)] = True
-    p, v = p[on[v]], v[on[v]]
-    exactly_two = np.bincount(p, minlength=len(ps.probes))[p] == 2
-    return Graph(n, v[exactly_two].reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +388,6 @@ def _peel_loop(ids: np.ndarray, v: np.ndarray, p: np.ndarray) -> tuple[dict[int,
             c += 1
         colors[out[x]] = c
     return colors, PeelOrder([out[x] for x in removed], degrees, aux_sizes)
-
-
-def peel_and_color(ps: ProbeSystem) -> Coloring:
-    """Proper coloring of the probe hypergraph with at most 6 colors.
-
-    Repeatedly removes an active vertex of auxiliary degree <= 5 (smallest
-    index first), then colors in reverse order, giving each vertex the lowest
-    color unused among its auxiliary neighbors at its removal step; the
-    trace's `peel` stage holds that one PeelOrder.  For pseudo-disc vertices
-    that overlap each other, depth-one pruning must have been applied
-    beforehand (the pipelines do this).
-    """
-    ps.validate()
-    n = len(ps.vertices)
-    h = _pairwise_hits(ps.vertices, ps.probes)
-    cmap, order = _ProbeEngine(n, h.indptr, h.indices).peel(range(n))
-    coloring = Coloring(tuple(cmap[v] for v in range(n)), trace=Trace(PEEL_COLORS, peels={"peel": [order]}))
-    return certify(h, coloring, bound=PEEL_COLORS, proper=True, what="peel coloring")
 
 
 def peel_proper_colorer(vertices: Scene, probes: Scene) -> _ProbeEngine:
@@ -739,10 +708,10 @@ def pointed_cf_pseudodiscs(scene: Scene) -> Coloring:
     rest as probes, the rest is colored conflict-free against B as probes (with
     pruning in pseudo-disc mode), and the two palettes are kept disjoint.  Each
     vertex with a neighbor then finds a uniquely colored one in the opposite
-    side's palette.  Both halves read their probe hits, and the pruning its
-    contacts, off one intersection graph of the scene.  The trace names the
-    `independent_set`, the `rest` and the `pruned` vertices, with the peels
-    of stages `b` and `rest`.
+    side's palette.  The validation reads its polygon pairs, both halves their
+    probe hits and the pruning its contacts off one intersection graph of the
+    scene.  The trace names the `independent_set`, the `rest` and the
+    `pruned` vertices, with the peels of stages `b` and `rest`.
     """
     n = len(scene)
     if n == 0:
@@ -753,9 +722,10 @@ def pointed_cf_pseudodiscs(scene: Scene) -> Coloring:
         mode = PSEUDODISC_MODE
     else:
         raise IncompatibleShapesError("the pipeline accepts disc or convex-polygon scenes")
-    if not validate_pseudodisc_family(scene):
-        raise InvalidInputError("scene is not a pseudo-disc family")
     g = intersection_graph(scene)
+    # boundaries cross or touch only where the shapes meet
+    if not _validate_pseudodiscs(scene, g.arcs() if mode == PSEUDODISC_MODE else None):
+        raise InvalidInputError("scene is not a pseudo-disc family")
     b = greedy_maximal_independent_set(g)
     in_b = np.zeros(n, dtype=bool)
     in_b[b] = True

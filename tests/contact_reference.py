@@ -10,10 +10,17 @@ The second is the earlier separating-axis test, which rebuilds both polygons'
 edge normals and projects both polygons onto them for every pair.  The tests
 require `cfgeom.geom._polygons_meet`, which projects each polygon onto its own
 normals once per family, to return the same booleans.
+
+The third is the earlier scalar boundary count (`segments_crossings_reference`), one
+pair of edges at a time in Python.  The tests require pseudo-disc validation
+and `boundary_crossings`, which count every pair of a family in one batched
+kernel, to give the same verdicts.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from cfgeom.errors import DegenerateGeometryError
 
 _SAT_CELLS = 1 << 18  # projection values per separating-axis batch
 
@@ -63,3 +70,37 @@ def _separated_on_edges_of(poly: np.ndarray, p: np.ndarray, q: np.ndarray) -> np
     proj_p = p[:, None, :, 0] * nx + p[:, None, :, 1] * ny  # (pairs, axes, vertices)
     proj_q = q[:, None, :, 0] * nx + q[:, None, :, 1] * ny
     return ((proj_p.max(axis=2) < proj_q.min(axis=2)) | (proj_q.max(axis=2) < proj_p.min(axis=2))).any(axis=1)
+
+
+def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def segments_crossings_reference(axy: np.ndarray, bxy: np.ndarray) -> int:
+    """Proper crossings of the boundaries of two ccw polygons given by their
+    (k, 2) vertex arrays; DegenerateGeometryError when a vertex of one has a
+    zero orientation against an edge of the other and lies in its closed box."""
+    count = 0
+    na, nb = len(axy), len(bxy)
+    for i in range(na):
+        p1 = axy[i]
+        p2 = axy[(i + 1) % na]
+        for j in range(nb):
+            q1 = bxy[j]
+            q2 = bxy[(j + 1) % nb]
+            d1 = _orient(q1[0], q1[1], q2[0], q2[1], p1[0], p1[1])
+            d2 = _orient(q1[0], q1[1], q2[0], q2[1], p2[0], p2[1])
+            d3 = _orient(p1[0], p1[1], p2[0], p2[1], q1[0], q1[1])
+            d4 = _orient(p1[0], p1[1], p2[0], p2[1], q2[0], q2[1])
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and all(d != 0 for d in (d1, d2, d3, d4)):
+                count += 1
+                continue
+            for d, (px, py), (ux, uy), (vx, vy) in (
+                (d1, p1, q1, q2),
+                (d2, p2, q1, q2),
+                (d3, q1, p1, p2),
+                (d4, q2, p1, p2),
+            ):
+                if d == 0 and min(ux, vx) <= px <= max(ux, vx) and min(uy, vy) <= py <= max(uy, vy):
+                    raise DegenerateGeometryError("polygon boundaries touch without crossing; perturb the input")
+    return count

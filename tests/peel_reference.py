@@ -10,6 +10,10 @@ where it does.
 `reference_colorer` is the peel as a colorer that a caller supplies, which the
 iterations run through `induced` and `verify_proper`; the tests require the
 engine that `peel_proper_colorer` returns to give the same colorings.
+
+`auxiliary_graph` is the exactly-two graph rebuilt from scratch for one active
+set, from the system's contact pairs; the tests replay each peel step against
+it and check that it is planar.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from cfgeom import Coloring, Hypergraph, PlanarityError, ProperColorer
+from cfgeom import Coloring, Graph, Hypergraph, PlanarityError, ProbeSystem, ProperColorer
+from cfgeom.geom import contact_pairs
 from cfgeom.probes import PEEL_COLORS, PeelOrder, _ProbeEngine
 
 
@@ -120,3 +125,15 @@ def reference_colorer() -> ProperColorer:
         return Coloring(tuple(cmap[v] for v in range(sub.n)))
 
     return ProperColorer(fn, PEEL_COLORS, "reference-peel")
+
+
+def auxiliary_graph(ps: ProbeSystem, active: Sequence[int]) -> Graph:
+    """Graph on the active vertices joining pairs that are exactly the active
+    intersection set of some probe."""
+    n = len(ps.vertices)
+    p, v = contact_pairs(ps.probes, ps.vertices)
+    on = np.zeros(n, dtype=bool)
+    on[list(active)] = True
+    p, v = p[on[v]], v[on[v]]
+    exactly_two = np.bincount(p, minlength=len(ps.probes))[p] == 2
+    return Graph(n, v[exactly_two].reshape(-1, 2))

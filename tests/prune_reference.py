@@ -11,6 +11,11 @@ one circle at a time in Python floats.  The tests require
 `cfgeom.probes._prune_depth_one`, which decides shapes in dependency waves
 with one batched kernel for both kinds, to return the same (kept, removed)
 lists exactly.
+
+`segment_clip_convex` is the scalar clip of one segment against one polygon,
+a loop over the polygon's edges; the tests hold the batched clip kernel
+`cfgeom.geom._clip_segments` to it, and the per-piece pruning reference of
+`tests/test_probes.py` is built on it.
 """
 from __future__ import annotations
 
@@ -152,3 +157,29 @@ def _clip_segments(p0: np.ndarray, p1: np.ndarray, polys: np.ndarray) -> tuple[n
     t0 = np.where(den > 0, t, 0.0).max(axis=2)
     t1 = np.where(den < 0, t, 1.0).min(axis=2)
     return np.where(((den == 0) & (num < 0)).any(axis=2), np.inf, t0), t1
+
+
+def segment_clip_convex(p0, p1, xy) -> tuple[float, float] | None:
+    """Parameter range [t0, t1] of the segment p0 + t*(p1-p0) inside the ccw
+    convex polygon with vertex rows `xy`, or None when the segment misses it."""
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    t0, t1 = 0.0, 1.0
+    n = len(xy)
+    for i in range(n):
+        ax, ay = xy[i]
+        bx, by = xy[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        num = ex * (p0[1] - ay) - ey * (p0[0] - ax)
+        den = ex * dy - ey * dx
+        if den == 0:
+            if num < 0:
+                return None
+            continue
+        t = -num / den
+        if den > 0:
+            t0 = max(t0, t)
+        else:
+            t1 = min(t1, t)
+        if t0 > t1:
+            return None
+    return (t0, t1)

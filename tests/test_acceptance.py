@@ -258,7 +258,7 @@ def _packing_failures(scene, coloring, t, graph):
     out = []
     for v in range(len(scene)):
         counts = {}
-        for u in graph.adjacency[v]:
+        for u in graph.indices[graph.indptr[v] : graph.indptr[v + 1]].tolist():
             i, lvl = coloring.palette_map[coloring.colors[u]]
             if lvl == 1 and i <= t:
                 counts[i] = counts.get(i, 0) + 1

@@ -72,7 +72,6 @@ ENTRY_POINTS = {
     "proper-to-cf": (_iteration_args, cf.proper_to_cf),
     "list": (lambda: _iteration_args(with_lists=True), cf.proper_to_cf_list),
     "pointed-to-closed": (_pointed_discs, cf.pointed_to_closed),
-    "peel": (lambda: (_probe_system(),), cf.peel_and_color),
     "probes": (lambda: (_probe_system(),), cf.cf_color_vs_probes),
     "pipeline-discs": (lambda: (cf.generate_scene("discs", 80, 6),), cf.pointed_cf_pseudodiscs),
     "pipeline-pentagons": (lambda: (cf.generate_scene("fat", 40, [4, 0], **PENTAGONS),), cf.pointed_cf_pseudodiscs),
@@ -86,7 +85,7 @@ def test_public_entry_point_certifies_once(monkeypatch, name):
     certified = _spy(monkeypatch, cfgeom.hypergraph, "certify")
     graphs = _spy(monkeypatch, cfgeom.hypergraph, "intersection_graph")
     hits = _spy(monkeypatch, cfgeom.probes, "_pairwise_hits")
-    validations = _spy(monkeypatch, cfgeom.geom, "validate_pseudodisc_family")
+    sweeps = _spy(monkeypatch, cfgeom.geom, "_box_overlaps")
     contacts = _spy(monkeypatch, cfgeom.geom, "contact_pairs")
     built = []
     init = cfgeom.hypergraph.Graph.__init__
@@ -107,13 +106,12 @@ def test_public_entry_point_certifies_once(monkeypatch, name):
     if name.startswith("pipeline"):
         assert hits == []
     if name == "pipeline-pentagons":
-        assert len(validations) == 1
-        # the pruning half reads its contacts off the scene's graph
-        assert len(contacts) == 1
+        # the validation and the pruning half read their pairs off the scene's one graph
+        assert len(sweeps) == len(contacts) == 1
 
 
 def test_pentagon_pipeline_prunes():
-    # the one-validation count above covers the pruning half
+    # the one-sweep count above covers the validation and the pruning half
     out = cf.pointed_cf_pseudodiscs(cf.generate_scene("fat", 40, [4, 0], **PENTAGONS))
     assert out.trace.vertices["pruned"]
 
@@ -150,7 +148,7 @@ def test_probe_system_builds_its_combined_scene_once(monkeypatch):
     assert all(np.array_equal(h.indices, hypergraphs[0].indices) for h in hypergraphs)
 
 
-@pytest.mark.parametrize("name", ["probes", "list", "proper-to-cf", "peel", "pipeline-discs", "pipeline-pentagons"])
+@pytest.mark.parametrize("name", ["probes", "list", "proper-to-cf", "pipeline-discs", "pipeline-pentagons"])
 def test_hot_paths_never_build_the_edge_view(monkeypatch, name):
     setup, entry = ENTRY_POINTS[name]
     args = setup()

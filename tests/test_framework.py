@@ -286,9 +286,11 @@ def _class_split_levels_reference(g, colors):
     color class, a single-edge component gets levels 1 and 2 (2 on its larger
     vertex); in larger components the leaves get level 2."""
     level = [1] * g.n
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
+    adjacency = [idx[a:b] for a, b in zip(ptr, ptr[1:])]
     for col in set(colors):
         inside = {v for v in range(g.n) if colors[v] == col}
-        deg = {v: sum(1 for u in g.adjacency[v] if u in inside) for v in inside}
+        deg = {v: sum(1 for u in adjacency[v] if u in inside) for v in inside}
         seen = set()
         for v in sorted(inside):
             if v in seen:
@@ -296,7 +298,7 @@ def _class_split_levels_reference(g, colors):
             comp, stack = [v], [v]
             seen.add(v)
             while stack:
-                for w in g.adjacency[stack.pop()]:
+                for w in adjacency[stack.pop()]:
                     if w in inside and w not in seen:
                         seen.add(w)
                         comp.append(w)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from generator_reference import generate_scene_reference
+from prune_reference import segment_clip_convex
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,6 @@ from cfgeom.geom import (
     _convex_hull_ccw,
     _padded_vertices,
     contiguous_run_witnesses,
-    segment_clip_convex,
 )
 from cfgeom.hypergraph import all_intervals_hypergraph
 
@@ -359,32 +359,6 @@ def test_fat_certificate_validation():
 # the batched clip kernel against the scalar loop it replaced
 # ---------------------------------------------------------------------------
 
-
-def _clip_reference(p0, p1, xy):
-    """segment_clip_convex as a loop over the polygon's edges, kept as the reference."""
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    t0, t1 = 0.0, 1.0
-    n = len(xy)
-    for i in range(n):
-        ax, ay = xy[i]
-        bx, by = xy[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        num = ex * (p0[1] - ay) - ey * (p0[0] - ax)
-        den = ex * dy - ey * dx
-        if den == 0:
-            if num < 0:
-                return None
-            continue
-        t = -num / den
-        if den > 0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-        if t0 > t1:
-            return None
-    return (t0, t1)
-
-
 grid_point = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda p: (p[0] / 2, p[1] / 2))
 
 
@@ -418,6 +392,5 @@ def test_batched_clip_matches_scalar_loop(segments, polys):
     t0, t1 = _clip_segments(p0[:, None], p1[:, None], _padded_vertices(polys))
     for s, (a, b) in enumerate(segments):
         for k, xy in enumerate(polys):
-            expected = _clip_reference(a, b, xy)
-            assert segment_clip_convex(a, b, xy) == expected
+            expected = segment_clip_convex(a, b, xy)
             assert (t0[s, k] > t1[s, k]) if expected is None else (t0[s, k], t1[s, k]) == expected

@@ -6,13 +6,14 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfgeom as cf
 from cfgeom.cli import _infer_fat_params, main
-from cfgeom.hypergraph import neighborhood_violations
+from cfgeom.hypergraph import _integers, neighborhood_violations
 from cfgeom.svg import render_svg
 
 
@@ -53,6 +54,27 @@ BAD_CALLS = {
     "conversion not total": lambda: cf.pointed_to_closed(_path(), cf.Coloring((1, 2))),
     "conversion color ids": lambda: cf.pointed_to_closed(_path(), cf.Coloring((0, 1, 0))),
     "svg coloring length": lambda: render_svg(cf.generate_scene("discs", 3, 1), cf.Coloring((1,))),
+    # counts, ids and colors must be integers: none is truncated or wrapped
+    "graph vertex count negative": lambda: cf.Graph(-1),
+    "graph vertex count not an integer": lambda: cf.Graph(2.5, [(0, 1)]),
+    "graph edge ids not integers": lambda: cf.Graph(3, [(0.5, 1.7)]),
+    "graph edge ids a float array": lambda: cf.Graph(3, np.array([[0.0, 1.0]])),
+    "graph edges ragged": lambda: cf.Graph(3, [(0, 1), (2,)]),
+    "subgraph keep not integers": lambda: _path().subgraph([0.5, 1.5]),
+    "hypergraph vertex count negative": lambda: cf.Hypergraph(-2, []),
+    "hypergraph vertex count not an integer": lambda: cf.Hypergraph(2.5, [[0, 1]]),
+    "hyperedge members not integers": lambda: cf.Hypergraph(2, [[1.2, 0.5]]),
+    "pair vertex count not an integer": lambda: cf.Hypergraph.from_pairs(2.5, 1, [0], [1]),
+    "pair edge count negative": lambda: cf.Hypergraph.from_pairs(2, -1, [], []),
+    "pair edge count not an integer": lambda: cf.Hypergraph.from_pairs(2, 1.5, [0], [1]),
+    "pair members not integers": lambda: cf.Hypergraph.from_pairs(2, 1, [0], [1.2]),
+    "pair edge ids not integers": lambda: cf.Hypergraph.from_pairs(2, 2, np.array([0.7]), [1]),
+    "induced keep not integers": lambda: cf.induced(_triangle(), [0.5, 1.0]),
+    "coloring colors not integers": lambda: cf.Coloring((1.5, 2.7)),
+    "coloring colors integral floats": lambda: cf.Coloring((1.0, 2.0)),
+    "verify_cf raw colors not integers": lambda: cf.verify_cf(_triangle(), [1.5, 1.7, 1.0]),
+    "verify_proper raw colors a float array": lambda: cf.verify_proper(_triangle(), np.array([1.0, 2.0, 3.0])),
+    "neighborhood raw colors not integers": lambda: neighborhood_violations(_path(), [1, 2.5, 1], "pointed"),
 }
 
 
@@ -62,6 +84,16 @@ def test_bad_caller_input_raises_invalid_input(name):
     with pytest.raises(cf.InvalidInputError) as info:
         BAD_CALLS[name]()
     assert isinstance(info.value, cf.CFGeomError) and isinstance(info.value, ValueError)
+
+
+def test_integer_arrays_are_taken_without_a_pass():
+    # an int64 array is neither copied nor scanned; other integer dtypes are converted once
+    ids = np.arange(6, dtype=np.int64)
+    assert _integers(ids, "ids") is ids
+    assert _integers(ids.astype(np.int32), "ids").dtype == np.int64
+    h = cf.Hypergraph.from_pairs(3, 2, ids % 2, ids % 3)
+    assert h.edges == ((0, 1, 2), (0, 1, 2))
+    assert cf.Coloring(np.array([3, 1, 2])).colors == (3, 1, 2)
 
 
 # coloring documents whose values are not JSON integers

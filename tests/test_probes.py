@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from peel_reference import reference_peel
-from prune_reference import _complement_circular, disc_escapes_reference, prune_depth_one_reference
+from peel_reference import auxiliary_graph, reference_peel
+from prune_reference import (
+    _complement_circular,
+    disc_escapes_reference,
+    prune_depth_one_reference,
+    segment_clip_convex,
+)
 
 from cfgeom import (
+    Coloring,
     ConvexFatObject,
     Disc,
     Hypergraph,
@@ -17,13 +23,11 @@ from cfgeom import (
     Point,
     ProbeSystem,
     Scene,
-    auxiliary_graph,
     cf_color_vs_probes,
     generate_lower_bound_family,
     generate_scene,
     intersection_graph,
     neighborhood_hypergraph,
-    peel_and_color,
     pentagon_template,
     pointed_cf_pseudodiscs,
     probe_hypergraph,
@@ -40,7 +44,6 @@ from cfgeom.geom import (
     _polygon_outradius_at,
     contiguous_run_witnesses,
     intersects,
-    segment_clip_convex,
 )
 from cfgeom.hypergraph import all_intervals_hypergraph, greedy_maximal_independent_set, min_cf_colors_bruteforce
 from cfgeom.probes import (
@@ -54,6 +57,18 @@ from cfgeom.probes import (
 
 def discs(*spec):
     return Scene(tuple(Disc(Point(x, y), r) for x, y, r in spec))
+
+
+def _peel(ps):
+    """The 6-color peel of all of a probe system's vertices on its engine: the coloring and the PeelOrder."""
+    h = probe_hypergraph(ps)
+    cmap, order = _ProbeEngine(h.n, h.indptr, h.indices).peel(range(h.n))
+    return Coloring(tuple(cmap[v] for v in range(h.n))), order
+
+
+def _neighbours(g, v):
+    """The sorted neighbours of vertex v of the graph g, from its CSR arrays."""
+    return g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
 
 
 def test_probe_hypergraph_no_probes():
@@ -93,8 +108,7 @@ def test_auxiliary_triangle():
     ps = ProbeSystem(vertices, probes)
     g = auxiliary_graph(ps, [0, 1, 2])
     assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
-    col = peel_and_color(ps)
-    order = col.trace.peels["peel"][0]
+    col, order = _peel(ps)
     assert col.palette_size == 3
     assert verify_proper(probe_hypergraph(ps), col) == []
     assert all(d <= 5 for d in order.degrees)
@@ -102,8 +116,7 @@ def test_auxiliary_triangle():
 
 def test_peel_single_vertex():
     ps = ProbeSystem(discs((0, 0, 1)), discs((0.5, 0, 1)))
-    col = peel_and_color(ps)
-    order = col.trace.peels["peel"][0]
+    col, order = _peel(ps)
     assert col.colors == (1,)
     assert order.order == [0]
 
@@ -112,8 +125,7 @@ def test_peel_200_random():
     vertices = generate_scene("discs", 200, 21)
     probes = generate_scene("discs", 200, 22, radius_range=(0.02, 0.25))
     ps = ProbeSystem(vertices, probes)
-    col = peel_and_color(ps)
-    order = col.trace.peels["peel"][0]
+    col, order = _peel(ps)
     assert col.palette_size <= 6
     assert verify_proper(probe_hypergraph(ps), col) == []
     assert all(d <= 5 for d in order.degrees)
@@ -128,8 +140,7 @@ def test_peel_hereditary_on_random_subsets():
     for _ in range(5):
         keep = sorted(rng.choice(60, size=25, replace=False).tolist())
         sub = ProbeSystem(vertices.subscene(keep), probes)
-        col = peel_and_color(sub)
-        order = col.trace.peels["peel"][0]
+        col, order = _peel(sub)
         assert col.palette_size <= 6
         assert all(d <= 5 for d in order.degrees)
 
@@ -243,7 +254,7 @@ def test_pipeline_two_palettes_structure():
     # each vertex with a neighbor has a uniquely colored one on the other side
     g = intersection_graph(scene)
     for v in range(len(scene)):
-        nb = g.adjacency[v]
+        nb = _neighbours(g, v)
         if not nb:
             continue
         unique = [u for u in nb if sum(1 for w in nb if out.colors[w] == out.colors[u]) == 1]
@@ -295,7 +306,7 @@ def test_malformed_probe_system_json_is_invalid_input(text):
 def test_engine_matches_standalone_auxiliary_graph():
     # replay each peel step and compare the engine's bookkeeping with a
     # from-scratch recomputation of the exactly-two graph
-    from cfgeom.probes import _pairwise_hits, _ProbeEngine
+    from cfgeom.probes import _pairwise_hits
 
     for seed in range(6):
         vertices = generate_scene("discs", 30, [201, seed], radius_range=(0.05, 0.3))
@@ -313,21 +324,12 @@ def test_engine_matches_standalone_auxiliary_graph():
             active.discard(v)
 
 
-def test_planarity_violation_raises(monkeypatch):
+def test_planarity_violation_raises():
     # a K7 exactly-two structure cannot arise from genuine disc geometry, so
-    # fake the hit lists to exercise the error path
-    import cfgeom.probes as probes_mod
-
-    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
-
-    def fake_hits(vertices, probes):
-        return Hypergraph(7, pairs)
-
-    monkeypatch.setattr(probes_mod, "_pairwise_hits", fake_hits)
-    vertices = generate_scene("discs", 7, 1)
-    probes = generate_scene("discs", len(pairs), 2)
-    with pytest.raises(probes_mod.PlanarityError):
-        peel_and_color(ProbeSystem(vertices, probes))
+    # the engine gets the hit sets directly to exercise the error path
+    h = Hypergraph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
+    with pytest.raises(PlanarityError):
+        _ProbeEngine(7, h.indptr, h.indices).peel(range(7))
 
 
 def test_prune_polygon_coverage():
@@ -371,7 +373,7 @@ def test_graph_probe_hypergraph_matches_tuple_reference(shapes, data):
     h = _graph_probe_hypergraph(g, vertices, probes)
     # the row scan this function did before it read CSR arrays
     pos = {v: i for i, v in enumerate(vertices)}
-    hits = tuple(tuple(sorted(pos[u] for u in g.adjacency[p] if u in pos)) for p in probes)
+    hits = tuple(tuple(sorted(pos[u] for u in _neighbours(g, p) if u in pos)) for p in probes)
     assert (h.n, h.edges) == (len(vertices), hits)
     direct = probe_hypergraph(ProbeSystem(scene.subscene(vertices), scene.subscene(probes)))
     assert direct.edges == hits
@@ -564,7 +566,7 @@ def _reference_prune(shapes):
     g = intersection_graph(shapes)
     surviving = set(range(n))
     for i in range(n):
-        near = [shapes[j] for j in g.adjacency[i] if j in surviving]
+        near = [shapes[j] for j in _neighbours(g, i) if j in surviving]
         if any(_ref_same(o, shapes[i]) for o in near) or not _ref_escapes(shapes[i], near):
             surviving.discard(i)
     return sorted(surviving), sorted(set(range(n)) - surviving)
@@ -664,7 +666,7 @@ def _uncovered_removed(shapes, kept, removed, resolution=96):
     for r in removed:
         pts = _samples(shapes[r], resolution)
         covered = np.zeros(len(pts), dtype=bool)
-        for k in set(g.adjacency[r]) & set(kept):
+        for k in set(_neighbours(g, r)) & set(kept):
             covered |= _in_shape(shapes[k], pts)
         if not covered.all():
             out.append(r)
@@ -707,7 +709,7 @@ def test_boundary_and_sample_points_match_reference(family):
     for i, s in enumerate(scene.shapes):
         # the boundary escape test on each shape's full neighbourhood, not only on the survivors of the scan,
         # as a wave of one shape
-        near = np.array(g.adjacency[i], dtype=np.intp)
+        near = g.indices[g.indptr[i] : g.indptr[i + 1]]
         got = probes_module._shapes_escape(rows, np.array([i]), np.array([0, len(near)]), near, pieces)
         assert got.tolist() == [_ref_escapes(s, [scene[j] for j in near.tolist()])]
         # the audit's sample points lie in their shape, so an audit that passes covers s
@@ -1072,7 +1074,7 @@ def test_auxiliary_graph_planar_at_every_peel_step_on_discs():
     vertices = generate_scene("discs", 80, [205, 0], radius_range=(0.05, 0.3))
     probes = generate_scene("discs", 400, [205, 1], radius_range=(0.01, 0.3), margin=0)
     ps = ProbeSystem(vertices, probes)
-    order = peel_and_color(ps).trace.peels["peel"][0]
+    _, order = _peel(ps)
     _assert_planar_along(ps, order, nx)
 
 
