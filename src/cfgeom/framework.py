@@ -115,7 +115,9 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
     Greedy most-popular-color iteration: the color in the most uncolored
     lists is proper-colored on its holders by `pc`'s round function, a largest
     class keeps that color for good, and the color is struck from all
-    remaining lists.  Needs list sizes of at least cf_palette_bound(n, pc.k).
+    remaining lists.  The holder count of each color is kept up to date as
+    vertices are colored and colors struck, not recounted per round.  Needs
+    list sizes of at least cf_palette_bound(n, pc.k).
     """
     if len(lists) != h.n:
         raise InvalidInputError("one color list per vertex required")
@@ -125,16 +127,18 @@ def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperC
             raise InvalidInputError(f"list of vertex {v} has {len(set(lst))} colors, needs >= {need}")
     color = pc._rounds(h)
     remaining = [set(lst) for lst in lists]
+    popularity = Counter(c for lst in remaining for c in lst)  # per color, the uncolored lists holding it
     final: list[int | None] = [None] * h.n
     while alive := [v for v in range(h.n) if final[v] is None]:
         for v in alive:
             if not remaining[v]:
                 raise ListExhaustedError(v)
-        popularity = Counter(c for v in alive for c in remaining[v])
         c = max(popularity, key=lambda col: (popularity[col], -col))
         holders = [v for v in alive if c in remaining[v]]
         for v in _largest_class(color(holders), holders):
             final[v] = c
+            popularity.subtract(remaining[v])
+        del popularity[c]
         for v in alive:
             remaining[v].discard(c)
     return certify(h, Coloring(tuple(final), trace=Trace()), lists=lists, what="list iteration")

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import IncompatibleShapesError, InvalidInputError, VerificationError
-from .geom import Scene, contact_pairs
+from .geom import Scene, _contact_hits
 
 __all__ = [
     "Graph",
@@ -60,6 +60,24 @@ class Graph:
         self.n = n
         self.indptr, self.indices = _csr(np.concatenate([u * n + v, v * n + u]), n, n)
 
+    @classmethod
+    def _of_pairs(cls, n: int, i: np.ndarray, j: np.ndarray) -> Graph:
+        """Graph on n vertices of the distinct pairs (i[k], j[k]), i[k] != j[k],
+        in any order, taken as they are: one sort of the keys of both
+        directions gives the CSR rows."""
+        key = np.concatenate([i * n + j, j * n + i])
+        key.sort()
+        return cls._of_rows(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), key % max(n, 1))
+
+    @classmethod
+    def _of_rows(cls, degree: np.ndarray, indices: np.ndarray) -> Graph:
+        """Graph on len(degree) vertices whose CSR rows, the `degree[v]`
+        neighbours of each v in increasing order, fill `indices`."""
+        g = cls.__new__(cls)
+        g.n = len(degree)
+        g.indptr, g.indices = np.concatenate([[0], np.cumsum(degree)]), indices
+        return g
+
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """(v, u) for every neighbour u of every vertex v, in CSR order."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
@@ -82,15 +100,18 @@ class Graph:
         return members, owners
 
     def subgraph(self, keep: Sequence[int]) -> Graph:
-        """Induced subgraph on the strictly increasing vertex list `keep`, keep[i] renamed i."""
+        """Induced subgraph on the strictly increasing vertex list `keep`, keep[i]
+        renamed i.  The parent's arcs between kept vertices, renamed, are
+        already in CSR order, as renaming keeps their order; so they are sliced
+        out, with no sort and no edge check."""
         keep = _integers(keep, "subgraph vertices")
         if len(keep) and (keep[0] < 0 or keep[-1] >= self.n or (np.diff(keep) <= 0).any()):
             raise InvalidInputError(f"keep must be strictly increasing vertices of 0..{self.n - 1}")
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[keep] = np.arange(len(keep))
         u, v = (pos[x] for x in self.arcs())
-        inside = (u >= 0) & (u < v)
-        return Graph(len(keep), np.column_stack([u[inside], v[inside]]))
+        inside = (u >= 0) & (v >= 0)
+        return Graph._of_rows(np.bincount(u[inside], minlength=len(keep)), v[inside])
 
 
 class Hypergraph:
@@ -163,7 +184,10 @@ def _integers(values, what: str) -> np.ndarray:
 def _csr(key: np.ndarray, nrows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the (row, col) pairs encoded as row * width + col
     (every col below width), each row's columns sorted and distinct; sorts only
-    when the keys are not already increasing."""
+    when the keys are not already increasing.  The public constructors build
+    on it; the contact graph does not, as the contact sweep's pairs are
+    distinct and unsorted: `Graph._of_pairs` sorts their keys once, with no
+    check, and `Graph.subgraph` needs no sort."""
     if (key[1:] <= key[:-1]).any():
         key = np.sort(key)
         key = key[np.diff(key, prepend=-1) != 0]
@@ -221,8 +245,9 @@ def _colors_of(c) -> Sequence[int]:
 
 
 def intersection_graph(scene: Scene) -> Graph:
-    """Graph with an edge for every intersecting pair of scene shapes."""
-    return Graph(len(scene), np.column_stack(contact_pairs(scene)))
+    """Graph with an edge for every intersecting pair of scene shapes: the
+    unsorted pairs of the contact sweep, put in CSR order by one sort."""
+    return Graph._of_pairs(len(scene), *_contact_hits(scene))
 
 
 def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
@@ -313,7 +338,7 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
 
     A Graph is read from its edge arrays.  An interval or rectangle Scene, in
     closed mode only, is read with no graph at all.  Intervals are counted by
-    endpoints (`_interval_census`), or from the `contact_pairs` arrays when the
+    endpoints (`_interval_census`), or from the contact pairs when the
     (vertex, color) cells n p outnumber the closed neighborhood members n + D.
     Rectangles are counted in 64-bit words (`_rect_violations`), with no pairs.
     """
@@ -329,7 +354,7 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
         raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
     if n * len(np.unique(colors)) <= n + _closed_degree_total(contacts.rows):
         return _without_unique(*_interval_census(contacts.rows, colors), np.ones(n, dtype=bool))
-    i, j, loops = *contact_pairs(contacts), np.arange(n)
+    i, j, loops = *_contact_hits(contacts), np.arange(n)
     return _cf_violations(colors, np.concatenate([j, i, loops]), np.concatenate([i, j, loops]), n)
 
 

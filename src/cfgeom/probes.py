@@ -17,6 +17,7 @@ witness-counted removal loop peels the vertices left.
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 from dataclasses import dataclass, field
@@ -25,15 +26,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ColorerContractError, IncompatibleShapesError, InvalidInputError, PlanarityError
+from .errors import CFGeomError, ColorerContractError, IncompatibleShapesError, InvalidInputError, PlanarityError
 from .framework import _largest_class_rounds, cf_palette_bound
 from .geom import (
     Scene,
     _GUARD,
     _clip_segments,
+    _contact_hits,
     _spans,
     _validate_pseudodiscs,
-    contact_pairs,
     scene_from_json,
     scene_to_json,
     validate_pseudodisc_family,
@@ -76,6 +77,21 @@ class ProbeSystem:
             raise InvalidInputError(f"mode must be {DISC_MODE!r} or {PSEUDODISC_MODE!r}")
 
     def validate(self) -> None:
+        """Raise the error that makes the system unusable, if any.  The check
+        runs once per system; later calls raise a copy of the same error."""
+        if self._invalid is not None:
+            raise copy.copy(self._invalid)
+
+    @cached_property
+    def _invalid(self) -> CFGeomError | None:
+        """The error `validate` raises, or None; cached, as `combined` is."""
+        try:
+            self._check()
+        except CFGeomError as exc:
+            return exc.with_traceback(None)
+        return None
+
+    def _check(self) -> None:
         if self.mode == DISC_MODE:
             for scene in (self.vertices, self.probes):
                 if len(scene) and scene.kind != "discs":
@@ -117,7 +133,7 @@ class PeelOrder:
 
 def _pairwise_hits(vertices: Scene, probes: Scene) -> Hypergraph:
     """Probe hypergraph of the system: edge j holds the vertices probe j intersects."""
-    return Hypergraph.from_pairs(len(vertices), len(probes), *contact_pairs(probes, vertices))
+    return Hypergraph.from_pairs(len(vertices), len(probes), *_contact_hits(probes, vertices))
 
 
 def probe_hypergraph(ps: ProbeSystem) -> Hypergraph:

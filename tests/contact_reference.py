@@ -1,5 +1,6 @@
-"""Reference implementations of the contact layer's box-overlap candidates
-and of its batched polygon predicate.
+"""Reference implementations of the contact layer: its box-overlap
+candidates, its batched polygon predicate, its boundary count and its
+contact pairs.
 
 The first is the earlier single sweep over boxes sorted by xmin: every pair
 whose x-ranges meet is a candidate, whatever its y-distance, and the y test
@@ -15,12 +16,19 @@ The third is the earlier scalar boundary count (`segments_crossings_reference`),
 pair of edges at a time in Python.  The tests require pseudo-disc validation
 and `boundary_crossings`, which count every pair of a family in one batched
 kernel, to give the same verdicts.
+
+The fourth is the earlier `contact_pairs` (`contact_pairs_reference`), which
+held every candidate of the x-sweep reference at once, decided all of them by
+one predicate per kind and sorted the hits.  The tests require
+`cfgeom.geom.contact_pairs`, whose sweep decides the candidates in bounded
+blocks, to return the same arrays.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from cfgeom.errors import DegenerateGeometryError
+from cfgeom.geom import intersects
 
 _SAT_CELLS = 1 << 18  # projection values per separating-axis batch
 
@@ -42,6 +50,29 @@ def box_overlaps_reference(box_a: np.ndarray, box_b: np.ndarray, same: bool) -> 
         i, j = np.concatenate([i1, oa[p]]), np.concatenate([ob[q], j2])
     y = (box_a[i, 2] <= box_b[j, 3]) & (box_b[j, 2] <= box_a[i, 3])
     return i[y], j[y]
+
+
+def contact_pairs_reference(a, b=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (i, j) of every intersecting pair, as `contact_pairs` defines
+    them, from all candidates of `box_overlaps_reference` at once: the box
+    test for intervals and rectangles, the centers' hypot for discs, the
+    separating-axis reference for polygons and `intersects` for a mix."""
+    other = a if b is None else b
+    i, j = box_overlaps_reference(a.boxes, other.boxes, b is None)
+    kinds = {type(s).__name__ for s in a.shapes + other.shapes}
+    if not len(i):
+        return i, j
+    if kinds == {"Disc"}:
+        ca, cb = a.rows, other.rows
+        hit = np.hypot(ca[i, 0] - cb[j, 0], ca[i, 1] - cb[j, 1]) <= ca[i, 2] + cb[j, 2]
+    elif kinds == {"ConvexFatObject"}:
+        hit = polygons_meet_reference(a.rows, other.rows, i, j)
+    elif kinds <= {"Interval", "AARect"}:
+        hit = np.ones(len(i), dtype=bool)
+    else:
+        hit = np.array([intersects(a[p], other[q]) for p, q in zip(i.tolist(), j.tolist())], dtype=bool)
+    order = np.lexsort((j[hit], i[hit]))
+    return i[hit][order], j[hit][order]
 
 
 def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

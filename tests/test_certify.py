@@ -86,7 +86,8 @@ def test_public_entry_point_certifies_once(monkeypatch, name):
     graphs = _spy(monkeypatch, cfgeom.hypergraph, "intersection_graph")
     hits = _spy(monkeypatch, cfgeom.probes, "_pairwise_hits")
     sweeps = _spy(monkeypatch, cfgeom.geom, "_box_overlaps")
-    contacts = _spy(monkeypatch, cfgeom.geom, "contact_pairs")
+    # `contact_pairs` sorts the pairs of `_contact_hits`, which every contact structure is built from
+    contacts = _spy(monkeypatch, cfgeom.geom, "_contact_hits")
     built = []
     init = cfgeom.hypergraph.Graph.__init__
     monkeypatch.setattr(cfgeom.hypergraph.Graph, "__init__", lambda g, *a: built.append(g) or init(g, *a))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cfgeom import (
     verify_cf,
 )
 from cfgeom.errors import ColorerContractError, InvalidInputError, ListExhaustedError, VerificationError
+from cfgeom.framework import _largest_class
 from peel_reference import reference_colorer
 
 
@@ -155,6 +157,63 @@ def test_list_exhaustion_reported():
     # collide so vertex 1 is never in a largest class until its list drains
     with pytest.raises((ListExhaustedError, VerificationError, ValueError)):
         proper_to_cf_list(h, [[1, 2], [1]], ProperColorer(bad, 2))
+
+
+def _list_colors_by_recount(h, lists, pc):
+    """The list iteration with its popularity recounted over every uncolored
+    list each round: the final colors, or the vertex of ListExhaustedError."""
+    color = pc._rounds(h)
+    remaining = [set(lst) for lst in lists]
+    final = [None] * h.n
+    while alive := [v for v in range(h.n) if final[v] is None]:
+        for v in alive:
+            if not remaining[v]:
+                return ("exhausted", v)
+        popularity = Counter(c for v in alive for c in remaining[v])
+        c = max(popularity, key=lambda col: (popularity[col], -col))
+        holders = [v for v in alive if c in remaining[v]]
+        for v in _largest_class(color(holders), holders):
+            final[v] = c
+        for v in alive:
+            remaining[v].discard(c)
+    return tuple(final)
+
+
+def _list_colors(h, lists, pc):
+    try:
+        return proper_to_cf_list(h, lists, pc).colors
+    except ListExhaustedError as exc:
+        return ("exhausted", exc.vertex)
+
+
+@given(st.integers(1, 50), st.integers(0, 300), st.integers(0, 10**6), st.integers(0, 6), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_list_popularity_counts_match_a_per_round_recount(n, m, seed, extra, longer):
+    # extra 0 gives every vertex the same list, so every color ties; small extras tie often
+    vertices = generate_scene("discs", n, [seed, 0], span=1.5, margin=0)
+    probes = generate_scene("discs", m, [seed, 1], radius_range=(0.01, 0.4), margin=0)
+    h = probe_hypergraph(ProbeSystem(vertices, probes))
+    pc = peel_proper_colorer(vertices, probes)
+    rng = np.random.default_rng(seed)
+    need = cf_palette_bound(n, 6)
+    sizes = rng.integers(need, need + extra + 1, n) if longer else [need] * n
+    lists = [(rng.choice(need + extra, size=s, replace=False) + 1).tolist() for s in sizes]
+    assert _list_colors(h, lists, pc) == _list_colors_by_recount(h, lists, pc)
+
+
+def test_list_popularity_counts_match_a_per_round_recount_on_tied_lists():
+    h = all_intervals_hypergraph(6)
+    pc = alternating_colorer()
+    need = cf_palette_bound(6, 2)
+    cases = [
+        [list(range(1, need + 1))] * 6,  # all tied
+        [list(range(need, 0, -1))] * 6,  # all tied, listed in reverse
+        [[(v + j) % (need + 1) + 1 for j in range(need)] for v in range(6)],  # rotated: ties between neighbours
+    ]
+    for lists in cases:
+        got = _list_colors(h, lists, pc)
+        assert got == _list_colors_by_recount(h, lists, pc)
+        assert got[0] != "exhausted"
 
 
 # ---------------------------------------------------------------------------

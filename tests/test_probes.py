@@ -38,6 +38,7 @@ from cfgeom import (
     verify_proper,
 )
 from cfgeom.errors import IncompatibleShapesError, InvalidInputError, PlanarityError
+from cfgeom import geom as geom_module
 from cfgeom import probes as probes_module
 from cfgeom.geom import (
     _polygon_inradius_at,
@@ -280,6 +281,55 @@ def test_pseudodisc_mode_rejects_double_overlap():
     if len(intersection_graph(blob1).edges) and len(intersection_graph(blob2).edges):
         with pytest.raises(ValueError):
             cf_color_vs_probes(ps)
+
+
+def _centered_polygon(*verts):
+    xy = np.array(verts, dtype=float)
+    cx, cy = xy.mean(axis=0)
+    inner, outer = _polygon_inradius_at(xy, cx, cy), _polygon_outradius_at(xy, cx, cy)
+    return ConvexFatObject(tuple(Point(x, y) for x, y in verts), Point(cx, cy), inner, outer)
+
+
+def _counted_crossings(monkeypatch):
+    calls = []
+    kernel = geom_module._crossings
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(geom_module, "_crossings", counted)
+    return calls
+
+
+def test_probe_system_is_validated_once(monkeypatch):
+    family = generate_scene("fat", 30, [3, 9], rho=1.5, k=3.0, homothets_of=pentagon_template(), base_size=0.08)
+    ps = ProbeSystem(Scene(family.shapes[:20]), Scene(family.shapes[20:]), PSEUDODISC_MODE)
+    calls = _counted_crossings(monkeypatch)
+    first = probe_hypergraph(ps)
+    for _ in range(2):
+        assert probe_hypergraph(ps).edges == first.edges
+    assert len(calls) == 1 and calls[0] > 0  # one kernel run, on some contact pairs
+    cf_color_vs_probes(ProbeSystem(ps.vertices, Scene(family.shapes[20:22]), PSEUDODISC_MODE))
+    assert len(calls) == 2  # a new system is validated anew
+
+
+def test_invalid_probe_system_raises_the_same_error_on_every_call(monkeypatch):
+    square = Scene((_centered_polygon((1, 1), (3, 1), (3, 3), (1, 3)),))
+    diamond = Scene((_centered_polygon((2, 0.5), (3.5, 2), (2, 3.5), (0.5, 2)),))  # crosses the square eight times
+    calls = _counted_crossings(monkeypatch)
+    ps = ProbeSystem(square, diamond, PSEUDODISC_MODE)
+    errors = []
+    for call in (probe_hypergraph, cf_color_vs_probes, probe_hypergraph):
+        with pytest.raises(InvalidInputError, match="do not form a pseudo-disc family") as err:
+            call(ps)
+        errors.append(err.value)
+    assert len(calls) == 1
+    assert len({id(e) for e in errors}) == 3 and {str(e) for e in errors} == {str(errors[0])}
+    wrong = ProbeSystem(square, Scene((), "discs"), "disc")
+    for _ in range(2):
+        with pytest.raises(IncompatibleShapesError, match="disc mode requires"):
+            probe_hypergraph(wrong)
 
 
 def test_disc_mode_rejects_polygons():
