@@ -84,7 +84,9 @@ def _largest_class_rounds(alive: list[int], color: Callable[[list[int]], Sequenc
 
     Round r proper-colors the surviving vertices with `color` (one color per
     vertex, in their order); a largest class takes r as its final color and
-    leaves.
+    leaves.  So each round's vertices are a subset of the last round's, in
+    the same order, and the peel engine's round function narrows the last
+    round's live members.
     """
     final: dict[int, int] = {}
     rnd = 0

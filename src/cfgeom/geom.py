@@ -473,14 +473,41 @@ def _contact_hits(a: Scene, b: Scene | None = None) -> tuple[np.ndarray, np.ndar
 # returns the test of a block of pairs given by their ranks (p, q).
 
 
+_DISC_BAND = 2.0**-40  # relative band around tangency that `_disc_test` leaves to hypot
+
+
 def _disc_test(a: Scene, b: Scene) -> Callable:
-    """Disc scenes: the centers' hypot against the radii's sum, on columns
-    copied into rank order."""
+    """Disc scenes: hypot(dx, dy) <= r_a + r_b on columns copied into rank
+    order, with dx, dy the centers' rounded differences and the sum rounded.
+
+    Each pair is first settled from its squares q = dx*dx + dy*dy and
+    t = s*s, s the rounded sum: a hit when q < t (1 - _DISC_BAND), a miss
+    when q > t (1 + _DISC_BAND).  With q and t normal, q is within 3u of
+    dx^2 + dy^2 (u = 2^-53; a term that underflows adds at most u of a
+    normal q), t and the band's products within u each, and hypot within 2u
+    of the distance; so a settled pair's distance is at least 2^-41 - 5u
+    relative away from s, and hypot lies on the same side.  The pairs in the
+    band, and those with q or t outside the normal range (overflow,
+    underflow, subnormal, nan), go to np.hypot; so the verdicts equal
+    hypot's bit for bit."""
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
 
     def ranked(oa: np.ndarray, ob: np.ndarray) -> Callable:
         xa, ya, ra = a.rows[oa].T.copy()
         xb, yb, rb = (xa, ya, ra) if ob is oa else b.rows[ob].T.copy()
-        return lambda p, q: np.hypot(xa[p] - xb[q], ya[p] - yb[q]) <= ra[p] + rb[q]
+
+        def test(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+            dx, dy, s = xa[p] - xb[q], ya[p] - yb[q], ra[p] + rb[q]
+            with np.errstate(over="ignore", under="ignore"):
+                d2, s2 = dx * dx + dy * dy, s * s
+                hit = d2 < s2 * (1 - _DISC_BAND)
+                clear = hit | (d2 > s2 * (1 + _DISC_BAND))
+            clear &= (np.minimum(d2, s2) >= tiny) & (np.maximum(d2, s2) <= big)  # false where either is nan
+            band = np.flatnonzero(~clear)
+            hit[band] = np.hypot(dx[band], dy[band]) <= s[band]
+            return hit
+
+        return test
 
     return ranked
 
@@ -536,8 +563,23 @@ def _box_overlaps(
     strip and the two next to it.  The windows are cut into blocks of about
     `_SWEEP_CELLS` candidates; in each, the y test runs on ymin and ymax
     columns in rank order, then `decide`, and only the pairs kept are turned
-    into indices, so memory stays within a block plus the hits.
+    into indices, so memory stays within a block plus the hits.  The sweep's
+    blocks of hits (`_overlap_blocks`) are joined once its arrays are gone,
+    one column at a time, at a peak of the hits and one column.
     """
+    found_i, found_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for i, j in _overlap_blocks(box_a, box_b, same, decide):
+        found_i.append(i)
+        found_j.append(j)
+    i = np.concatenate(found_i)
+    found_i.clear()  # one column's blocks go before the other is joined, so no hit is held twice
+    return i, np.concatenate(found_j)
+
+
+def _overlap_blocks(
+    box_a: np.ndarray, box_b: np.ndarray, same: bool, decide: Callable | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs of `_box_overlaps`, block by block, as index arrays (i, j)."""
     oa = np.argsort(box_a[:, 0], kind="stable")
     xa, ya0, ya1 = box_a[oa, 0], box_a[oa, 2], box_a[oa, 3]
     if same:
@@ -556,7 +598,6 @@ def _box_overlaps(
         sa, sb = (None, None) if strips is None else (strips[: len(box_a)][oa], strips[len(box_a) :][ob])
         parts = [(_windows(lo1, hi1, sa, sb), False), (_windows(lo2, hi2, sb, sa), True)]
     test = None if decide is None else decide(oa, ob)
-    found_i, found_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for spans, b_rows in parts:
         for p, q in _blocks(*spans):
             if b_rows:
@@ -570,9 +611,7 @@ def _box_overlaps(
             i, j = oa[p], ob[q]
             if same:
                 i, j = np.minimum(i, j), np.maximum(i, j)
-            found_i.append(i)
-            found_j.append(j)
-    return np.concatenate(found_i), np.concatenate(found_j)
+            yield i, j
 
 
 # The key sort and searches of strips cost about as much as this many

@@ -149,6 +149,19 @@ class Hypergraph:
         h.indptr, h.indices = _csr(edge_ids * n + members, m, n)
         return h
 
+    @classmethod
+    def _of_pairs(cls, n: int, m: int, edge_ids: np.ndarray, members: np.ndarray) -> Hypergraph:
+        """`from_pairs` of distinct pairs with every edge id in 0..m-1 and
+        every member in 0..n-1, taken as they are: one sort of their keys
+        gives the CSR rows, with no range check and no duplicate pass."""
+        key = edge_ids * n + members
+        key.sort()
+        key %= max(n, 1)  # in place, so the build holds the pairs and one key array at most
+        h = cls.__new__(cls)
+        h.n = n
+        h.indptr, h.indices = np.concatenate(([0], np.bincount(edge_ids, minlength=m).cumsum())), key
+        return h
+
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Sorted members of each edge; a view built on first use."""
@@ -185,9 +198,10 @@ def _csr(key: np.ndarray, nrows: int, width: int) -> tuple[np.ndarray, np.ndarra
     """CSR (indptr, indices) of the (row, col) pairs encoded as row * width + col
     (every col below width), each row's columns sorted and distinct; sorts only
     when the keys are not already increasing.  The public constructors build
-    on it; the contact graph does not, as the contact sweep's pairs are
-    distinct and unsorted: `Graph._of_pairs` sorts their keys once, with no
-    check, and `Graph.subgraph` needs no sort."""
+    on it; the contact graph and the probe hits do not, as the contact sweep's
+    pairs are distinct and unsorted: `Graph._of_pairs` and
+    `Hypergraph._of_pairs` sort their keys once, with no check, and
+    `Graph.subgraph` needs no sort."""
     if (key[1:] <= key[:-1]).any():
         key = np.sort(key)
         key = key[np.diff(key, prepend=-1) != 0]

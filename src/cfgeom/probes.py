@@ -132,8 +132,9 @@ class PeelOrder:
 
 
 def _pairwise_hits(vertices: Scene, probes: Scene) -> Hypergraph:
-    """Probe hypergraph of the system: edge j holds the vertices probe j intersects."""
-    return Hypergraph.from_pairs(len(vertices), len(probes), *_contact_hits(probes, vertices))
+    """Probe hypergraph of the system: edge j holds the vertices probe j
+    intersects; the sweep's hits are distinct, so they need no validation."""
+    return Hypergraph._of_pairs(len(vertices), len(probes), *_contact_hits(probes, vertices))
 
 
 def probe_hypergraph(ps: ProbeSystem) -> Hypergraph:
@@ -146,13 +147,13 @@ def probe_hypergraph(ps: ProbeSystem) -> Hypergraph:
 def _graph_probe_hypergraph(g: Graph, vertices: list[int], probes: list[int]) -> Hypergraph:
     """Probe hypergraph of two disjoint subfamilies of the scene `g` was built
     from, in the subfamilies' local indices: the probes' rows of `g`, masked to
-    the vertices' columns."""
+    the vertices' columns, distinct as the graph's arcs are."""
     local = np.full((2, g.n), -1, dtype=np.int64)  # index among the probes, among the vertices
     local[0, probes], local[1, vertices] = np.arange(len(probes)), np.arange(len(vertices))
     owner, member = g.arcs()
     p, v = local[0, owner], local[1, member]
     hit = (p >= 0) & (v >= 0)
-    return Hypergraph.from_pairs(len(vertices), len(probes), p[hit], v[hit])
+    return Hypergraph._of_pairs(len(vertices), len(probes), p[hit], v[hit])
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +166,18 @@ class _ProbeEngine:
 
     Built from the CSR rows (indptr, indices) of a probe hypergraph on n
     vertices.  Hit sets are deduplicated and sorted once and kept as flat
-    member arrays, hit set by hit set.  A peel over any active subset reads
-    its ascending prefix off those arrays and runs the witness-counted
-    removal loop only on the rest (`peel`).  `color_round` is one round of
-    the largest-class iteration: a peel and its exact check; with `k` and
-    `_rounds` the engine is a proper colorer for the framework's iterations.
+    member arrays, hit set by hit set.  `_live` narrows member arrays to the
+    members of an active set, in the hit sets that keep two or more of them:
+    neither a peel nor its check reads any other.  A peel reads its ascending
+    prefix off the live arrays and runs the witness-counted removal loop only
+    on the rest (`_peel`; `peel` takes any active subset).
+
+    `color_rounds` gives one largest-class iteration its round function,
+    which keeps the last round's live arrays and their vertices in its
+    closure: a round whose vertices the last round held narrows that round's
+    arrays, any other round starts from the full arrays.  Each round peels
+    and checks (`check_round`) on its live arrays.  With `k` and `_rounds` the engine is a proper colorer
+    for the framework's iterations; it keeps no state between rounds.
     """
 
     k = PEEL_COLORS
@@ -198,8 +206,36 @@ class _ProbeEngine:
         pids = self._flat_p[by_vertex].tolist()
         return [pids[a:b] for a, b in zip(ptr, ptr[1:])]
 
+    @staticmethod
+    def _live(mask: np.ndarray, v: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, p, ptr): of the members v[i] of hit sets p[i], hit set by hit
+        set, those `mask` holds, in the hit sets holding two or more of them;
+        the members of the t-th hit set kept are v[ptr[t]:ptr[t + 1]]."""
+        on = mask[v]
+        v, p = v[on], p[on]
+        cut = np.empty(len(p) + 1, dtype=bool)  # cut[i]: a hit set starts at member i, or i is the end
+        cut[0] = cut[-1] = True
+        np.not_equal(p[1:], p[:-1], out=cut[1:-1])
+        ptr = np.flatnonzero(cut)
+        size = np.diff(ptr)
+        many = size >= 2
+        if not many.all():
+            keep = np.repeat(many, size)
+            v, p, size = v[keep], p[keep], size[many]
+            ptr = np.concatenate(([0], size.cumsum()))
+        return v, p, ptr
+
     def peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
-        """Smallest-last peel of the active vertices, then the reverse greedy coloring.
+        """Smallest-last peel of the active vertices, then the reverse greedy
+        coloring: `_peel` on the live members of `active`."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[list(active)] = True
+        return self._peel(mask.nonzero()[0], *self._live(mask, self._flat_v, self._flat_p))
+
+    def _peel(self, ids: np.ndarray, v: np.ndarray, p: np.ndarray, ptr: np.ndarray) -> tuple[dict[int, int], PeelOrder]:
+        """Smallest-last peel of the active vertices `ids` (increasing), given
+        their live members (v, p, ptr) as `_live` returns them, then the
+        reverse greedy coloring.
 
         Each step removes the smallest active vertex of auxiliary degree at
         most 5 and records its degree and the auxiliary graph's size.
@@ -215,18 +251,10 @@ class _ProbeEngine:
         that of a fresh peel of the vertices left, which `_peel_loop` runs.
         """
         n = self.n
-        mask = np.zeros(n, dtype=bool)
-        mask[list(active)] = True
-        ids = mask.nonzero()[0]
-        on = mask[self._flat_v]
-        v, p = self._flat_v[on], self._flat_p[on]  # the active members, hit set by hit set
-        cut = np.empty(len(p) + 1, dtype=bool)  # cut[i]: a hit set starts at member i, or i is the end
-        cut[0] = cut[-1] = True
-        np.not_equal(p[1:], p[:-1], out=cut[1:-1])
-        # per hit set with two or more active members: the last two (a, b), and the third-last (-1 if none)
-        top = (cut[1:] > cut[:-1]).nonzero()[0]
+        # per live hit set: the last two members (a, b), and the third-last (-1 if none)
+        top = ptr[1:] - 1
         third = v[top - 2]
-        third[cut[top - 1]] = -1
+        third[ptr[:-1] == top - 1] = -1
         a = v[top - 1]
         key = a * n + v[top]
         # the distinct pairs, increasing, each with its smallest third-last member
@@ -261,34 +289,57 @@ class _ProbeEngine:
         return colors, PeelOrder(prefix + tail.order, degrees + tail.degrees, sizes + tail.aux_sizes)
 
     def _rounds(self, h: Hypergraph) -> Callable[[list[int]], list[int]]:
-        """`color_round`, the iterations' round function on `h`, a hypergraph
-        on this engine's vertices, with each peel dropped."""
+        """`color_rounds`' round function on `h`, a hypergraph on this
+        engine's vertices, with each peel dropped."""
         if h.n != self.n:
             raise InvalidInputError(f"the peel engine colors {self.n} vertices, the hypergraph has {h.n}")
-        return lambda alive: self.color_round(alive, [])
+        return self.color_rounds([])
 
-    def color_round(self, alive: list[int], peels: list[PeelOrder]) -> list[int]:
-        """Peel colors of the vertex list `alive`, in its order, the peel
-        appended to `peels`; one round of the largest-class iteration,
-        checked by `check_round`.  The engine keeps no peel."""
-        cmap, order = self.peel(alive)
-        peels.append(order)
-        colors = [cmap.get(v, 0) for v in alive]
-        self.check_round(alive, colors)
-        return colors
+    def color_rounds(self, peels: list[PeelOrder]) -> Callable[[list[int]], list[int]]:
+        """The round function of one largest-class iteration, each round's
+        peel appended to `peels`.
 
-    def check_round(self, alive: list[int], colors: list[int]) -> None:
+        Its round `color_round(alive)` returns the peel colors of the vertex
+        list `alive`, in its order, checked by `check_round`.  Both read the
+        live members of `alive`, narrowed from the last round's when the
+        vertex mask shows `alive` within that round's vertices (always so in
+        `_largest_class_rounds`), else from the full arrays (as for the list
+        iteration's holders, which need not nest).  That state lives in the
+        closure; the engine keeps no peel and no round.
+        """
+        members, held = (self._flat_v, self._flat_p), np.ones(self.n, dtype=bool)
+
+        def color_round(alive: list[int]) -> list[int]:
+            nonlocal members, held
+            mask = np.zeros(self.n, dtype=bool)
+            mask[alive] = True
+            if (mask > held).any():  # a vertex the last round did not hold
+                members = self._flat_v, self._flat_p
+            v, p, ptr = self._live(mask, *members)
+            members, held = (v, p), mask
+            cmap, order = self._peel(mask.nonzero()[0], v, p, ptr)
+            peels.append(order)
+            colors = [cmap.get(u, 0) for u in alive]
+            self.check_round(alive, colors, v, p, ptr)
+            return colors
+
+        return color_round
+
+    def check_round(self, alive: list[int], colors: list[int], v: np.ndarray, p: np.ndarray, ptr: np.ndarray) -> None:
         """Raise ColorerContractError unless `colors` (of the vertices `alive`)
         are all in 1..PEEL_COLORS and leave no hit set with two or more alive
-        members monochromatic: an exact count of each hit set's members per color."""
+        members monochromatic.  (v, p, ptr) are the live members of `alive`
+        (`_live`), derived from `alive` and never from a peel: exactly the hit
+        sets with two or more alive members, each monochromatic when its
+        smallest member color equals its largest."""
         if colors and (min(colors) < 1 or max(colors) > PEEL_COLORS):
             raise ColorerContractError(f"peel colors must lie in 1..{PEEL_COLORS}, one per alive vertex")
-        width = PEEL_COLORS + 1
+        if len(ptr) < 2:
+            return
         color_of = np.zeros(self.n, dtype=np.int64)
         color_of[alive] = colors
-        member = color_of[self._flat_v]  # 0 where the member is not alive
-        table = np.bincount(self._flat_p * width + member, minlength=self.m * width).reshape(-1, width)[:, 1:]
-        bad = np.flatnonzero((table.sum(axis=1) >= 2) & ((table > 0).sum(axis=1) == 1))
+        member, start = color_of[v], ptr[:-1]
+        bad = p[start[np.minimum.reduceat(member, start) == np.maximum.reduceat(member, start)]]
         if len(bad):
             raise ColorerContractError(
                 f"peel coloring leaves hit sets {[self.hits[j] for j in bad[:5].tolist()]} monochromatic"
@@ -709,7 +760,7 @@ def _cf_vs_hits(vertices: Scene, h: Hypergraph, contacts: Graph | None) -> Color
     kept, pruned = _prune_depth_one(vertices, contacts) if prune else (list(range(n)), [])
     engine = _ProbeEngine(n, h.indptr, h.indices)
     peels: list[PeelOrder] = []
-    final = _largest_class_rounds(kept, lambda alive: engine.color_round(alive, peels))
+    final = _largest_class_rounds(kept, engine.color_rounds(peels))
     colors = np.zeros(n, dtype=np.int64)
     colors[kept] = [final[v] for v in kept]
     colors[pruned] = colors.max(initial=0) + 1  # one reserved color for the pruned vertices

@@ -7,6 +7,9 @@ require `cfgeom.probes._ProbeEngine.peel` to reproduce its colors, orders,
 degrees and auxiliary sizes exactly, and to raise `PlanarityError` exactly
 where it does.
 
+`reference_round_peel` is the same peel in the place of `_ProbeEngine._peel`,
+the entry point of the iterations' rounds.
+
 `reference_colorer` is the peel as a colorer that a caller supplies, which the
 iterations run through `induced` and `verify_proper`; the tests require the
 engine that `peel_proper_colorer` returns to give the same colorings.
@@ -114,6 +117,12 @@ def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrd
         used = {colors[u] for u in nbs}
         colors[v] = next(c for c in range(1, PEEL_COLORS + 1) if c not in used)
     return colors, order
+
+
+def reference_round_peel(self, ids: np.ndarray, v: np.ndarray, p: np.ndarray, ptr: np.ndarray):
+    """`reference_peel` of the round's vertices `ids`, taking `_ProbeEngine._peel`'s
+    arguments so a test can set it there; it ignores the round's live members."""
+    return reference_peel(self, ids.tolist())
 
 
 def reference_colorer() -> ProperColorer:

@@ -200,17 +200,18 @@ def test_colorer_output_checked_every_round(monkeypatch, name):
         assert len(engine_checks) == out.palette_size
 
 
+# peels of a round's vertices `ids`, given their live members, as `_ProbeEngine._peel` takes them
 IMPROPER_PEELS = {
-    "one color": lambda engine, active: ({v: 1 for v in active}, None),
-    "color out of range": lambda engine, active: ({v: 7 for v in active}, None),
-    "uncolored": lambda engine, active: ({}, None),
+    "one color": lambda engine, ids, *live: ({v: 1 for v in ids.tolist()}, None),
+    "color out of range": lambda engine, ids, *live: ({v: 7 for v in ids.tolist()}, None),
+    "uncolored": lambda engine, ids, *live: ({}, None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(IMPROPER_PEELS))
 def test_improper_peel_breaks_the_probe_iteration(monkeypatch, name):
     # the per-round check, not the final certification, stops a bad peel
-    monkeypatch.setattr(cfgeom.probes._ProbeEngine, "peel", IMPROPER_PEELS[name])
+    monkeypatch.setattr(cfgeom.probes._ProbeEngine, "_peel", IMPROPER_PEELS[name])
     certified = _spy(monkeypatch, cfgeom.hypergraph, "certify")
     with pytest.raises(cf.ColorerContractError):
         cf.cf_color_vs_probes(_probe_system())

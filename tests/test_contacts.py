@@ -24,6 +24,7 @@ from cfgeom import (
     ConvexFatObject,
     Disc,
     Graph,
+    Hypergraph,
     Interval,
     Point,
     Scene,
@@ -50,7 +51,7 @@ from cfgeom.geom import (
     contact_pairs,
     convex_polygons_intersect,
 )
-from cfgeom.probes import _pairwise_hits, _prune_depth_one
+from cfgeom.probes import _graph_probe_hypergraph, _pairwise_hits, _prune_depth_one
 from contact_reference import (
     box_overlaps_reference,
     contact_pairs_reference,
@@ -533,16 +534,49 @@ def test_probe_hit_build_peaks_in_bounded_blocks():
     probes = generate_scene("discs", 100_000, [5, 1], radius_range=(0.01, 0.3), margin=0)
     for scene in (vertices, probes):
         scene.boxes, scene.rows  # the scenes' own arrays are not the hit build's
-    tracemalloc.start()
-    try:
-        hits = _pairwise_hits(vertices, probes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for build in (lambda: geom._contact_hits(probes, vertices), lambda: _pairwise_hits(vertices, probes)):
+        tracemalloc.start()
+        try:
+            out = build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    hits = out
     assert len(hits.indices) > 10**6
-    # when the sweep held every candidate at once this peaked at 230 MB traced (x86-64, Python 3.11.7,
-    # numpy 2.4.6), against 76 MB in bounded blocks; the gate is half of the former
-    assert peak < 115 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # the sweep alone: 68.6 MB traced for 30.5 MB of hits while it held them twice, 45.8 MB joining
+    # one column at a time (x86-64, Python 3.11.7, numpy 2.4.6)
+    assert peaks[0] < 55 * 2**20, f"sweep peak {peaks[0] / 2**20:.1f} MB"
+    # when the sweep held every candidate at once this peaked at 230 MB traced, against 76 MB in
+    # bounded blocks and 47 MB with the hits held once; the gate is half of the first
+    assert peaks[1] < 115 * 2**20, f"peak {peaks[1] / 2**20:.1f} MB"
+    public = Hypergraph.from_pairs(len(vertices), len(probes), *geom._contact_hits(probes, vertices))
+    assert np.array_equal(hits.indptr, public.indptr) and np.array_equal(hits.indices, public.indices)
+
+
+def _csr_lists(h):
+    return h.n, h.indptr.tolist(), h.indices.tolist()
+
+
+def test_probe_hits_take_the_arrays_of_the_public_route():
+    # the private constructors skip the range check and the duplicate pass, not a hit
+    scene = generate_scene("discs", 150, [8, 0], radius_range=(0.05, 0.3))
+    g = intersection_graph(scene)
+    half = list(range(0, 150, 2))
+    systems = [(scene.subscene(half), generate_scene("discs", 300, [8, 1], radius_range=(0.01, 0.3), margin=0))]
+    systems += [(scene, Scene(())), (Scene(()), scene), (Scene(()), Scene(()))]
+    for vertices, probes in systems:
+        h = _pairwise_hits(vertices, probes)
+        public = Hypergraph.from_pairs(len(vertices), len(probes), *geom._contact_hits(probes, vertices))
+        assert _csr_lists(h) == _csr_lists(public)
+    rest = list(range(1, 150, 2))
+    for vertices, probes in ((half, rest), (rest, half), (half, []), ([], rest)):
+        h = _graph_probe_hypergraph(g, vertices, probes)
+        owner, member = g.arcs()
+        hit = np.isin(owner, probes) & np.isin(member, vertices)
+        p, v = np.searchsorted(probes, owner[hit]), np.searchsorted(vertices, member[hit])
+        public = Hypergraph.from_pairs(len(vertices), len(probes), p, v)
+        assert _csr_lists(h) == _csr_lists(public)
 
 
 def test_strip_index_keeps_overlapping_boxes_within_one_strip():
@@ -703,3 +737,52 @@ def test_outer_radii_near_the_float_limit_settle_nothing():
     scene = Scene(tuple(squares))
     assert not _filter_verdicts(scene)[1][1][0]
     assert contact_pairs(scene)[0].tolist() == []
+
+
+# the disc test's squared-distance filter against hypot
+# ---------------------------------------------------------------------------
+
+
+def _hypot_verdicts(a, b, p, q):
+    (xa, ya, ra), (xb, yb, rb) = a.rows[p].T, b.rows[q].T
+    return np.hypot(xa - xb, ya - yb) <= ra + rb
+
+
+@given(
+    st.sampled_from([1e-300, 1e-160, 1.0, 1e154, 1e300]),
+    st.lists(
+        st.tuples(
+            st.integers(-4, 4),  # the centre's x and y, and the direction to the other disc, in units of the scale
+            st.integers(-4, 4),
+            st.integers(-9, 9).filter(bool),
+            st.integers(-9, 9),
+            st.integers(1, 8),  # the two radii
+            st.integers(1, 8),
+            st.sampled_from([0, 1, 2, 3, 2**11, 2**12, 2**13, 2**14]),  # ulps off tangency, either way
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_disc_test_matches_hypot_within_a_few_ulps_of_tangency(scale, pairs):
+    # centres placed at the radii's sum along a direction, then moved a few ulps, or a few thousand (about the
+    # relative band) either way; at 1e-300 and 1e300 the squares underflow or overflow and go to hypot
+    first, second = [], []
+    for x, y, ux, uy, r1, r2, ulps, out in pairs:
+        ra, rb = r1 * scale / 8, r2 * scale / 8
+        norm = math.hypot(ux, uy)
+        cx, cy = x * scale + (ra + rb) * ux / norm, y * scale + (ra + rb) * uy / norm
+        cx += math.copysign(ulps, ux if out else -ux) * math.ulp(cx)
+        first.append(Disc(Point(x * scale, y * scale), ra))
+        second.append(Disc(Point(cx, cy), rb))
+    a, b = Scene(tuple(first)), Scene(tuple(second))
+    p = q = np.arange(len(pairs))
+    test = geom._disc_test(a, b)(p, q.copy())  # two rank orders, so each family's own columns
+    assert test(p, q).tolist() == _hypot_verdicts(a, b, p, q).tolist()
+    # the same family with itself: every pair, its own rank order
+    both = Scene(tuple(first + second))
+    i, j = (k.ravel() for k in np.indices((len(both), len(both))))
+    order = np.arange(len(both))
+    assert geom._disc_test(both, both)(order, order)(i, j).tolist() == _hypot_verdicts(both, both, i, j).tolist()

@@ -27,6 +27,7 @@ from cfgeom import (
 )
 from cfgeom.errors import ColorerContractError, InvalidInputError, ListExhaustedError, VerificationError
 from cfgeom.framework import _largest_class
+from cfgeom.probes import _ProbeEngine
 from peel_reference import reference_colorer
 
 
@@ -252,6 +253,31 @@ def test_peel_engine_matches_reference_colorer_on_random_systems(n, m, seed, ext
     rng = np.random.default_rng(seed)
     lists = [rng.choice(need + extra, size=need, replace=False) + 1 for _ in range(n)]
     _same_iterations(vertices, probes, lists)
+
+
+def test_peel_engine_matches_reference_colorer_when_holders_do_not_nest(monkeypatch):
+    # the holders of successive colors need not nest, so a round may hold vertices the last one did not
+    # (its live members come from the full arrays) or only some of them (narrowed from the last round's)
+    n = 60
+    vertices = generate_scene("discs", n, [9, 0], span=1.5, margin=0)
+    probes = generate_scene("discs", 400, [9, 1], radius_range=(0.01, 0.4), margin=0)
+    need = cf_palette_bound(n, 6)
+    halves = [list(range(1, need + 1)) if v % 2 else list(range(need + 1, 2 * need + 1)) for v in range(n)]
+    rotated = [[(v + j) % (need + 3) + 1 for j in range(need)] for v in range(n)]
+    check_round = _ProbeEngine.check_round
+    rounds = []
+
+    def spy(engine, alive, *args):
+        rounds.append(set(alive))
+        return check_round(engine, alive, *args)
+
+    monkeypatch.setattr(_ProbeEngine, "check_round", spy)
+    for lists in (halves, rotated):
+        rounds.clear()
+        proper_to_cf_list(probe_hypergraph(ProbeSystem(vertices, probes)), lists, peel_proper_colorer(vertices, probes))
+        steps = list(zip(rounds, rounds[1:]))
+        assert any(not b <= a for a, b in steps) and any(b < a for a, b in steps)
+        _same_iterations(vertices, probes, lists)
 
 
 def test_repeated_iterations_leave_the_peel_engine_the_same_size():

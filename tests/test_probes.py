@@ -1,12 +1,13 @@
 import inspect
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from peel_reference import auxiliary_graph, reference_peel
+from peel_reference import auxiliary_graph, reference_peel, reference_round_peel
 from prune_reference import (
     _complement_circular,
     disc_escapes_reference,
@@ -37,7 +38,7 @@ from cfgeom import (
     verify_cf,
     verify_proper,
 )
-from cfgeom.errors import IncompatibleShapesError, InvalidInputError, PlanarityError
+from cfgeom.errors import ColorerContractError, IncompatibleShapesError, InvalidInputError, PlanarityError
 from cfgeom import geom as geom_module
 from cfgeom import probes as probes_module
 from cfgeom.geom import (
@@ -543,7 +544,7 @@ def test_probe_colorings_match_reference_peel_on_disc_systems(monkeypatch):
     ]
     scenes = [generate_scene("discs", n, [207, seed]) for seed, n in enumerate((30, 80, 160))]
     outputs = [_traced(cf_color_vs_probes(ps)) for ps in systems] + [_traced(pointed_cf_pseudodiscs(s)) for s in scenes]
-    monkeypatch.setattr(_ProbeEngine, "peel", reference_peel)
+    monkeypatch.setattr(_ProbeEngine, "_peel", reference_round_peel)
     expected = [_traced(cf_color_vs_probes(ps)) for ps in systems] + [_traced(pointed_cf_pseudodiscs(s)) for s in scenes]
     assert outputs == expected
 
@@ -558,7 +559,7 @@ def test_probe_colorings_match_reference_peel_past_the_prefix(monkeypatch):
     outputs = [_traced(cf_color_vs_probes(ps)), _traced(pointed_cf_pseudodiscs(scene))]
     for _, peels in outputs:
         assert any(order != sorted(order) for orders in peels.values() for order, _, _ in orders)
-    monkeypatch.setattr(_ProbeEngine, "peel", reference_peel)
+    monkeypatch.setattr(_ProbeEngine, "_peel", reference_round_peel)
     assert outputs == [_traced(cf_color_vs_probes(ps)), _traced(pointed_cf_pseudodiscs(scene))]
 
 
@@ -600,6 +601,50 @@ def test_peel_hands_over_to_the_removal_loop_at_the_first_vertex_of_degree_above
     assert handed == ([] if tail is None else [list(tail)])
     if tail is not None and outcome != "planarity":
         assert outcome[1] != sorted(outcome[1])
+
+
+def _round_outcome(color_round, alive):
+    try:
+        return color_round(alive)
+    except ColorerContractError as exc:
+        return str(exc)
+
+
+def test_round_check_reads_only_the_live_members(monkeypatch):
+    # the peel is replaced by fixed colors, so the check alone decides; rounds 2 and 3 narrow round 1's members
+    engine = _engine(4, [{0, 1, 2}, {2, 3}, {0, 3}])
+    colors = {}
+    monkeypatch.setattr(_ProbeEngine, "_peel", lambda e, ids, *live: (dict(colors), None))
+    color_round = engine.color_rounds([])
+    colors.update({0: 1, 1: 2, 2: 1, 3: 2})
+    assert color_round([0, 1, 2, 3]) == [1, 2, 1, 2]
+    # vertex 2 has left with color 1: (2, 3) is monochromatic only through it, and not flagged
+    colors.update({0: 2, 1: 3, 3: 1})
+    assert color_round([0, 1, 3]) == [2, 3, 1]
+    # two live members of one color: (0, 1, 2) is flagged by its members, and (0, 3) with one live member is not
+    colors.update({0: 4, 1: 4})
+    with pytest.raises(ColorerContractError) as err:
+        color_round([0, 1])
+    assert "[(0, 1, 2)]" in str(err.value)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_round_check_flags_exactly_the_monochromatic_hit_sets_of_the_alive_vertices(data):
+    # one round function over rounds whose vertices shrink or not, each with drawn colors in place of a peel
+    n = data.draw(st.integers(1, 10))
+    engine = _engine(n, data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=5), max_size=12)))
+    colors = {}
+    with mock.patch.object(_ProbeEngine, "_peel", lambda e, ids, *live: (dict(colors), None)):
+        color_round = engine.color_rounds([])
+        for _ in range(4):
+            alive = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+            colors.clear()
+            colors.update({v: data.draw(st.integers(1, 3)) for v in alive})
+            live = [[colors[v] for v in h if v in colors] for h in engine.hits]
+            bad = [h for h, c in zip(engine.hits, live) if len(c) >= 2 and len(set(c)) == 1]
+            want = f"peel coloring leaves hit sets {bad[:5]} monochromatic" if bad else [colors[v] for v in alive]
+            assert _round_outcome(color_round, alive) == want
 
 
 # ---------------------------------------------------------------------------
