@@ -355,6 +355,9 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
     endpoints (`_interval_census`), or from the contact pairs when the
     (vertex, color) cells n p outnumber the closed neighborhood members n + D.
     Rectangles are counted in 64-bit words (`_rect_violations`), with no pairs.
+    This census reads colors alone: it checks colorings made elsewhere (as
+    `cfgeom verify` does), and it decides for `certify` whenever a
+    rectangle coloring's recursion labels do not prove it.
     """
     if isinstance(contacts, Graph):
         return _cf_violations(_total(coloring, contacts.n), *contacts._neighborhoods(mode), contacts.n)
@@ -475,6 +478,67 @@ def _missed_words(sides: list[tuple[np.ndarray, np.ndarray]], n: int, w0: int, w
     return missed
 
 
+def _rect_labels_settle(box: np.ndarray, colors: np.ndarray, node) -> bool:
+    """True when the per-rectangle `node` labels prove the closed rectangle
+    coloring conflict-free, by comparisons and sorts alone in O(n log n);
+    False when they prove nothing, and the census must decide.
+
+    (a) The rectangles of each node share a vertical line: max xmin <= min
+    xmax over the node, so two of them meet exactly when their y-ranges do.
+    (b) For each color class, the closed x-extents [min xmin, max xmax] of
+    the nodes holding its members are pairwise disjoint, so a member outside
+    the node of v misses v whenever the class has a member in that node.
+    (c) Every vertex v has, among the at most three classes of its node, one
+    with exactly one member in the node whose closed y-range meets v's; that
+    member is then the only one of its class in N[v].  The count is
+    `_interval_census` split by node: keys (node, rank of y) make the members
+    of one class slot of every node one sorted array, and the queries are
+    sorted once, so each slot costs two `searchsorted` calls on sorted
+    queries.  Labels need not come from the colorer: any labels that pass
+    (a), (b) and (c) prove the coloring.
+    """
+    n = len(box)
+    node = np.asarray(node)
+    if not n or node.shape != (n,) or node.dtype.kind not in "iu":
+        return False
+    xlo, xhi, ylo, yhi = box.T
+    order = np.lexsort((colors, node))  # by node, then color
+    sn, sc = node[order], colors[order]
+    new_node = np.r_[True, sn[1:] != sn[:-1]]
+    new_pair = new_node | np.r_[True, sc[1:] != sc[:-1]]
+    starts = np.flatnonzero(new_node)
+    x0, x1 = xlo[order], xhi[order]
+    if (np.maximum.reduceat(x0, starts) > np.minimum.reduceat(x1, starts)).any():  # (a)
+        return False
+    ext_lo, ext_hi = np.minimum.reduceat(x0, starts), np.maximum.reduceat(x1, starts)
+    nid = np.cumsum(new_node) - 1  # dense node id, in sorted order
+    pair = np.cumsum(new_pair) - 1
+    slot = pair - pair[starts][nid]  # rank of the color among its node's colors
+    if slot.max() > 2:
+        return False
+    firsts = np.flatnonzero(new_pair)
+    pc, lo, hi = sc[firsts], ext_lo[nid[firsts]], ext_hi[nid[firsts]]
+    by_extent = np.lexsort((lo, pc))
+    pc, lo, hi = pc[by_extent], lo[by_extent], hi[by_extent]
+    if ((pc[1:] == pc[:-1]) & (hi[:-1] >= lo[1:])).any():  # (b)
+        return False
+    v_node, v_slot = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    v_node[order], v_slot[order] = nid, slot
+    values, rank = np.unique(np.concatenate([ylo, yhi]), return_inverse=True)
+    q_lo, q_hi = v_node * len(values) + rank[:n], v_node * len(values) + rank[n:]
+    by_lo, by_hi = np.argsort(q_lo), np.argsort(q_hi)
+    q_lo, q_hi = q_lo[by_lo], q_hi[by_hi]
+    slot_lo, slot_hi = v_slot[by_lo], v_slot[by_hi]
+    settled = np.zeros(n, dtype=bool)
+    met, missed = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for s in range(slot.max() + 1):  # (c)
+        # members of slot s in the node of v with ymin <= ymax_v, less those with ymax < ymin_v
+        met[by_hi] = np.searchsorted(q_lo[slot_lo == s], q_hi, "right")
+        missed[by_lo] = np.searchsorted(q_hi[slot_hi == s], q_lo, "left")
+        settled |= met - missed == 1
+    return bool(settled.all())
+
+
 def certify(
     contacts: Graph | Hypergraph | Scene,
     coloring: Coloring,
@@ -492,6 +556,12 @@ def certify(
     pointed or closed neighborhood (`mode`) when `contacts` is a graph, or of
     every closed neighborhood when it is an interval or rectangle scene; with
     `proper`, only that no hyperedge of size >= 2 is monochromatic.
+
+    A closed rectangle coloring whose trace carries `node` labels, as
+    `closed_cf_color_rects` writes them, is first checked from those labels
+    in O(n log n) (`_rect_labels_settle`).  When they prove nothing, or the
+    coloring has none, `neighborhood_violations` decides, so the verdict and
+    the message are those of the census alone.
     """
     n = len(contacts) if isinstance(contacts, Scene) else contacts.n
     if len(coloring.colors) != n:
@@ -501,7 +571,16 @@ def certify(
     outside = [v for v, (c, lst) in enumerate(zip(coloring.colors, lists or ())) if c not in lst]
     if outside:
         raise VerificationError(f"{what} colored vertices {outside[:5]} outside their lists")
-    if isinstance(contacts, (Graph, Scene)):
+    labels = coloring.trace.vertices.get("node") if coloring.trace else None
+    if (
+        labels is not None
+        and isinstance(contacts, Scene)
+        and contacts.kind == "rects"
+        and mode == "closed"
+        and _rect_labels_settle(contacts.rows, np.asarray(coloring.colors), labels)
+    ):
+        bad = []
+    elif isinstance(contacts, (Graph, Scene)):
         bad, where = neighborhood_violations(contacts, coloring, mode), f"the {mode} neighborhoods of vertices"
     else:
         bad, where = (verify_proper if proper else verify_cf)(contacts, coloring), "hyperedges"

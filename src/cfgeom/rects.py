@@ -25,14 +25,19 @@ def closed_cf_color_rects(rects: Scene) -> Coloring:
     """Closed CF coloring with at most 3*(floor(log2 n) + 1) colors.
 
     The trace labels each rectangle with its recursion `depth` and `node`;
-    node ids number the recursion nodes in preorder, left before right."""
+    node ids number the recursion nodes in preorder, left before right.
+    `certify` proves the coloring from these labels."""
     n = len(rects)
     if n == 0:
         raise InvalidInputError("empty rectangle family")
     if rects.kind != "rects":
         raise InvalidInputError("scene must contain rectangles only")
     box = rects.rows
-    center = (box[:, 0] + box[:, 1]) / 2
+    with np.errstate(over="ignore"):
+        center = (box[:, 0] + box[:, 1]) / 2
+    # where the sum overflows, both halves are normal floats, so their sum lies
+    # in [xmin, xmax]; halving first everywhere would send subnormals to 0
+    center = np.where(np.isfinite(center), center, box[:, 0] / 2 + box[:, 1] / 2)
     colors = np.zeros(n, dtype=int)
     depths = np.full(n, -1)
     nodes = np.full(n, -1)

@@ -4,7 +4,9 @@ Each public coloring entry point certifies its output exactly once; nested
 work runs on unverified cores that share the caller's contacts.
 """
 import sys
+from collections import defaultdict
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import cfgeom as cf
 import cfgeom.geom
 import cfgeom.hypergraph
 import cfgeom.probes
-from cfgeom.hypergraph import _color_counts, _interval_census, certify, neighborhood_violations
+from cfgeom.hypergraph import _color_counts, _interval_census, _rect_labels_settle, certify, neighborhood_violations
 from peel_reference import reference_colorer
 
 
@@ -368,3 +370,154 @@ def test_certify_scene_rejects_wrong_length_and_other_kinds():
         neighborhood_violations(scene, [1] * 10, "pointed")
     with pytest.raises(cf.IncompatibleShapesError):
         neighborhood_violations(cf.generate_scene("discs", 10, 1), [1] * 10, "closed")
+
+
+# certifying rectangle colorings from their recursion's node labels
+# ---------------------------------------------------------------------------
+
+
+def _node_extents(rows, nodes):
+    """node -> the closed x-extent [min xmin, max xmax] of its rectangles."""
+    ext = {}
+    for (lo, hi, _, _), x in zip(rows, nodes):
+        a, b = ext.get(x, (lo, hi))
+        ext[x] = (min(a, lo), max(b, hi))
+    return ext
+
+
+def _label_checks(scene, colors, nodes):
+    """The label certificate's conditions, in the order it tests them, by
+    loops over the rectangles: (a) each node's rectangles share a vertical
+    line; no node holds more than three classes; (b) the closed x-extents of
+    the nodes holding each class are pairwise disjoint; (c) every vertex has
+    a class with exactly one member in its node whose y-range meets its own."""
+    r = scene.rows.tolist()
+    members = defaultdict(list)
+    for i, v in enumerate(nodes):
+        members[v].append(i)
+    ext = _node_extents(r, nodes)
+    holders = defaultdict(set)
+    for c, v in zip(colors, nodes):
+        holders[c].add(v)
+
+    def settled(v):
+        m = members[nodes[v]]
+        meet = [colors[i] for i in m if r[i][2] <= r[v][3] and r[v][2] <= r[i][3]]
+        return any(meet.count(c) == 1 for c in meet)
+
+    return {
+        "a": all(max(r[i][0] for i in m) <= min(r[i][1] for i in m) for m in members.values()),
+        "three": all(len({colors[i] for i in m}) <= 3 for m in members.values()),
+        "b": all(ext[p][1] < ext[q][0] or ext[q][1] < ext[p][0] for hs in holders.values() for p, q in combinations(hs, 2)),
+        "c": all(settled(v) for v in range(len(colors))),
+    }
+
+
+def _check_labels(scene, colors, nodes):
+    """The label certificate holds exactly when its conditions do, and only
+    on colorings the census accepts; certify with the labels gives the
+    census's verdict and message.  Returns the first condition that fails."""
+    checks = _label_checks(scene, colors, nodes)
+    settled = _rect_labels_settle(scene.rows, np.asarray(colors), nodes)
+    assert settled == all(checks.values()), checks
+    bad = _check_scene_census(scene, colors)
+    assert not (settled and bad)
+    labelled = cf.Coloring(tuple(colors), trace=cf.Trace(None, {"node": list(nodes)}))
+    if bad:
+        with pytest.raises(cf.VerificationError) as census:
+            certify(scene, cf.Coloring(tuple(colors)), "closed")
+        with pytest.raises(cf.VerificationError) as labels:
+            certify(scene, labelled, "closed")
+        assert str(labels.value) == str(census.value)
+    else:
+        assert certify(scene, labelled, "closed") is labelled
+    return next((name for name, ok in checks.items() if not ok), None)
+
+
+def _perturbed(scene, colors, nodes, rng):
+    """(name, scene, colors, nodes) for each perturbation of a labelled
+    coloring that applies to it."""
+    n = len(colors)
+    r = scene.rows.tolist()
+    held = defaultdict(set)
+    for c, v in zip(colors, nodes):
+        held[v].add(c)
+    v = int(rng.integers(n))
+    others = sorted(held[nodes[v]] - {colors[v]}) or sorted(set(colors) - {colors[v]})
+    if others:
+        yield "color", scene, colors[:v] + [others[int(rng.integers(len(others)))]] + colors[v + 1 :], nodes
+    if len(held) > 1:
+        p, q = rng.choice(sorted(held), 2, replace=False).tolist()
+        yield "merge", scene, colors, [p if x == q else x for x in nodes]
+        yield "move", scene, colors, nodes[:v] + [next(x for x in sorted(held) if x != nodes[v])] + nodes[v + 1 :]
+    ext = _node_extents(r, nodes)
+    for c in sorted(set(colors)):
+        holders = sorted({x for x, cc in zip(nodes, colors) if cc == c}, key=lambda x: ext[x])
+        if len(holders) > 1:  # stretch the member at the left node's right end to the right node
+            left, right = holders[:2]
+            i = next(i for i in range(n) if nodes[i] == left and r[i][1] == ext[left][1])
+            box = list(scene)
+            box[i] = cf.AARect(r[i][0], ext[right][0], r[i][2], r[i][3])
+            yield "touch", cf.Scene(tuple(box)), colors, nodes
+            break
+    full = [x for x in sorted(held) if len(held[x]) == 3]
+    if full:
+        i = nodes.index(full[0])
+        yield "fourth", scene, colors[:i] + [max(colors) + 1] + colors[i + 1 :], nodes
+
+
+def _colored(scene):
+    col = cf.closed_cf_color_rects(scene)
+    return list(col.colors), col.trace.vertices["node"]
+
+
+@given(
+    st.lists(st.tuples(half, side, half, side), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 6]),
+)
+@example([(0, 1, 0, 1), (1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 0, 2)], 0, 3)  # touching edges and corners
+@example([(0, 2, 0, 2)] * 3 + [(2, 1, 0, 2)] * 2 + [(4, 1, 0, 2)], 1, 3)  # repeats
+@example([(k / 2, 1, k % 3 / 2, 1) for k in range(16)], 2, 3)  # lines through touching edges
+@settings(max_examples=200, deadline=None)
+def test_label_certificate_agrees_with_census_on_half_grids(shapes, seed, palette):
+    # the colorer's own labels always prove its coloring; each perturbation,
+    # and a random coloring of 2, 3 or 6 colors under the colorer's labels
+    # (usually with violations), either still proves a valid coloring or
+    # leaves the census to decide
+    scene = _scene("rects", shapes)
+    colors, nodes = _colored(scene)
+    assert _check_labels(scene, colors, nodes) is None
+    rng = np.random.default_rng(seed)
+    for _name, *case in _perturbed(scene, colors, nodes, rng):
+        _check_labels(*case)
+    _check_labels(scene, rng.integers(1, palette + 1, len(scene)).tolist(), nodes)
+
+
+def test_label_certificate_checks_each_catch_a_perturbation():
+    # criterion 2's families and the dense and diagonal grids, each perturbed
+    # five ways; each check of the certificate is the first to fail somewhere
+    scenes = [cf.generate_scene("rects", (16, 64, 256, 1024)[i % 4], [2, i], margin=0) for i in range(0, 200, 23)]
+    scenes += [_scene("rects", GRID), _scene("rects", DIAGONAL)]
+    caught = defaultdict(set)
+    for k, scene in enumerate(scenes):
+        colors, nodes = _colored(scene)
+        assert _check_labels(scene, colors, nodes) is None
+        for name, *case in _perturbed(scene, colors, nodes, np.random.default_rng(k)):
+            caught[_check_labels(*case)].add(name)
+    assert {"a", "three", "b", "c"} <= set(caught), dict(caught)
+
+
+def test_colorer_outputs_are_certified_from_their_labels(monkeypatch):
+    # the census runs only when labels are absent or prove nothing
+    census = _spy(monkeypatch, cfgeom.hypergraph, "_rect_violations")
+    for seed, n in ((0, 1), (1, 64), (2, 700)):
+        scene = cf.generate_scene("rects", n, seed)
+        col = cf.closed_cf_color_rects(scene)
+        assert census == []
+        for labels in (None, [0] * n, [0.0] * n, list(range(n + 1))):
+            stripped = cf.Coloring(col.colors, trace=cf.Trace(None, {} if labels is None else {"node": labels}))
+            assert certify(scene, stripped, "closed") is stripped
+        # all in one node proves nothing unless the rectangles share a line, as the one of n = 1 does
+        assert len(census) == 4 - (n == 1)
+        census.clear()

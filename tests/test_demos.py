@@ -14,5 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_demo_runs(demo, tmp_path):
     # the demos write their SVG snapshots into the working directory
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    # a numpy warning fails the demo, as pyproject.toml's filterwarnings fails a test
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", str(demo)]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
