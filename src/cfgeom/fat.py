@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .framework import _pointed_to_closed
+from .framework import _class_levels, _flat_coloring
 from .geom import Scene
 from .hypergraph import Coloring, Graph, Trace, certify, intersection_graph
 
@@ -116,9 +116,7 @@ def _pointed_fat(certs: np.ndarray, side: int, g: Graph) -> Coloring:
         # with no spare neighbor left, every neighbor already carries a
         # level-2 color; the final certification still guards this case
 
-    flat = tuple(2 * (i - 1) + (lvl - 1) for i, lvl in pair)
-    pmap = {2 * (i - 1) + (lvl - 1): (i, lvl) for i, lvl in pair}
-    return Coloring(flat, pmap)
+    return _flat_coloring([i for i, _ in pair], [lvl for _, lvl in pair])
 
 
 def closed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
@@ -155,23 +153,17 @@ def closed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
         buckets.setdefault(b, []).append(i)
 
     g = intersection_graph(objs)
-    colors = [0] * n
-    pmap: dict[int, tuple[int, int]] = {}
+    i_global, level = [0] * n, [0] * n
     color_base = 0
     for b in sorted(buckets):
         members = buckets[b]
         sub_graph = g.subgraph(members)
         dense = _densify(_pointed_fat(certs[members], side, sub_graph))
-        closed = _pointed_to_closed(sub_graph, dense)
-        for idx, v in enumerate(members):
-            i_local, lvl = closed.palette_map[closed.colors[idx]]
-            i_global = color_base + i_local
-            flat = 2 * (i_global - 1) + (lvl - 1)
-            colors[v] = flat
-            pmap[flat] = (i_global, lvl)
+        for v, col, lvl in zip(members, dense.colors, _class_levels(sub_graph, dense.colors)):
+            i_global[v], level[v] = color_base + col, lvl
         color_base += dense.palette_size
 
-    out = Coloring(tuple(colors), pmap, Trace(bound, {"bucket": bucket_of}))
+    out = replace(_flat_coloring(i_global, level), trace=Trace(bound, {"bucket": bucket_of}))
     return certify(g, out, "closed", bound=bound, what="bucketed coloring")
 
 

@@ -105,10 +105,13 @@ def proper_to_cf(h: Hypergraph, pc: ProperColorer) -> Coloring:
     Every round the surviving vertices are proper-colored by `pc`, a largest
     class (ties to the class holding the smallest vertex index) is assigned
     the round number as its final color, and removed.  The output is
-    certified before it is returned.
+    certified against cf_palette_bound(n, pc.k), which its trace records,
+    before it is returned.
     """
     final = _largest_class_rounds(list(range(h.n)), pc._rounds(h))
-    return certify(h, Coloring(tuple(final[v] for v in range(h.n)), trace=Trace()), what="proper-to-CF iteration")
+    bound = cf_palette_bound(h.n, pc.k)
+    out = Coloring(tuple(final[v] for v in range(h.n)), trace=Trace(bound))
+    return certify(h, out, bound=bound, what="proper-to-CF iteration")
 
 
 def proper_to_cf_list(h: Hypergraph, lists: Sequence[Sequence[int]], pc: ProperColorer) -> Coloring:
@@ -164,17 +167,19 @@ def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
     if bad:
         raise VerificationError(f"input is not pointed-CF (violations on neighborhoods {bad[:5]})")
     bound = 2 * c.palette_size
-    return certify(g, replace(_pointed_to_closed(g, c), trace=Trace(bound)), "closed", bound=bound, what="conversion")
+    out = replace(_flat_coloring(c.colors, _class_levels(g, c.colors)), trace=Trace(bound))
+    return certify(g, out, "closed", bound=bound, what="conversion")
 
 
-def _pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
-    """pointed_to_closed's class split, without input check or certification.
+def _class_levels(g: Graph, colors: Sequence[int]) -> list[int]:
+    """pointed_to_closed's class split: the level of each vertex, without
+    input check or certification.
 
     A leaf of its class's induced subgraph (one same-colored neighbour) gets
     level 2, except the smaller endpoint of a single-edge component; every
     other vertex keeps level 1.
     """
-    colors = np.asarray(c.colors, dtype=np.int64)
+    colors = np.asarray(colors, dtype=np.int64)
     owner, member = g.arcs()
     same = colors[owner] == colors[member]
     owner, member = owner[same], member[same]
@@ -183,8 +188,12 @@ def _pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
     partner = np.zeros(g.n, dtype=np.int64)
     partner[owner[leaf[owner]]] = member[leaf[owner]]
     vertex = np.arange(g.n)
-    level = np.where(leaf & ((deg[partner] != 1) | (vertex > partner)), 2, 1).tolist()
+    return np.where(leaf & ((deg[partner] != 1) | (vertex > partner)), 2, 1).tolist()
 
-    flat = tuple(2 * (col - 1) + (lvl - 1) for col, lvl in zip(c.colors, level))
-    pmap = {2 * (col - 1) + (lvl - 1): (col, lvl) for col, lvl in zip(c.colors, level)}
-    return Coloring(flat, pmap)
+
+def _flat_coloring(i: Sequence[int], level: Sequence[int]) -> Coloring:
+    """The coloring of the structured colors (i, level), each flattened to
+    2*(i-1) + (level-1), with the palette map from flat ids back to pairs."""
+    pairs = list(zip(i, level))
+    flat = [2 * (a - 1) + (b - 1) for a, b in pairs]
+    return Coloring(tuple(flat), dict(zip(flat, pairs)))

@@ -722,20 +722,15 @@ def _certified(ca: np.ndarray, cb: np.ndarray, i: np.ndarray, j: np.ndarray) -> 
     return meet, settled
 
 
-def _polygons_meet(pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Separating-axis test of each pair (pa[i], pb[j]) of padded ccw convex
-    polygons, in blocks of pairs; the arithmetic is that of
-    `convex_polygons_intersect`, so touching polygons meet.  Each polygon's
-    edge normals and its extent along them are taken once per family, so a
-    pair projects each polygon only onto the other's normals."""
-    own_a = _own_extents(pa)
-    return _meet_on_axes(own_a, own_a if pb is pa else _own_extents(pb), pa, pb, i, j)
-
-
 def _meet_on_axes(
     own_a: tuple, own_b: tuple, pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
-    """`_polygons_meet` given the `_own_extents` of both families."""
+    """Separating-axis test of each pair (pa[i], pb[j]) of padded ccw convex
+    polygons, in blocks of pairs, given the `_own_extents` of both families;
+    the arithmetic is that of `convex_polygons_intersect`, so touching
+    polygons meet.  Each polygon's edge normals and its extent along them are
+    taken once per family, so a pair projects each polygon only onto the
+    other's normals."""
     step = max(1, _SAT_CELLS // (pa.shape[1] * pb.shape[1]))
     out = np.empty(len(i), dtype=bool)
     for s in range(0, len(i), step):

@@ -546,7 +546,6 @@ def certify(
     *,
     bound: int | None = None,
     lists: Sequence[Sequence[int]] | None = None,
-    proper: bool = False,
     what: str = "coloring",
 ) -> Coloring:
     """Return `coloring` once it is proven valid, else raise VerificationError.
@@ -554,8 +553,7 @@ def certify(
     Checks totality, the palette `bound`, membership of every color in its
     vertex's list, and conflict-freeness of every hyperedge, or of every
     pointed or closed neighborhood (`mode`) when `contacts` is a graph, or of
-    every closed neighborhood when it is an interval or rectangle scene; with
-    `proper`, only that no hyperedge of size >= 2 is monochromatic.
+    every closed neighborhood when it is an interval or rectangle scene.
 
     A closed rectangle coloring whose trace carries `node` labels, as
     `closed_cf_color_rects` writes them, is first checked from those labels
@@ -583,9 +581,9 @@ def certify(
     elif isinstance(contacts, (Graph, Scene)):
         bad, where = neighborhood_violations(contacts, coloring, mode), f"the {mode} neighborhoods of vertices"
     else:
-        bad, where = (verify_proper if proper else verify_cf)(contacts, coloring), "hyperedges"
+        bad, where = verify_cf(contacts, coloring), "hyperedges"
     if bad:
-        raise VerificationError(f"{what} is not {'proper' if proper else 'conflict-free'} on {where} {bad[:5]}")
+        raise VerificationError(f"{what} is not conflict-free on {where} {bad[:5]}")
     return coloring
 
 
@@ -633,9 +631,7 @@ def min_cf_colors_bruteforce(h: Hypergraph, max_colors: int) -> tuple[int, Color
 
     for t in range(1, max_colors + 1):
         if backtrack(0, 0, t):
-            witness = Coloring(tuple(colors))
-            assert not verify_cf(h, witness)
-            return (t, witness)
+            return (t, certify(h, Coloring(tuple(colors)), bound=t, what="oracle witness"))
     return None
 
 

@@ -14,6 +14,9 @@ computed in arrays: with every smaller vertex gone, a vertex's neighbours are
 the larger members of the hit sets whose two largest active members include
 it.  The prefix ends at the first vertex of degree above 5; from there a
 witness-counted removal loop peels the vertices left.
+
+The peels are not checked round by round: each entry point certifies its
+final coloring once, so a wrong peel ends in `VerificationError` there.
 """
 from __future__ import annotations
 
@@ -22,11 +25,11 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import CFGeomError, ColorerContractError, IncompatibleShapesError, InvalidInputError, PlanarityError
+from .errors import CFGeomError, IncompatibleShapesError, InvalidInputError, PlanarityError
 from .framework import _largest_class_rounds, cf_palette_bound
 from .geom import (
     Scene,
@@ -168,16 +171,16 @@ class _ProbeEngine:
     vertices.  Hit sets are deduplicated and sorted once and kept as flat
     member arrays, hit set by hit set.  `_live` narrows member arrays to the
     members of an active set, in the hit sets that keep two or more of them:
-    neither a peel nor its check reads any other.  A peel reads its ascending
-    prefix off the live arrays and runs the witness-counted removal loop only
-    on the rest (`_peel`; `peel` takes any active subset).
+    a peel reads no other.  A peel reads its ascending prefix off the live
+    arrays and runs the witness-counted removal loop only on the rest (`_peel`).
 
     `color_rounds` gives one largest-class iteration its round function,
     which keeps the last round's live arrays and their vertices in its
     closure: a round whose vertices the last round held narrows that round's
     arrays, any other round starts from the full arrays.  Each round peels
-    and checks (`check_round`) on its live arrays.  With `k` and `_rounds` the engine is a proper colorer
-    for the framework's iterations; it keeps no state between rounds.
+    its live arrays; no round checks its peel, the entry point certifies the
+    final coloring once.  With `k` and `_rounds` the engine is a proper
+    colorer for the framework's iterations; it keeps no state between rounds.
     """
 
     k = PEEL_COLORS
@@ -190,21 +193,6 @@ class _ProbeEngine:
         self.m = len(rows)  # distinct nonempty hit sets
         self._flat_v = np.frombuffer(b"".join(rows), dtype=">i8").astype(np.int64)
         self._flat_p = np.repeat(np.arange(self.m), [len(r) >> 3 for r in rows])
-
-    @cached_property
-    def hits(self) -> list[tuple[int, ...]]:
-        """The distinct nonempty hit sets, sorted, each sorted; a view built on first use."""
-        ptr = np.searchsorted(self._flat_p, np.arange(self.m + 1)).tolist()
-        members = self._flat_v.tolist()
-        return [tuple(members[a:b]) for a, b in zip(ptr, ptr[1:])]
-
-    @cached_property
-    def hitters(self) -> list[list[int]]:
-        """Per vertex, the ids of the hit sets holding it, increasing; a view built on first use."""
-        by_vertex = np.argsort(self._flat_v, kind="stable")
-        ptr = np.searchsorted(self._flat_v[by_vertex], np.arange(self.n + 1)).tolist()
-        pids = self._flat_p[by_vertex].tolist()
-        return [pids[a:b] for a, b in zip(ptr, ptr[1:])]
 
     @staticmethod
     def _live(mask: np.ndarray, v: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,13 +212,6 @@ class _ProbeEngine:
             v, p, size = v[keep], p[keep], size[many]
             ptr = np.concatenate(([0], size.cumsum()))
         return v, p, ptr
-
-    def peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
-        """Smallest-last peel of the active vertices, then the reverse greedy
-        coloring: `_peel` on the live members of `active`."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[list(active)] = True
-        return self._peel(mask.nonzero()[0], *self._live(mask, self._flat_v, self._flat_p))
 
     def _peel(self, ids: np.ndarray, v: np.ndarray, p: np.ndarray, ptr: np.ndarray) -> tuple[dict[int, int], PeelOrder]:
         """Smallest-last peel of the active vertices `ids` (increasing), given
@@ -300,9 +281,9 @@ class _ProbeEngine:
         peel appended to `peels`.
 
         Its round `color_round(alive)` returns the peel colors of the vertex
-        list `alive`, in its order, checked by `check_round`.  Both read the
-        live members of `alive`, narrowed from the last round's when the
-        vertex mask shows `alive` within that round's vertices (always so in
+        list `alive`, in its order.  The peel reads the live members of
+        `alive`, narrowed from the last round's when the vertex mask shows
+        `alive` within that round's vertices (always so in
         `_largest_class_rounds`), else from the full arrays (as for the list
         iteration's holders, which need not nest).  That state lives in the
         closure; the engine keeps no peel and no round.
@@ -319,31 +300,9 @@ class _ProbeEngine:
             members, held = (v, p), mask
             cmap, order = self._peel(mask.nonzero()[0], v, p, ptr)
             peels.append(order)
-            colors = [cmap.get(u, 0) for u in alive]
-            self.check_round(alive, colors, v, p, ptr)
-            return colors
+            return [cmap.get(u, 0) for u in alive]
 
         return color_round
-
-    def check_round(self, alive: list[int], colors: list[int], v: np.ndarray, p: np.ndarray, ptr: np.ndarray) -> None:
-        """Raise ColorerContractError unless `colors` (of the vertices `alive`)
-        are all in 1..PEEL_COLORS and leave no hit set with two or more alive
-        members monochromatic.  (v, p, ptr) are the live members of `alive`
-        (`_live`), derived from `alive` and never from a peel: exactly the hit
-        sets with two or more alive members, each monochromatic when its
-        smallest member color equals its largest."""
-        if colors and (min(colors) < 1 or max(colors) > PEEL_COLORS):
-            raise ColorerContractError(f"peel colors must lie in 1..{PEEL_COLORS}, one per alive vertex")
-        if len(ptr) < 2:
-            return
-        color_of = np.zeros(self.n, dtype=np.int64)
-        color_of[alive] = colors
-        member, start = color_of[v], ptr[:-1]
-        bad = p[start[np.minimum.reduceat(member, start) == np.maximum.reduceat(member, start)]]
-        if len(bad):
-            raise ColorerContractError(
-                f"peel coloring leaves hit sets {[self.hits[j] for j in bad[:5].tolist()]} monochromatic"
-            )
 
 
 def _peel_loop(ids: np.ndarray, v: np.ndarray, p: np.ndarray) -> tuple[dict[int, int], PeelOrder]:
@@ -460,7 +419,7 @@ def _peel_loop(ids: np.ndarray, v: np.ndarray, p: np.ndarray) -> tuple[dict[int,
 def peel_proper_colorer(vertices: Scene, probes: Scene) -> _ProbeEngine:
     """Hereditary 6-color proper colorer for the probe hypergraph of the given
     system: its peel engine, whose rounds in `proper_to_cf` and `proper_to_cf_list`
-    peel the surviving vertex ids and check the peel exactly, with no sub-hypergraph."""
+    peel the surviving vertex ids, with no sub-hypergraph and no per-round check."""
     h = _pairwise_hits(vertices, probes)
     return _ProbeEngine(h.n, h.indptr, h.indices)
 
@@ -735,10 +694,12 @@ def cf_color_vs_probes(ps: ProbeSystem) -> Coloring:
 
     Runs the largest-class iteration with the degeneracy peel as the
     hereditary proper colorer, on the peel engine over the original vertex
-    ids; each round's peel is checked exactly once (`_ProbeEngine.check_round`)
-    and the trace's `rounds` stage holds one peel per round.  In pseudo-disc mode with overlapping vertices the family is first
-    pruned to depth-one owners (which requires the probes to be pairwise
-    disjoint); the `pruned` vertices receive one extra reserved color.
+    ids; the trace's `rounds` stage holds one peel per round.  No round is
+    checked on its own: the final coloring is certified once, against the
+    probe hypergraph and the palette bound.  In pseudo-disc mode with
+    overlapping vertices the family is first pruned to depth-one owners
+    (which requires the probes to be pairwise disjoint); the `pruned`
+    vertices receive one extra reserved color.
     """
     ps.validate()
     contacts = intersection_graph(ps.vertices) if ps.mode == PSEUDODISC_MODE else None

@@ -9,8 +9,9 @@ then keeps the boxes that overlap.  The tests require the strip sweep in
 
 The second is the earlier separating-axis test, which rebuilds both polygons'
 edge normals and projects both polygons onto them for every pair.  The tests
-require `cfgeom.geom._polygons_meet`, which projects each polygon onto its own
-normals once per family, to return the same booleans.
+require `polygons_meet`, which runs `cfgeom.geom._meet_on_axes` on each
+family's own normals and extents (`_own_extents`, taken once per family), to
+return the same booleans.
 
 The third is the earlier scalar boundary count (`segments_crossings_reference`), one
 pair of edges at a time in Python.  The tests require pseudo-disc validation
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from cfgeom.errors import DegenerateGeometryError
-from cfgeom.geom import intersects
+from cfgeom.geom import _meet_on_axes, _own_extents, intersects
 
 _SAT_CELLS = 1 << 18  # projection values per separating-axis batch
 
@@ -80,6 +81,11 @@ def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     counts = np.maximum(stop - start, 0)
     rows = np.repeat(np.arange(len(start)), counts)
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - start, counts)
+
+
+def polygons_meet(pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The contact layer's separating-axis test of each pair (pa[i], pb[j])."""
+    return _meet_on_axes(_own_extents(pa), _own_extents(pb), pa, pb, i, j)
 
 
 def polygons_meet_reference(pa: np.ndarray, pb: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
-"""Reference implementation of the degeneracy peel.
+"""Reference implementation of the degeneracy peel, and views of the peel
+engine's member arrays.
 
-This is the earlier `_ProbeEngine.peel`, with its witness-counted auxiliary
+`hits`, `hitters` and `peel` read a `_ProbeEngine`'s flat member arrays
+(`_flat_v`, `_flat_p`): the distinct hit sets as tuples, the hit sets holding
+each vertex, and the engine's `_peel` of any active subset on its live members.
+
+`reference_peel` is the earlier peel, with its witness-counted auxiliary
 graph kept through `add_pair`/`drop_pair` closures, a set of active vertices,
 and a forward scan of a probe's hit tuple for its two survivors.  The tests
-require `cfgeom.probes._ProbeEngine.peel` to reproduce its colors, orders,
-degrees and auxiliary sizes exactly, and to raise `PlanarityError` exactly
-where it does.
+require `peel` to reproduce its colors, orders, degrees and auxiliary sizes
+exactly, and to raise `PlanarityError` exactly where it does.
 
 `reference_round_peel` is the same peel in the place of `_ProbeEngine._peel`,
 the entry point of the iterations' rounds.
@@ -30,6 +34,29 @@ from cfgeom.geom import contact_pairs
 from cfgeom.probes import PEEL_COLORS, PeelOrder, _ProbeEngine
 
 
+def hits(engine: _ProbeEngine) -> list[tuple[int, ...]]:
+    """The engine's distinct nonempty hit sets, sorted, each sorted."""
+    ptr = np.searchsorted(engine._flat_p, np.arange(engine.m + 1)).tolist()
+    members = engine._flat_v.tolist()
+    return [tuple(members[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
+def hitters(engine: _ProbeEngine) -> list[list[int]]:
+    """Per vertex, the ids of the engine's hit sets holding it, increasing."""
+    by_vertex = np.argsort(engine._flat_v, kind="stable")
+    ptr = np.searchsorted(engine._flat_v[by_vertex], np.arange(engine.n + 1)).tolist()
+    pids = engine._flat_p[by_vertex].tolist()
+    return [pids[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def peel(engine: _ProbeEngine, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
+    """The engine's smallest-last peel of the active vertices, then the
+    reverse greedy coloring: `_peel` on the live members of `active`."""
+    mask = np.zeros(engine.n, dtype=bool)
+    mask[list(active)] = True
+    return engine._peel(mask.nonzero()[0], *engine._live(mask, engine._flat_v, engine._flat_p))
+
+
 def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrder]:
     """The peel of the active vertices on the engine `self`; written as the
     method it was, so a test can set it on `_ProbeEngine`."""
@@ -37,12 +64,13 @@ def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrd
     mask = np.zeros(self.n, dtype=bool)
     mask[active_list] = True
     on = mask[self._flat_v]
-    counts = np.bincount(self._flat_p[on], minlength=len(self.hits))
+    sets = hits(self)
+    counts = np.bincount(self._flat_p[on], minlength=len(sets))
     two = on & (counts[self._flat_p] == 2)  # the active members of probes hitting exactly two
     first_pairs = zip(self._flat_p[two][::2].tolist(), self._flat_v[two].reshape(-1, 2).tolist())
     counts = counts.tolist()
     active_set = set(active_list)
-    pair_of: list[tuple[int, int] | None] = [None] * len(self.hits)
+    pair_of: list[tuple[int, int] | None] = [None] * len(sets)
     witness: dict[tuple[int, int], int] = {}
     adj: dict[int, set[int]] = {v: set() for v in active_list}
     total_edges = 0
@@ -77,6 +105,7 @@ def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrd
         add_pair((a, b))
     heap = [v for v in active_list if len(adj[v]) <= 5]  # sorted, so already a heap
 
+    holders = hitters(self)
     order = PeelOrder()
     removal_neighbors: list[list[int]] = []
     while active_set:
@@ -95,7 +124,7 @@ def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrd
         order.aux_sizes.append((len(active_set), total_edges))
         removal_neighbors.append(sorted(adj[v]))
         active_set.discard(v)
-        for pid in self.hitters[v]:
+        for pid in holders[v]:
             c = counts[pid]
             if c == 0:
                 continue
@@ -103,7 +132,7 @@ def reference_peel(self, active: Sequence[int]) -> tuple[dict[int, int], PeelOrd
                 drop_pair(pair_of[pid])
                 pair_of[pid] = None
             elif c == 3:
-                survivors = [u for u in self.hits[pid] if u in active_set]
+                survivors = [u for u in sets[pid] if u in active_set]
                 pair = (survivors[0], survivors[1])
                 pair_of[pid] = pair
                 add_pair(pair)
@@ -130,7 +159,7 @@ def reference_colorer() -> ProperColorer:
     is peeled whole by an engine of its own."""
 
     def fn(sub: Hypergraph) -> Coloring:
-        cmap, _ = _ProbeEngine(sub.n, sub.indptr, sub.indices).peel(range(sub.n))
+        cmap, _ = peel(_ProbeEngine(sub.n, sub.indptr, sub.indices), range(sub.n))
         return Coloring(tuple(cmap[v] for v in range(sub.n)))
 
     return ProperColorer(fn, PEEL_COLORS, "reference-peel")

@@ -172,6 +172,8 @@ ROUNDS = {
     "proper-to-cf": ENTRY_POINTS["proper-to-cf"],
     "list": ENTRY_POINTS["list"],
     "probes": ENTRY_POINTS["probes"],
+    "pipeline-discs": ENTRY_POINTS["pipeline-discs"],
+    "pipeline-pentagons": ENTRY_POINTS["pipeline-pentagons"],
     "supplied": (lambda: _supplied(_iteration_args()), cf.proper_to_cf),
     "supplied-list": (lambda: _supplied(_iteration_args(with_lists=True)), cf.proper_to_cf_list),
 }
@@ -179,27 +181,28 @@ ROUNDS = {
 
 @pytest.mark.parametrize("name", sorted(ROUNDS))
 def test_colorer_output_checked_every_round(monkeypatch, name):
-    # each round of the largest-class iteration checks the proper coloring
-    # exactly once: a supplied colorer through `induced` and `verify_proper`,
-    # the peel engine through its own check, with no sub-hypergraph
+    # each round of the largest-class iteration checks a supplied colorer's
+    # proper coloring exactly once, through `induced` and `verify_proper`; the
+    # peel engine's rounds are not checked, and the entry point certifies once
     setup, entry = ROUNDS[name]
     args = setup()
     checks = _spy(monkeypatch, cfgeom.hypergraph, "verify_proper")
     rounds = _spy(monkeypatch, cfgeom.hypergraph, "induced")
-    engine_checks = []
-    check_round = cfgeom.probes._ProbeEngine.check_round
-    monkeypatch.setattr(
-        cfgeom.probes._ProbeEngine, "check_round", lambda e, *a: engine_checks.append(a) or check_round(e, *a)
-    )
+    certified = _spy(monkeypatch, cfgeom.hypergraph, "certify")
+    peeled = []
+    peel = cfgeom.probes._ProbeEngine._peel
+    monkeypatch.setattr(cfgeom.probes._ProbeEngine, "_peel", lambda e, *a: peeled.append(a) or peel(e, *a))
     out = entry(*args)
-    # one round per final color: the list iteration strikes each color it gives
-    assert out.palette_size > 1
+    assert len(certified) == 1
+    if name.startswith("pipeline"):
+        assert len(peeled) == sum(len(orders) for orders in out.trace.peels.values()) > 2
+    else:
+        # one round per final color: the list iteration strikes each color it gives
+        assert len(peeled) == out.palette_size > 1
     if name.startswith("supplied"):
         assert len(checks) == len(rounds) == out.palette_size
-        assert engine_checks == []
     else:
         assert checks == rounds == []
-        assert len(engine_checks) == out.palette_size
 
 
 # peels of a round's vertices `ids`, given their live members, as `_ProbeEngine._peel` takes them
@@ -209,17 +212,31 @@ IMPROPER_PEELS = {
     "uncolored": lambda engine, ids, *live: ({}, None),
 }
 
-
 @pytest.mark.parametrize("name", sorted(IMPROPER_PEELS))
 def test_improper_peel_breaks_the_probe_iteration(monkeypatch, name):
-    # the per-round check, not the final certification, stops a bad peel
+    # no round checks its peel: each engine-backed entry point's one certification stops a bad peel
     monkeypatch.setattr(cfgeom.probes._ProbeEngine, "_peel", IMPROPER_PEELS[name])
     certified = _spy(monkeypatch, cfgeom.hypergraph, "certify")
-    with pytest.raises(cf.ColorerContractError):
-        cf.cf_color_vs_probes(_probe_system())
-    assert certified == []
+    for entry_name in ("probes", "proper-to-cf", "list", "pipeline-discs"):
+        setup, entry = ENTRY_POINTS[entry_name]
+        args = setup()
+        certified.clear()
+        with pytest.raises(cf.VerificationError):
+            entry(*args)
+        assert len(certified) == 1
 
 
+def test_oracle_certifies_each_witness_once(monkeypatch):
+    certified = _spy(monkeypatch, cfgeom.hypergraph, "certify")
+    for calls, n in enumerate((1, 2, 4, 8), start=1):
+        t, witness = cf.min_cf_colors_bruteforce(cf.all_intervals_hypergraph(n), 8)
+        assert witness.palette_size == t
+        assert len(certified) == calls
+    assert cf.min_cf_colors_bruteforce(cf.all_intervals_hypergraph(4), 2) is None
+    assert len(certified) == 4
+
+
+# ---------------------------------------------------------------------------
 # certifying interval and rectangle scenes without a graph
 # ---------------------------------------------------------------------------
 

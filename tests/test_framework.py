@@ -58,6 +58,7 @@ def test_four_point_trace():
     # round 1 removes positions {0, 2}, round 2 removes {1}, round 3 removes {3}
     assert out.colors == (1, 2, 1, 3)
     assert out.palette_size == 3
+    assert out.trace.palette_bound == cf_palette_bound(4, 2)
     assert verify_cf(h, out) == []
 
 
@@ -264,14 +265,14 @@ def test_peel_engine_matches_reference_colorer_when_holders_do_not_nest(monkeypa
     need = cf_palette_bound(n, 6)
     halves = [list(range(1, need + 1)) if v % 2 else list(range(need + 1, 2 * need + 1)) for v in range(n)]
     rotated = [[(v + j) % (need + 3) + 1 for j in range(need)] for v in range(n)]
-    check_round = _ProbeEngine.check_round
+    peel = _ProbeEngine._peel
     rounds = []
 
-    def spy(engine, alive, *args):
-        rounds.append(set(alive))
-        return check_round(engine, alive, *args)
+    def spy(engine, ids, *live):
+        rounds.append(set(ids.tolist()))
+        return peel(engine, ids, *live)
 
-    monkeypatch.setattr(_ProbeEngine, "check_round", spy)
+    monkeypatch.setattr(_ProbeEngine, "_peel", spy)
     for lists in (halves, rotated):
         rounds.clear()
         proper_to_cf_list(probe_hypergraph(ProbeSystem(vertices, probes)), lists, peel_proper_colorer(vertices, probes))
@@ -400,11 +401,10 @@ def _class_split_levels_reference(g, colors):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_class_split_matches_component_reference(data):
-    from cfgeom.framework import _pointed_to_closed
+    from cfgeom.framework import _class_levels
 
     n = data.draw(st.integers(1, 12))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     g = Graph(n, data.draw(st.sets(st.sampled_from(pairs))) if pairs else ())
     colors = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    out = _pointed_to_closed(g, Coloring(tuple(colors)))
-    assert [out.palette_map[c] for c in out.colors] == list(zip(colors, _class_split_levels_reference(g, colors)))
+    assert _class_levels(g, colors) == _class_split_levels_reference(g, colors)

@@ -253,13 +253,12 @@ def test_certify_bound_lists_and_properness():
     h = Hypergraph(3, ((0, 1), (1, 2)))
     ok = Coloring((1, 2, 1))
     assert certify(h, ok, bound=2, lists=[[1], [2, 3], [1]]) is ok
-    assert certify(h, ok, proper=True) is ok
+    assert verify_proper(h, ok) == []
     with pytest.raises(VerificationError, match="bound is 1"):
         certify(h, ok, bound=1)
     with pytest.raises(VerificationError, match="outside their lists"):
         certify(h, ok, lists=[[1], [3], [1]])
-    with pytest.raises(VerificationError):
-        certify(h, Coloring((1, 1, 2)), proper=True)
+    assert verify_proper(h, Coloring((1, 1, 2))) == [0]
     with pytest.raises(VerificationError):
         certify(h, Coloring((1, 2)))
 

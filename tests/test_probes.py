@@ -1,13 +1,12 @@
 import inspect
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from peel_reference import auxiliary_graph, reference_peel, reference_round_peel
+from peel_reference import auxiliary_graph, hits, hitters, peel, reference_peel, reference_round_peel
 from prune_reference import (
     _complement_circular,
     disc_escapes_reference,
@@ -38,7 +37,7 @@ from cfgeom import (
     verify_cf,
     verify_proper,
 )
-from cfgeom.errors import ColorerContractError, IncompatibleShapesError, InvalidInputError, PlanarityError
+from cfgeom.errors import IncompatibleShapesError, InvalidInputError, PlanarityError
 from cfgeom import geom as geom_module
 from cfgeom import probes as probes_module
 from cfgeom.geom import (
@@ -64,7 +63,7 @@ def discs(*spec):
 def _peel(ps):
     """The 6-color peel of all of a probe system's vertices on its engine: the coloring and the PeelOrder."""
     h = probe_hypergraph(ps)
-    cmap, order = _ProbeEngine(h.n, h.indptr, h.indices).peel(range(h.n))
+    cmap, order = peel(_ProbeEngine(h.n, h.indptr, h.indices), range(h.n))
     return Coloring(tuple(cmap[v] for v in range(h.n))), order
 
 
@@ -365,7 +364,7 @@ def test_engine_matches_standalone_auxiliary_graph():
         ps = ProbeSystem(vertices, probes)
         h = _pairwise_hits(vertices, probes)
         engine = _ProbeEngine(30, h.indptr, h.indices)
-        _, order = engine.peel(range(30))
+        _, order = peel(engine, range(30))
         active = set(range(30))
         for v, deg, (nv, ne) in zip(order.order, order.degrees, order.aux_sizes):
             g = auxiliary_graph(ps, sorted(active))
@@ -380,7 +379,7 @@ def test_planarity_violation_raises():
     # the engine gets the hit sets directly to exercise the error path
     h = Hypergraph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
     with pytest.raises(PlanarityError):
-        _ProbeEngine(7, h.indptr, h.indices).peel(range(7))
+        peel(_ProbeEngine(7, h.indptr, h.indices), range(7))
 
 
 def test_prune_polygon_coverage():
@@ -430,26 +429,28 @@ def test_graph_probe_hypergraph_matches_tuple_reference(shapes, data):
     assert direct.edges == hits
 
 
-def _tuple_engine(n, hits):
-    """_ProbeEngine as its constructor built it from hit tuples, kept as the reference."""
+def _tuple_engine(n, rows):
+    """_ProbeEngine as its constructor built it from hit tuples, kept as the
+    reference, with the hit sets and the per-vertex hitters it built them from."""
     engine = _ProbeEngine.__new__(_ProbeEngine)
     engine.n = n
-    engine.hits = sorted({h for h in hits if h})
-    engine.hitters = [[] for _ in range(n)]
+    sets = sorted({h for h in rows if h})
+    holders = [[] for _ in range(n)]
     flat_v, flat_p = [], []
-    for pid, h in enumerate(engine.hits):
+    for pid, h in enumerate(sets):
         for v in h:
-            engine.hitters[v].append(pid)
+            holders[v].append(pid)
             flat_v.append(v)
             flat_p.append(pid)
+    engine.m = len(sets)
     engine._flat_v = np.asarray(flat_v, dtype=np.int64)
     engine._flat_p = np.asarray(flat_p, dtype=np.int64)
-    return engine
+    return engine, sets, holders
 
 
 def _peel_outcome(engine, active):
     try:
-        colors, order = engine.peel(active)
+        colors, order = peel(engine, active)
     except PlanarityError:
         return "planarity"
     return colors, order.order, order.degrees, order.aux_sizes
@@ -465,9 +466,9 @@ def test_engine_from_csr_matches_engine_from_tuples(data):
     rows += [set(sorted(r)[: len(r) // 2]) for r in rows[:3]]
     order = data.draw(st.permutations(range(len(rows))))
     h = Hypergraph(n, [rows[i] for i in order])
-    csr, reference = _ProbeEngine(n, h.indptr, h.indices), _tuple_engine(n, h.edges)
-    assert csr.hits == reference.hits
-    assert csr.hitters == reference.hitters
+    csr, (reference, sets, holders) = _ProbeEngine(n, h.indptr, h.indices), _tuple_engine(n, h.edges)
+    assert hits(csr) == sets
+    assert hitters(csr) == holders
     assert csr._flat_v.tolist() == reference._flat_v.tolist()
     assert csr._flat_p.tolist() == reference._flat_p.tolist()
     for active in (range(n), sorted(data.draw(st.sets(st.integers(0, n - 1))))):
@@ -479,8 +480,8 @@ def test_engine_from_csr_keeps_peel_orders_on_disc_systems():
         vertices = generate_scene("discs", 40, [203, seed], radius_range=(0.05, 0.3))
         probes = generate_scene("discs", 400, [204, seed], radius_range=(0.01, 0.3), margin=0)
         h = probe_hypergraph(ProbeSystem(vertices, probes))
-        csr, reference = _ProbeEngine(40, h.indptr, h.indices), _tuple_engine(40, h.edges)
-        assert csr.hits == reference.hits
+        csr, (reference, sets, _) = _ProbeEngine(40, h.indptr, h.indices), _tuple_engine(40, h.edges)
+        assert hits(csr) == sets
         for active in (range(40), range(0, 40, 3)):
             assert _peel_outcome(csr, active) == _peel_outcome(reference, active)
 
@@ -517,9 +518,9 @@ def test_peel_matches_reference_peel(system):
             expected = reference_peel(reference, active)
         except PlanarityError:
             with pytest.raises(PlanarityError):
-                engine.peel(active)
+                peel(engine, active)
             continue
-        colors, order = engine.peel(active)
+        colors, order = peel(engine, active)
         assert colors == expected[0]
         assert (order.order, order.degrees, order.aux_sizes) == (
             expected[1].order,
@@ -603,48 +604,35 @@ def test_peel_hands_over_to_the_removal_loop_at_the_first_vertex_of_degree_above
         assert outcome[1] != sorted(outcome[1])
 
 
-def _round_outcome(color_round, alive):
+def _round_outcome(color_round, peels, alive):
     try:
-        return color_round(alive)
-    except ColorerContractError as exc:
-        return str(exc)
-
-
-def test_round_check_reads_only_the_live_members(monkeypatch):
-    # the peel is replaced by fixed colors, so the check alone decides; rounds 2 and 3 narrow round 1's members
-    engine = _engine(4, [{0, 1, 2}, {2, 3}, {0, 3}])
-    colors = {}
-    monkeypatch.setattr(_ProbeEngine, "_peel", lambda e, ids, *live: (dict(colors), None))
-    color_round = engine.color_rounds([])
-    colors.update({0: 1, 1: 2, 2: 1, 3: 2})
-    assert color_round([0, 1, 2, 3]) == [1, 2, 1, 2]
-    # vertex 2 has left with color 1: (2, 3) is monochromatic only through it, and not flagged
-    colors.update({0: 2, 1: 3, 3: 1})
-    assert color_round([0, 1, 3]) == [2, 3, 1]
-    # two live members of one color: (0, 1, 2) is flagged by its members, and (0, 3) with one live member is not
-    colors.update({0: 4, 1: 4})
-    with pytest.raises(ColorerContractError) as err:
-        color_round([0, 1])
-    assert "[(0, 1, 2)]" in str(err.value)
+        colors = color_round(alive)
+    except PlanarityError:
+        return "planarity"
+    return colors, peels[-1].order, peels[-1].degrees, peels[-1].aux_sizes
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_round_check_flags_exactly_the_monochromatic_hit_sets_of_the_alive_vertices(data):
-    # one round function over rounds whose vertices shrink or not, each with drawn colors in place of a peel
-    n = data.draw(st.integers(1, 10))
-    engine = _engine(n, data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=5), max_size=12)))
-    colors = {}
-    with mock.patch.object(_ProbeEngine, "_peel", lambda e, ids, *live: (dict(colors), None)):
-        color_round = engine.color_rounds([])
-        for _ in range(4):
-            alive = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
-            colors.clear()
-            colors.update({v: data.draw(st.integers(1, 3)) for v in alive})
-            live = [[colors[v] for v in h if v in colors] for h in engine.hits]
-            bad = [h for h, c in zip(engine.hits, live) if len(c) >= 2 and len(set(c)) == 1]
-            want = f"peel coloring leaves hit sets {bad[:5]} monochromatic" if bad else [colors[v] for v in alive]
-            assert _round_outcome(color_round, alive) == want
+def test_round_function_peels_each_round_as_a_fresh_peel_of_its_vertices(data):
+    # one round function over rounds whose vertices shrink (narrowed from the last round's live
+    # members) or not (from the full arrays); a clique may break planarity in some rounds
+    n = data.draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    sets = data.draw(st.lists(st.sets(vertex, min_size=1, max_size=5), max_size=16))
+    clique = sorted(data.draw(st.sets(vertex, max_size=8)))
+    sets += [{a, b} for i, a in enumerate(clique) for b in clique[i + 1 :]]
+    engine, fresh = _engine(n, sets), _engine(n, sets)
+    peels = []
+    color_round = engine.color_rounds(peels)
+    alive = list(range(n))
+    for _ in range(5):
+        within = data.draw(st.booleans())
+        alive = sorted(data.draw(st.sets(st.sampled_from(alive) if within else vertex, min_size=1)))
+        expected = _peel_outcome(fresh, alive)
+        if expected != "planarity":
+            expected = ([expected[0][v] for v in alive], *expected[1:])
+        assert _round_outcome(color_round, peels, alive) == expected
 
 
 # ---------------------------------------------------------------------------
