@@ -6,10 +6,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import CFGeomError, ColoringSizeError, InvalidInputError
-from .fat import closed_cf_color_fat, pointed_cf_color_fat
+from .fat import _fatness, closed_cf_color_fat, pointed_cf_color_fat
 from .geom import (
     Scene,
     generate_lower_bound_family,
@@ -36,12 +34,11 @@ COLOR_ALGS = ("pseudodisc", "antennas", "intervals", "rects", "fat-pointed", "fa
 
 
 def _infer_fat_params(scene: Scene, rho, k) -> tuple[float, float]:
-    certs = scene.certificates
-    with np.errstate(over="ignore"):  # a ratio beyond float range reads inf, which the colorers reject
-        if rho is None:
-            rho = float((certs[:, 3] / certs[:, 2]).max(initial=1.0))
-        if k is None:
-            k = float(certs[:, 2].max() / certs[:, 2].min()) if len(certs) else 1.0
+    ratio, spread = _fatness(scene.certificates)
+    if rho is None:
+        rho = float(ratio.max(initial=1.0))
+    if k is None:
+        k = spread
     return rho, k
 
 

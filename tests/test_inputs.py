@@ -420,6 +420,28 @@ def test_fatness_beyond_float_range_fails_cleanly(tmp_path):
         PLANAR_COLORERS["fat-pointed"][0](cf.scene_from_json(json.dumps(doc)))
 
 
+# a huge centre over a tiny radius: the anchor, in units of the smallest inner radius, overflows to inf
+TINY_DISCS_FAR_APART = {
+    "shapes": [{"type": "disc", "cx": 1e300, "cy": 0, "r": 1e-300}, {"type": "disc", "cx": 0, "cy": 0, "r": 1e-300}]
+}
+
+
+@pytest.mark.parametrize("alg", ["fat-pointed", "fat-closed"])
+def test_anchor_beyond_float_range_fails_cleanly_in_the_library(alg):
+    scene = cf.scene_from_json(json.dumps(TINY_DISCS_FAR_APART))
+    with pytest.raises(cf.InvalidInputError, match="too large for the grid"):
+        PLANAR_COLORERS[alg][0](scene)
+
+
+@pytest.mark.parametrize("alg", ["fat-pointed", "fat-closed"])
+def test_anchor_beyond_float_range_fails_cleanly_in_the_cli(tmp_path, alg):
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(json.dumps(TINY_DISCS_FAR_APART))
+    code, err = _run_cli("color", "--alg", alg, "--in", scene_file, "--out", tmp_path / "coloring.json")
+    assert code == 2
+    _assert_cli_outcome(code, err, ())
+
+
 # fuzzing probe-system documents
 # ---------------------------------------------------------------------------
 
