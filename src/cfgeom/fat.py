@@ -12,7 +12,6 @@ certificate (center, r, r).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -120,7 +119,7 @@ def pointed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     certs = _certificates(objs, rho, k)
     g = intersection_graph(objs)
     i, level = _grid_pass(certs, np.zeros(len(certs), dtype=np.int64), side, g)
-    out = replace(_flat_coloring(i, level), trace=Trace(bound))
+    out = _flat_coloring(i, level, Trace(bound))
     return certify(g, out, "pointed", bound=bound, what="grid coloring")
 
 
@@ -148,5 +147,5 @@ def closed_cf_color_fat(objs: Scene, rho: float, k: float) -> Coloring:
     i, level = (np.array(a) for a in _grid_pass(certs, bucket, side, g))
     # i <= side**2 + 1, so this key ranks (bucket, i, level) lexicographically
     cls = np.unique((bucket * (side**2 + 1) + i) * 2 + level, return_inverse=True)[1] + 1
-    out = replace(_flat_coloring(cls.tolist(), _class_levels(g, cls)), trace=Trace(bound, {"bucket": bucket.tolist()}))
+    out = _flat_coloring(cls, _class_levels(g, cls), Trace(bound, {"bucket": bucket.tolist()}))
     return certify(g, out, "closed", bound=bound, what="bucketed coloring")

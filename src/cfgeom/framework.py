@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -161,17 +161,17 @@ def pointed_to_closed(g: Graph, c: Coloring) -> Coloring:
     """
     if len(c.colors) != g.n:
         raise InvalidInputError("coloring is not total")
-    if any(col < 1 for col in c.colors):
+    if (c._array < 1).any():
         raise InvalidInputError("pointed_to_closed expects positive color ids")
     bad = neighborhood_violations(g, c, "pointed")
     if bad:
         raise VerificationError(f"input is not pointed-CF (violations on neighborhoods {bad[:5]})")
     bound = 2 * c.palette_size
-    out = replace(_flat_coloring(c.colors, _class_levels(g, c.colors)), trace=Trace(bound))
+    out = _flat_coloring(c._array, _class_levels(g, c._array), Trace(bound))
     return certify(g, out, "closed", bound=bound, what="conversion")
 
 
-def _class_levels(g: Graph, colors: Sequence[int]) -> list[int]:
+def _class_levels(g: Graph, colors: Sequence[int] | np.ndarray) -> list[int]:
     """pointed_to_closed's class split: the level of each vertex, without
     input check or certification.
 
@@ -191,9 +191,9 @@ def _class_levels(g: Graph, colors: Sequence[int]) -> list[int]:
     return np.where(leaf & ((deg[partner] != 1) | (vertex > partner)), 2, 1).tolist()
 
 
-def _flat_coloring(i: Sequence[int], level: Sequence[int]) -> Coloring:
-    """The coloring of the structured colors (i, level), each flattened to
-    2*(i-1) + (level-1), with the palette map from flat ids back to pairs."""
-    pairs = list(zip(i, level))
-    flat = [2 * (a - 1) + (b - 1) for a, b in pairs]
-    return Coloring(tuple(flat), dict(zip(flat, pairs)))
+def _flat_coloring(i: Sequence[int] | np.ndarray, level: Sequence[int], trace: Trace | None = None) -> Coloring:
+    """The coloring of the structured colors (i, level), i >= 1 and level 1
+    or 2, each flattened to f = 2*(i-1) + (level-1), with the palette map
+    from each distinct flat id f back to its pair (f // 2 + 1, f % 2 + 1)."""
+    flat = 2 * (np.asarray(i, dtype=np.int64) - 1) + np.asarray(level, dtype=np.int64) - 1
+    return Coloring(flat, {f: (f // 2 + 1, f % 2 + 1) for f in dict.fromkeys(flat.tolist())}, trace)

@@ -202,7 +202,11 @@ class Scene:
         return self.shapes[i]
 
     def subscene(self, indices: Iterable[int]) -> "Scene":
-        idx = np.fromiter(indices, dtype=np.intp)
+        """The shapes at `indices`, in their order; an index may repeat.
+        InvalidInputError unless every index is an integer in 0..n-1."""
+        idx = _integers(indices if isinstance(indices, np.ndarray) else list(indices), "subscene indices")
+        if idx.ndim != 1 or (len(idx) and (idx.min() < 0 or idx.max() >= len(self))):
+            raise InvalidInputError(f"subscene indices must be shape ids in 0..{len(self) - 1}")
         sub = Scene(tuple(self.shapes[i] for i in idx.tolist()), self.kind)
         for name in ("boxes", "rows", "certificates"):
             if name in self.__dict__:
@@ -267,6 +271,22 @@ class Scene:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as an int64 array; InvalidInputError unless they are integers
+    in the int64 range.  A signed integer array is taken as it is, with no
+    pass over its values; an unsigned one is checked against 2^63 - 1, so
+    that no id or color wraps to a negative one."""
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise InvalidInputError(f"{what} must be integers ({exc})") from None
+    if a.size and a.dtype.kind not in "biu":
+        raise InvalidInputError(f"{what} must be integers in the 64-bit range, not {a.dtype} values")
+    if a.size and a.dtype.kind == "u" and a.max() >= 2**63:
+        raise InvalidInputError(f"{what} must be integers in the 64-bit range, not above 2^63 - 1")
+    return a.astype(np.int64, copy=False)
 
 
 def _padded_vertices(polygons: Sequence[np.ndarray]) -> np.ndarray:
@@ -666,15 +686,23 @@ def _windows(
     range(lo[row], hi[row]) whose strip `ranked[k]` is within one of
     `strip[row]`; every k in the range when there are no strips.  Each
     (strip, rank) is the integer key strip * (n + 1) + rank, so a window of
-    ranks in one strip is one range of sorted keys."""
+    ranks in one strip is one range of sorted keys.  The keys are searched
+    for rows in (strip, row) order, one strip offset at a time, and put back
+    row by row: `lo` never falls from row to row, so the start keys are
+    then sorted, and searches on sorted queries take about a third of the
+    time of unsorted ones, while the spans keep rank order, which the
+    block's gathers need."""
     if strip is None:
         return np.arange(len(lo)), lo, hi, None
     n1 = len(ranked) + 1
     order = np.argsort(ranked, kind="stable")
     keys = ranked[order] * n1 + order
-    base = (strip[:, None] + np.array([-1, 0, 1])) * n1  # a row's three strips, row by row
-    start, stop = (np.searchsorted(keys, (base + x[:, None]).ravel()) for x in (lo, hi))
-    return np.repeat(np.arange(len(lo)), 3), start, stop, order
+    by_strip = np.argsort(strip, kind="stable")
+    base = (strip[by_strip] + np.array([[-1], [0], [1]])) * n1  # the strips below, at and above each row's
+    start, stop = np.empty((len(lo), 3), dtype=np.intp), np.empty((len(lo), 3), dtype=np.intp)
+    for x, out in ((lo, start), (hi, stop)):
+        out[by_strip] = np.searchsorted(keys, base + x[by_strip]).T
+    return np.repeat(np.arange(len(lo)), 3), start.ravel(), stop.ravel(), order
 
 
 def _blocks(

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import IncompatibleShapesError, InvalidInputError, VerificationError
-from .geom import Scene, _contact_hits
+from .geom import Scene, _contact_hits, _integers, _read_only
 
 __all__ = [
     "Graph",
@@ -89,23 +89,13 @@ class Graph:
         up = u < v
         return frozenset(zip(u[up].tolist(), v[up].tolist()))
 
-    def _neighborhoods(self, mode: str) -> tuple[np.ndarray, np.ndarray]:
-        """(member, owner) pairs of every N(v) (pointed) or N[v] (closed), flat."""
-        if mode not in ("pointed", "closed"):
-            raise InvalidInputError("mode must be 'pointed' or 'closed'")
-        owners, members = self.arcs()
-        if mode == "closed":
-            loops = np.arange(self.n)
-            owners, members = np.concatenate([owners, loops]), np.concatenate([members, loops])
-        return members, owners
-
     def subgraph(self, keep: Sequence[int]) -> Graph:
         """Induced subgraph on the strictly increasing vertex list `keep`, keep[i]
         renamed i.  The parent's arcs between kept vertices, renamed, are
         already in CSR order, as renaming keeps their order; so they are sliced
         out, with no sort and no edge check."""
         keep = _integers(keep, "subgraph vertices")
-        if len(keep) and (keep[0] < 0 or keep[-1] >= self.n or (np.diff(keep) <= 0).any()):
+        if keep.ndim != 1 or len(keep) and (keep[0] < 0 or keep[-1] >= self.n or (np.diff(keep) <= 0).any()):
             raise InvalidInputError(f"keep must be strictly increasing vertices of 0..{self.n - 1}")
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[keep] = np.arange(len(keep))
@@ -142,6 +132,8 @@ class Hypergraph:
         """Edges 0..m-1, members[i] in edge edge_ids[i]; pairs in any order."""
         n, m = _count(n, "vertex count"), _count(m, "edge count")
         edge_ids, members = _integers(edge_ids, "edge ids"), _integers(members, "hyperedge members")
+        if edge_ids.ndim != 1 or edge_ids.shape != members.shape:
+            raise InvalidInputError("edge ids and members must be flat arrays of one length")
         if ((members < 0) | (members >= n) | (edge_ids < 0) | (edge_ids >= m)).any():
             raise InvalidInputError(f"a pair has an edge id outside 0..{m - 1} or a member outside 0..{n - 1}")
         h = cls.__new__(cls)
@@ -182,18 +174,6 @@ def _count(n, what: str) -> int:
     return int(a)
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """`values` as an int64 array; InvalidInputError unless they are integers.
-    An integer array is taken as it is, with no pass over its values."""
-    try:
-        a = np.asarray(values)
-    except ValueError as exc:  # a ragged nesting
-        raise InvalidInputError(f"{what} must be integers ({exc})") from None
-    if a.dtype.kind not in "biu" and a.size:
-        raise InvalidInputError(f"{what} must be integers in the 64-bit range, not {a.dtype} values")
-    return a.astype(np.int64, copy=False)
-
-
 def _csr(key: np.ndarray, nrows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the (row, col) pairs encoded as row * width + col
     (every col below width), each row's columns sorted and distinct; sorts only
@@ -228,6 +208,10 @@ class Trace:
 class Coloring:
     """Total map vertex index -> integer color id (a float, even 2.0, is not one).
 
+    Colors are given as a flat sequence or integer array of int64 values.
+    `colors` holds them as a tuple of ints; the Coloring also keeps a
+    read-only int64 copy, `_array`, which the verifiers read, so a later
+    change to the caller's array changes nothing here.
     `palette_map` is present when colors are structured pairs (i, level)
     flattened to integers; it maps each flat id back to its pair.  `trace`
     is filled by the entry point that made the coloring; it takes no part in
@@ -239,7 +223,11 @@ class Coloring:
     trace: Trace | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(_integers(self.colors, "colors").tolist()))
+        colors = _read_only(_integers(self.colors, "colors").copy())
+        if colors.ndim != 1:
+            raise InvalidInputError("colors must be a flat sequence of integers")
+        object.__setattr__(self, "_array", colors)
+        object.__setattr__(self, "colors", tuple(colors.tolist()))
 
     @property
     def palette_size(self) -> int:
@@ -247,10 +235,6 @@ class Coloring:
 
     def __len__(self) -> int:
         return len(self.colors)
-
-
-def _colors_of(c) -> Sequence[int]:
-    return c.colors if isinstance(c, Coloring) else c
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +253,27 @@ def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
     omitted) or N[v] for closed mode; the rows of `g`, plus the diagonal when
     closed.  Closed edge v is N[v]; pointed edge i is N(v) for the i-th vertex
     v with a neighbour, np.flatnonzero(np.diff(g.indptr))[i]."""
-    members, owners = g._neighborhoods(mode)
-    if mode == "closed":
-        return Hypergraph.from_pairs(g.n, g.n, owners, members)
+    owners, members = g.arcs()
+    if _closed(mode):
+        loops = np.arange(g.n)
+        return Hypergraph.from_pairs(g.n, g.n, np.concatenate([owners, loops]), np.concatenate([members, loops]))
     nonempty = np.nonzero(np.diff(g.indptr))[0]
     rows = np.searchsorted(nonempty, owners)  # N(v) is edge number (rank of v among the nonempty rows)
     return Hypergraph.from_pairs(g.n, len(nonempty), rows, members)
+
+
+def _closed(mode: str) -> bool:
+    """Whether neighborhood `mode` is closed; InvalidInputError unless it is 'pointed' or 'closed'."""
+    if not isinstance(mode, str) or mode not in ("pointed", "closed"):
+        raise InvalidInputError("mode must be 'pointed' or 'closed'")
+    return mode == "closed"
 
 
 def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
     """Sub-hypergraph on the distinct vertices `keep` (any order), keep[i]
     renamed i, each edge intersected with keep; edge i stays edge i."""
     keep = _integers(keep, "induced vertices")
-    if len(keep) and (keep.min() < 0 or keep.max() >= h.n):
+    if keep.ndim != 1 or len(keep) and (keep.min() < 0 or keep.max() >= h.n):
         raise InvalidInputError(f"keep must be vertices of 0..{h.n - 1}")
     pos = np.full(h.n, -1, dtype=np.int64)
     pos[keep] = np.arange(len(keep))
@@ -298,24 +290,32 @@ def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _color_counts(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int) -> tuple[np.ndarray, ...]:
+def _color_counts(
+    colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int, diagonal: bool = False
+) -> tuple[np.ndarray, ...]:
     """Per distinct (edge, color) pair present, in increasing order: its edge and its member count;
-    counted in an edge x color table when it has at most |members| + ne cells, else by one sort."""
+    counted in an edge x color table when it has at most |members| + ne cells, else by one sort.
+    With `diagonal`, edge v also holds vertex v (ne = n): closed neighborhoods from the arcs alone."""
     values, dense = np.unique(colors, return_inverse=True)
     p = max(len(values), 1)
     key = owners * p + dense[members]
-    if ne * p <= len(key) + ne:
+    loops = np.arange(ne) * p + dense if diagonal else None  # one cell per vertex: no cell is counted twice
+    if ne * p <= len(key) + (ne if diagonal else 0) + ne:
         counts = np.bincount(key, minlength=ne * p)
+        if diagonal:
+            counts[loops] += 1
         key = np.flatnonzero(counts)
         return key // p, counts[key]
+    if diagonal:
+        key = np.concatenate([key, loops])
     key.sort()
     first = np.flatnonzero(np.r_[len(key) > 0, key[1:] != key[:-1]])  # where each run of equal keys starts
     return key[first] // p, np.diff(first, append=len(key))
 
 
 def _total(coloring, n: int) -> np.ndarray:
-    colors = _integers(_colors_of(coloring), "colors")
-    if len(colors) != n:
+    colors = coloring._array if isinstance(coloring, Coloring) else _integers(coloring, "colors")
+    if colors.ndim != 1 or len(colors) != n:
         raise InvalidInputError("coloring is not total")
     return colors
 
@@ -328,10 +328,12 @@ def verify_proper(h: Hypergraph, coloring) -> list[int]:
     return np.nonzero((np.diff(h.indptr) >= 2) & (distinct == 1))[0].tolist()
 
 
-def _cf_violations(colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int) -> list[int]:
-    nonempty = np.zeros(ne, dtype=bool)
+def _cf_violations(
+    colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int, diagonal: bool = False
+) -> list[int]:
+    nonempty = np.full(ne, diagonal)
     nonempty[owners] = True
-    return _without_unique(*_color_counts(colors, members, owners, ne), nonempty)
+    return _without_unique(*_color_counts(colors, members, owners, ne, diagonal), nonempty)
 
 
 def _without_unique(edge_of: np.ndarray, counts: np.ndarray, nonempty: np.ndarray) -> list[int]:
@@ -360,8 +362,9 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
     rectangle coloring's recursion labels do not prove it.
     """
     if isinstance(contacts, Graph):
-        return _cf_violations(_total(coloring, contacts.n), *contacts._neighborhoods(mode), contacts.n)
-    if mode != "closed":
+        owners, members = contacts.arcs()
+        return _cf_violations(_total(coloring, contacts.n), members, owners, contacts.n, _closed(mode))
+    if not _closed(mode):
         raise InvalidInputError("a scene is checked in closed mode only")
     n = len(contacts)
     colors = _total(coloring, n)
@@ -371,8 +374,8 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
         raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
     if n * len(np.unique(colors)) <= n + _closed_degree_total(contacts.rows):
         return _without_unique(*_interval_census(contacts.rows, colors), np.ones(n, dtype=bool))
-    i, j, loops = *_contact_hits(contacts), np.arange(n)
-    return _cf_violations(colors, np.concatenate([j, i, loops]), np.concatenate([i, j, loops]), n)
+    i, j = _contact_hits(contacts)
+    return _cf_violations(colors, np.concatenate([j, i]), np.concatenate([i, j]), n, diagonal=True)
 
 
 def _closed_degree_total(ends: np.ndarray) -> int:
@@ -574,8 +577,8 @@ def certify(
         labels is not None
         and isinstance(contacts, Scene)
         and contacts.kind == "rects"
-        and mode == "closed"
-        and _rect_labels_settle(contacts.rows, np.asarray(coloring.colors), labels)
+        and _closed(mode)
+        and _rect_labels_settle(contacts.rows, coloring._array, labels)
     ):
         bad = []
     elif isinstance(contacts, (Graph, Scene)):
@@ -600,6 +603,7 @@ def min_cf_colors_bruteforce(h: Hypergraph, max_colors: int) -> tuple[int, Color
     (cutting the t^n space by t!), pruning as soon as a fully colored hyperedge
     lacks a unique color.  Enforces n <= 16.
     """
+    max_colors = _count(max_colors, "max_colors")
     if h.n > ORACLE_MAX_VERTICES:
         raise InvalidInputError(f"oracle limited to n <= {ORACLE_MAX_VERTICES}, got {h.n}")
     if h.n == 0:

@@ -34,7 +34,7 @@ def closed_cf_color_intervals(intervals: Scene) -> Coloring:
     if intervals.kind != "intervals":
         raise InvalidInputError("scene must contain intervals only")
     colors, chain = _interval_chain(intervals.rows)
-    out = Coloring(tuple(colors), trace=Trace(3, {"chain": chain}))
+    out = Coloring(colors, trace=Trace(3, {"chain": chain}))
     return certify(intervals, out, "closed", bound=3, what="interval coloring")
 
 

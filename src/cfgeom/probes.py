@@ -706,19 +706,19 @@ def cf_color_vs_probes(ps: ProbeSystem) -> Coloring:
     if contacts is not None and contacts.indices.size and intersection_graph(ps.probes).indices.size:
         raise InvalidInputError("pseudo-disc probes must be pairwise disjoint when the vertices overlap each other")
     h = _pairwise_hits(ps.vertices, ps.probes)
-    out = _cf_vs_hits(ps.vertices, h, contacts)
+    prune = (ps.vertices, contacts) if contacts is not None and contacts.indices.size else None
+    out = _cf_vs_hits(len(ps.vertices), h, prune)
     return certify(h, out, bound=out.trace.palette_bound, what="probe coloring")
 
 
-def _cf_vs_hits(vertices: Scene, h: Hypergraph, contacts: Graph | None) -> Coloring:
-    """cf_color_vs_probes given the probe hypergraph `h`, without certification.
+def _cf_vs_hits(n: int, h: Hypergraph, prune: tuple[Scene, Graph] | None) -> Coloring:
+    """cf_color_vs_probes of n vertices given the probe hypergraph `h`,
+    without certification.
 
-    `contacts` is the vertices' contact graph when they are pseudo-discs, to
-    prune when two of them meet, and None when they are discs.
+    `prune` is (vertices, contact graph) when the vertices are pseudo-discs
+    of which two meet, to prune first, and None otherwise.
     """
-    n = len(vertices)
-    prune = contacts is not None and contacts.indices.size > 0
-    kept, pruned = _prune_depth_one(vertices, contacts) if prune else (list(range(n)), [])
+    kept, pruned = _prune_depth_one(*prune) if prune else (list(range(n)), [])
     engine = _ProbeEngine(n, h.indptr, h.indices)
     peels: list[PeelOrder] = []
     final = _largest_class_rounds(kept, engine.color_rounds(peels))
@@ -726,7 +726,7 @@ def _cf_vs_hits(vertices: Scene, h: Hypergraph, contacts: Graph | None) -> Color
     colors[kept] = [final[v] for v in kept]
     colors[pruned] = colors.max(initial=0) + 1  # one reserved color for the pruned vertices
     bound = cf_palette_bound(n, PEEL_COLORS) + (1 if prune else 0)
-    return Coloring(tuple(colors.tolist()), trace=Trace(bound, {"pruned": pruned}, {"rounds": peels}))
+    return Coloring(colors, trace=Trace(bound, {"pruned": pruned}, {"rounds": peels}))
 
 
 def pointed_cf_pseudodiscs(scene: Scene) -> Coloring:
@@ -758,14 +758,14 @@ def pointed_cf_pseudodiscs(scene: Scene) -> Coloring:
     in_b = np.zeros(n, dtype=bool)
     in_b[b] = True
     rest = np.flatnonzero(~in_b).tolist()
-    col_b = _cf_vs_hits(scene.subscene(b), _graph_probe_hypergraph(g, b, rest), None)
-    offset = max(col_b.colors)
+    col_b = _cf_vs_hits(len(b), _graph_probe_hypergraph(g, b, rest), None)
     colors = np.zeros(n, dtype=np.int64)
-    colors[b] = col_b.colors
-    # B is independent, so the probes of this half are pairwise disjoint
+    colors[b] = col_b._array
+    # B is independent, so the probes of this half are pairwise disjoint; polygons of the rest that meet are pruned
     contacts = g.subgraph(rest) if mode == PSEUDODISC_MODE else None
-    col_rest = _cf_vs_hits(scene.subscene(rest), _graph_probe_hypergraph(g, rest, b), contacts)
-    colors[rest] = offset + np.asarray(col_rest.colors, dtype=np.int64)
+    prune = (scene.subscene(rest), contacts) if contacts is not None and contacts.indices.size else None
+    col_rest = _cf_vs_hits(len(rest), _graph_probe_hypergraph(g, rest, b), prune)
+    colors[rest] = col_b._array.max() + col_rest._array
     bound = cf_palette_bound(len(b), PEEL_COLORS) + cf_palette_bound(len(rest), PEEL_COLORS) + 1
     pruned = [rest[i] for i in col_rest.trace.vertices["pruned"]]
     trace = Trace(
@@ -773,7 +773,7 @@ def pointed_cf_pseudodiscs(scene: Scene) -> Coloring:
         {"independent_set": b, "rest": rest, "pruned": pruned},
         {"b": col_b.trace.peels["rounds"], "rest": col_rest.trace.peels["rounds"]},
     )
-    return certify(g, Coloring(tuple(colors.tolist()), trace=trace), "pointed", bound=bound, what="pipeline output")
+    return certify(g, Coloring(colors, trace=trace), "pointed", bound=bound, what="pipeline output")
 
 
 # ---------------------------------------------------------------------------

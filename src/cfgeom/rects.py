@@ -61,5 +61,5 @@ def closed_cf_color_rects(rects: Scene) -> Coloring:
     if depths.max() > math.floor(math.log2(n)):
         raise VerificationError("recursion went deeper than floor(log2 n) + 1 levels")
     bound = 3 * (math.floor(math.log2(n)) + 1)
-    out = Coloring(tuple(colors.tolist()), trace=Trace(bound, {"depth": depths.tolist(), "node": nodes.tolist()}))
+    out = Coloring(colors, trace=Trace(bound, {"depth": depths.tolist(), "node": nodes.tolist()}))
     return certify(rects, out, "closed", bound=bound, what="rectangle coloring")

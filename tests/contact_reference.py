@@ -23,6 +23,11 @@ held every candidate of the x-sweep reference at once, decided all of them by
 one predicate per kind and sorted the hits.  The tests require
 `cfgeom.geom.contact_pairs`, whose sweep decides the candidates in bounded
 blocks, to return the same arrays.
+
+The fifth is the earlier strip-window search (`windows_reference`), which
+searched the (strip, rank) keys with the queries in row order, unsorted.
+The tests require `cfgeom.geom._windows` to give the same (row, rank)
+pairs.
 """
 from __future__ import annotations
 
@@ -74,6 +79,20 @@ def contact_pairs_reference(a, b=None) -> tuple[np.ndarray, np.ndarray]:
         hit = np.array([intersects(a[p], other[q]) for p, q in zip(i.tolist(), j.tolist())], dtype=bool)
     order = np.lexsort((j[hit], i[hit]))
     return i[hit][order], j[hit][order]
+
+
+def windows_reference(lo: np.ndarray, hi: np.ndarray, strip: np.ndarray | None, ranked: np.ndarray | None):
+    """Spans (rows, start, stop, order) of `geom._windows`: every rank k in
+    range(lo[row], hi[row]) whose strip `ranked[k]` is within one of the
+    row's strip, one search per row and strip offset, in row order."""
+    if strip is None:
+        return np.arange(len(lo)), lo, hi, None
+    n1 = len(ranked) + 1
+    order = np.argsort(ranked, kind="stable")
+    keys = ranked[order] * n1 + order
+    base = (strip[:, None] + np.array([-1, 0, 1])) * n1  # a row's three strips, row by row
+    start, stop = (np.searchsorted(keys, (base + x[:, None]).ravel()) for x in (lo, hi))
+    return np.repeat(np.arange(len(lo)), 3), start, stop, order
 
 
 def _spans(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

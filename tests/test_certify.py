@@ -260,7 +260,8 @@ def _check_scene_census(scene, colors):
     assert bad == neighborhood_violations(g, colors, "closed")
     if scene.kind == "intervals":
         # the same (vertex, count) census the graph's closed neighborhoods give
-        edge_of, counts = _color_counts(np.asarray(colors), *g._neighborhoods("closed"), g.n)
+        owners, members = g.arcs()
+        edge_of, counts = _color_counts(np.asarray(colors), members, owners, g.n, diagonal=True)
         vertex, count = _interval_census(scene.rows, np.asarray(colors))
         assert sorted(zip(vertex.tolist(), count.tolist())) == sorted(zip(edge_of.tolist(), counts.tolist()))
     coloring = cf.Coloring(tuple(colors))

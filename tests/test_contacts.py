@@ -57,6 +57,7 @@ from contact_reference import (
     polygons_meet,
     polygons_meet_reference,
     segments_crossings_reference,
+    windows_reference,
 )
 
 half = st.integers(0, 12).map(lambda k: k / 2)
@@ -423,6 +424,48 @@ def test_forced_strips_match_the_reference_on_random_grids():
                     assert _pair_set(_box_overlaps(a, a, True)) == _pair_set(box_overlaps_reference(a, a, True))
                     half = a[: len(a) // 2]
                     assert _pair_set(_box_overlaps(half, a, False)) == _pair_set(box_overlaps_reference(half, a, False))
+
+
+def _window_searches(a, b, strips):
+    """The arguments of every `_windows` call the sweeps of a with itself, a
+    with b and b with a make with the stand-in `strips`."""
+    calls, real = [], geom._windows
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.multiple(geom, _windows=spy, _strips=strips):
+        _box_overlaps(a, a, True)
+        _box_overlaps(a, b, False)
+        _box_overlaps(b, a, False)
+    return calls
+
+
+def _window_pairs(rows, start, stop, order):
+    """The (row, rank) pairs of `_windows` spans, as a sorted list: a multiset."""
+    return sorted((r, k if order is None else int(order[k])) for r, a, z in zip(rows, start, stop) for k in range(a, z))
+
+
+@given(box_families(), st.sampled_from(["chosen", "forced", "short", "tallest", "headroom", "one"]))
+@settings(max_examples=200, deadline=None)
+def test_window_searches_on_sorted_queries_match_the_row_order_reference(families, height):
+    a, b, unit = families
+    strips = _scene_strips(height) if height in ("chosen", "forced") else _forced_strips(height, unit)
+    for args in _window_searches(a, b, strips):
+        assert _window_pairs(*geom._windows(*args)) == _window_pairs(*windows_reference(*args))
+
+
+def test_window_searches_on_a_sparse_disc_family_match_the_row_order_reference():
+    # 3000 discs at mean degree about 10: the chosen strips cut the plane
+    n, lo, hi = 3000, 0.05, 0.2
+    span = math.sqrt(n * math.pi * (4 * ((lo + hi) / 2) ** 2 + 2 * (hi - lo) ** 2 / 12) / 10.0)
+    box = generate_scene("discs", n, 9, span=span, margin=0).boxes
+    args = _window_searches(box, box[:0], geom._strips)[0]
+    assert args[2] is not None
+    got, want = geom._windows(*args), windows_reference(*args)
+    assert len(got[0]) == len(want[0]) == 3 * n
+    assert _window_pairs(*got) == _window_pairs(*want)
 
 
 # ---------------------------------------------------------------------------

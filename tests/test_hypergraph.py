@@ -175,6 +175,21 @@ def test_coloring_json_roundtrip():
         coloring_from_json('{"colors": [1, 2], "palette_size": 7}')
 
 
+def test_coloring_keeps_a_read_only_copy_of_its_colors():
+    given = np.array([3, 1, 2, 1])
+    c, view = Coloring(given), Coloring(given[::2])
+    given[:] = 9  # the caller's array changes afterwards
+    assert c.colors == (3, 1, 2, 1) and c._array.tolist() == [3, 1, 2, 1]
+    assert view.colors == (3, 2) and view._array.tolist() == [3, 2]
+    assert c._array.dtype == np.int64 and not c._array.flags.writeable
+    with pytest.raises(ValueError):
+        c._array[0] = 5
+    # the verifiers read the copy: colors 3, 1, 1 make edge 0 conflict-free, the caller's 9, 9, 9 would not
+    assert verify_cf(Hypergraph(4, [[0, 1, 3], [2]]), c) == []
+    small = Coloring(np.array([1, 2], dtype=np.uint8))
+    assert small._array.dtype == np.int64 and small == Coloring((1, 2))
+
+
 def test_hypergraph_validation():
     with pytest.raises(ValueError):
         Hypergraph(2, ((0, 5),))
@@ -419,6 +434,48 @@ def test_color_census_matches_unique_reference(data):
         nh = neighborhood_hypergraph(g, mode)
         owner_of = _edge_owners(g, mode)
         assert neighborhood_violations(g, colors, mode) == [owner_of[i] for i in _verify_cf_reference(nh, colors)]
+
+
+def _check_closed_census(g, colors):
+    """The closed census, counting the diagonal into the arcs' census, against
+    the reference census of the concatenated closed memberships."""
+    colors = np.asarray(colors, dtype=np.int64)
+    owners, members = g.arcs()
+    loops = np.arange(g.n)
+    got = _color_counts(colors, members, owners, g.n, diagonal=True)
+    expected = _color_counts_reference(colors, np.concatenate([members, loops]), np.concatenate([owners, loops]))
+    assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+    nh = neighborhood_hypergraph(g, "closed")
+    assert neighborhood_violations(g, colors, "closed") == _verify_cf_reference(nh, colors.tolist())
+
+
+PATH6 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+CLOSED_CENSUS_CASES = {
+    # name: (n, edges, colors, whether the n x p table is no larger than the 2|E| + n memberships plus n)
+    "two colors on a path: table": (6, PATH6, [1, 2, 1, 2, 1, 2], True),
+    "distinct colors on a path: sort": (6, PATH6, [5, 0, 3, 1, 4, 2], False),
+    "isolated vertices, one color": (5, [(0, 1)], [7] * 5, True),
+    "isolated vertices, distinct colors: sort": (6, [(2, 4)], [-1, 10**18, 3, 0, 2, 1], False),
+    "no edges, two colors": (4, [], [1, 1, 2, 2], True),
+    "no edges, distinct colors: sort": (4, [], [4, 3, 2, 1], False),
+    "one vertex": (1, [], [9], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_CENSUS_CASES))
+def test_closed_census_counts_the_diagonal_on_both_paths(name):
+    n, edges, colors, table = CLOSED_CENSUS_CASES[name]
+    assert (n * len(set(colors)) <= 2 * len(edges) + 2 * n) == table
+    _check_closed_census(Graph(n, edges), colors)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_census_matches_the_concatenated_reference(data):
+    n = data.draw(st.integers(0, 12))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))).filter(lambda e: e[0] < e[1])
+    edges = data.draw(st.sets(pairs, max_size=20)) if n > 1 else set()
+    _check_closed_census(Graph(n, edges), _draw_colors(data, n))
 
 
 def test_census_of_a_distinct_palette_builds_no_table():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cfgeom as cf
 from cfgeom.cli import _infer_fat_params, main
-from cfgeom.hypergraph import _integers, neighborhood_violations
+from cfgeom.hypergraph import _integers, certify, neighborhood_violations
 from cfgeom.svg import render_svg
 
 
@@ -32,6 +32,10 @@ def _two_discs():
 
 def _ones(h):
     return cf.Coloring((1,) * h.n)
+
+
+def _five_discs():
+    return cf.generate_scene("discs", 5, 1)
 
 
 BAD_CALLS = {
@@ -75,6 +79,22 @@ BAD_CALLS = {
     "verify_cf raw colors not integers": lambda: cf.verify_cf(_triangle(), [1.5, 1.7, 1.0]),
     "verify_proper raw colors a float array": lambda: cf.verify_proper(_triangle(), np.array([1.0, 2.0, 3.0])),
     "neighborhood raw colors not integers": lambda: neighborhood_violations(_path(), [1, 2.5, 1], "pointed"),
+    "scene census mode an array": lambda: neighborhood_violations(
+        cf.generate_scene("intervals", 3, 1), [1, 2, 1], np.array(["closed", "open"])
+    ),
+    "certify mode an array": lambda: certify(
+        cf.generate_scene("rects", 6, 1), cf.Coloring((1,) * 6), np.array(["closed", "open"])
+    ),
+    "oracle palette not an integer": lambda: cf.min_cf_colors_bruteforce(_triangle(), 2.5),
+    "induced keep nested": lambda: cf.induced(_triangle(), [[0, 1], [1, 2]]),
+    "subgraph keep nested": lambda: _path().subgraph([[0, 1], [1, 2]]),
+    "pairs nested": lambda: cf.Hypergraph.from_pairs(3, 2, [[0, 1]], [[1, 2]]),
+    "pairs of two lengths": lambda: cf.Hypergraph.from_pairs(3, 2, [0], [1, 2]),
+    # subscene ids are checked as subgraph ids are; none is wrapped, truncated or left to IndexError
+    "subscene index negative": lambda: _five_discs().subscene([-1]),
+    "subscene index not an integer": lambda: _five_discs().subscene([1.5]),
+    "subscene index out of range": lambda: _five_discs().subscene([7]),
+    "subscene indices nested": lambda: _five_discs().subscene([[0, 1], [2, 3]]),
 }
 
 
@@ -94,6 +114,97 @@ def test_integer_arrays_are_taken_without_a_pass():
     h = cf.Hypergraph.from_pairs(3, 2, ids % 2, ids % 3)
     assert h.edges == ((0, 1, 2), (0, 1, 2))
     assert cf.Coloring(np.array([3, 1, 2])).colors == (3, 1, 2)
+
+
+def test_subscene_takes_repeated_indices_in_their_order():
+    scene = _five_discs()
+    assert scene.subscene(np.array([4, 1, 1], dtype=np.uint8)).shapes == (scene[4], scene[1], scene[1])
+    assert scene.subscene(range(5)).shapes == scene.shapes and len(scene.subscene([])) == 0
+
+
+# unsigned values at or above 2^63 would wrap to negative int64 values
+UNSIGNED_CALLS = {
+    "Coloring of a Python int": lambda: cf.Coloring((2**63,)),
+    "Coloring of a uint64 array": lambda: cf.Coloring(np.array([2**63, 1], dtype=np.uint64)),
+    "Graph edge": lambda: cf.Graph(3, np.array([[0, 2**63]], dtype=np.uint64)),
+    "Hypergraph.from_pairs member": lambda: cf.Hypergraph.from_pairs(
+        3, 1, np.zeros(1, dtype=np.uint64), np.array([2**63], dtype=np.uint64)
+    ),
+    "verify_cf colors": lambda: cf.verify_cf(_triangle(), np.array([1, 2, 2**64 - 1], dtype=np.uint64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSIGNED_CALLS))
+def test_unsigned_values_beyond_int64_are_rejected(name):
+    with pytest.raises(cf.InvalidInputError, match=r"not above 2\^63 - 1"):
+        UNSIGNED_CALLS[name]()
+
+
+def test_unsigned_values_within_int64_are_taken():
+    top = np.array([2**63 - 1, 0], dtype=np.uint64)
+    assert cf.Coloring(top).colors == (2**63 - 1, 0)
+    assert cf.Graph(3, np.array([[0, 2]], dtype=np.uint64)).edges == {(0, 2)}
+    assert cf.verify_cf(cf.Hypergraph(2, [[0, 1]]), top) == []
+
+
+# fuzzing the library's own entry points with odd ids, counts and colors
+# ---------------------------------------------------------------------------
+
+ODD_VALUES = st.one_of(
+    st.integers(-3, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1]),
+)
+ODD_SEQUENCES = st.one_of(
+    st.lists(ODD_VALUES, max_size=5),
+    st.lists(st.one_of(ODD_VALUES, st.lists(ODD_VALUES, max_size=3)), min_size=1, max_size=4),  # ragged
+    st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), min_size=1, max_size=3),  # nested, even
+    st.lists(st.integers(0, 2**64 - 1), max_size=5).map(lambda v: np.array(v, dtype=np.uint64)),
+    st.lists(st.integers(-3, 5), max_size=5).map(lambda v: np.array(v, dtype=np.float64)),
+)
+ODD_SCALARS = st.one_of(
+    ODD_VALUES, st.sampled_from(["pointed", "closed", "open", "", None, np.array(["closed", "open"])])
+)
+
+
+def _json_colors(seq, scalar) -> str:
+    values = seq.tolist() if isinstance(seq, np.ndarray) else seq
+    doc = {"colors": values}
+    if isinstance(scalar, int) and not isinstance(scalar, bool):
+        doc["palette_map"] = {str(scalar): values[:2]}
+    return json.dumps(doc)
+
+
+FUZZED_CALLS = {
+    "min_cf_colors_bruteforce": lambda seq, x: cf.min_cf_colors_bruteforce(_triangle(), x),
+    "render_svg": lambda seq, x: render_svg(cf.generate_scene("discs", len(seq), 1), cf.Coloring(seq)),
+    "Scene.subscene": lambda seq, x: _five_discs().subscene(seq),
+    "Coloring": lambda seq, x: cf.Coloring(seq),
+    "coloring_from_json": lambda seq, x: cf.coloring_from_json(_json_colors(seq, x)),
+    "verify_cf": lambda seq, x: cf.verify_cf(_triangle(), seq),
+    "verify_proper": lambda seq, x: cf.verify_proper(_triangle(), seq),
+    "induced": lambda seq, x: cf.induced(_triangle(), seq),
+    "Graph.subgraph": lambda seq, x: _path().subgraph(seq),
+    "Hypergraph.from_pairs": lambda seq, x: cf.Hypergraph.from_pairs(3, 2, seq, seq[::-1]),
+    "neighborhood_hypergraph": lambda seq, x: cf.neighborhood_hypergraph(_path(), x),
+}
+
+
+@given(st.sampled_from(sorted(FUZZED_CALLS)), ODD_SEQUENCES, ODD_SCALARS)
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_library_calls_fail_cleanly(name, seq, scalar):
+    # a valid result or a CFGeomError; never a bare exception, a wrapped id or a truncated float
+    try:
+        out = FUZZED_CALLS[name](seq, scalar)
+    except cf.CFGeomError:
+        return
+    if isinstance(out, cf.Coloring):
+        assert out.colors == tuple(np.asarray(seq).tolist()) and all(type(c) is int for c in out.colors)
+    elif isinstance(out, cf.Scene):
+        assert out.shapes == tuple(_five_discs()[int(i)] for i in np.asarray(seq).tolist())
+    elif name in ("verify_cf", "verify_proper"):
+        assert len(seq) == 3 and -(2**63) <= min(np.asarray(seq).tolist()) and max(np.asarray(seq).tolist()) < 2**63
 
 
 # coloring documents whose values are not JSON integers

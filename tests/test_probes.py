@@ -1171,3 +1171,33 @@ def test_auxiliary_graph_planar_at_every_peel_step_on_pruned_pentagons():
     ps = ProbeSystem(scene.subscene(half["rest"]), scene.subscene(half["independent_set"]), PSEUDODISC_MODE)
     for order in report.peels["rest"]:
         _assert_planar_along(ps, order, nx)
+
+
+@pytest.mark.parametrize(
+    "kind, n, seed, subscenes",
+    # pentagons: shapes meet but no two of the rest do, then a rest that meets and prunes
+    [("discs", 60, 3, 0), ("pentagons", 8, 0, 0), ("pentagons", 30, 6, 1)],
+)
+def test_pipeline_builds_a_subscene_only_to_prune(monkeypatch, kind, n, seed, subscenes):
+    # the halves are colored from their vertex counts and probe hits; only
+    # pruning reads shapes, so only a polygon rest whose shapes meet is sliced out
+    if kind == "discs":
+        scene = generate_scene("discs", n, seed)
+    else:
+        scene = generate_scene("fat", n, seed, rho=1.5, k=3.0, homothets_of=pentagon_template(), base_size=0.05)
+    calls, real = [], Scene.subscene
+
+    def spy(self, indices):
+        calls.append(indices)
+        return real(self, indices)
+
+    monkeypatch.setattr(Scene, "subscene", spy)
+    out = pointed_cf_pseudodiscs(scene)
+    rest = out.trace.vertices["rest"]
+    assert len(calls) == subscenes
+    assert [list(c) for c in calls] == [rest] * subscenes
+    if kind == "pentagons":
+        # pruning runs exactly when two shapes of the rest meet
+        assert (intersection_graph(scene).subgraph(rest).indices.size > 0) == (subscenes == 1)
+    if subscenes:
+        assert out.trace.vertices["pruned"]
