@@ -43,11 +43,13 @@ class Graph:
     neighbours of v are indices[indptr[v]:indptr[v + 1]], in increasing order.
 
     Built from edge pairs (u, v) with u < v, given as an iterable or an (m, 2)
-    integer array; repeated pairs count once.  Counts and ids must be integers.
+    integer array; repeated pairs count once.  Counts and ids must be integers,
+    and n * n below 2^63, so that every CSR key u * n + v fits in int64.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         n = _count(n, "vertex count")
+        _key_space(n, n)
         e = _integers(edges if isinstance(edges, np.ndarray) else list(edges), "graph edges")
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -57,25 +59,14 @@ class Graph:
         bad = np.nonzero((u < 0) | (u >= v) | (v >= n))[0]
         if len(bad):
             raise InvalidInputError(f"bad edge ({u[bad[0]]},{v[bad[0]]}) for n={n}")
-        self.n = n
-        self.indptr, self.indices = _csr(np.concatenate([u * n + v, v * n + u]), n, n)
+        self.n, (self.indptr, self.indices) = n, _rows(n, n, np.concatenate([u * n + v, v * n + u]))
 
     @classmethod
     def _of_pairs(cls, n: int, i: np.ndarray, j: np.ndarray) -> Graph:
-        """Graph on n vertices of the distinct pairs (i[k], j[k]), i[k] != j[k],
-        in any order, taken as they are: one sort of the keys of both
-        directions gives the CSR rows."""
-        key = np.concatenate([i * n + j, j * n + i])
-        key.sort()
-        return cls._of_rows(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), key % max(n, 1))
-
-    @classmethod
-    def _of_rows(cls, degree: np.ndarray, indices: np.ndarray) -> Graph:
-        """Graph on len(degree) vertices whose CSR rows, the `degree[v]`
-        neighbours of each v in increasing order, fill `indices`."""
+        """Graph on n vertices of the pairs (i[k], j[k]), i[k] != j[k] in 0..n-1, in any order and
+        unchecked: keyed i * n + j and j * n + i from the two arrays, with no joined copy of them."""
         g = cls.__new__(cls)
-        g.n = len(degree)
-        g.indptr, g.indices = np.concatenate([[0], np.cumsum(degree)]), indices
+        g.n, (g.indptr, g.indices) = n, _rows(n, n, np.concatenate([i * n + j, j * n + i]))
         return g
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -90,18 +81,21 @@ class Graph:
         return frozenset(zip(u[up].tolist(), v[up].tolist()))
 
     def subgraph(self, keep: Sequence[int]) -> Graph:
-        """Induced subgraph on the strictly increasing vertex list `keep`, keep[i]
-        renamed i.  The parent's arcs between kept vertices, renamed, are
-        already in CSR order, as renaming keeps their order; so they are sliced
-        out, with no sort and no edge check."""
+        """Induced subgraph on the strictly increasing vertex list `keep`, keep[i] renamed i."""
         keep = _integers(keep, "subgraph vertices")
         if keep.ndim != 1 or len(keep) and (keep[0] < 0 or keep[-1] >= self.n or (np.diff(keep) <= 0).any()):
             raise InvalidInputError(f"keep must be strictly increasing vertices of 0..{self.n - 1}")
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[keep] = np.arange(len(keep))
-        u, v = (pos[x] for x in self.arcs())
-        inside = (u >= 0) & (v >= 0)
-        return Graph._of_rows(np.bincount(u[inside], minlength=len(keep)), v[inside])
+        u, v = self._arcs_between(keep, keep)
+        return Graph._of_pairs(len(keep), u[u < v], v[u < v])
+
+    def _arcs_between(self, rows: Sequence[int], cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The arcs (r, c) with r in `rows` and c in `cols` (distinct vertices,
+        no check), renamed to their positions there."""
+        local = np.full((2, self.n), -1, dtype=np.int64)
+        local[0, rows], local[1, cols] = np.arange(len(rows)), np.arange(len(cols))
+        r, c = (x[arc] for x, arc in zip(local, self.arcs()))
+        hit = (r >= 0) & (c >= 0)
+        return r[hit], c[hit]
 
 
 class Hypergraph:
@@ -110,7 +104,7 @@ class Hypergraph:
 
     Built from an iterable of vertex iterables (a member repeated within an
     edge counts once; repeated and empty edges are kept), or by `from_pairs`;
-    counts and ids must be integers.
+    counts and ids must be integers, and m * n below 2^63 for m edges.
     Edges and vertices are known by their indices alone: each function that
     makes one says which edge index stands for what (a probe, a neighbourhood).
     """
@@ -118,40 +112,32 @@ class Hypergraph:
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         n = _count(n, "vertex count")
         edges = [tuple(e) for e in edges]
+        _key_space(len(edges), n)
         sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
         members = _integers(list(chain.from_iterable(edges)), "hyperedge members")
         edge_ids = np.repeat(np.arange(len(edges)), sizes)
         bad = np.nonzero((members < 0) | (members >= n))[0]
         if len(bad):
             raise InvalidInputError(f"edge {tuple(sorted(set(edges[edge_ids[bad[0]]])))} out of range for n={n}")
-        self.n = n
-        self.indptr, self.indices = _csr(edge_ids * n + members, len(edges), n)
+        self.n, (self.indptr, self.indices) = n, _rows(len(edges), n, edge_ids * n + members)
 
     @classmethod
     def from_pairs(cls, n: int, m: int, edge_ids: np.ndarray, members: np.ndarray) -> Hypergraph:
         """Edges 0..m-1, members[i] in edge edge_ids[i]; pairs in any order."""
         n, m = _count(n, "vertex count"), _count(m, "edge count")
+        _key_space(m, n)
         edge_ids, members = _integers(edge_ids, "edge ids"), _integers(members, "hyperedge members")
         if edge_ids.ndim != 1 or edge_ids.shape != members.shape:
             raise InvalidInputError("edge ids and members must be flat arrays of one length")
         if ((members < 0) | (members >= n) | (edge_ids < 0) | (edge_ids >= m)).any():
             raise InvalidInputError(f"a pair has an edge id outside 0..{m - 1} or a member outside 0..{n - 1}")
-        h = cls.__new__(cls)
-        h.n = n
-        h.indptr, h.indices = _csr(edge_ids * n + members, m, n)
-        return h
+        return cls._of_pairs(n, m, edge_ids, members)
 
     @classmethod
     def _of_pairs(cls, n: int, m: int, edge_ids: np.ndarray, members: np.ndarray) -> Hypergraph:
-        """`from_pairs` of distinct pairs with every edge id in 0..m-1 and
-        every member in 0..n-1, taken as they are: one sort of their keys
-        gives the CSR rows, with no range check and no duplicate pass."""
-        key = edge_ids * n + members
-        key.sort()
-        key %= max(n, 1)  # in place, so the build holds the pairs and one key array at most
+        """`from_pairs` of pairs with edge ids in 0..m-1 and members in 0..n-1, taken with no check."""
         h = cls.__new__(cls)
-        h.n = n
-        h.indptr, h.indices = np.concatenate(([0], np.bincount(edge_ids, minlength=m).cumsum())), key
+        h.n, (h.indptr, h.indices) = n, _rows(m, n, edge_ids * n + members)
         return h
 
     @cached_property
@@ -174,18 +160,23 @@ def _count(n, what: str) -> int:
     return int(a)
 
 
-def _csr(key: np.ndarray, nrows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of the (row, col) pairs encoded as row * width + col
-    (every col below width), each row's columns sorted and distinct; sorts only
-    when the keys are not already increasing.  The public constructors build
-    on it; the contact graph and the probe hits do not, as the contact sweep's
-    pairs are distinct and unsorted: `Graph._of_pairs` and
-    `Hypergraph._of_pairs` sort their keys once, with no check, and
-    `Graph.subgraph` needs no sort."""
-    if (key[1:] <= key[:-1]).any():
-        key = np.sort(key)
-        key = key[np.diff(key, prepend=-1) != 0]
-    return np.searchsorted(key // width, np.arange(nrows + 1)), key % width
+def _key_space(nrows: int, width: int) -> None:
+    """InvalidInputError unless every CSR key row * width + col fits in int64."""
+    if nrows * width >= 2**63:
+        raise InvalidInputError(f"{nrows} rows of {width} columns overflow the 64-bit CSR keys")
+
+
+def _rows(nrows: int, width: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the (row, col) pairs keyed row * width + col,
+    every col below width: `key` is sorted in place, repeated keys dropped,
+    and each row's start found by `searchsorted` on the keys themselves."""
+    key.sort()
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        key = key[np.r_[True, ~repeat]]
+    indptr = np.searchsorted(key, np.arange(nrows + 1) * width)
+    key %= max(width, 1)  # in place, with no second array of keys
+    return indptr, key
 
 
 @dataclass(frozen=True)
@@ -244,7 +235,7 @@ class Coloring:
 
 def intersection_graph(scene: Scene) -> Graph:
     """Graph with an edge for every intersecting pair of scene shapes: the
-    unsorted pairs of the contact sweep, put in CSR order by one sort."""
+    unsorted pairs of the contact sweep, keyed and sorted once by `_rows`."""
     return Graph._of_pairs(len(scene), *_contact_hits(scene))
 
 
@@ -256,10 +247,10 @@ def neighborhood_hypergraph(g: Graph, mode: str = "pointed") -> Hypergraph:
     owners, members = g.arcs()
     if _closed(mode):
         loops = np.arange(g.n)
-        return Hypergraph.from_pairs(g.n, g.n, np.concatenate([owners, loops]), np.concatenate([members, loops]))
+        return Hypergraph._of_pairs(g.n, g.n, np.concatenate([owners, loops]), np.concatenate([members, loops]))
     nonempty = np.nonzero(np.diff(g.indptr))[0]
     rows = np.searchsorted(nonempty, owners)  # N(v) is edge number (rank of v among the nonempty rows)
-    return Hypergraph.from_pairs(g.n, len(nonempty), rows, members)
+    return Hypergraph._of_pairs(g.n, len(nonempty), rows, members)
 
 
 def _closed(mode: str) -> bool:
@@ -282,7 +273,7 @@ def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
     members, edge_ids = h._flat
     renamed = pos[members]
     inside = renamed >= 0
-    return Hypergraph.from_pairs(len(keep), len(h.indptr) - 1, edge_ids[inside], renamed[inside])
+    return Hypergraph._of_pairs(len(keep), len(h.indptr) - 1, edge_ids[inside], renamed[inside])
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +322,13 @@ def verify_proper(h: Hypergraph, coloring) -> list[int]:
 def _cf_violations(
     colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int, diagonal: bool = False
 ) -> list[int]:
+    """The CF check on the census: nonempty edges with no color counted exactly once."""
+    edge_of, counts = _color_counts(colors, members, owners, ne, diagonal)
+    unique = np.zeros(ne, dtype=bool)
+    unique[edge_of[counts == 1]] = True
     nonempty = np.full(ne, diagonal)
     nonempty[owners] = True
-    return _without_unique(*_color_counts(colors, members, owners, ne, diagonal), nonempty)
-
-
-def _without_unique(edge_of: np.ndarray, counts: np.ndarray, nonempty: np.ndarray) -> list[int]:
-    """The CF check on a census: nonempty edges with no color counted exactly once."""
-    has_unique = np.zeros(len(nonempty), dtype=bool)
-    has_unique[edge_of[counts == 1]] = True
-    return np.nonzero(nonempty & ~has_unique)[0].tolist()
+    return np.flatnonzero(nonempty & ~unique).tolist()
 
 
 def verify_cf(h: Hypergraph, coloring) -> list[int]:
@@ -372,37 +360,41 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
         return _rect_violations(contacts.rows, colors)
     if contacts.kind != "intervals":
         raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
-    if n * len(np.unique(colors)) <= n + _closed_degree_total(contacts.rows):
-        return _without_unique(*_interval_census(contacts.rows, colors), np.ones(n, dtype=bool))
+    values, dense = np.unique(colors, return_inverse=True)
+    if n * len(values) <= n + _closed_degree_total(contacts.rows):
+        return np.flatnonzero(~_interval_census(contacts.rows, dense)).tolist()
     i, j = _contact_hits(contacts)
     return _cf_violations(colors, np.concatenate([j, i]), np.concatenate([i, j]), n, diagonal=True)
 
 
 def _closed_degree_total(ends: np.ndarray) -> int:
-    """D, the sum of |N[v]| over the intervals: `_interval_census` of one color,
-    summed, so its queries can be sorted too."""
+    """D, the sum of |N[v]| over the intervals: the count `_interval_census`
+    takes per color, with every interval of one color, summed."""
     lo, hi = np.sort(ends[:, 0]), np.sort(ends[:, 1])
     return int(np.searchsorted(lo, hi, "right").sum() - np.searchsorted(hi, lo, "left").sum())
 
 
-def _interval_census(ends: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(vertex, count) of every (vertex, color) pair with count > 0, where count
-    is the number of color-c intervals meeting the closed interval of the vertex.
+def _interval_census(ends: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Whether the closed interval of each vertex meets some color class
+    exactly once, for colors given as class ids 0..p-1.
 
     Interval j misses [lo, hi] exactly when hi_j < lo or lo_j > hi, and not
-    both, so count = #(lo_j <= hi) - #(hi_j < lo) over color c: two
-    `searchsorted` calls on the sorted endpoints of the class, comparisons
-    only.  O(p n log n) time for p colors and O(n) memory per color.
+    both, so color c meets it #(lo_j <= hi) - #(hi_j < lo) times.  The
+    endpoints are sorted once, as queries and as the searched arrays: each
+    class's endpoints, masked out of the sorted ones, stay sorted, so each
+    color costs two `searchsorted` calls on sorted queries, comparisons only.
+    O(n log n + p n) time for p colors and O(n) memory.
     """
-    lo, hi = ends[:, 0], ends[:, 1]
-    vertex, count = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for c in np.unique(colors):
-        cls = colors == c
-        k = np.searchsorted(np.sort(lo[cls]), hi, "right") - np.searchsorted(np.sort(hi[cls]), lo, "left")
-        (met,) = np.nonzero(k)
-        vertex.append(met)
-        count.append(k[met])
-    return np.concatenate(vertex), np.concatenate(count)
+    by_lo, by_hi = np.argsort(ends[:, 0]), np.argsort(ends[:, 1])
+    lo, hi = ends[by_lo, 0], ends[by_hi, 1]
+    lo_color, hi_color = colors[by_lo], colors[by_hi]
+    met, missed = np.empty(len(ends), dtype=np.intp), np.empty(len(ends), dtype=np.intp)
+    unique = np.zeros(len(ends), dtype=bool)
+    for c in range(colors.max(initial=-1) + 1):
+        met[by_hi] = np.searchsorted(lo[lo_color == c], hi, "right")
+        missed[by_lo] = np.searchsorted(hi[hi_color == c], lo, "left")
+        unique |= met - missed == 1
+    return unique
 
 
 # words per (vertex x block of words) array of the rectangle census, about 16 MB
@@ -494,11 +486,11 @@ def _rect_labels_settle(box: np.ndarray, colors: np.ndarray, node) -> bool:
     (c) Every vertex v has, among the at most three classes of its node, one
     with exactly one member in the node whose closed y-range meets v's; that
     member is then the only one of its class in N[v].  The count is
-    `_interval_census` split by node: keys (node, rank of y) make the members
-    of one class slot of every node one sorted array, and the queries are
-    sorted once, so each slot costs two `searchsorted` calls on sorted
-    queries.  Labels need not come from the colorer: any labels that pass
-    (a), (b) and (c) prove the coloring.
+    `_interval_census` of the class slots on the keys node * V + rank of y,
+    for V distinct y values, so a member of an earlier node is counted in
+    both of its terms and one of a later node in neither.  Labels need not
+    come from the colorer: any labels that pass (a), (b) and (c) prove the
+    coloring.
     """
     n = len(box)
     node = np.asarray(node)
@@ -525,21 +517,9 @@ def _rect_labels_settle(box: np.ndarray, colors: np.ndarray, node) -> bool:
     pc, lo, hi = pc[by_extent], lo[by_extent], hi[by_extent]
     if ((pc[1:] == pc[:-1]) & (hi[:-1] >= lo[1:])).any():  # (b)
         return False
-    v_node, v_slot = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    v_node[order], v_slot[order] = nid, slot
     values, rank = np.unique(np.concatenate([ylo, yhi]), return_inverse=True)
-    q_lo, q_hi = v_node * len(values) + rank[:n], v_node * len(values) + rank[n:]
-    by_lo, by_hi = np.argsort(q_lo), np.argsort(q_hi)
-    q_lo, q_hi = q_lo[by_lo], q_hi[by_hi]
-    slot_lo, slot_hi = v_slot[by_lo], v_slot[by_hi]
-    settled = np.zeros(n, dtype=bool)
-    met, missed = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for s in range(slot.max() + 1):  # (c)
-        # members of slot s in the node of v with ymin <= ymax_v, less those with ymax < ymin_v
-        met[by_hi] = np.searchsorted(q_lo[slot_lo == s], q_hi, "right")
-        missed[by_lo] = np.searchsorted(q_hi[slot_hi == s], q_lo, "left")
-        settled |= met - missed == 1
-    return bool(settled.all())
+    keys = np.take(rank.reshape(2, n), order, axis=1) + nid * len(values)  # rows (lo, hi) in (node, color) order
+    return bool(_interval_census(keys.T, slot).all())  # (c)
 
 
 def certify(

@@ -151,12 +151,7 @@ def _graph_probe_hypergraph(g: Graph, vertices: list[int], probes: list[int]) ->
     """Probe hypergraph of two disjoint subfamilies of the scene `g` was built
     from, in the subfamilies' local indices: the probes' rows of `g`, masked to
     the vertices' columns, distinct as the graph's arcs are."""
-    local = np.full((2, g.n), -1, dtype=np.int64)  # index among the probes, among the vertices
-    local[0, probes], local[1, vertices] = np.arange(len(probes)), np.arange(len(vertices))
-    owner, member = g.arcs()
-    p, v = local[0, owner], local[1, member]
-    hit = (p >= 0) & (v >= 0)
-    return Hypergraph._of_pairs(len(vertices), len(probes), p[hit], v[hit])
+    return Hypergraph._of_pairs(len(vertices), len(probes), *g._arcs_between(probes, vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +698,10 @@ def cf_color_vs_probes(ps: ProbeSystem) -> Coloring:
     """
     ps.validate()
     contacts = intersection_graph(ps.vertices) if ps.mode == PSEUDODISC_MODE else None
-    if contacts is not None and contacts.indices.size and intersection_graph(ps.probes).indices.size:
+    prune = (ps.vertices, contacts) if contacts is not None and contacts.indices.size else None
+    if prune and len(_contact_hits(ps.probes)[0]):  # a yes/no, read off the sweep's pairs with no graph built
         raise InvalidInputError("pseudo-disc probes must be pairwise disjoint when the vertices overlap each other")
     h = _pairwise_hits(ps.vertices, ps.probes)
-    prune = (ps.vertices, contacts) if contacts is not None and contacts.indices.size else None
     out = _cf_vs_hits(len(ps.vertices), h, prune)
     return certify(h, out, bound=out.trace.palette_bound, what="probe coloring")
 

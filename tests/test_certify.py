@@ -259,11 +259,11 @@ def _check_scene_census(scene, colors):
     g = cf.intersection_graph(scene)
     assert bad == neighborhood_violations(g, colors, "closed")
     if scene.kind == "intervals":
-        # the same (vertex, count) census the graph's closed neighborhoods give
+        # the vertices whose closed neighborhood in the graph has a color counted exactly once
         owners, members = g.arcs()
         edge_of, counts = _color_counts(np.asarray(colors), members, owners, g.n, diagonal=True)
-        vertex, count = _interval_census(scene.rows, np.asarray(colors))
-        assert sorted(zip(vertex.tolist(), count.tolist())) == sorted(zip(edge_of.tolist(), counts.tolist()))
+        unique = _interval_census(scene.rows, np.unique(colors, return_inverse=True)[1])
+        assert np.flatnonzero(unique).tolist() == sorted(set(edge_of[counts == 1].tolist()))
     coloring = cf.Coloring(tuple(colors))
     if bad:
         with pytest.raises(cf.VerificationError, match="closed neighborhoods"):
@@ -316,6 +316,34 @@ def test_scene_census_matches_graph(kind, shapes, drawn, palette):
     colors = list(COLORERS[kind](scene).colors) if drawn is None else [d % p + 1 for d in drawn[: len(scene)]]
     bad = _check_scene_census(scene, colors)
     assert drawn is not None or bad == []
+
+
+@given(
+    st.lists(st.tuples(half, side, st.integers(0, 3), st.integers(0, 2)), max_size=40),
+    st.booleans(),
+)
+@example([], False)
+@example([(1, 0, 0, 0)] * 3 + [(1, 1, 0, 0), (1.5, 0, 1, 0)], False)  # repeated points, a point on an end
+@example([(0, 1, 0, 0), (1, 1, 0, 0), (2, 0, 1, 0), (1, 1, 0, 1), (0, 1, 0, 1)], True)  # touching ends, two nodes
+@example([(k / 2, 1, k % 2, k % 3) for k in range(20)], True)
+@settings(max_examples=300, deadline=None)
+def test_interval_census_is_the_brute_force_count(rows, keyed):
+    # v is marked when some color has exactly one interval meeting the closed interval of v; keyed, the
+    # endpoints become node * V + rank of the endpoint (as the rectangle labels' step (c) keys them), and
+    # only intervals of v's own node count
+    ends = np.array([(x, x + w) for x, w, _, _ in rows], dtype=float).reshape(-1, 2)
+    colors = np.array([c for _, _, c, _ in rows], dtype=np.int64)
+    node = np.array([d for _, _, _, d in rows], dtype=np.int64)
+    if keyed:
+        values, rank = np.unique(ends, return_inverse=True)
+        ends = rank.reshape(-1, 2) + (node * len(values))[:, None]
+    want = defaultdict(int)
+    for v, (lo, hi) in enumerate(ends.tolist()):
+        for j, (lo_j, hi_j) in enumerate(ends.tolist()):
+            if lo_j <= hi and lo <= hi_j and (not keyed or node[j] == node[v]):
+                want[v, colors[j]] += 1
+    unique = _interval_census(ends, colors)
+    assert np.flatnonzero(unique).tolist() == sorted({v for (v, _), k in want.items() if k == 1})
 
 
 @pytest.mark.parametrize("shapes", [GRID, DIAGONAL], ids=["grid", "diagonal"])

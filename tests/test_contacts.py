@@ -30,8 +30,10 @@ from cfgeom import (
     Scene,
     boundary_crossings,
     generate_scene,
+    induced,
     intersection_graph,
     intersects,
+    neighborhood_hypergraph,
     pentagon_template,
     validate_pseudodisc_family,
 )
@@ -601,24 +603,49 @@ def _csr_lists(h):
     return h.n, h.indptr.tolist(), h.indices.tolist()
 
 
-def test_probe_hits_take_the_arrays_of_the_public_route():
-    # the private constructors skip the range check and the duplicate pass, not a hit
-    scene = generate_scene("discs", 150, [8, 0], radius_range=(0.05, 0.3))
+TOUCHING_AND_ISOLATED = [Disc(Point(0, 0), 0.5), Disc(Point(1, 0), 0.5), Disc(Point(6, 6), 0), Disc(Point(0, 0), 0.5)]
+# 150 overlapping discs against 300 small probes, many sweep blocks each
+MANY_DISCS = list(generate_scene("discs", 150, [8, 0], radius_range=(0.05, 0.3)).shapes)
+MANY_PROBES = list(generate_scene("discs", 300, [8, 1], radius_range=(0.01, 0.3), margin=0).shapes)
+
+
+@given(
+    st.lists(discs(), max_size=16),
+    st.lists(discs(), max_size=12),
+    st.lists(st.booleans(), min_size=16, max_size=16),
+    st.permutations(range(16)),
+)
+@example([], [], [False] * 16, list(range(16)))  # empty graph, no probes, keep = []
+@example(TOUCHING_AND_ISOLATED, TOUCHING_AND_ISOLATED[2:], [True] * 16, list(range(16))[::-1])
+@example(TOUCHING_AND_ISOLATED, [], [False, True] * 8, list(range(16)))
+@example(MANY_DISCS, MANY_PROBES, [True, False] * 8, list(range(15, -1, -1)))
+@settings(max_examples=150, deadline=None)
+def test_probe_hits_take_the_arrays_of_the_public_route(shapes, probe_shapes, mask, order):
+    # every build that skips the range check gives the arrays of the validated public route on the same pairs
+    scene, probes = Scene(tuple(shapes)), Scene(tuple(probe_shapes))
+    n = len(scene)
+    keep = [v for v in range(n) if mask[v % 16]]
+    rest = [v for v in range(n) if not mask[v % 16]]
+    _assert_graphs_match_public_route(scene, keep)  # intersection_graph and Graph.subgraph
     g = intersection_graph(scene)
-    half = list(range(0, 150, 2))
-    systems = [(scene.subscene(half), generate_scene("discs", 300, [8, 1], radius_range=(0.01, 0.3), margin=0))]
-    systems += [(scene, Scene(())), (Scene(()), scene), (Scene(()), Scene(()))]
-    for vertices, probes in systems:
-        h = _pairwise_hits(vertices, probes)
-        public = Hypergraph.from_pairs(len(vertices), len(probes), *geom._contact_hits(probes, vertices))
-        assert _csr_lists(h) == _csr_lists(public)
-    rest = list(range(1, 150, 2))
-    for vertices, probes in ((half, rest), (rest, half), (half, []), ([], rest)):
-        h = _graph_probe_hypergraph(g, vertices, probes)
+    rows = [set(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()) for v in range(n)]
+    hypergraphs = [
+        (neighborhood_hypergraph(g, "closed"), Hypergraph(n, [rows[v] | {v} for v in range(n)])),
+        (neighborhood_hypergraph(g, "pointed"), Hypergraph(n, [r for r in rows if r])),
+        (_pairwise_hits(scene, probes), Hypergraph.from_pairs(n, len(probes), *geom._contact_hits(probes, scene))),
+    ]
+    for vertices, hitting in ((keep, rest), (rest, keep)):
         owner, member = g.arcs()
-        hit = np.isin(owner, probes) & np.isin(member, vertices)
-        p, v = np.searchsorted(probes, owner[hit]), np.searchsorted(vertices, member[hit])
-        public = Hypergraph.from_pairs(len(vertices), len(probes), p, v)
+        hit = np.isin(owner, hitting) & np.isin(member, vertices)
+        p, v = np.searchsorted(hitting, owner[hit]), np.searchsorted(vertices, member[hit])
+        public = Hypergraph.from_pairs(len(vertices), len(hitting), p, v)
+        hypergraphs.append((_graph_probe_hypergraph(g, vertices, hitting), public))
+    chosen = sorted(keep, key=lambda v: (order[v % 16], v))  # keep in another order, for `induced`
+    pos = {v: i for i, v in enumerate(chosen)}
+    for h, public in hypergraphs[:3]:
+        renamed = [[pos[v] for v in e if v in pos] for e in public.edges]
+        hypergraphs.append((induced(h, chosen), Hypergraph(len(chosen), renamed)))
+    for h, public in hypergraphs:
         assert _csr_lists(h) == _csr_lists(public)
 
 

@@ -147,6 +147,32 @@ def test_unsigned_values_within_int64_are_taken():
     assert cf.verify_cf(cf.Hypergraph(2, [[0, 1]]), top) == []
 
 
+# CSR arrays are keyed row * width + col in int64: a key space of 2^63 or more
+# would wrap a key to a negative one, or allocate an indptr no machine holds
+KEY_SPACE_CALLS = {
+    "Graph of 2^33 vertices": lambda: cf.Graph(2**33, [(0, 1)]),
+    "Graph of 2^32 vertices, no edges": lambda: cf.Graph(2**32),
+    "Hypergraph of 3 edges on 2^62 vertices": lambda: cf.Hypergraph(2**62, [[0], [1], [2**62 - 1]]),
+    "Hypergraph.from_pairs of 2^24 edges on 2^40 vertices": lambda: cf.Hypergraph.from_pairs(
+        2**40, 2**24, [2**24 - 1, 0], [2**40 - 1, 5]
+    ),
+    "Hypergraph.from_pairs with no pairs": lambda: cf.Hypergraph.from_pairs(2**62, 2, [], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_SPACE_CALLS))
+def test_csr_key_space_beyond_int64_is_rejected(name):
+    with pytest.raises(cf.InvalidInputError, match="overflow the 64-bit CSR keys"):
+        KEY_SPACE_CALLS[name]()
+
+
+def test_csr_key_space_just_within_int64_is_taken():
+    # rows * width = 2^63 - 1: the largest key and the last row bound still fit
+    h = cf.Hypergraph.from_pairs(2**63 - 1, 1, [0, 0], [2**63 - 2, 5])
+    assert h.indptr.tolist() == [0, 2] and h.edges == ((5, 2**63 - 2),)
+    assert cf.Hypergraph(2**62 - 1, [[2**62 - 2], [0]]).edges == ((2**62 - 2,), (0,))
+
+
 # fuzzing the library's own entry points with odd ids, counts and colors
 # ---------------------------------------------------------------------------
 

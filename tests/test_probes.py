@@ -41,6 +41,7 @@ from cfgeom.errors import IncompatibleShapesError, InvalidInputError, PlanarityE
 from cfgeom import geom as geom_module
 from cfgeom import probes as probes_module
 from cfgeom.geom import (
+    _homothet,
     _polygon_inradius_at,
     _polygon_outradius_at,
     contiguous_run_witnesses,
@@ -281,6 +282,35 @@ def test_pseudodisc_mode_rejects_double_overlap():
     if len(intersection_graph(blob1).edges) and len(intersection_graph(blob2).edges):
         with pytest.raises(ValueError):
             cf_color_vs_probes(ps)
+
+
+def _unit_pentagons(*centers):
+    """Unit translates of the pentagon template (inradius 1, outradius 1.42):
+    two whose centers are under 2 apart meet, two over 2.83 apart miss."""
+    return Scene(tuple(_homothet(pentagon_template(), Point(x, y), 1.0) for x, y in centers))
+
+
+# vertices and probes: the probes must be pairwise disjoint only when two vertices meet
+PROBE_OVERLAP_CASES = {
+    "overlapping vertices, meeting probes": ([(0, 0), (0.5, 0)], [(-1.8, 0), (-1.8, 1.5)], True),
+    "overlapping vertices, disjoint probes": ([(0, 0), (0.5, 0)], [(-1.8, 0), (2.3, 0)], False),
+    "disjoint vertices, meeting probes": ([(0, 0), (5, 0)], [(1.6, 0), (3.4, 0)], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_OVERLAP_CASES))
+def test_pseudodisc_probes_must_be_disjoint_only_over_overlapping_vertices(name):
+    vertex_centers, probe_centers, refused = PROBE_OVERLAP_CASES[name]
+    ps = ProbeSystem(_unit_pentagons(*vertex_centers), _unit_pentagons(*probe_centers), PSEUDODISC_MODE)
+    assert len(intersection_graph(ps.vertices).edges) == ("overlapping" in name)
+    assert len(intersection_graph(ps.probes).edges) == ("meeting" in name)
+    h = probe_hypergraph(ps)
+    assert all(h.edges)  # every probe hits a vertex
+    if refused:
+        with pytest.raises(InvalidInputError, match="probes must be pairwise disjoint"):
+            cf_color_vs_probes(ps)
+    else:
+        assert verify_cf(h, cf_color_vs_probes(ps)) == []
 
 
 def _centered_polygon(*verts):
