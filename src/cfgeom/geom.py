@@ -931,8 +931,13 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def scene_from_json(text: str) -> Scene:
+    return _scene_from_dict(text, parse=True)
+
+
+def _scene_from_dict(data, parse: bool = False) -> Scene:
+    """The scene of a JSON document, parsed or (`parse`) as text; InvalidInputError when it is malformed."""
     try:
-        data = json.loads(text)
+        data = json.loads(data) if parse else data
         return Scene(tuple(_shape_from_dict(d) for d in data["shapes"]), data.get("kind", ""))
     except InvalidInputError:
         raise
@@ -1021,7 +1026,7 @@ def generate_scene(
             want = min(want, 400 - misses)
         else:
             want = math.ceil(want * max(drawn, 1) / max(len(shapes), 1))  # at the acceptance rate so far
-        block = draw(min(want, placed.block_limit()))
+        block = draw(min(want, _GEN_BLOCK))
         bad, clash = placed.conflicts(block)
         taken: list[int] = []
         kept = [False] * len(bad)
@@ -1042,7 +1047,6 @@ def generate_scene(
 
 
 _GEN_BLOCK = 256  # candidates per generator block at most
-_GEN_CELLS = 1 << 16  # overlapping margin-box pairs per block, about
 
 
 @dataclass(frozen=True)
@@ -1124,78 +1128,55 @@ def _scaled(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 class _Placed:
     """Shapes accepted so far, as the margin keys of `_margin_keys` and their
-    sweep boxes, in arrays that double when full."""
+    sweep boxes.  Both box sweeps of `conflicts` take the margin test as their
+    `decide`, so it runs inside the sweeps' blocks and only too-close pairs leave them."""
 
     def __init__(self, kind: str, delta: float):
         self.kind, self.delta = kind, delta
-        self.per = {"intervals": 2, "rects": 4, "fat": 8}.get(kind, 1)  # keys per shape, as last seen
-        self.keys = np.empty((16, {"discs": 3, "fat": 4}.get(kind, 1)))
-        self.boxes = np.empty((16, 4))
-        self.size = 0  # keys held
-        self.density = 1.0  # share of key pairs whose boxes overlapped in the last block
+        self.keys, self.boxes = np.empty((0, {"discs": 3, "fat": 4}.get(kind, 1))), np.empty((0, 4))
         self._block: tuple = ()
-
-    def block_limit(self) -> int:
-        """Candidates per block such that the expected overlapping box pairs,
-        against placed keys and within the block, stay near `_GEN_CELLS`."""
-        if self.density <= 0:
-            return _GEN_BLOCK
-        m = self.size
-        x = math.sqrt(m * m + 2 * _GEN_CELLS / self.density) - m  # x (m + x / 2) density = _GEN_CELLS
-        return max(1, min(_GEN_BLOCK, int(x / self.per)))
 
     def conflicts(self, block: _Block) -> tuple[np.ndarray, dict[int, list[int]]]:
         """Per candidate, whether it is too close to a placed shape; and per
         candidate j, the earlier candidates i < j it is too close to."""
         keys, boxes, owner = _margin_keys(self.kind, block.rows, self.delta)
-        bad = np.zeros(len(block.rows), dtype=bool)
-        i, j = _box_overlaps(self.boxes[: self.size], boxes, False)
-        bad[owner[j[self._too_close(self.keys[i], keys[j])]]] = True
-        p, q = _box_overlaps(boxes, boxes, True)
-        other = owner[p] != owner[q]  # keys are grouped by owner, so then owner[p] < owner[q]
-        p, q = p[other], q[other]
-        near = self._too_close(keys[p], keys[q])
-        x, m = len(keys), self.size
-        self.density = (len(i) + len(p)) / max(1, x * m + x * (x - 1) // 2)
-        self.per = x / len(block.rows)
+        _, j = _box_overlaps(self.boxes, boxes, False, self._too_close(self.keys, keys))
+        bad = np.bincount(owner[j], minlength=len(block.rows)) > 0
+        # keys are grouped by owner, and i < j, so then owner[i] < owner[j]
+        i, j = _box_overlaps(boxes, boxes, True, self._too_close(keys, keys, owner))
         clash: dict[int, list[int]] = {}
-        for a, b in zip(owner[p[near]].tolist(), owner[q[near]].tolist()):
+        for a, b in zip(owner[i].tolist(), owner[j].tolist()):
             clash.setdefault(b, []).append(a)
         self._block = (keys, boxes, owner)
         return bad, clash
 
-    def _too_close(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether key a (of the placed shape) and key b are closer than delta."""
-        d = self.delta
-        if self.kind == "discs":
-            dist = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-            outer, inner = np.abs(dist - (a[:, 2] + b[:, 2])), np.abs(dist - np.abs(a[:, 2] - b[:, 2]))
-            return (dist < d) | (outer < d) | (inner < d)
-        if self.kind == "fat":
-            # each vertex starts one edge, and that edge's box holds it: the start
-            # of each edge against the other edge covers every vertex-edge pair
-            e0, e1, f0, f1 = a[:, :2], a[:, 2:], b[:, :2], b[:, 2:]
-            return (_points_segments_dist(f0, e0, e1) < d) | (_points_segments_dist(e0, f0, f1) < d)
-        return np.abs(a[:, 0] - b[:, 0]) < d
+    def _too_close(self, keys_a: np.ndarray, keys_b: np.ndarray, owner: np.ndarray | None = None) -> Callable:
+        """The margin test as the `decide` of `_box_overlaps`: whether key i of `keys_a`
+        and key j of `keys_b` are closer than delta, and given `owner`, have different owners."""
+        d, kind = self.delta, self.kind
+
+        def test(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            a, b = keys_a[i], keys_b[j]
+            if kind == "discs":
+                dist = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+                outer, inner = np.abs(dist - (a[:, 2] + b[:, 2])), np.abs(dist - np.abs(a[:, 2] - b[:, 2]))
+                near = (dist < d) | (outer < d) | (inner < d)
+            elif kind == "fat":
+                # each vertex starts one edge, and that edge's box holds it: the start
+                # of each edge against the other edge covers every vertex-edge pair
+                e0, e1, f0, f1 = a[:, :2], a[:, 2:], b[:, :2], b[:, 2:]
+                near = (_points_segments_dist(f0, e0, e1) < d) | (_points_segments_dist(e0, f0, f1) < d)
+            else:
+                near = np.abs(a[:, 0] - b[:, 0]) < d
+            return near if owner is None else near & (owner[i] != owner[j])
+
+        return lambda oa, ob: lambda p, q: test(oa[p], ob[q])
 
     def add(self, taken: list[int]) -> None:
         """Place the candidates `taken` of the block last passed to `conflicts`."""
         keys, boxes, owner = self._block
         mine = np.isin(owner, taken)
-        keys, boxes = keys[mine], boxes[mine]
-        end = self.size + len(keys)
-        self.keys, self.boxes = _grown(self.keys, end), _grown(self.boxes, end)
-        self.keys[self.size : end], self.boxes[self.size : end] = keys, boxes
-        self.size = end
-
-
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    """`a`, or a copy at least twice as long when it has fewer than `size` rows."""
-    if size <= len(a):
-        return a
-    out = np.empty((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
+        self.keys, self.boxes = np.concatenate((self.keys, keys[mine])), np.concatenate((self.boxes, boxes[mine]))
 
 
 def _margin_keys(kind: str, rows: Sequence, delta: float) -> tuple[np.ndarray, ...]:

@@ -174,7 +174,10 @@ def _rows(nrows: int, width: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarr
     repeat = key[1:] == key[:-1]
     if repeat.any():
         key = key[np.r_[True, ~repeat]]
-    indptr = np.searchsorted(key, np.arange(nrows + 1) * width)
+    try:
+        indptr = np.searchsorted(key, np.arange(nrows + 1) * width)
+    except MemoryError:
+        raise InvalidInputError(f"the row pointers of {nrows} CSR rows do not fit in memory") from None
     key %= max(width, 1)  # in place, with no second array of keys
     return indptr, key
 
@@ -628,8 +631,7 @@ def greedy_maximal_independent_set(g: Graph, order: Sequence[int] | None = None)
     """Maximal (not maximum) independent set, scanning vertices in `order`."""
     if order is None:
         order = range(g.n)
-    order = list(order)
-    if sorted(order) != list(range(g.n)):
+    elif sorted(order := list(order)) != list(range(g.n)):  # only a caller's order needs checking
         raise InvalidInputError("order must be a permutation of the vertices")
     ptr, idx = g.indptr.tolist(), g.indices.tolist()
     blocked = [False] * g.n  # a chosen vertex blocks its neighbours and is never blocked itself

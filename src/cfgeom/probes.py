@@ -36,9 +36,9 @@ from .geom import (
     _GUARD,
     _clip_segments,
     _contact_hits,
+    _scene_from_dict,
     _spans,
     _validate_pseudodiscs,
-    scene_from_json,
     scene_to_json,
     validate_pseudodisc_family,
 )
@@ -777,13 +777,10 @@ def pointed_cf_pseudodiscs(scene: Scene) -> Coloring:
 
 
 def probe_system_to_json(ps: ProbeSystem) -> str:
-    return json.dumps(
-        {
-            "vertices": json.loads(scene_to_json(ps.vertices)),
-            "probes": json.loads(scene_to_json(ps.probes)),
-            "mode": ps.mode,
-        }
-    )
+    # each scene's own JSON text, embedded as it is: with json.dumps's default separators this is
+    # the text of dumping the whole document, and no scene is encoded twice
+    vertices, probes = scene_to_json(ps.vertices), scene_to_json(ps.probes)
+    return f'{{"vertices": {vertices}, "probes": {probes}, "mode": {json.dumps(ps.mode)}}}'
 
 
 def probe_system_from_json(text: str) -> ProbeSystem:
@@ -792,4 +789,4 @@ def probe_system_from_json(text: str) -> ProbeSystem:
         vertices, probes, mode = data["vertices"], data["probes"], data.get("mode", DISC_MODE)
     except (KeyError, IndexError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise InvalidInputError(f"malformed probe-system JSON ({type(exc).__name__}: {exc})") from exc
-    return ProbeSystem(scene_from_json(json.dumps(vertices)), scene_from_json(json.dumps(probes)), mode)
+    return ProbeSystem(_scene_from_dict(vertices), _scene_from_dict(probes), mode)

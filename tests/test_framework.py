@@ -106,6 +106,14 @@ def test_improper_colorer_aborts():
     assert err.value.sub_hypergraph is not None
 
 
+def test_partial_colorer_aborts():
+    def drops_last(sub: Hypergraph) -> Coloring:
+        return Coloring(tuple(1 + i % 2 for i in range(sub.n - 1)))
+
+    with pytest.raises(ColorerContractError, match="partial coloring"):
+        proper_to_cf(all_intervals_hypergraph(4), ProperColorer(drops_last, 2, "partial"))
+
+
 def test_list_identical_lists_degenerates():
     h = all_intervals_hypergraph(4)
     m = cf_palette_bound(4, 2)
@@ -149,16 +157,19 @@ def test_list_size_precondition():
 
 
 def test_list_exhaustion_reported():
-    # adversarial: a vertex whose tiny effective list is drained
-    h = Hypergraph(2, ((0, 1),))
+    # lists of cf_palette_bound(4, 2) = 3 colors pass the size check, yet
+    # drain the centre of a star: each round's most popular color is held by
+    # the centre and one leaf, a proper coloring parts them, and the tie goes
+    # to the leaf's class, the one holding the smaller vertex
+    h = Hypergraph(4, ((0, 3), (1, 3), (2, 3)))
 
-    def bad(sub: Hypergraph) -> Coloring:
-        return Coloring(tuple(1 + (i % 2) for i in range(sub.n)))
+    def centre_apart(sub: Hypergraph) -> Coloring:
+        return Coloring((1,) * (sub.n - 1) + (2,))
 
-    # the precondition check needs size >= 2; craft lists that pass it but
-    # collide so vertex 1 is never in a largest class until its list drains
-    with pytest.raises((ListExhaustedError, VerificationError, ValueError)):
-        proper_to_cf_list(h, [[1, 2], [1]], ProperColorer(bad, 2))
+    lists = [[1, 10, 11], [2, 12, 13], [3, 14, 15], [1, 2, 3]]
+    with pytest.raises(ListExhaustedError) as err:
+        proper_to_cf_list(h, lists, ProperColorer(centre_apart, 2))
+    assert err.value.vertex == 3
 
 
 def _list_colors_by_recount(h, lists, pc):

@@ -137,6 +137,10 @@ def test_oracle_limits():
     assert min_cf_colors_bruteforce(all_intervals_hypergraph(4), 2) is None
 
 
+def test_oracle_of_no_vertices_needs_no_color():
+    assert min_cf_colors_bruteforce(Hypergraph(0, ()), 3) == (0, Coloring(()))
+
+
 def test_greedy_mis_examples():
     path = Graph(3, frozenset({(0, 1), (1, 2)}))
     assert greedy_maximal_independent_set(path) == [0, 2]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfgeom as cf
+from cfgeom import hypergraph
 from cfgeom.cli import _infer_fat_params, main
 from cfgeom.hypergraph import _integers, certify, neighborhood_violations
 from cfgeom.svg import render_svg
@@ -171,6 +172,36 @@ def test_csr_key_space_just_within_int64_is_taken():
     h = cf.Hypergraph.from_pairs(2**63 - 1, 1, [0, 0], [2**63 - 2, 5])
     assert h.indptr.tolist() == [0, 2] and h.edges == ((5, 2**63 - 2),)
     assert cf.Hypergraph(2**62 - 1, [[2**62 - 2], [0]]).edges == ((2**62 - 2,), (0,))
+
+
+class _NumpyWithoutRoom:
+    """numpy as `hypergraph` sees it on a host that cannot hold an arange of
+    more than 2^30 entries: such an arange raises MemoryError, as numpy's
+    failed allocations do, and nothing is allocated."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def arange(stop, *args, **kwargs):
+        if stop > 2**30:
+            raise MemoryError(f"Unable to allocate an arange of {stop} entries")
+        return np.arange(stop, *args, **kwargs)
+
+
+# within the key space, yet the row pointers of the CSR rows (n + 1 for a
+# graph, m + 1 for m hyperedges) need more memory than a host may have
+ROW_POINTER_CALLS = {
+    "Graph of 2^31 vertices": lambda: cf.Graph(2**31, [(0, 1)]),
+    "Hypergraph.from_pairs of 2^40 edges": lambda: cf.Hypergraph.from_pairs(2, 2**40, [0], [1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_POINTER_CALLS))
+def test_csr_row_pointers_beyond_memory_are_rejected(monkeypatch, name):
+    monkeypatch.setattr(hypergraph, "np", _NumpyWithoutRoom())
+    with pytest.raises(cf.InvalidInputError, match=r"row pointers of \d+ CSR rows do not fit in memory"):
+        ROW_POINTER_CALLS[name]()
 
 
 # fuzzing the library's own entry points with odd ids, counts and colors

@@ -362,6 +362,19 @@ def test_invalid_probe_system_raises_the_same_error_on_every_call(monkeypatch):
             probe_hypergraph(wrong)
 
 
+def test_pseudodisc_mode_rejects_discs_mixed_with_polygons():
+    ps = ProbeSystem(generate_scene("discs", 2, 1), Scene((pentagon_template(),)), PSEUDODISC_MODE)
+    with pytest.raises(IncompatibleShapesError, match="homogeneous disc or polygon family"):
+        ps.validate()
+
+
+def test_pipeline_rejects_polygons_crossing_four_times():
+    # two thin bars crossed like a plus sign: their boundaries cross in four points
+    plus = Scene((_box_polygon(-1, -0.1, 1, 0.1), _box_polygon(-0.1, -1, 0.1, 1)))
+    with pytest.raises(InvalidInputError, match="scene is not a pseudo-disc family"):
+        pointed_cf_pseudodiscs(plus)
+
+
 def test_disc_mode_rejects_polygons():
     pent = pentagon_template()
     ps = ProbeSystem(Scene((pent,)), Scene((), "discs"), "disc")
