@@ -364,35 +364,43 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
     if contacts.kind != "intervals":
         raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
     values, dense = np.unique(colors, return_inverse=True)
-    if n * len(values) <= n + _closed_degree_total(contacts.rows):
-        return np.flatnonzero(~_interval_census(contacts.rows, dense)).tolist()
+    ends = _sorted_ends(contacts.rows)
+    if n * len(values) <= n + _closed_degree_total(ends):
+        return np.flatnonzero(~_interval_census(ends, dense)).tolist()
     i, j = _contact_hits(contacts)
     return _cf_violations(colors, np.concatenate([j, i]), np.concatenate([i, j]), n, diagonal=True)
 
 
-def _closed_degree_total(ends: np.ndarray) -> int:
-    """D, the sum of |N[v]| over the intervals: the count `_interval_census`
-    takes per color, with every interval of one color, summed."""
-    lo, hi = np.sort(ends[:, 0]), np.sort(ends[:, 1])
+def _sorted_ends(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(by_lo, lo, by_hi, hi) of the (n, 2) array of (lo, hi) rows: the
+    orders of the starts and of the ends, and each column sorted by its own."""
+    by_lo, by_hi = np.argsort(rows[:, 0]), np.argsort(rows[:, 1])
+    return by_lo, rows[by_lo, 0], by_hi, rows[by_hi, 1]
+
+
+def _closed_degree_total(ends: tuple[np.ndarray, ...]) -> int:
+    """D, the sum of |N[v]| over the intervals of `_sorted_ends`: the count
+    `_interval_census` takes per color, with every interval of one color, summed."""
+    _, lo, _, hi = ends
     return int(np.searchsorted(lo, hi, "right").sum() - np.searchsorted(hi, lo, "left").sum())
 
 
-def _interval_census(ends: np.ndarray, colors: np.ndarray) -> np.ndarray:
+def _interval_census(ends: tuple[np.ndarray, ...], colors: np.ndarray) -> np.ndarray:
     """Whether the closed interval of each vertex meets some color class
-    exactly once, for colors given as class ids 0..p-1.
+    exactly once, for the intervals of `_sorted_ends` and colors given as
+    class ids 0..p-1.
 
     Interval j misses [lo, hi] exactly when hi_j < lo or lo_j > hi, and not
-    both, so color c meets it #(lo_j <= hi) - #(hi_j < lo) times.  The
-    endpoints are sorted once, as queries and as the searched arrays: each
-    class's endpoints, masked out of the sorted ones, stay sorted, so each
-    color costs two `searchsorted` calls on sorted queries, comparisons only.
+    both, so color c meets it #(lo_j <= hi) - #(hi_j < lo) times.  The sorted
+    endpoints serve as queries and as the searched arrays: each class's
+    endpoints, masked out of the sorted ones, stay sorted, so each color costs
+    two `searchsorted` calls on sorted queries, comparisons only.
     O(n log n + p n) time for p colors and O(n) memory.
     """
-    by_lo, by_hi = np.argsort(ends[:, 0]), np.argsort(ends[:, 1])
-    lo, hi = ends[by_lo, 0], ends[by_hi, 1]
+    by_lo, lo, by_hi, hi = ends
     lo_color, hi_color = colors[by_lo], colors[by_hi]
-    met, missed = np.empty(len(ends), dtype=np.intp), np.empty(len(ends), dtype=np.intp)
-    unique = np.zeros(len(ends), dtype=bool)
+    met, missed = np.empty(len(lo), dtype=np.intp), np.empty(len(lo), dtype=np.intp)
+    unique = np.zeros(len(lo), dtype=bool)
     for c in range(colors.max(initial=-1) + 1):
         met[by_hi] = np.searchsorted(lo[lo_color == c], hi, "right")
         missed[by_lo] = np.searchsorted(hi[hi_color == c], lo, "left")
@@ -522,7 +530,7 @@ def _rect_labels_settle(box: np.ndarray, colors: np.ndarray, node) -> bool:
         return False
     values, rank = np.unique(np.concatenate([ylo, yhi]), return_inverse=True)
     keys = np.take(rank.reshape(2, n), order, axis=1) + nid * len(values)  # rows (lo, hi) in (node, color) order
-    return bool(_interval_census(keys.T, slot).all())  # (c)
+    return bool(_interval_census(_sorted_ends(keys.T), slot).all())  # (c)
 
 
 def certify(
@@ -628,11 +636,17 @@ def min_cf_colors_bruteforce(h: Hypergraph, max_colors: int) -> tuple[int, Color
 
 
 def greedy_maximal_independent_set(g: Graph, order: Sequence[int] | None = None) -> list[int]:
-    """Maximal (not maximum) independent set, scanning vertices in `order`."""
+    """Maximal (not maximum) independent set, scanning vertices in `order`,
+    a permutation of the vertex ids given as integers (a bool or a float,
+    even 1.0, is not one)."""
     if order is None:
         order = range(g.n)
-    elif sorted(order := list(order)) != list(range(g.n)):  # only a caller's order needs checking
-        raise InvalidInputError("order must be a permutation of the vertices")
+    else:  # only a caller's order needs checking
+        order = list(order)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in order):
+            raise InvalidInputError("order must hold integer vertex ids, not bools or floats")
+        if sorted(order) != list(range(g.n)):
+            raise InvalidInputError("order must be a permutation of the vertices")
     ptr, idx = g.indptr.tolist(), g.indices.tolist()
     blocked = [False] * g.n  # a chosen vertex blocks its neighbours and is never blocked itself
     for v in order:

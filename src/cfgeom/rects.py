@@ -38,26 +38,32 @@ def closed_cf_color_rects(rects: Scene) -> Coloring:
     # where the sum overflows, both halves are normal floats, so their sum lies
     # in [xmin, xmax]; halving first everywhere would send subnormals to 0
     center = np.where(np.isfinite(center), center, box[:, 0] / 2 + box[:, 1] / 2)
-    colors = np.zeros(n, dtype=int)
-    depths = np.full(n, -1)
-    nodes = np.full(n, -1)
-    node_counter = [0]
+    xlo, xhi, ys = box[:, 0], box[:, 1], box[:, 2:]
+    colors = np.ones(n, dtype=int)  # the chain color 1, 2 or 3 within the node, until the depth is added
+    nodes = np.empty(n, dtype=int)
+    node_depth: list[int] = []  # by node id
 
     def recurse(idx: np.ndarray, depth: int) -> None:
-        if not len(idx):
+        node = len(node_depth)
+        node_depth.append(depth)
+        if len(idx) == 1:  # its own median line stabs it: a chain of one link
+            nodes[idx] = node
             return
-        node = node_counter[0]
-        node_counter[0] += 1
         line = np.partition(center[idx], len(idx) // 2)[len(idx) // 2]
-        left, right = box[idx, 1] < line, box[idx, 0] > line
+        left, right = xhi[idx] < line, xlo[idx] > line
         stabbed = idx[~(left | right)]
-        y_colors, _chain = _interval_chain(box[stabbed, 2:])
-        colors[stabbed] = 3 * depth + np.array(y_colors)
-        depths[stabbed], nodes[stabbed] = depth, node
-        recurse(idx[left], depth + 1)
-        recurse(idx[right], depth + 1)
+        colors[stabbed] = _interval_chain(ys[stabbed])[0]
+        nodes[stabbed] = node
+        half = idx[left]
+        if len(half):
+            recurse(half, depth + 1)
+        half = idx[right]
+        if len(half):
+            recurse(half, depth + 1)
 
     recurse(np.arange(n), 0)
+    depths = np.array(node_depth)[nodes]
+    colors += 3 * depths
     if depths.max() > math.floor(math.log2(n)):
         raise VerificationError("recursion went deeper than floor(log2 n) + 1 levels")
     bound = 3 * (math.floor(math.log2(n)) + 1)

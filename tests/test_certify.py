@@ -17,7 +17,15 @@ import cfgeom as cf
 import cfgeom.geom
 import cfgeom.hypergraph
 import cfgeom.probes
-from cfgeom.hypergraph import _color_counts, _interval_census, _rect_labels_settle, certify, neighborhood_violations
+from cfgeom.hypergraph import (
+    _closed_degree_total,
+    _color_counts,
+    _interval_census,
+    _rect_labels_settle,
+    _sorted_ends,
+    certify,
+    neighborhood_violations,
+)
 from peel_reference import reference_colorer
 
 
@@ -262,7 +270,7 @@ def _check_scene_census(scene, colors):
         # the vertices whose closed neighborhood in the graph has a color counted exactly once
         owners, members = g.arcs()
         edge_of, counts = _color_counts(np.asarray(colors), members, owners, g.n, diagonal=True)
-        unique = _interval_census(scene.rows, np.unique(colors, return_inverse=True)[1])
+        unique = _interval_census(_sorted_ends(scene.rows), np.unique(colors, return_inverse=True)[1])
         assert np.flatnonzero(unique).tolist() == sorted(set(edge_of[counts == 1].tolist()))
     coloring = cf.Coloring(tuple(colors))
     if bad:
@@ -342,8 +350,72 @@ def test_interval_census_is_the_brute_force_count(rows, keyed):
         for j, (lo_j, hi_j) in enumerate(ends.tolist()):
             if lo_j <= hi and lo <= hi_j and (not keyed or node[j] == node[v]):
                 want[v, colors[j]] += 1
-    unique = _interval_census(ends, colors)
+    unique = _interval_census(_sorted_ends(ends), colors)
     assert np.flatnonzero(unique).tolist() == sorted({v for (v, _), k in want.items() if k == 1})
+
+
+def _verdicts_on_both_paths(scene, colors):
+    """(violations, certify's error message or None) on an interval scene, with
+    the rule n p <= n + D forced to the endpoint census, then to the contact pairs."""
+    out = []
+    for total in (2**62, -1 - len(scene)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cfgeom.hypergraph, "_closed_degree_total", lambda ends, total=total: total)
+            bad = neighborhood_violations(scene, colors, "closed")
+            try:
+                certify(scene, cf.Coloring(tuple(colors)), "closed")
+                message = None
+            except cf.VerificationError as exc:
+                message = str(exc)
+        out.append((bad, message))
+    return out
+
+
+# n intervals with |E| contacts, so D = n + 2|E|; a coloring of p = 3 colors takes the
+# endpoint census when 3n <= n + D, that is when 2|E| >= n
+RULE_FAMILIES = {
+    "on the rule, census": ([(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)], True),  # n 6, |E| 3, D 12
+    "two below, pairs": ([(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (9, 10)], False),  # n 6, |E| 2, D 10
+    "one above, census": ([(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (9, 10), (10, 10)], True),  # n 7, |E| 4, D 15
+    "one below, pairs": ([(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (9, 10), (12, 12)], False),  # n 7, |E| 3, D 13
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_FAMILIES))
+def test_interval_verdict_is_the_same_on_both_census_paths(monkeypatch, name):
+    ends, census = RULE_FAMILIES[name]
+    scene = cf.Scene(tuple(cf.Interval(lo, hi) for lo, hi in ends))
+    n, g = len(scene), cf.intersection_graph(scene)
+    assert _closed_degree_total(_sorted_ends(scene.rows)) == n + len(g.indices)  # two arcs per contact
+    # round robin and in pairs (3 colors), then the colorer's own coloring
+    colorings = [[k % 3 + 1 for k in range(n)], [k // 2 % 3 + 1 for k in range(n)]]
+    colorings.append(list(cf.closed_cf_color_intervals(scene).colors))
+    pairs = _spy(monkeypatch, cfgeom.geom, "_contact_hits")
+    verdicts = set()
+    for colors in colorings:
+        want = neighborhood_violations(g, colors, "closed")
+        by_census, by_pairs = _verdicts_on_both_paths(scene, colors)
+        assert by_census == by_pairs and by_census[0] == want
+        verdicts.add(by_census[1] is None)
+        del pairs[:]
+        assert neighborhood_violations(scene, colors, "closed") == want
+        if len(set(colors)) == 3:
+            assert bool(pairs) is not census
+    assert verdicts == {True, False}  # each family is both accepted and rejected
+
+
+@given(
+    st.lists(st.tuples(half, side), min_size=1, max_size=30),
+    st.lists(st.integers(1, 30), min_size=30, max_size=30),
+    st.integers(1, 30),
+)
+@settings(max_examples=200, deadline=None)
+def test_interval_verdict_is_the_same_on_both_census_paths_when_drawn(shapes, drawn, palette):
+    scene = cf.Scene(tuple(cf.Interval(x, x + w) for x, w in shapes))
+    colors = [d % palette + 1 for d in drawn[: len(scene)]]
+    by_census, by_pairs = _verdicts_on_both_paths(scene, colors)
+    assert by_census == by_pairs
+    assert by_census[0] == neighborhood_violations(cf.intersection_graph(scene), colors, "closed")
 
 
 @pytest.mark.parametrize("shapes", [GRID, DIAGONAL], ids=["grid", "diagonal"])

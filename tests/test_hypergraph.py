@@ -149,6 +149,7 @@ def test_greedy_mis_examples():
     empty = Graph(4, frozenset())
     assert greedy_maximal_independent_set(empty) == [0, 1, 2, 3]
     assert greedy_maximal_independent_set(path, [1, 0, 2]) == [1]
+    assert greedy_maximal_independent_set(path, np.array([1, 0, 2])) == [1]  # numpy ids are integers too
     with pytest.raises(ValueError):
         greedy_maximal_independent_set(path, [0, 0, 1])
 

@@ -52,6 +52,11 @@ BAD_CALLS = {
     "induced out of range": lambda: cf.induced(_triangle(), [5]),
     "induced duplicates": lambda: cf.induced(_triangle(), [0, 0]),
     "independent set order": lambda: cf.greedy_maximal_independent_set(_path(), [0, 1]),
+    "independent set order of floats": lambda: cf.greedy_maximal_independent_set(_path(), [1.0, 0.0, 2.0]),
+    "independent set order with bools": lambda: cf.greedy_maximal_independent_set(_path(), [True, False, 2]),
+    "independent set order a bool array": lambda: cf.greedy_maximal_independent_set(
+        cf.Graph(2, [(0, 1)]), np.array([True, False])
+    ),
     "oracle too large": lambda: cf.min_cf_colors_bruteforce(cf.Hypergraph(17, []), 3),
     "one list per vertex": lambda: cf.proper_to_cf_list(_triangle(), [[1, 2]], cf.ProperColorer(_ones, 2)),
     "lists too short": lambda: cf.proper_to_cf_list(_triangle(), [[1]] * 3, cf.ProperColorer(_ones, 2)),

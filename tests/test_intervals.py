@@ -169,6 +169,13 @@ def half_grid_families(draw):
 @given(half_grid_families())
 @example([Interval(0, 0)])
 @example([Interval(-1.5, 2)])
+# the farthest right end tied, between ends of -0.0 and 0.0 too: the smaller index wins
+@example([Interval(-1, 0.0), Interval(-0.0, -0.0), Interval(-2, 0.0), Interval(0.0, 0.0), Interval(-2, -0.0)])
+@example([Interval(0, 1), Interval(-0.0, 1), Interval(1, 3), Interval(0, 3), Interval(0, 3), Interval(2, 3)])
+# exact repeats on both sides of a hole of the union, and a point tied with their right end
+@example([Interval(2, 4), Interval(0, 1), Interval(3, 4), Interval(2, 4), Interval(0, 1), Interval(4, 4)])
+# 40 intervals over three starts and three ends: past 16, an unstable sort reorders the ties
+@example([Interval(k * 4 % 3 / 2, 4 + k * 5 % 3 / 2) for k in range(40)])
 @settings(max_examples=400, deadline=None)
 def test_chain_matches_reference_scan(ivs):
     col = closed_cf_color_intervals(Scene(tuple(ivs)))

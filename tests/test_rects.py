@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 from axis_reference import reference_rects
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgeom import (
@@ -144,6 +144,10 @@ side = st.integers(0, 6).map(lambda k: k / 2)
 
 
 @given(st.lists(st.tuples(half, side, half, side), min_size=1, max_size=30))
+# one node whose y-ranges tie on the farthest top, among tops of -0.0 and 0.0 too, with exact repeats
+@example([(0, 1, -1, 1), (0, 1, -0.0, -0.0), (0, 1, -2, 2), (0, 1, -2, 2), (0, 1, 0.0, 0.0), (0, 1, -0.0, -0.0)])
+@example([(0, 2, 2, 2), (1, 1, 0, 1), (0, 2, 3, 1), (1, 0, 2, 2), (0, 2, 0, 1), (3, 1, 0, 4), (3, 1, 0, 4), (3, 1, 1, 3)])
+@example([(0, 1, k * 4 % 3 / 2, 4 + k * 5 % 3 / 2 - k * 4 % 3 / 2) for k in range(40)])  # 40 in one node
 @settings(max_examples=200, deadline=None)
 def test_recursion_matches_reference_on_half_grids(boxes):
     # tied centers, lines through rectangle edges, and zero-width rectangles
