@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import IncompatibleShapesError, InvalidInputError, VerificationError
-from .geom import Scene, _contact_hits, _integers, _read_only
+from .geom import Scene, _box_overlaps, _contact_hits, _integers, _read_only
 
 __all__ = [
     "Graph",
@@ -344,9 +344,13 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
     colored member; no hypergraph is built.
 
     A Graph is read from its edge arrays.  An interval or rectangle Scene, in
-    closed mode only, is read with no graph at all.  Intervals are counted by
-    endpoints (`_interval_census`), or from the contact pairs when the
-    (vertex, color) cells n p outnumber the closed neighborhood members n + D.
+    closed mode only, is read with no graph at all; an empty scene has no
+    violations.  Intervals are counted class by class, smallest class first,
+    each from its own sorted ends and over the vertices no smaller class
+    settled, for as long as that costs less than the census
+    (`_interval_unsettled`); the vertices and classes this walk leaves go to
+    the endpoint census, or to their contact pairs when their u p'
+    (vertex, class) cells outnumber their u + D closed-neighborhood members.
     Rectangles are counted in 64-bit words (`_rect_violations`), with no pairs.
     This census reads colors alone: it checks colorings made elsewhere (as
     `cfgeom verify` does), and it decides for `certify` whenever a
@@ -359,16 +363,13 @@ def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> lis
         raise InvalidInputError("a scene is checked in closed mode only")
     n = len(contacts)
     colors = _total(coloring, n)
+    if not n:
+        return []
     if contacts.kind == "rects":
         return _rect_violations(contacts.rows, colors)
     if contacts.kind != "intervals":
         raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
-    values, dense = np.unique(colors, return_inverse=True)
-    ends = _sorted_ends(contacts.rows)
-    if n * len(values) <= n + _closed_degree_total(ends):
-        return np.flatnonzero(~_interval_census(ends, dense)).tolist()
-    i, j = _contact_hits(contacts)
-    return _cf_violations(colors, np.concatenate([j, i]), np.concatenate([i, j]), n, diagonal=True)
+    return _interval_unsettled(contacts.rows, np.unique(colors, return_inverse=True)[1], contacts)
 
 
 def _sorted_ends(rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -378,34 +379,122 @@ def _sorted_ends(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return by_lo, rows[by_lo, 0], by_hi, rows[by_hi, 1]
 
 
-def _closed_degree_total(ends: tuple[np.ndarray, ...]) -> int:
-    """D, the sum of |N[v]| over the intervals of `_sorted_ends`: the count
-    `_interval_census` takes per color, with every interval of one color, summed."""
-    _, lo, _, hi = ends
-    return int(np.searchsorted(lo, hi, "right").sum() - np.searchsorted(hi, lo, "left").sum())
+def _closed_degree_total(lo: np.ndarray, hi: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray) -> int:
+    """D, the sum of |N[v]| over the intervals [q_lo, q_hi], for the sorted
+    starts `lo` and ends `hi` of a family: the count of `_interval_unsettled`
+    with every interval of one color, summed."""
+    return int(np.searchsorted(lo, q_hi, "right").sum() - np.searchsorted(hi, q_lo, "left").sum())
 
 
-def _interval_census(ends: tuple[np.ndarray, ...], colors: np.ndarray) -> np.ndarray:
-    """Whether the closed interval of each vertex meets some color class
-    exactly once, for the intervals of `_sorted_ends` and colors given as
-    class ids 0..p-1.
+# A class of s intervals counted over u unsettled ones costs about
+# (u + s) (2 log2(s + 1) + 2) + n / 4 steps, a step being one level of one
+# query's binary search (about 7 ns), plus this many per class; the census's
+# sorts, degree count and calls cost about this many steps per interval,
+# plus eight classes.
+_WALK_PER_INTERVAL, _WALK_PER_CLASS = 24, 512
+
+
+def _class_walk(rows: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unsettled, rest): whether the closed interval of each vertex meets no
+    class counted exactly once, and the classes not counted, for the (n, 2)
+    array of (lo, hi) rows and colors given as class ids 0..p-1.
+
+    A vertex alone in its class meets that class once, in itself.  The other
+    vertices are counted class by class, smallest class first, each class
+    from its own sorted ends and over the vertices still unsettled, until
+    none is left.  It stops before a class whose cost would take it past
+    that of the census, and once its classes, counted over more than 64
+    vertices in all, have settled fewer than one in eight of them: a walk
+    that does not finish saves the census little.  Over more than 8192
+    vertices the first class is counted on a sample of about 1024 of them
+    first, so that a walk that would settle little stops before it pays for
+    a whole class.
+    """
+    n = len(rows)
+    lo, hi = rows[:, 0], rows[:, 1]
+    sizes = np.bincount(colors)
+    unsettled = sizes[colors] > 1 if (sizes == 1).any() else np.ones(n, dtype=bool)
+    classes = sizes.argsort()  # smallest first
+    budget = _WALK_PER_INTERVAL * n + 8 * _WALK_PER_CLASS
+
+    def once(member: np.ndarray, who: np.ndarray) -> np.ndarray:
+        """Whether the class of `member` meets each interval of `who` exactly once."""
+        met = np.sort(lo[member]).searchsorted(hi[who], "right")
+        return met - np.sort(hi[member]).searchsorted(lo[who], "left") == 1
+
+    rest, counted, settled = classes[:0], 0, 0
+    left = None  # the unsettled vertices, listed once a class is counted
+    for k, c in enumerate(classes):
+        u, s = np.count_nonzero(unsettled) if left is None else len(left), int(sizes[c])
+        if not u:
+            break
+        budget -= (u + s) * (2 * s.bit_length() + 2) + n // 4 + _WALK_PER_CLASS
+        if budget < 0 or 8 * settled + 64 < counted:
+            rest = classes[k:]
+            break
+        member = np.flatnonzero(colors == c)
+        if left is None:
+            left = np.flatnonzero(unsettled)
+            if u > 8192:  # the first class is tried on every (u // 1024)-th vertex before all of them
+                sample = left[:: u // 1024]
+                counted, settled = len(sample), int(np.count_nonzero(once(member, sample)))
+                if 8 * settled + 64 < counted:
+                    rest = classes[k:]
+                    break
+        left = left[np.flatnonzero(~once(member, left))]
+        counted, settled = counted + u, settled + u - len(left)
+    if left is not None:
+        unsettled = np.zeros(n, dtype=bool)
+        unsettled[left] = True
+    return unsettled, rest
+
+
+def _interval_unsettled(rows: np.ndarray, colors: np.ndarray, scene: Scene | None = None) -> list[int]:
+    """Vertices whose closed interval meets no color class exactly once, for
+    the (n, 2) array of (lo, hi) rows and colors given as class ids 0..p-1.
 
     Interval j misses [lo, hi] exactly when hi_j < lo or lo_j > hi, and not
-    both, so color c meets it #(lo_j <= hi) - #(hi_j < lo) times.  The sorted
-    endpoints serve as queries and as the searched arrays: each class's
-    endpoints, masked out of the sorted ones, stay sorted, so each color costs
-    two `searchsorted` calls on sorted queries, comparisons only.
-    O(n log n + p n) time for p colors and O(n) memory.
+    both, so class c meets it #(lo_j <= hi) - #(hi_j < lo) times.  The
+    classes are counted smallest first (`_class_walk`).  The p' classes the
+    walk leaves are counted once each over the u vertices it leaves, by the
+    census: the endpoints, sorted once (`_sorted_ends`), serve as the
+    searched arrays and, for the vertices left, as sorted queries; each
+    class's endpoints, masked out of the sorted ones, stay sorted, so each
+    class costs two `searchsorted` calls.  For a `scene` whose u p' (vertex,
+    class) cells outnumber the u + D closed-neighborhood members of those
+    vertices, the contact pairs of those vertices are counted instead,
+    taken from the scene's own sweep when u > n / 2, else from a sweep of
+    the vertices left against the scene.  Comparisons only; O(n log n + p' n)
+    time and O(n) memory for the census.
     """
-    by_lo, lo, by_hi, hi = ends
+    unsettled, rest = _class_walk(rows, colors)
+    if not len(rest):
+        return np.flatnonzero(unsettled).tolist()
+    n, u = len(rows), int(np.count_nonzero(unsettled))
+    by_lo, lo, by_hi, hi = _sorted_ends(rows)
+    q_lo, q_hi, to_lo, to_hi = lo, hi, by_lo, by_hi
+    if u < n:  # the queries of the vertices left, still sorted
+        at_lo, at_hi = np.flatnonzero(unsettled[by_lo]), np.flatnonzero(unsettled[by_hi])
+        q_lo, q_hi, to_lo, to_hi = lo[at_lo], hi[at_hi], by_lo[at_lo], by_hi[at_hi]
+    if scene is not None and u * len(rest) > u + _closed_degree_total(lo, hi, q_lo, q_hi):
+        if 2 * u > n:  # the scene's own sweep, which lists each pair once, costs less
+            i, j = _contact_hits(scene)
+            owner, member = np.concatenate([i, j]), np.concatenate([j, i])
+            if u < n:  # only the arcs out of the vertices left; the others keep their diagonal alone
+                kept = np.flatnonzero(unsettled[owner])
+                owner, member = owner[kept], member[kept]
+            return _cf_violations(colors, member, owner, n, diagonal=True)
+        left = np.flatnonzero(unsettled)
+        owner, member = _box_overlaps(scene.boxes[left], scene.boxes, False)  # each vertex left meets itself
+        return left[_cf_violations(colors, member, owner, u)].tolist()
     lo_color, hi_color = colors[by_lo], colors[by_hi]
-    met, missed = np.empty(len(lo), dtype=np.intp), np.empty(len(lo), dtype=np.intp)
-    unique = np.zeros(len(lo), dtype=bool)
-    for c in range(colors.max(initial=-1) + 1):
-        met[by_hi] = np.searchsorted(lo[lo_color == c], hi, "right")
-        missed[by_lo] = np.searchsorted(hi[hi_color == c], lo, "left")
+    met, missed = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)  # used at the vertices left only
+    unique = np.zeros(n, dtype=bool)
+    for c in rest:
+        met[to_hi] = np.searchsorted(lo[lo_color == c], q_hi, "right")
+        missed[to_lo] = np.searchsorted(hi[hi_color == c], q_lo, "left")
         unique |= met - missed == 1
-    return unique
+    return np.flatnonzero(unsettled & ~unique).tolist()
 
 
 # words per (vertex x block of words) array of the rectangle census, about 16 MB
@@ -497,11 +586,14 @@ def _rect_labels_settle(box: np.ndarray, colors: np.ndarray, node) -> bool:
     (c) Every vertex v has, among the at most three classes of its node, one
     with exactly one member in the node whose closed y-range meets v's; that
     member is then the only one of its class in N[v].  The count is
-    `_interval_census` of the class slots on the keys node * V + rank of y,
-    for V distinct y values, so a member of an earlier node is counted in
-    both of its terms and one of a later node in neither.  Labels need not
-    come from the colorer: any labels that pass (a), (b) and (c) prove the
-    coloring.
+    `_interval_unsettled` of the class slots on the keys node * V + rank of
+    y, for V distinct y values, so a member of an earlier node is counted in
+    both of its terms and one of a later node in neither.  It walks the slot
+    classes smallest first, each sorted on its own: the two chain slots of a
+    recursion settle every vertex, so the keys are not sorted as a whole
+    unless the walk's cost rule leaves vertices to the census.  Labels need
+    not come from the colorer: any labels that pass (a), (b) and (c) prove
+    the coloring.
     """
     n = len(box)
     node = np.asarray(node)
@@ -530,7 +622,7 @@ def _rect_labels_settle(box: np.ndarray, colors: np.ndarray, node) -> bool:
         return False
     values, rank = np.unique(np.concatenate([ylo, yhi]), return_inverse=True)
     keys = np.take(rank.reshape(2, n), order, axis=1) + nid * len(values)  # rows (lo, hi) in (node, color) order
-    return bool(_interval_census(_sorted_ends(keys.T), slot).all())  # (c)
+    return not _interval_unsettled(keys.T, slot)  # (c)
 
 
 def certify(
@@ -545,17 +637,25 @@ def certify(
     """Return `coloring` once it is proven valid, else raise VerificationError.
 
     Checks totality, the palette `bound`, membership of every color in its
-    vertex's list, and conflict-freeness of every hyperedge, or of every
-    pointed or closed neighborhood (`mode`) when `contacts` is a graph, or of
-    every closed neighborhood when it is an interval or rectangle scene.
+    vertex's list (`lists` must hold one list per vertex, else
+    InvalidInputError), and conflict-freeness of every hyperedge, or of
+    every pointed or closed neighborhood (`mode`) when `contacts` is a graph,
+    or of every closed neighborhood when it is an interval or rectangle scene.
 
-    A closed rectangle coloring whose trace carries `node` labels, as
-    `closed_cf_color_rects` writes them, is first checked from those labels
-    in O(n log n) (`_rect_labels_settle`).  When they prove nothing, or the
-    coloring has none, `neighborhood_violations` decides, so the verdict and
-    the message are those of the census alone.
+    An interval coloring is counted smallest color class first, each class
+    over the vertices the smaller ones left unsettled; the chain coloring of
+    `closed_cf_color_intervals` is settled by its two chain classes, and the
+    endpoint census runs only on what a walk within its cost rule leaves
+    (`neighborhood_violations`).  A closed rectangle coloring whose trace
+    carries `node` labels, as `closed_cf_color_rects` writes them, is first
+    checked from those labels in O(n log n) (`_rect_labels_settle`), whose
+    step (c) is the same count.  When they prove nothing, or the coloring has
+    none, `neighborhood_violations` decides, so the verdict and the message
+    are those of the census alone.
     """
     n = len(contacts) if isinstance(contacts, Scene) else contacts.n
+    if lists is not None and len(lists) != n:
+        raise InvalidInputError(f"{what} needs one color list per vertex, got {len(lists)} for {n}")
     if len(coloring.colors) != n:
         raise VerificationError(f"{what} colors {len(coloring.colors)} of {n} vertices")
     if bound is not None and coloring.palette_size > bound:

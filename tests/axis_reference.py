@@ -1,16 +1,22 @@
-"""Reference implementations of the interval chain and the rectangle recursion.
+"""Reference implementations of the interval chain, the rectangle recursion
+and the interval census.
 
 This is the earlier per-link scan of the chain (a full pass over the family
 for every link, with an explicit test that a jump across a hole of the union
 crosses nothing) and the earlier recursion over lists of rectangle indices that
 builds an `Interval` per stabbed rectangle.  The tests require the array
 versions in `cfgeom.intervals` and `cfgeom.rects` to reproduce their chains,
-colors and (depth, node) traces exactly.
+colors and (depth, node) traces exactly.  The census is the earlier count of
+every color class over every interval on the endpoints sorted once; the tests
+require the smallest-class-first count of `cfgeom.hypergraph` to find the
+same unsettled intervals.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from typing import Sequence
+
+import numpy as np
 
 from cfgeom import Interval, Scene
 
@@ -98,3 +104,27 @@ def reference_rects(rects: Scene) -> tuple[list[int], list[tuple[int, int]]]:
 
     recurse(list(range(n)), 0)
     return colors, trace
+
+
+def reference_sorted_ends(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(by_lo, lo, by_hi, hi) of the (n, 2) array of (lo, hi) rows: the
+    orders of the starts and of the ends, and each column sorted by its own."""
+    by_lo, by_hi = np.argsort(rows[:, 0]), np.argsort(rows[:, 1])
+    return by_lo, rows[by_lo, 0], by_hi, rows[by_hi, 1]
+
+
+def reference_interval_census(ends: tuple[np.ndarray, ...], colors: np.ndarray) -> np.ndarray:
+    """Whether the closed interval of each vertex meets some color class
+    exactly once, for the intervals of `reference_sorted_ends` and colors
+    given as class ids 0..p-1: per class c, #(lo_j <= hi) - #(hi_j < lo)
+    by two `searchsorted` calls on the class's endpoints, masked out of the
+    sorted ones, for every interval."""
+    by_lo, lo, by_hi, hi = ends
+    lo_color, hi_color = colors[by_lo], colors[by_hi]
+    met, missed = np.empty(len(lo), dtype=np.intp), np.empty(len(lo), dtype=np.intp)
+    unique = np.zeros(len(lo), dtype=bool)
+    for c in range(colors.max(initial=-1) + 1):
+        met[by_hi] = np.searchsorted(lo[lo_color == c], hi, "right")
+        missed[by_lo] = np.searchsorted(hi[hi_color == c], lo, "left")
+        unique |= met - missed == 1
+    return unique

@@ -17,12 +17,13 @@ import cfgeom as cf
 import cfgeom.geom
 import cfgeom.hypergraph
 import cfgeom.probes
+from axis_reference import reference_interval_census, reference_sorted_ends
 from cfgeom.hypergraph import (
+    _class_walk,
     _closed_degree_total,
     _color_counts,
-    _interval_census,
+    _interval_unsettled,
     _rect_labels_settle,
-    _sorted_ends,
     certify,
     neighborhood_violations,
 )
@@ -267,11 +268,11 @@ def _check_scene_census(scene, colors):
     g = cf.intersection_graph(scene)
     assert bad == neighborhood_violations(g, colors, "closed")
     if scene.kind == "intervals":
-        # the vertices whose closed neighborhood in the graph has a color counted exactly once
+        # the vertices whose closed neighborhood in the graph has no color counted exactly once
         owners, members = g.arcs()
         edge_of, counts = _color_counts(np.asarray(colors), members, owners, g.n, diagonal=True)
-        unique = _interval_census(_sorted_ends(scene.rows), np.unique(colors, return_inverse=True)[1])
-        assert np.flatnonzero(unique).tolist() == sorted(set(edge_of[counts == 1].tolist()))
+        unsettled = _interval_unsettled(scene.rows, np.unique(colors, return_inverse=True)[1])
+        assert unsettled == sorted(set(range(g.n)) - set(edge_of[counts == 1].tolist()))
     coloring = cf.Coloring(tuple(colors))
     if bad:
         with pytest.raises(cf.VerificationError, match="closed neighborhoods"):
@@ -350,17 +351,103 @@ def test_interval_census_is_the_brute_force_count(rows, keyed):
         for j, (lo_j, hi_j) in enumerate(ends.tolist()):
             if lo_j <= hi and lo <= hi_j and (not keyed or node[j] == node[v]):
                 want[v, colors[j]] += 1
-    unique = _interval_census(_sorted_ends(ends), colors)
-    assert np.flatnonzero(unique).tolist() == sorted({v for (v, _), k in want.items() if k == 1})
+    unsettled = _interval_unsettled(ends, colors)
+    assert unsettled == sorted(set(range(len(ends))) - {v for (v, _), k in want.items() if k == 1})
 
 
-def _verdicts_on_both_paths(scene, colors):
+ZEROS = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]  # ends with ties, touching ends and both signed zeros
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(ZEROS), st.sampled_from(ZEROS), st.integers(0, 59), st.integers(0, 2)), max_size=60
+    ),
+    st.sampled_from([1, 2, 3, 0]),  # 0: as many colors as intervals
+    st.booleans(),
+    # the walk's budget per interval and per class: as set, none, part of the classes, every class
+    st.sampled_from([None, (0, 0), (6, 0), (12, 0), (10**9, 0)]),
+)
+# the largest class settles the last interval alone
+@example([(0.0, 1.0, 0, 0), (0.0, 1.0, 1, 0), (0.0, 1.0, 1, 0), (2.0, 2.0, 1, 0)], 0, False, (10**9, 0))
+@example([(-0.0, 0.0, k, 0) for k in range(4)] + [(0.0, -0.0, 0, 0)], 2, False, (10**9, 0))  # signed zeros meet
+@example([(-1.0, -0.0, 0, 0), (0.0, 1.0, 1, 0), (0.0, 1.0, 1, 0), (-1.0, -0.0, 2, 0)], 3, True, (6, 0))
+@example([(k % 3 / 2, k % 3 / 2 + 1, k, k % 2) for k in range(40)], 0, True, None)
+@example([(k % 5 / 2, 2.0, k, 0) for k in range(60)], 3, False, (12, 0))  # classes of 20 on both sides of the budget
+@settings(max_examples=300, deadline=None)
+def test_interval_count_matches_the_reference_census(rows, palette, keyed, budget):
+    # the smallest-class-first count finds the intervals the census of every class over every
+    # interval finds, and those a brute-force count finds, on plain ends and on node * V + rank keys
+    ends = np.array([sorted((a, b)) for a, b, _, _ in rows], dtype=float).reshape(-1, 2)
+    n = len(ends)
+    p = palette or max(n, 1)
+    colors = np.unique(np.array([c % p for _, _, c, _ in rows], dtype=np.int64), return_inverse=True)[1]
+    node = np.array([d for _, _, _, d in rows], dtype=np.int64)
+    if keyed:
+        values, rank = np.unique(ends, return_inverse=True)
+        ends = rank.reshape(-1, 2) + (node * len(values))[:, None]
+    same_node = node[:, None] == node[None, :]
+    meets = [
+        [j for j in range(n) if ends[j, 0] <= ends[v, 1] and ends[v, 0] <= ends[j, 1] and (same_node[v, j] or not keyed)]
+        for v in range(n)
+    ]
+    brute = [v for v in range(n) if 1 not in np.bincount(colors[meets[v]])]
+    reference = np.flatnonzero(~reference_interval_census(reference_sorted_ends(ends), colors)).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            _walk_budget(mp, *budget)
+        assert _interval_unsettled(ends, colors) == reference == brute
+
+
+def test_interval_count_tries_the_first_class_of_a_large_family_on_a_sample():
+    # over more than 8192 vertices the first class is counted on a sample first; where the smallest
+    # class settles little, as with 1000 random colors on sparse intervals, no class is counted in full
+    n = 12000
+    rng = np.random.default_rng(1)
+    for span in (n / 25, n / 500):
+        scene = cf.generate_scene("intervals", n, 5, span=span, margin=0)
+        g = cf.intersection_graph(scene)
+        for colors in (cf.closed_cf_color_intervals(scene).colors, rng.integers(1, 1001, n), rng.integers(1, n + 1, n)):
+            assert neighborhood_violations(scene, colors, "closed") == neighborhood_violations(g, colors, "closed")
+    classes = np.unique(rng.integers(1, 1001, n), return_inverse=True)[1]
+    unsettled, rest = _class_walk(cf.generate_scene("intervals", n, 5, span=n / 25, margin=0).rows, classes)
+    assert len(rest) == classes.max() + 1  # no class counted: only a vertex alone in its class is settled
+    assert unsettled.tolist() == (np.bincount(classes)[classes] > 1).tolist()
+
+
+def test_axis_colorings_are_certified_by_their_smallest_classes(monkeypatch):
+    # the two chain classes settle every vertex of a chain coloring, and the two chain slots every
+    # vertex of the rectangle labels' step (c): no endpoint sort of the family, no contact pairs
+    def refuse(*args, **kwargs):
+        raise AssertionError("an axis coloring was certified past its smallest classes")
+
+    for name in ("_contact_hits", "_box_overlaps"):
+        _replace(monkeypatch, cfgeom.geom, name, refuse)
+    _replace(monkeypatch, cfgeom.hypergraph, "_sorted_ends", refuse)
+    for n in (1, 2, 60, 400, 2000):
+        cf.closed_cf_color_intervals(cf.generate_scene("intervals", n, 3, margin=0))
+    for n in (1, 64, 1024):
+        cf.closed_cf_color_rects(cf.generate_scene("rects", n, 4, margin=0))
+
+
+def test_empty_scene_has_no_violations():
+    # as on the empty graph; an empty scene's kind is 'mixed'
+    scene, coloring = cf.Scene(()), cf.Coloring(())
+    graph = cf.intersection_graph(scene)
+    assert neighborhood_violations(scene, [], "closed") == neighborhood_violations(graph, [], "closed") == []
+    assert certify(scene, coloring, "closed") is coloring
+
+
+def _verdicts_on_both_paths(scene, colors, walk=0):
     """(violations, certify's error message or None) on an interval scene, with
-    the rule n p <= n + D forced to the endpoint census, then to the contact pairs."""
+    the rule u p' <= u + D forced to the endpoint census, then to the contact
+    pairs, for the vertices the walk leaves.  The walk's budget is `walk`
+    steps per interval and none per class: 0 counts no class and leaves the
+    rule every vertex not alone in its class."""
     out = []
     for total in (2**62, -1 - len(scene)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cfgeom.hypergraph, "_closed_degree_total", lambda ends, total=total: total)
+            _walk_budget(mp, walk)
+            mp.setattr(cfgeom.hypergraph, "_closed_degree_total", lambda *ends, total=total: total)
             bad = neighborhood_violations(scene, colors, "closed")
             try:
                 certify(scene, cf.Coloring(tuple(colors)), "closed")
@@ -369,6 +456,21 @@ def _verdicts_on_both_paths(scene, colors):
                 message = str(exc)
         out.append((bad, message))
     return out
+
+
+def _walk_budget(mp, per_interval, per_class=0):
+    mp.setattr(cfgeom.hypergraph, "_WALK_PER_INTERVAL", per_interval)
+    mp.setattr(cfgeom.hypergraph, "_WALK_PER_CLASS", per_class)
+
+
+def _lists_pairs(scene, colors, g):
+    """Whether an interval scene's count lists contact pairs: when the u
+    vertices and p' classes its walk leaves have u p' > u + D, for D the sum
+    of their closed-neighborhood sizes in the graph `g`."""
+    unsettled, rest = _class_walk(scene.rows, np.unique(colors, return_inverse=True)[1])
+    left = np.flatnonzero(unsettled)
+    d = len(left) + int(np.diff(g.indptr)[left].sum())
+    return len(rest) > 0 and len(left) * len(rest) > len(left) + d
 
 
 # n intervals with |E| contacts, so D = n + 2|E|; a coloring of p = 3 colors takes the
@@ -386,21 +488,29 @@ def test_interval_verdict_is_the_same_on_both_census_paths(monkeypatch, name):
     ends, census = RULE_FAMILIES[name]
     scene = cf.Scene(tuple(cf.Interval(lo, hi) for lo, hi in ends))
     n, g = len(scene), cf.intersection_graph(scene)
-    assert _closed_degree_total(_sorted_ends(scene.rows)) == n + len(g.indices)  # two arcs per contact
+    lo, hi = np.sort(scene.rows, axis=0).T
+    assert _closed_degree_total(lo, hi, lo, hi) == n + len(g.indices)  # two arcs per contact
     # round robin and in pairs (3 colors), then the colorer's own coloring
     colorings = [[k % 3 + 1 for k in range(n)], [k // 2 % 3 + 1 for k in range(n)]]
     colorings.append(list(cf.closed_cf_color_intervals(scene).colors))
-    pairs = _spy(monkeypatch, cfgeom.geom, "_contact_hits")
+    pairs = _spy(monkeypatch, cfgeom.geom, "_box_overlaps")
     verdicts = set()
     for colors in colorings:
         want = neighborhood_violations(g, colors, "closed")
-        by_census, by_pairs = _verdicts_on_both_paths(scene, colors)
-        assert by_census == by_pairs and by_census[0] == want
-        verdicts.add(by_census[1] is None)
-        del pairs[:]
-        assert neighborhood_violations(scene, colors, "closed") == want
-        if len(set(colors)) == 3:
-            assert bool(pairs) is not census
+        for walk in (0, 8, 10**6):
+            by_census, by_pairs = _verdicts_on_both_paths(scene, colors, walk)
+            assert by_census == by_pairs and by_census[0] == want
+            verdicts.add(by_census[1] is None)
+        for walk in (0, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if walk is not None:
+                    _walk_budget(mp, walk)
+                del pairs[:]
+                assert neighborhood_violations(scene, colors, "closed") == want
+                # pairs are listed exactly when the rule holds for what the walk leaves
+                assert bool(pairs) == _lists_pairs(scene, colors, g)
+                if walk == 0 and min(np.unique(colors, return_counts=True)[1]) > 1 and len(set(colors)) == 3:
+                    assert bool(pairs) is not census  # no class counted, no vertex alone: all reach the rule
     assert verdicts == {True, False}  # each family is both accepted and rejected
 
 
@@ -408,12 +518,13 @@ def test_interval_verdict_is_the_same_on_both_census_paths(monkeypatch, name):
     st.lists(st.tuples(half, side), min_size=1, max_size=30),
     st.lists(st.integers(1, 30), min_size=30, max_size=30),
     st.integers(1, 30),
+    st.sampled_from([0, 8, 10**6]),
 )
 @settings(max_examples=200, deadline=None)
-def test_interval_verdict_is_the_same_on_both_census_paths_when_drawn(shapes, drawn, palette):
+def test_interval_verdict_is_the_same_on_both_census_paths_when_drawn(shapes, drawn, palette, walk):
     scene = cf.Scene(tuple(cf.Interval(x, x + w) for x, w in shapes))
     colors = [d % palette + 1 for d in drawn[: len(scene)]]
-    by_census, by_pairs = _verdicts_on_both_paths(scene, colors)
+    by_census, by_pairs = _verdicts_on_both_paths(scene, colors, walk)
     assert by_census == by_pairs
     assert by_census[0] == neighborhood_violations(cf.intersection_graph(scene), colors, "closed")
 

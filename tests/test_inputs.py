@@ -61,6 +61,11 @@ BAD_CALLS = {
     "one list per vertex": lambda: cf.proper_to_cf_list(_triangle(), [[1, 2]], cf.ProperColorer(_ones, 2)),
     "lists too short": lambda: cf.proper_to_cf_list(_triangle(), [[1]] * 3, cf.ProperColorer(_ones, 2)),
     "peel engine of another system": lambda: cf.proper_to_cf(_triangle(), cf.peel_proper_colorer(*_two_discs())),
+    "certify lists too few": lambda: certify(_triangle(), cf.Coloring((1, 2, 3)), lists=[[1]]),
+    "certify lists empty": lambda: certify(_path(), cf.Coloring((1, 2, 3)), "closed", lists=[]),
+    "certify lists too many": lambda: certify(
+        cf.generate_scene("intervals", 3, 1), cf.Coloring((1, 2, 3)), "closed", lists=[[1], [2], [3], [4]]
+    ),
     "conversion not total": lambda: cf.pointed_to_closed(_path(), cf.Coloring((1, 2))),
     "conversion color ids": lambda: cf.pointed_to_closed(_path(), cf.Coloring((0, 1, 0))),
     "svg coloring length": lambda: render_svg(cf.generate_scene("discs", 3, 1), cf.Coloring((1,))),
