@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import IncompatibleShapesError, InvalidInputError, VerificationError
-from .geom import Scene, _box_overlaps, _contact_hits, _integers, _read_only
+from .geom import Scene, _contact_hits, _integers, _read_only
 
 __all__ = [
     "Graph",
@@ -394,59 +394,63 @@ def _closed_degree_total(lo: np.ndarray, hi: np.ndarray, q_lo: np.ndarray, q_hi:
 _WALK_PER_INTERVAL, _WALK_PER_CLASS = 24, 512
 
 
-def _class_walk(rows: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unsettled, rest): whether the closed interval of each vertex meets no
-    class counted exactly once, and the classes not counted, for the (n, 2)
-    array of (lo, hi) rows and colors given as class ids 0..p-1.
+def _class_walk(rows: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(left, rest): the vertices whose closed interval meets no class
+    counted exactly once, in increasing order, and the classes not counted,
+    for the (n, 2) array of (lo, hi) rows and colors given as class ids
+    0..p-1.  `left` is None when the walk counted no class and no vertex is
+    alone in its class: every vertex is left.
 
     A vertex alone in its class meets that class once, in itself.  The other
     vertices are counted class by class, smallest class first, each class
     from its own sorted ends and over the vertices still unsettled, until
-    none is left.  It stops before a class whose cost would take it past
-    that of the census, and once its classes, counted over more than 64
-    vertices in all, have settled fewer than one in eight of them: a walk
-    that does not finish saves the census little.  Over more than 8192
-    vertices the first class is counted on a sample of about 1024 of them
-    first, so that a walk that would settle little stops before it pays for
-    a whole class.
+    none is left.  The walk stops before a class whose cost would take it
+    past that of the census; the first class is priced from the class sizes
+    alone, so a walk that counts no class costs one `bincount`.  It also
+    stops once its classes, counted over more than 64 vertices in all, have
+    settled fewer than one in eight of them: with about one color per vertex
+    on sparse intervals, a class settles little more than its own neighbors,
+    and the contact pairs settle the rest for less.  The rule reads the
+    whole walk, not its last class: on dense intervals the singleton classes
+    settle from none to four in ten each, and the walk must go on to the end
+    there, where the pairs number about n^2.  Over more than 8192 vertices
+    the first class is tried on a sample of about 1024 of them first, so
+    that a walk that would settle little stops before it pays for a whole
+    class.
     """
     n = len(rows)
     lo, hi = rows[:, 0], rows[:, 1]
     sizes = np.bincount(colors)
-    unsettled = sizes[colors] > 1 if (sizes == 1).any() else np.ones(n, dtype=bool)
     classes = sizes.argsort()  # smallest first
+    u = n - int(np.count_nonzero(sizes == 1))
+    left = None if 0 < u == n else (sizes[colors] > 1).nonzero()[0]
     budget = _WALK_PER_INTERVAL * n + 8 * _WALK_PER_CLASS
+    counted = settled = 0
 
-    def once(member: np.ndarray, who: np.ndarray) -> np.ndarray:
-        """Whether the class of `member` meets each interval of `who` exactly once."""
-        met = np.sort(lo[member]).searchsorted(hi[who], "right")
-        return met - np.sort(hi[member]).searchsorted(lo[who], "left") == 1
+    def met(ends, who):
+        """How many times the class of sorted `ends` meets each interval of `who`."""
+        return ends[0].searchsorted(hi[who], "right") - ends[1].searchsorted(lo[who], "left")
 
-    rest, counted, settled = classes[:0], 0, 0
-    left = None  # the unsettled vertices, listed once a class is counted
     for k, c in enumerate(classes):
-        u, s = np.count_nonzero(unsettled) if left is None else len(left), int(sizes[c])
         if not u:
             break
+        s = int(sizes[c])
         budget -= (u + s) * (2 * s.bit_length() + 2) + n // 4 + _WALK_PER_CLASS
-        if budget < 0 or 8 * settled + 64 < counted:
-            rest = classes[k:]
-            break
-        member = np.flatnonzero(colors == c)
-        if left is None:
-            left = np.flatnonzero(unsettled)
-            if u > 8192:  # the first class is tried on every (u // 1024)-th vertex before all of them
-                sample = left[:: u // 1024]
-                counted, settled = len(sample), int(np.count_nonzero(once(member, sample)))
-                if 8 * settled + 64 < counted:
-                    rest = classes[k:]
-                    break
-        left = left[np.flatnonzero(~once(member, left))]
-        counted, settled = counted + u, settled + u - len(left)
-    if left is not None:
-        unsettled = np.zeros(n, dtype=bool)
-        unsettled[left] = True
-    return unsettled, rest
+        if budget < 0:
+            return left, classes[k:]
+        member = (colors == c).nonzero()[0]
+        ends = np.sort(lo[member]), np.sort(hi[member])
+        if not counted and u > 8192:  # the first class is tried on every (u // 1024)-th vertex first
+            sample = slice(None, None, u // 1024) if left is None else left[:: u // 1024]
+            once = met(ends, sample) == 1
+            if 8 * np.count_nonzero(once) + 64 < len(once):
+                return left, classes[k:]
+        kept = (met(ends, slice(None) if left is None else left) != 1).nonzero()[0]
+        left = kept if left is None else left[kept]
+        counted, settled, u = counted + u, settled + u - len(left), len(left)
+        if u and 8 * settled + 64 < counted:
+            return left, classes[k + 1 :]
+    return left, classes[:0]
 
 
 def _interval_unsettled(rows: np.ndarray, colors: np.ndarray, scene: Scene | None = None) -> list[int]:
@@ -462,39 +466,36 @@ def _interval_unsettled(rows: np.ndarray, colors: np.ndarray, scene: Scene | Non
     class's endpoints, masked out of the sorted ones, stay sorted, so each
     class costs two `searchsorted` calls.  For a `scene` whose u p' (vertex,
     class) cells outnumber the u + D closed-neighborhood members of those
-    vertices, the contact pairs of those vertices are counted instead,
-    taken from the scene's own sweep when u > n / 2, else from a sweep of
-    the vertices left against the scene.  Comparisons only; O(n log n + p' n)
-    time and O(n) memory for the census.
+    vertices, the arcs out of those vertices, from the scene's contact
+    pairs, are counted instead.  Comparisons only; O(n log n + p' n) time
+    and O(n) memory for the census.
     """
-    unsettled, rest = _class_walk(rows, colors)
+    left, rest = _class_walk(rows, colors)
     if not len(rest):
-        return np.flatnonzero(unsettled).tolist()
-    n, u = len(rows), int(np.count_nonzero(unsettled))
+        return left.tolist()
+    n = len(rows)
     by_lo, lo, by_hi, hi = _sorted_ends(rows)
     q_lo, q_hi, to_lo, to_hi = lo, hi, by_lo, by_hi
-    if u < n:  # the queries of the vertices left, still sorted
-        at_lo, at_hi = np.flatnonzero(unsettled[by_lo]), np.flatnonzero(unsettled[by_hi])
+    settled = np.full(n, left is not None)  # by the walk
+    if left is not None:  # the queries of the vertices left, still sorted
+        settled[left] = False
+        at_lo, at_hi = (~settled[by_lo]).nonzero()[0], (~settled[by_hi]).nonzero()[0]
         q_lo, q_hi, to_lo, to_hi = lo[at_lo], hi[at_hi], by_lo[at_lo], by_hi[at_hi]
+    u = len(q_lo)
     if scene is not None and u * len(rest) > u + _closed_degree_total(lo, hi, q_lo, q_hi):
-        if 2 * u > n:  # the scene's own sweep, which lists each pair once, costs less
-            i, j = _contact_hits(scene)
-            owner, member = np.concatenate([i, j]), np.concatenate([j, i])
-            if u < n:  # only the arcs out of the vertices left; the others keep their diagonal alone
-                kept = np.flatnonzero(unsettled[owner])
-                owner, member = owner[kept], member[kept]
-            return _cf_violations(colors, member, owner, n, diagonal=True)
-        left = np.flatnonzero(unsettled)
-        owner, member = _box_overlaps(scene.boxes[left], scene.boxes, False)  # each vertex left meets itself
-        return left[_cf_violations(colors, member, owner, u)].tolist()
+        i, j = _contact_hits(scene)
+        owner, member = np.concatenate([i, j]), np.concatenate([j, i])
+        if left is not None:  # only the arcs out of the vertices left; the others keep their diagonal alone
+            kept = (~settled[owner]).nonzero()[0]
+            owner, member = owner[kept], member[kept]
+        return _cf_violations(colors, member, owner, n, diagonal=True)
     lo_color, hi_color = colors[by_lo], colors[by_hi]
     met, missed = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)  # used at the vertices left only
-    unique = np.zeros(n, dtype=bool)
     for c in rest:
         met[to_hi] = np.searchsorted(lo[lo_color == c], q_hi, "right")
         missed[to_lo] = np.searchsorted(hi[hi_color == c], q_lo, "left")
-        unique |= met - missed == 1
-    return np.flatnonzero(unsettled & ~unique).tolist()
+        settled |= np.subtract(met, missed, out=met) == 1
+    return (~settled).nonzero()[0].tolist()
 
 
 # words per (vertex x block of words) array of the rectangle census, about 16 MB

@@ -398,20 +398,27 @@ def test_interval_count_matches_the_reference_census(rows, palette, keyed, budge
         assert _interval_unsettled(ends, colors) == reference == brute
 
 
-def test_interval_count_tries_the_first_class_of_a_large_family_on_a_sample():
-    # over more than 8192 vertices the first class is counted on a sample first; where the smallest
-    # class settles little, as with 1000 random colors on sparse intervals, no class is counted in full
-    n = 12000
+@pytest.mark.parametrize("n", [12000, 20000])
+def test_interval_count_stops_once_its_classes_settle_few(n):
+    # a random 3-coloring is priced past the census before any class is counted, and no vertex is
+    # listed.  With about one color per interval a class settles little more than its own neighbors:
+    # over at most 8192 vertices not alone in their class the walk counts one class and stops; over
+    # more, the first class settles too few of a sample of them, and none is counted
     rng = np.random.default_rng(1)
-    for span in (n / 25, n / 500):
-        scene = cf.generate_scene("intervals", n, 5, span=span, margin=0)
-        g = cf.intersection_graph(scene)
-        for colors in (cf.closed_cf_color_intervals(scene).colors, rng.integers(1, 1001, n), rng.integers(1, n + 1, n)):
-            assert neighborhood_violations(scene, colors, "closed") == neighborhood_violations(g, colors, "closed")
-    classes = np.unique(rng.integers(1, 1001, n), return_inverse=True)[1]
-    unsettled, rest = _class_walk(cf.generate_scene("intervals", n, 5, span=n / 25, margin=0).rows, classes)
-    assert len(rest) == classes.max() + 1  # no class counted: only a vertex alone in its class is settled
-    assert unsettled.tolist() == (np.bincount(classes)[classes] > 1).tolist()
+    scene = cf.generate_scene("intervals", n, 5, span=n / 25, margin=0)
+    g = cf.intersection_graph(scene)
+    assert _class_walk(scene.rows, rng.integers(0, 3, n))[0] is None
+    colors = rng.integers(1, n + 1, n)
+    classes = np.unique(colors, return_inverse=True)[1]
+    sizes = np.bincount(classes)
+    assert (np.count_nonzero(sizes[classes] > 1) > 8192) == (n > 12000)
+    left, rest = _class_walk(scene.rows, classes)
+    counted = sorted(set(range(len(sizes))) - set(rest.tolist()))
+    assert len(counted) == (n <= 12000)
+    owners, members = g.arcs()
+    met = np.bincount(owners[np.isin(classes[members], counted)], minlength=n) + np.isin(classes, counted)  # in N[v]
+    assert left.tolist() == np.flatnonzero((sizes[classes] > 1) & (met != 1)).tolist()
+    assert neighborhood_violations(scene, colors, "closed") == neighborhood_violations(g, colors, "closed")
 
 
 def test_axis_colorings_are_certified_by_their_smallest_classes(monkeypatch):
@@ -463,14 +470,15 @@ def _walk_budget(mp, per_interval, per_class=0):
     mp.setattr(cfgeom.hypergraph, "_WALK_PER_CLASS", per_class)
 
 
-def _lists_pairs(scene, colors, g):
-    """Whether an interval scene's count lists contact pairs: when the u
-    vertices and p' classes its walk leaves have u p' > u + D, for D the sum
-    of their closed-neighborhood sizes in the graph `g`."""
-    unsettled, rest = _class_walk(scene.rows, np.unique(colors, return_inverse=True)[1])
-    left = np.flatnonzero(unsettled)
+def _lists_pairs(colors, g, walk):
+    """Whether an interval scene's count lists contact pairs, with the walk's
+    budget `walk` steps per interval: 10**9 counts every class, so never; 0
+    counts none and leaves the rule u p <= u + D the u vertices not alone in
+    their class, for D the sum of their closed-neighborhood sizes in `g`."""
+    classes = np.unique(colors, return_inverse=True)[1]
+    left = np.flatnonzero(np.bincount(classes)[classes] > 1)
     d = len(left) + int(np.diff(g.indptr)[left].sum())
-    return len(rest) > 0 and len(left) * len(rest) > len(left) + d
+    return walk == 0 and len(left) * (classes.max() + 1) > len(left) + d
 
 
 # n intervals with |E| contacts, so D = n + 2|E|; a coloring of p = 3 colors takes the
@@ -493,7 +501,7 @@ def test_interval_verdict_is_the_same_on_both_census_paths(monkeypatch, name):
     # round robin and in pairs (3 colors), then the colorer's own coloring
     colorings = [[k % 3 + 1 for k in range(n)], [k // 2 % 3 + 1 for k in range(n)]]
     colorings.append(list(cf.closed_cf_color_intervals(scene).colors))
-    pairs = _spy(monkeypatch, cfgeom.geom, "_box_overlaps")
+    pairs = _spy(monkeypatch, cfgeom.geom, "_contact_hits")
     verdicts = set()
     for colors in colorings:
         want = neighborhood_violations(g, colors, "closed")
@@ -501,14 +509,14 @@ def test_interval_verdict_is_the_same_on_both_census_paths(monkeypatch, name):
             by_census, by_pairs = _verdicts_on_both_paths(scene, colors, walk)
             assert by_census == by_pairs and by_census[0] == want
             verdicts.add(by_census[1] is None)
-        for walk in (0, None):
+        assert neighborhood_violations(scene, colors, "closed") == want
+        for walk in (0, 10**9):
             with pytest.MonkeyPatch.context() as mp:
-                if walk is not None:
-                    _walk_budget(mp, walk)
+                _walk_budget(mp, walk)
                 del pairs[:]
                 assert neighborhood_violations(scene, colors, "closed") == want
                 # pairs are listed exactly when the rule holds for what the walk leaves
-                assert bool(pairs) == _lists_pairs(scene, colors, g)
+                assert bool(pairs) == _lists_pairs(colors, g, walk)
                 if walk == 0 and min(np.unique(colors, return_counts=True)[1]) > 1 and len(set(colors)) == 3:
                     assert bool(pairs) is not census  # no class counted, no vertex alone: all reach the rule
     assert verdicts == {True, False}  # each family is both accepted and rejected
