@@ -93,9 +93,7 @@ def _load_colored_scene(args):
 def _cmd_verify(args) -> int:
     scene, coloring = _load_colored_scene(args)
     if args.mode in ("pointed", "closed"):
-        # vertex ids v whose N(v) or N[v] fails; closed axis scenes are counted with no graph
-        axis = args.mode == "closed" and scene.kind in ("intervals", "rects")
-        bad = neighborhood_violations(scene if axis else intersection_graph(scene), coloring, args.mode)
+        bad = neighborhood_violations(scene, coloring, args.mode)  # vertex ids v whose N(v) or N[v] fails
     else:
         if not args.probes:
             raise InvalidInputError("--probes is required for probe verification")

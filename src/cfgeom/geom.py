@@ -277,12 +277,13 @@ def _integers(values, what: str) -> np.ndarray:
     """`values` as an int64 array; InvalidInputError unless they are integers
     in the int64 range.  A signed integer array is taken as it is, with no
     pass over its values; an unsigned one is checked against 2^63 - 1, so
-    that no id or color wraps to a negative one."""
+    that no id or color wraps to a negative one.  Bools are not integers
+    here: a boolean mask is not a list of ids."""
     try:
         a = np.asarray(values)
     except ValueError as exc:  # a ragged nesting
         raise InvalidInputError(f"{what} must be integers ({exc})") from None
-    if a.size and a.dtype.kind not in "biu":
+    if a.size and a.dtype.kind not in "iu":
         raise InvalidInputError(f"{what} must be integers in the 64-bit range, not {a.dtype} values")
     if a.size and a.dtype.kind == "u" and a.max() >= 2**63:
         raise InvalidInputError(f"{what} must be integers in the 64-bit range, not above 2^63 - 1")

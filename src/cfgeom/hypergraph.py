@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleShapesError, InvalidInputError, VerificationError
+from .errors import InvalidInputError, VerificationError
 from .geom import Scene, _contact_hits, _integers, _read_only
 
 __all__ = [
@@ -285,15 +285,15 @@ def induced(h: Hypergraph, keep: Sequence[int]) -> Hypergraph:
 
 
 def _color_counts(
-    colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int, diagonal: bool = False
+    classes: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int, diagonal: bool = False
 ) -> tuple[np.ndarray, ...]:
-    """Per distinct (edge, color) pair present, in increasing order: its edge and its member count;
-    counted in an edge x color table when it has at most |members| + ne cells, else by one sort.
-    With `diagonal`, edge v also holds vertex v (ne = n): closed neighborhoods from the arcs alone."""
-    values, dense = np.unique(colors, return_inverse=True)
-    p = max(len(values), 1)
-    key = owners * p + dense[members]
-    loops = np.arange(ne) * p + dense if diagonal else None  # one cell per vertex: no cell is counted twice
+    """Per distinct (edge, class) pair present, in increasing order: its edge and its member count,
+    for colors given as class ids 0..p-1 (`_classes`); counted in an edge x class table when it has
+    at most |members| + ne cells, else by one sort.  With `diagonal`, edge v also holds vertex v
+    (ne = n): closed neighborhoods from the arcs alone."""
+    p = int(classes.max(initial=0)) + 1
+    key = owners * p + classes[members]
+    loops = np.arange(ne) * p + classes if diagonal else None  # one cell per vertex: no cell is counted twice
     if ne * p <= len(key) + (ne if diagonal else 0) + ne:
         counts = np.bincount(key, minlength=ne * p)
         if diagonal:
@@ -307,26 +307,26 @@ def _color_counts(
     return key[first] // p, np.diff(first, append=len(key))
 
 
-def _total(coloring, n: int) -> np.ndarray:
+def _classes(coloring, n: int) -> np.ndarray:
+    """The colors of a total coloring of n vertices as class ids 0..p-1, in the order of the colors."""
     colors = coloring._array if isinstance(coloring, Coloring) else _integers(coloring, "colors")
     if colors.ndim != 1 or len(colors) != n:
         raise InvalidInputError("coloring is not total")
-    return colors
+    return np.unique(colors, return_inverse=True)[1]
 
 
 def verify_proper(h: Hypergraph, coloring) -> list[int]:
     """Indices of hyperedges of size >= 2 that are monochromatic (empty list = proper)."""
-    colors = _total(coloring, h.n)
-    edge_of, _ = _color_counts(colors, *h._flat, len(h.indptr) - 1)
+    edge_of, _ = _color_counts(_classes(coloring, h.n), *h._flat, len(h.indptr) - 1)
     distinct = np.bincount(edge_of, minlength=len(h.indptr) - 1)
     return np.nonzero((np.diff(h.indptr) >= 2) & (distinct == 1))[0].tolist()
 
 
 def _cf_violations(
-    colors: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int, diagonal: bool = False
+    classes: np.ndarray, members: np.ndarray, owners: np.ndarray, ne: int, diagonal: bool = False
 ) -> list[int]:
-    """The CF check on the census: nonempty edges with no color counted exactly once."""
-    edge_of, counts = _color_counts(colors, members, owners, ne, diagonal)
+    """The CF check on the census: nonempty edges with no class counted exactly once."""
+    edge_of, counts = _color_counts(classes, members, owners, ne, diagonal)
     unique = np.zeros(ne, dtype=bool)
     unique[edge_of[counts == 1]] = True
     nonempty = np.full(ne, diagonal)
@@ -336,40 +336,47 @@ def _cf_violations(
 
 def verify_cf(h: Hypergraph, coloring) -> list[int]:
     """Indices of nonempty hyperedges with no uniquely colored vertex (empty list = CF)."""
-    return _cf_violations(_total(coloring, h.n), *h._flat, len(h.indptr) - 1)
+    return _cf_violations(_classes(coloring, h.n), *h._flat, len(h.indptr) - 1)
 
 
 def neighborhood_violations(contacts: Graph | Scene, coloring, mode: str) -> list[int]:
     """Vertices v whose nonempty N(v) (pointed) or N[v] (closed) has no uniquely
     colored member; no hypergraph is built.
 
-    A Graph is read from its edge arrays.  An interval or rectangle Scene, in
-    closed mode only, is read with no graph at all; an empty scene has no
-    violations.  Intervals are counted class by class, smallest class first,
-    each from its own sorted ends and over the vertices no smaller class
-    settled, for as long as that costs less than the census
+    A Graph is counted over its arcs.  A Scene of any kind, in either mode, is
+    counted over the arcs of its own contact pairs, with no graph built
+    (`_scene_arc_violations`), and gives what its intersection graph gives.
+    A closed interval scene is first counted class by class, smallest class
+    first, each from its own sorted ends and over the vertices no smaller
+    class settled, for as long as that costs less than the census
     (`_interval_unsettled`); the vertices and classes this walk leaves go to
-    the endpoint census, or to their contact pairs when their u p'
-    (vertex, class) cells outnumber their u + D closed-neighborhood members.
-    Rectangles are counted in 64-bit words (`_rect_violations`), with no pairs.
-    This census reads colors alone: it checks colorings made elsewhere (as
-    `cfgeom verify` does), and it decides for `certify` whenever a
-    rectangle coloring's recursion labels do not prove it.
+    the endpoint census, or to their arcs when their u p' (vertex, class)
+    cells outnumber their u + D closed-neighborhood members.  The census
+    reads colors alone: it checks colorings made elsewhere (as `cfgeom
+    verify` does), and it decides for `certify` whenever a rectangle
+    coloring's recursion labels do not prove it.
     """
+    closed = _closed(mode)
     if isinstance(contacts, Graph):
         owners, members = contacts.arcs()
-        return _cf_violations(_total(coloring, contacts.n), members, owners, contacts.n, _closed(mode))
-    if not _closed(mode):
-        raise InvalidInputError("a scene is checked in closed mode only")
-    n = len(contacts)
-    colors = _total(coloring, n)
-    if not n:
-        return []
-    if contacts.kind == "rects":
-        return _rect_violations(contacts.rows, colors)
-    if contacts.kind != "intervals":
-        raise IncompatibleShapesError("only interval and rectangle scenes are checked without a graph")
-    return _interval_unsettled(contacts.rows, np.unique(colors, return_inverse=True)[1], contacts)
+        return _cf_violations(_classes(coloring, contacts.n), members, owners, contacts.n, closed)
+    classes = _classes(coloring, len(contacts))
+    if closed and contacts.kind == "intervals":
+        return _interval_unsettled(contacts.rows, classes, contacts)
+    return _scene_arc_violations(contacts, classes, closed)
+
+
+def _scene_arc_violations(scene: Scene, classes: np.ndarray, closed: bool, out: np.ndarray | None = None) -> list[int]:
+    """`_cf_violations` over the arcs of the scene's contact pairs, both
+    directions, for colors given as class ids 0..p-1: the arcs out of every
+    vertex, or in closed mode only those out of the vertices the boolean
+    mask `out` marks, each other vertex keeping its diagonal alone."""
+    i, j = _contact_hits(scene)
+    owners, members = np.concatenate([i, j]), np.concatenate([j, i])
+    if out is not None:
+        kept = out[owners].nonzero()[0]
+        owners, members = owners[kept], members[kept]
+    return _cf_violations(classes, members, owners, len(scene), closed)
 
 
 def _sorted_ends(rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -467,8 +474,8 @@ def _interval_unsettled(rows: np.ndarray, colors: np.ndarray, scene: Scene | Non
     class costs two `searchsorted` calls.  For a `scene` whose u p' (vertex,
     class) cells outnumber the u + D closed-neighborhood members of those
     vertices, the arcs out of those vertices, from the scene's contact
-    pairs, are counted instead.  Comparisons only; O(n log n + p' n) time
-    and O(n) memory for the census.
+    pairs, are counted instead (`_scene_arc_violations`).  Comparisons only;
+    O(n log n + p' n) time and O(n) memory for the census.
     """
     left, rest = _class_walk(rows, colors)
     if not len(rest):
@@ -483,12 +490,7 @@ def _interval_unsettled(rows: np.ndarray, colors: np.ndarray, scene: Scene | Non
         q_lo, q_hi, to_lo, to_hi = lo[at_lo], hi[at_hi], by_lo[at_lo], by_hi[at_hi]
     u = len(q_lo)
     if scene is not None and u * len(rest) > u + _closed_degree_total(lo, hi, q_lo, q_hi):
-        i, j = _contact_hits(scene)
-        owner, member = np.concatenate([i, j]), np.concatenate([j, i])
-        if left is not None:  # only the arcs out of the vertices left; the others keep their diagonal alone
-            kept = (~settled[owner]).nonzero()[0]
-            owner, member = owner[kept], member[kept]
-        return _cf_violations(colors, member, owner, n, diagonal=True)
+        return _scene_arc_violations(scene, colors, True, None if left is None else ~settled)
     lo_color, hi_color = colors[by_lo], colors[by_hi]
     met, missed = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)  # used at the vertices left only
     for c in rest:
@@ -496,82 +498,6 @@ def _interval_unsettled(rows: np.ndarray, colors: np.ndarray, scene: Scene | Non
         missed[to_lo] = np.searchsorted(hi[hi_color == c], q_lo, "left")
         settled |= np.subtract(met, missed, out=met) == 1
     return (~settled).nonzero()[0].tolist()
-
-
-# words per (vertex x block of words) array of the rectangle census, about 16 MB
-_CENSUS_BLOCK_WORDS = 1 << 21
-
-
-def _rect_violations(box: np.ndarray, colors: np.ndarray) -> list[int]:
-    """Vertices whose closed rectangle meets no color class exactly once, for
-    the (n, 4) array of (xmin, xmax, ymin, ymax) rows.
-
-    Rectangle j misses the closed rectangle v exactly when it lies entirely to
-    its left, right, below or above: xmax_j < xmin_v, xmin_j > xmax_v,
-    ymax_j < ymin_v or ymin_j > ymax_v.  Each of those sets is a prefix of one
-    sorted order of a coordinate, found by one `searchsorted` per side
-    (comparisons only), so the complement of N[v] is the OR of one row from
-    each of four prefix bitsets.  Bits are laid out by group, each group
-    padded to whole 64-bit words whose padding bits are never set; one
-    `np.bitwise_count` and one `np.add.reduceat` over the group starts count
-    the members of each group that miss v.  A color class of two or more is
-    a group, and meets v once when exactly size - 1 of it miss v.  All
-    singleton classes share the last group: a singleton meets v once when it
-    meets v at all, so v is settled by them when fewer than all of them miss
-    it.  Words go in column blocks of _CENSUS_BLOCK_WORDS // n, a group wider
-    than a block carrying its count to the next, so memory stays O(n * block)
-    and time O(n (n/64 + p)) words for p classes of two or more.
-    """
-    n = len(box)
-    _, group = np.unique(colors, return_inverse=True)
-    sizes = np.bincount(group)
-    single = sizes == 1
-    pooled = np.zeros(len(sizes), dtype=bool)
-    if single.any():  # the singletons, in one group after the others
-        group = np.where(single, (~single).sum(), np.cumsum(~single) - 1)[group]
-        sizes = np.bincount(group)
-        pooled = np.arange(len(sizes)) == len(sizes) - 1
-    words = -(-sizes // 64)
-    end = np.cumsum(words)
-    start = end - words  # first word of each group
-    bit = np.empty(n, dtype=np.int64)
-    bit[np.argsort(group, kind="stable")] = np.arange(n) + np.repeat(64 * start - (np.cumsum(sizes) - sizes), sizes)
-    sides = []
-    for lo, hi in (box[:, :2].T, box[:, 2:].T):
-        by_hi, by_lo = np.argsort(hi), np.argsort(lo)
-        sides.append((bit[by_hi], np.searchsorted(hi[by_hi], lo, "left")))  # left of or below v
-        sides.append((bit[by_lo[::-1]], n - np.searchsorted(lo[by_lo], hi, "right")))  # right of or above v
-    unique = np.zeros(n, dtype=bool)
-    carry = 0  # misses counted so far of a group that continues into the block
-    total, step = int(words.sum()), max(1, _CENSUS_BLOCK_WORDS // max(n, 1))
-    for w0 in range(0, total, step):
-        w1 = min(w0 + step, total)
-        first, stop = np.searchsorted(end, w0, "right"), np.searchsorted(start, w1, "left")  # groups in the block
-        seg = np.add.reduceat(
-            np.bitwise_count(_missed_words(sides, n, w0, w1)), np.maximum(start[first:stop], w0) - w0, axis=1, dtype=np.int64
-        )
-        seg[:, 0] += carry
-        done = end[first:stop] <= w1
-        carry = 0 if done[-1] else seg[:, -1]
-        size, settles = sizes[first:stop][done], pooled[first:stop][done]
-        seg = seg[:, done]
-        unique |= ((seg == size - 1) | (settles & (seg < size))).any(axis=1)
-    return np.flatnonzero(~unique).tolist()
-
-
-def _missed_words(sides: list[tuple[np.ndarray, np.ndarray]], n: int, w0: int, w1: int) -> np.ndarray:
-    """Words w0..w1-1 of the bitset of rectangles missing each vertex.  Each
-    side holds the bits of the rectangles in the order its prefixes take them,
-    and k, the length of the prefix that misses each vertex on that side."""
-    missed = np.zeros((n, w1 - w0), dtype=np.uint64)
-    for bits, k in sides:
-        word = bits >> 6
-        (inside,) = np.nonzero((word >= w0) & (word < w1))
-        prefix = np.zeros((n + 1, w1 - w0), dtype=np.uint64)
-        prefix[inside + 1, word[inside] - w0] = np.left_shift(np.uint64(1), (bits[inside] & 63).astype(np.uint64))
-        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
-        missed |= prefix[k]
-    return missed
 
 
 def _rect_labels_settle(box: np.ndarray, colors: np.ndarray, node) -> bool:
@@ -640,8 +566,8 @@ def certify(
     Checks totality, the palette `bound`, membership of every color in its
     vertex's list (`lists` must hold one list per vertex, else
     InvalidInputError), and conflict-freeness of every hyperedge, or of
-    every pointed or closed neighborhood (`mode`) when `contacts` is a graph,
-    or of every closed neighborhood when it is an interval or rectangle scene.
+    every pointed or closed neighborhood (`mode`) when `contacts` is a graph
+    or a scene.
 
     An interval coloring is counted smallest color class first, each class
     over the vertices the smaller ones left unsettled; the chain coloring of

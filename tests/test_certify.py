@@ -3,6 +3,7 @@
 Each public coloring entry point certifies its output exactly once; nested
 work runs on unverified cores that share the caller's contacts.
 """
+import math
 import sys
 from collections import defaultdict
 from functools import cached_property
@@ -270,8 +271,9 @@ def _check_scene_census(scene, colors):
     if scene.kind == "intervals":
         # the vertices whose closed neighborhood in the graph has no color counted exactly once
         owners, members = g.arcs()
-        edge_of, counts = _color_counts(np.asarray(colors), members, owners, g.n, diagonal=True)
-        unsettled = _interval_unsettled(scene.rows, np.unique(colors, return_inverse=True)[1])
+        classes = np.unique(colors, return_inverse=True)[1]
+        edge_of, counts = _color_counts(classes, members, owners, g.n, diagonal=True)
+        unsettled = _interval_unsettled(scene.rows, classes)
         assert unsettled == sorted(set(range(g.n)) - set(edge_of[counts == 1].tolist()))
     coloring = cf.Coloring(tuple(colors))
     if bad:
@@ -290,7 +292,7 @@ DIAGONAL = [(k / 2, k % 3 / 2, k / 2 + k % 2, k % 5 / 2) for k in range(200)]
 
 @given(
     st.sampled_from(sorted(COLORERS)),
-    # up to 30 shapes, or 63 to 200 so that color classes cross 64-bit words
+    # up to 30 shapes, or 63 to 200 so that color classes grow large
     st.lists(st.tuples(half, side, half, side), min_size=1, max_size=30)
     | st.lists(st.tuples(wide, side, wide, side), min_size=63, max_size=200),
     st.none() | st.lists(st.integers(0, 10**6), min_size=200, max_size=200),
@@ -307,11 +309,11 @@ DIAGONAL = [(k / 2, k % 3 / 2, k / 2 + k % 2, k % 5 / 2) for k in range(200)]
 @example("rects", [(0, 1, 0, 1), (1, 1, 1, 1), (0, 1, 1, 1)], [0] * 30, 4)  # touching edges and corners
 @example("rects", [(0, 2, 0, 2)] * 2 + [(2, 1, 0, 2)], [0, 1] + [0] * 28, 4)  # repeats
 @example("rects", GRID[:63], None, 4)
-@example("rects", GRID[:64], [0] * 200, 1)  # one class of exactly one word
-@example("rects", GRID[:65], [0] * 200, 1)  # one class of one word and one bit
-@example("rects", GRID[:129], [0] * 64 + [1] * 65 + [0] * 71, 0)  # classes of exactly 64 and 65
-@example("rects", GRID, [0] * 150 + list(range(1, 51)), 0)  # a class of 150 spans three words
-@example("rects", GRID, list(range(200)), 0)  # palette n: every class is one padded word
+@example("rects", GRID[:64], [0] * 200, 1)  # one class of 64
+@example("rects", GRID[:65], [0] * 200, 1)  # one class of 65
+@example("rects", GRID[:129], [0] * 64 + [1] * 65 + [0] * 71, 0)  # classes of 64 and 65
+@example("rects", GRID, [0] * 150 + list(range(1, 51)), 0)  # a class of 150 and 50 singletons
+@example("rects", GRID, list(range(200)), 0)  # palette n: every class a singleton
 @example("rects", GRID, [k // 3 for k in range(200)], 0)  # classes of 3 and 2
 @example("rects", GRID, None, 0)
 @example("rects", DIAGONAL, [0] * 150 + list(range(1, 51)), 0)
@@ -325,6 +327,72 @@ def test_scene_census_matches_graph(kind, shapes, drawn, palette):
     colors = list(COLORERS[kind](scene).colors) if drawn is None else [d % p + 1 for d in drawn[: len(scene)]]
     bad = _check_scene_census(scene, colors)
     assert drawn is not None or bad == []
+
+
+SCENE_KINDS = ("discs", "intervals", "rects", "polygons", "discs+polygons")
+
+
+def _drawn_shape(kind, k, a, b, c, d):
+    """Shape k of a drawn family of `kind`, placed at a (and c) and sized by b
+    (and d), all half-integers; polygons are regular 3- to 8-gons with a
+    vertex due east of the center, so the squares are diamonds with
+    half-integer corners.  A mix alternates discs and polygons."""
+    if kind == "discs+polygons":
+        kind = ("discs", "polygons")[k % 2]
+    if kind == "intervals":
+        return cf.Interval(a, a + b)
+    if kind == "rects":
+        return cf.AARect(a, a + b, c, c + d)
+    if kind == "discs":
+        return cf.Disc(cf.Point(a, c), b)
+    m, r = 3 + int(2 * d) % 6, b + 0.5
+    turns = [2 * math.pi * i / m for i in range(m)]
+    corners = tuple(cf.Point(a + r * math.cos(t), c + r * math.sin(t)) for t in turns)
+    return cf.ConvexFatObject(corners, cf.Point(a, c), 0.999 * r * math.cos(math.pi / m), 1.001 * r)
+
+
+def _certify_message(contacts, colors, mode):
+    try:
+        certify(contacts, cf.Coloring(tuple(colors)), mode)
+    except cf.VerificationError as exc:
+        return str(exc)
+    return None
+
+
+# drawn colors for the 200-shape examples, reduced to p = 3, n/2 and n colors
+DRAWN = np.random.default_rng(3).integers(0, 10**6, 200).tolist()
+
+
+@given(
+    st.sampled_from(SCENE_KINDS),
+    st.lists(st.tuples(half, side, half, side), min_size=1, max_size=30),
+    st.lists(st.integers(0, 10**6), min_size=200, max_size=200),
+    st.sampled_from([1, 3, -2, -1]),  # -2: n/2 colors, -1: n colors
+    st.sampled_from(["pointed", "closed"]),
+)
+@example("discs", [(0, 0, 0, 0)], DRAWN, 1, "pointed")  # n = 1, an empty N(v)
+@example("discs", [(0, 1, 0, 0), (2, 1, 0, 0), (4, 1, 0, 0)], [0] * 200, 1, "closed")  # tangent discs
+@example("polygons", [(0, 0.5, 0, 1), (2, 0.5, 0, 1), (1, 0, 1, 0)], [0, 1, 0] + DRAWN[3:], 3, "pointed")  # corners
+@example("discs+polygons", [(0, 0.5, 0, 0), (1.5, 0, 0, 0.5)] * 3, DRAWN, -1, "closed")
+@example("intervals", [(k, 1, 0, 0) for k in range(10)], DRAWN, -1, "pointed")
+@example("rects", GRID, DRAWN, 3, "closed")
+@example("rects", GRID, DRAWN, -2, "closed")
+@example("rects", GRID, DRAWN, -1, "closed")
+@example("rects", DIAGONAL, DRAWN, 3, "closed")
+@example("rects", DIAGONAL, DRAWN, -2, "closed")
+@example("rects", DIAGONAL, DRAWN, -1, "closed")
+@example("rects", GRID, DRAWN, -2, "pointed")
+@example("rects", DIAGONAL, DRAWN, 3, "pointed")
+@settings(max_examples=300, deadline=None)
+def test_scene_census_equals_graph_census(kind, shapes, drawn, palette, mode):
+    # every kind of scene, in both modes, has the violations and the certify message of its intersection graph
+    scene = cf.Scene(tuple(_drawn_shape(kind, k, *shape) for k, shape in enumerate(shapes)))
+    n = len(scene)
+    p = palette if palette > 0 else max(n // -palette, 1)
+    colors = [d % p + 1 for d in drawn[:n]]
+    g = cf.intersection_graph(scene)
+    assert neighborhood_violations(scene, colors, mode) == neighborhood_violations(g, colors, mode)
+    assert _certify_message(scene, colors, mode) == _certify_message(g, colors, mode)
 
 
 @given(
@@ -537,43 +605,6 @@ def test_interval_verdict_is_the_same_on_both_census_paths_when_drawn(shapes, dr
     assert by_census[0] == neighborhood_violations(cf.intersection_graph(scene), colors, "closed")
 
 
-@pytest.mark.parametrize("shapes", [GRID, DIAGONAL], ids=["grid", "diagonal"])
-@pytest.mark.parametrize("block", [1, 2, 3])
-def test_rect_census_carries_classes_across_blocks(monkeypatch, block, shapes):
-    # blocks of 1-3 words split the classes of 64, 65 and 150 members
-    monkeypatch.setattr(cfgeom.hypergraph, "_CENSUS_BLOCK_WORDS", block * len(shapes))
-    scene = _scene("rects", shapes)
-    rng = np.random.default_rng(block)
-    for colors in (
-        [1] * 200,
-        [1] * 64 + [2] * 65 + [3] * 71,
-        [1] * 150 + list(range(2, 52)),
-        rng.permutation([1] * 150 + list(range(2, 52))).tolist(),
-        list(range(200)),
-        rng.integers(1, 5, 200).tolist(),
-        list(COLORERS["rects"](scene).colors),
-    ):
-        _check_scene_census(scene, colors)
-
-
-@pytest.mark.parametrize("block", [0, 1, 3])
-def test_rect_census_pools_singleton_classes(monkeypatch, block):
-    # random colorings with p = 3, n/2 and n colors: few large classes, many
-    # small ones, and mostly singletons, which share words; blocks of 1 or 3
-    # words split the shared group
-    n = 600
-    scene = cf.generate_scene("rects", n, 9, span=3.0, margin=0)
-    if block:
-        monkeypatch.setattr(cfgeom.hypergraph, "_CENSUS_BLOCK_WORDS", block * n)
-    rng = np.random.default_rng(block)
-    settled = set()
-    for p in (3, n // 2, n):
-        for _ in range(3):
-            bad = _check_scene_census(scene, rng.integers(1, p + 1, n).tolist())
-            settled.add(0 < len(bad) < n)
-    assert True in settled
-
-
 def test_rect_scenes_are_certified_without_pairs(monkeypatch):
     scene = cf.generate_scene("rects", 300, 5)
 
@@ -583,8 +614,7 @@ def test_rect_scenes_are_certified_without_pairs(monkeypatch):
     for name in ("contact_pairs", "_box_overlaps"):
         _replace(monkeypatch, cfgeom.geom, name, refuse)
     col = cf.closed_cf_color_rects(scene)
-    assert neighborhood_violations(scene, col, "closed") == []
-    assert neighborhood_violations(scene, [1] * len(scene), "closed")
+    assert certify(scene, col, "closed") is col
 
 
 def test_scene_census_rejects_random_colorings():
@@ -600,13 +630,12 @@ def test_scene_census_rejects_random_colorings():
 
 
 def test_certify_scene_rejects_wrong_length_and_other_kinds():
-    scene = cf.generate_scene("intervals", 10, 1)
+    # a coloring of the wrong length is rejected; pointed mode and a disc scene are counted as their graphs are
+    scene, discs = cf.generate_scene("intervals", 10, 1), cf.generate_scene("discs", 10, 1)
     with pytest.raises(cf.VerificationError, match="colors 9 of 10 vertices"):
         certify(scene, cf.Coloring((1,) * 9), "closed")
-    with pytest.raises(cf.InvalidInputError, match="closed mode only"):
-        neighborhood_violations(scene, [1] * 10, "pointed")
-    with pytest.raises(cf.IncompatibleShapesError):
-        neighborhood_violations(cf.generate_scene("discs", 10, 1), [1] * 10, "closed")
+    for s, mode in ((scene, "pointed"), (discs, "closed")):
+        assert neighborhood_violations(s, [1] * 10, mode) == neighborhood_violations(cf.intersection_graph(s), [1] * 10, mode)
 
 
 # certifying rectangle colorings from their recursion's node labels
@@ -747,7 +776,7 @@ def test_label_certificate_checks_each_catch_a_perturbation():
 
 def test_colorer_outputs_are_certified_from_their_labels(monkeypatch):
     # the census runs only when labels are absent or prove nothing
-    census = _spy(monkeypatch, cfgeom.hypergraph, "_rect_violations")
+    census = _spy(monkeypatch, cfgeom.hypergraph, "_scene_arc_violations")
     for seed, n in ((0, 1), (1, 64), (2, 700)):
         scene = cf.generate_scene("rects", n, seed)
         col = cf.closed_cf_color_rects(scene)

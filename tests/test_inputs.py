@@ -106,6 +106,11 @@ BAD_CALLS = {
     "subscene index not an integer": lambda: _five_discs().subscene([1.5]),
     "subscene index out of range": lambda: _five_discs().subscene([7]),
     "subscene indices nested": lambda: _five_discs().subscene([[0, 1], [2, 3]]),
+    # a boolean mask is not a list of ids: True is not taken as 1, nor False as 0
+    "subscene indices a bool mask": lambda: _five_discs().subscene(np.array([False, True, True])),
+    "subgraph keep a bool mask": lambda: _path().subgraph([False, True]),
+    "coloring colors bools": lambda: cf.Coloring((True, False)),
+    "graph vertex count a bool": lambda: cf.Graph(True),
 }
 
 

@@ -77,7 +77,7 @@ def test_stacked_rects_all_stabbed():
 
 
 def test_twenty_thousand_rects_in_bounded_memory():
-    # 13.2M contact pairs: the certificate counts in 64-bit words instead
+    # 13.2M contact pairs, none listed: the recursion's node labels are the certificate
     scene = generate_scene("rects", 20000, [41, 20000], margin=0)
     tracemalloc.start()
     try:
@@ -90,9 +90,9 @@ def test_twenty_thousand_rects_in_bounded_memory():
 
 
 def test_hundred_thousand_rects_certified_from_their_labels():
-    # the node labels certify in O(n log n), where the bitset census took
-    # 7.7-10.5 s; a 2-core x86-64 host colors and certifies in 0.2-0.4 s
-    # (tracemalloc on) with a 26 MB peak
+    # the node labels certify in O(n log n), with no contact pairs; a 2-core
+    # x86-64 host colors and certifies in 0.2-0.4 s (tracemalloc on) with a
+    # 26 MB peak
     n = 10**5
     scene = generate_scene("rects", n, 4, margin=0, span=math.sqrt(n / 20000))
     scene.rows  # built before the timer
