@@ -108,7 +108,10 @@ class ProbeSystem:
 
     @cached_property
     def combined(self) -> Scene:
-        """Vertices then probes as one scene, built once per system so its arrays are too."""
+        """Vertices then probes as one scene, built once per system so its arrays are too; two
+        disc scenes are joined by their rows, with no shape objects."""
+        if self.vertices.kind == self.probes.kind == "discs":
+            return Scene.from_rows("discs", np.concatenate((self.vertices.rows, self.probes.rows)))
         return Scene(self.vertices.shapes + self.probes.shapes)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from prune_reference import segment_clip_convex
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cfgeom as cf
 from cfgeom import (
     AARect,
     ConvexFatObject,
@@ -30,9 +32,11 @@ from cfgeom.geom import (
     _clip_segments,
     _convex_hull_ccw,
     _padded_vertices,
+    _shape_to_dict,
     contiguous_run_witnesses,
 )
-from cfgeom.hypergraph import all_intervals_hypergraph
+from cfgeom.hypergraph import all_intervals_hypergraph, certify
+from cfgeom.probes import DISC_MODE, PSEUDODISC_MODE
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 radii = st.floats(min_value=0, max_value=20, allow_nan=False, allow_infinity=False)
@@ -344,6 +348,130 @@ def test_scene_kind_inference_and_mismatch():
         Scene((Disc(Point(0, 0), 1),), "rects")
     m = Scene((Disc(Point(0, 0), 1), Interval(0, 1)))
     assert m.kind == "mixed"
+
+
+# ---------------------------------------------------------------------------
+# scenes made from rows against scenes of shape objects
+# ---------------------------------------------------------------------------
+
+ROW_WIDTH = {"discs": 3, "intervals": 2, "rects": 4}
+MAKE = {"discs": lambda x, y, r: Disc(Point(x, y), r), "intervals": Interval, "rects": AARect}
+
+
+def _fields(shape) -> tuple:
+    if isinstance(shape, Disc):
+        return shape.center.x, shape.center.y, shape.radius
+    if isinstance(shape, Interval):
+        return shape.lo, shape.hi
+    return shape.xmin, shape.xmax, shape.ymin, shape.ymax
+
+
+def _outcome(make):
+    """The scene `make()` returns, or the class and message of the error it raises."""
+    try:
+        return make()
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def row_families(draw):
+    """(kind, rows): valid rows of half-integers and floats, then up to two
+    faults: a value that is not finite, a negative radius, lo > hi, xmin >
+    xmax or ymin > ymax."""
+    kind = draw(st.sampled_from(sorted(ROW_WIDTH)))
+    value = coords | st.integers(-8, 8).map(lambda v: v / 2)
+    rows = draw(st.lists(st.lists(value, min_size=ROW_WIDTH[kind], max_size=ROW_WIDTH[kind]), max_size=10))
+    for r in rows:
+        if kind == "discs":
+            r[2] = abs(r[2])
+        else:
+            r[0::2], r[1::2] = map(min, r[0::2], r[1::2]), map(max, r[0::2], r[1::2])
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        r = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            r[draw(st.integers(0, len(r) - 1))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        elif kind == "discs":
+            r[2] = -abs(r[2]) - 0.5
+        else:
+            k = draw(st.sampled_from(range(0, len(r), 2)))
+            r[k] = r[k + 1] + 1.0
+    return kind, rows
+
+
+@given(row_families(), st.data())
+@example(("discs", [[0.0, 0.0, 1.0], [0.0, 0.0, math.inf]]), None)
+@example(("discs", [[0.5, 0.0, 1.0], [0.0, 0.0, -0.5]]), None)
+@example(("intervals", [[math.nan, 1.0]]), None)
+@example(("intervals", [[2.0, 1.0]]), None)
+@example(("rects", [[2.0, 1.0, 0.0, 1.0]]), None)
+@example(("rects", [[0.0, 1.0, 2.0, 1.0], [math.inf, 0.0, 0.0, 0.0]]), None)
+@example(("discs", [[0.0, -0.0, 0.0], [1e300, -1e300, 2.5]]), None)
+@example(("rects", []), None)
+@settings(max_examples=200, deadline=None)
+def test_scene_from_rows_matches_scene_of_shapes(case, data):
+    kind, rows = case
+    got = _outcome(lambda: Scene.from_rows(kind, rows))
+    want = _outcome(lambda: Scene(tuple(MAKE[kind](*r) for r in rows), kind))
+    if not isinstance(want, Scene):
+        # the same error class and message, a value that is not finite shown as a Python float
+        assert got == want
+        return
+    assert isinstance(got, Scene) and got.kind == kind and len(got) == len(rows)
+    for name in ("rows", "boxes", "certificates"):
+        a, b = _outcome(lambda: getattr(got, name)), _outcome(lambda: getattr(want, name))
+        assert a == b if isinstance(b, tuple) else a.tobytes() == b.tobytes()
+    # equal objects of the same types, every field a Python float
+    assert got.shapes == want.shapes and [type(s) for s in got.shapes] == [type(s) for s in want.shapes]
+    assert all(type(v) is float for s in got.shapes for v in _fields(s))
+    assert got == want and want == got and hash(got) == hash(want)
+    idx = [] if data is None or not rows else data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12))
+    sub = got.subscene(idx)
+    assert sub == want.subscene(idx) and sub.shapes == tuple(want.shapes[i] for i in idx)
+    # the text the shapes' dicts gave, and a scene equal to both when read back
+    text = scene_to_json(got)
+    assert text == scene_to_json(want) == json.dumps({"kind": kind, "shapes": [_shape_to_dict(s) for s in want]})
+    assert scene_from_json(text) == got
+
+
+def test_row_scenes_make_no_shape_objects(monkeypatch):
+    # generating disc, interval and rectangle scenes, coloring them with every entry point
+    # that takes one, and certifying the colorings read their rows alone
+    made = []
+    for shape in (Point, Disc, Interval, AARect):
+        check = shape.__post_init__
+        monkeypatch.setattr(shape, "__post_init__", lambda s, check=check: made.append(type(s)) or check(s))
+    discs = generate_scene("discs", 60, 3, radius_range=(0.04, 0.16))
+    probes = generate_scene("discs", 200, 4, radius_range=(0.01, 0.3), margin=0)
+    intervals, rects = generate_scene("intervals", 60, 5), generate_scene("rects", 64, 6)
+    graph = cf.intersection_graph(discs)
+    pointed = cf.pointed_cf_pseudodiscs(discs)
+    for scene, coloring, mode in (
+        (discs, pointed, "pointed"),
+        (discs, cf.pointed_to_closed(graph, pointed), "closed"),
+        (discs, cf.pointed_cf_color_fat(discs, 1.0, 4.0), "pointed"),
+        (discs, cf.closed_cf_color_fat(discs, 1.0, 4.0), "closed"),
+        (intervals, cf.closed_cf_color_intervals(intervals), "closed"),
+        (rects, cf.closed_cf_color_rects(rects), "closed"),
+    ):
+        certify(scene, coloring, mode)
+    # pseudo-disc mode with overlapping vertices takes pairwise disjoint probes
+    disjoint = generate_scene("discs", 40, 1, radius_range=(0.005, 0.02))
+    for probes, mode in ((probes, DISC_MODE), (disjoint, PSEUDODISC_MODE)):
+        system = cf.ProbeSystem(discs, probes, mode)
+        h = cf.probe_hypergraph(system)
+        certify(h, cf.cf_color_vs_probes(system))
+        peel = cf.peel_proper_colorer(discs, probes)
+        certify(h, cf.proper_to_cf(h, peel))
+        need = cf.cf_palette_bound(h.n, 6)
+        lists = [[(v + j) % (2 * need) + 1 for j in range(need)] for v in range(h.n)]
+        certify(h, cf.proper_to_cf_list(h, lists, peel), lists=lists)
+    cf.prune_depth_one(discs)
+    for scene in (discs, intervals, rects):
+        assert scene_from_json(scene_to_json(scene.subscene(range(0, 40, 3)))) == scene.subscene(range(0, 40, 3))
+    assert made == []
+    # reading a shape builds the objects, and the spy sees them
+    assert discs[0] == Disc(Point(*discs.rows[0, :2].tolist()), float(discs.rows[0, 2])) and made
 
 
 def test_fat_certificate_validation():

@@ -111,6 +111,28 @@ BAD_CALLS = {
     "subgraph keep a bool mask": lambda: _path().subgraph([False, True]),
     "coloring colors bools": lambda: cf.Coloring((True, False)),
     "graph vertex count a bool": lambda: cf.Graph(True),
+    # shape fields and generator arguments are real numbers: no string, None or bool is taken
+    "point coordinate a string": lambda: cf.Point("1", 2),
+    "point coordinate None": lambda: cf.Point(None, 1),
+    "interval ends strings": lambda: cf.Interval("a", "b"),
+    "rectangle side a string": lambda: cf.AARect(0, "1", 0, 1),
+    "point coordinate a bool": lambda: cf.Point(True, 0),
+    "disc radius a bool": lambda: cf.Disc(cf.Point(0, 0), True),
+    "generated count a string": lambda: cf.generate_scene("discs", "3", 1),
+    "generated count not an integer": lambda: cf.generate_scene("discs", 2.5, 1),
+    "generated count a bool": lambda: cf.generate_scene("discs", True, 1),
+    "generator span a string": lambda: cf.generate_scene("discs", 3, 1, span="1"),
+    "generator range bound a string": lambda: cf.generate_scene("discs", 3, 1, radius_range=(0.05, "0.2")),
+    "generator margin a bool": lambda: cf.generate_scene("discs", 3, 1, margin=True),
+    "scene rows a bool array": lambda: cf.Scene.from_rows("discs", np.array([[True, False, True]])),
+    "scene rows complex": lambda: cf.Scene.from_rows("discs", np.array([[1j, 0, 1]])),
+    "scene rows objects": lambda: cf.Scene.from_rows("discs", np.array([[0.5, 0.5, 1.0]], dtype=object)),
+    "scene rows strings": lambda: cf.Scene.from_rows("discs", [["0", "0", "1"]]),
+    "scene rows of no such kind": lambda: cf.Scene.from_rows("fat", [[0.0, 0.0, 1.0]]),
+    "scene rows ragged": lambda: cf.Scene.from_rows("intervals", [[0.0, 1.0], [2.0]]),
+    "scene rows of the wrong width": lambda: cf.Scene.from_rows("intervals", [[0.0, 1.0, 2.0]]),
+    "scene rows flat": lambda: cf.Scene.from_rows("intervals", [0.0, 1.0]),
+    "scene JSON field a bool": lambda: cf.scene_from_json('{"shapes": [{"type": "disc", "cx": true, "cy": 0, "r": 1}]}'),
 }
 
 
@@ -120,6 +142,32 @@ def test_bad_caller_input_raises_invalid_input(name):
     with pytest.raises(cf.InvalidInputError) as info:
         BAD_CALLS[name]()
     assert isinstance(info.value, cf.CFGeomError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "shape, name",
+    [
+        ({"type": "disc", "cx": 0.5, "cy": "1.5", "r": 1.0}, "str"),
+        ({"type": "interval", "lo": None, "hi": 1.0}, "NoneType"),
+        ({"type": "rect", "xmin": 0.0, "xmax": [1.0], "ymin": 0.0, "ymax": 1.0}, "list"),
+        ({"type": "disc", "cx": 0.5, "cy": 0.5, "r": True}, "bool"),
+        ({"type": "fat", "vertices": [[0, 0], [1, 0], ["1", 1]], "anchor": [0.5, 0.3], "r_inner": 0.2, "r_outer": 1}, "str"),
+    ],
+)
+def test_scene_json_field_that_is_not_a_number_reads_as_malformed(shape, name):
+    # the message such a document has always given, whether its shapes become rows or objects
+    for shapes in ([shape], [{"type": "disc", "cx": 0.0, "cy": 0.0, "r": 1.0}, shape]):
+        with pytest.raises(cf.InvalidInputError) as info:
+            cf.scene_from_json(json.dumps({"shapes": shapes}))
+        assert str(info.value) == f"malformed scene JSON (TypeError: must be real number, not {name})"
+
+
+def test_scene_rows_of_any_real_dtype_are_taken():
+    # integer and narrow float rows are kept as float64, and no rows make an empty scene of the kind
+    assert cf.Scene.from_rows("intervals", np.array([[1, 2]], dtype=np.int8)).shapes == (cf.Interval(1.0, 2.0),)
+    assert cf.Scene.from_rows("rects", np.ones((1, 4), dtype=np.float16)).rows.dtype == np.float64
+    empty = cf.Scene.from_rows("discs", [])
+    assert empty.kind == "discs" and len(empty) == 0 and empty.rows.shape == (0, 3)
 
 
 def test_integer_arrays_are_taken_without_a_pass():
